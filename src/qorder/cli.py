@@ -499,8 +499,9 @@ def cmd_stabilizer(model, r, spec):
         g = stab_mod.stabilizer_from_stratum(ctx, loc, character, "eps")
         path = "stratum"
     else:
-        names, exprs, values = stab_mod._z0_table(model, ctx, r, character)
-        g = stab_mod.linearized_stabilizer(names, exprs, values, r)
+        names, exprs, _ = ctx.bracket_table()
+        g = stab_mod.linearized_stabilizer(
+            names, exprs, ctx.frame_values(character), r)
         path = "linearized"
         notes.extend("%s: %s" % d for d in loc.diagnostics)
     res = stab_mod.rank_and_checks(g)
@@ -625,8 +626,6 @@ def main(argv=None):
     parser.add_argument("--out", help="write the report here")
     parser.add_argument("--format", choices=["text", "data"], default="text")
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="recorded in the report; sweeps are deterministic")
     args = parser.parse_args(argv)
     try:
         with open(args.spec) as fh:
@@ -644,7 +643,6 @@ def main(argv=None):
     except (engine.ValidationFailed, zlattice.NotSkew, ValueError) as exc:
         print("validation error: %s" % exc, file=sys.stderr)
         return 2
-    doc["seed"] = args.seed
     if args.format == "data":
         payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:

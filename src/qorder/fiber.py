@@ -12,6 +12,7 @@ count it is asked to confirm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
@@ -83,23 +84,6 @@ def mat_is_zero(A):
     return all(a.is_zero() for row in A for a in row)
 
 
-def mat_inv_c(A, r):
-    n = len(A)
-    M = [row[:] + eye_row[:] for row, eye_row in zip(A, mat_eye(n, r))]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if not M[i][col].is_zero()), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        M[col], M[piv] = M[piv], M[col]
-        inv = M[col][col].inverse()
-        M[col] = [x * inv for x in M[col]]
-        for i in range(n):
-            if i != col and not M[i][col].is_zero():
-                f = M[i][col]
-                M[i] = [x - f * y for x, y in zip(M[i], M[col])]
-    return [row[n:] for row in M]
-
-
 def mat_pow_c(A, k, r):
     if k < 0:
         return mat_pow_c(mat_inv_c(A, r), -k, r)
@@ -109,80 +93,79 @@ def mat_pow_c(A, k, r):
     return out
 
 
-def kernel_c(rows, ncols, r):
-    """Kernel basis of a matrix given as a list of dense rows."""
-    pivots = {}  # column -> row index in rank_rows
-    rank_rows = []
-    for row in rows:
-        cur = row[:]
-        for col, prow in pivots.items():
-            if not cur[col].is_zero():
-                f = cur[col]
-                cur = [x - f * y for x, y in zip(cur, rank_rows[prow])]
-        lead = next((j for j in range(ncols) if not cur[j].is_zero()), None)
+# The one row reduction.  A matrix is a list of dense rows; its reduced row
+# echelon form is unique, so every result below is independent of the order
+# in which rows are inserted.
+
+def _sub_multiple(x, f, y):
+    """Row x - f * y, skipping the zero entries of y."""
+    return [a if b.is_zero() else a - f * b for a, b in zip(x, y)]
+
+
+def reduce_c(vec, rows, pivots):
+    """vec minus the combination of echelon rows that clears their pivot
+    columns; zero exactly when vec lies in their span."""
+    cur = list(vec)
+    for col, row in zip(pivots, rows):
+        f = cur[col]
+        if not f.is_zero():
+            cur = _sub_multiple(cur, f, row)
+    return cur
+
+
+def rref_c(vectors):
+    """Reduced row echelon form of the span of vectors: (rows, pivots),
+    sorted by pivot column."""
+    rows = []
+    pivots = []
+    for vec in vectors:
+        cur = reduce_c(vec, rows, pivots)
+        lead = next((j for j, x in enumerate(cur) if not x.is_zero()), None)
         if lead is None:
             continue
         inv = cur[lead].inverse()
         cur = [x * inv for x in cur]
-        # keep reduced row echelon form: clear the new pivot column above
-        for prow in range(len(rank_rows)):
-            if not rank_rows[prow][lead].is_zero():
-                f = rank_rows[prow][lead]
-                rank_rows[prow] = [x - f * y
-                                   for x, y in zip(rank_rows[prow], cur)]
-        pivots[lead] = len(rank_rows)
-        rank_rows.append(cur)
-    free = [j for j in range(ncols) if j not in pivots]
+        for t, row in enumerate(rows):
+            f = row[lead]
+            if not f.is_zero():
+                rows[t] = _sub_multiple(row, f, cur)
+        rows.append(cur)
+        pivots.append(lead)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return [rows[t] for t in order], [pivots[t] for t in order]
+
+
+def kernel_c(rows, ncols, r):
+    """Kernel basis of a matrix, one vector per free column."""
+    ech, pivots = rref_c(rows)
     basis = []
-    for fcol in free:
-        vec = [r.zero() for _ in range(ncols)]
+    for fcol in sorted(set(range(ncols)) - set(pivots)):
+        vec = [r.zero()] * ncols
         vec[fcol] = r.one()
-        for col, prow in pivots.items():
-            vec[col] = -rank_rows[prow][fcol]
+        for col, row in zip(pivots, ech):
+            vec[col] = -row[fcol]
         basis.append(vec)
     return basis
 
 
-def solve_c(rows, rhs_list, ncols, r):
-    """Solve the linear system rows * x = rhs for each rhs; None if any is
-    inconsistent.  Returns one solution per rhs (free variables zeroed)."""
-    M = [row[:] for row in rows]
-    R = [list(v) for v in rhs_list]
-    nrows = len(M)
-    pivots = []
-    prow = 0
-    for col in range(ncols):
-        piv = next((i for i in range(prow, nrows)
-                    if not M[i][col].is_zero()), None)
-        if piv is None:
-            continue
-        M[prow], M[piv] = M[piv], M[prow]
-        for k in range(len(R)):
-            R[k][prow], R[k][piv] = R[k][piv], R[k][prow]
-        inv = M[prow][col].inverse()
-        M[prow] = [x * inv for x in M[prow]]
-        for k in range(len(R)):
-            R[k][prow] = R[k][prow] * inv
-        for i in range(nrows):
-            if i != prow and not M[i][col].is_zero():
-                f = M[i][col]
-                M[i] = [x - f * y for x, y in zip(M[i], M[prow])]
-                for k in range(len(R)):
-                    R[k][i] = R[k][i] - f * R[k][prow]
-        pivots.append(col)
-        prow += 1
-        if prow == nrows:
-            break
-    sols = []
-    for k in range(len(R)):
-        for i in range(prow, nrows):
-            if not R[k][i].is_zero():
-                return None
-        x = [r.zero() for _ in range(ncols)]
-        for i, col in enumerate(pivots):
-            x[col] = R[k][i]
-        sols.append(x)
-    return sols
+def solve_c(rows, rhs, ncols, r):
+    """A solution x of rows * x = rhs with its free variables zero, or None
+    when the system is inconsistent."""
+    ech, pivots = rref_c([row + [b] for row, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [r.zero()] * ncols
+    for col, row in zip(pivots, ech):
+        x[col] = row[ncols]
+    return x
+
+
+def mat_inv_c(A, r):
+    n = len(A)
+    ech, pivots = rref_c([row + eye for row, eye in zip(A, mat_eye(n, r))])
+    if pivots and pivots[-1] >= n:
+        raise ZeroDivisionError("matrix is singular")
+    return [row[n:] for row in ech]
 
 
 # ---------------------------------------------------------------------------
@@ -302,19 +285,6 @@ def fiber_algebra(model, character, r, located=None):
     if monomial:
         S = P.S
         one = r.one()
-
-        def cocycle(a, b):
-            c = 0
-            for i in range(N):
-                ai = a[i]
-                if not ai:
-                    continue
-                Si = S[i]
-                for j in range(i):
-                    if b[j]:
-                        c += Si[j] * ai * b[j]
-            return c
-
         uf = _WeightedUF(r)
         if located is not None:
             st = located.stratum
@@ -330,7 +300,7 @@ def fiber_algebra(model, character, r, located=None):
                     if red is None:
                         raise ArithmeticError("central monomial truncated")
                     vec2, scal = red
-                    lam = r.eps_power(cocycle(u, w))
+                    lam = r.eps_power(strata_mod.survivor_cocycle(S, u, w))
                     if scal is not None:
                         lam = lam * scal
                     if not uf.union(vec2, w, zval / lam):
@@ -347,7 +317,7 @@ def fiber_algebra(model, character, r, located=None):
             if red is None:
                 return None
             vec2, scal = red
-            lam = r.eps_power(cocycle(a, b))
+            lam = r.eps_power(strata_mod.survivor_cocycle(S, a, b))
             if scal is not None:
                 lam = lam * scal
             rep, w = uf.find(vec2)
@@ -445,22 +415,6 @@ def _shift(l, r, k_index, k_total):
     return M
 
 
-def _ordered_product_data(skew, rows, coeffs):
-    """Exponent cocycle of the ordered product prod_r mono(row_r)^(c_r)."""
-    m = len(skew)
-    acc = [0] * m
-    gamma = 0
-    for row, c in zip(rows, coeffs):
-        if c == 0:
-            continue
-        step = [c * x for x in row]
-        # internal cocycle of mono(row)^c
-        gamma += strata_mod.survivor_cocycle(skew, row, row) * (c * (c - 1) // 2)
-        gamma += strata_mod.survivor_cocycle(skew, acc, step)
-        acc = [a + b for a, b in zip(acc, step)]
-    return gamma, acc
-
-
 def clock_shift_irreps(ctx, located, character):
     """Explicit irreducibles over a located character, one per root choice.
 
@@ -512,7 +466,8 @@ def clock_shift_irreps(ctx, located, character):
         surv_mats = {}
         for s_idx, item in enumerate(st.survivors):
             coeffs = inv_rows[s_idx]
-            gamma, acc = _ordered_product_data(st.skew, basis_rows, coeffs)
+            gamma, acc = strata_mod.ordered_product_data(st.skew, basis_rows,
+                                                        coeffs)
             assert acc == [1 if t == s_idx else 0 for t in range(m)]
             M = mat_eye(dim, r)
             for Mr, c in zip(all_mats, coeffs):
@@ -699,35 +654,11 @@ def _census_table(A):
                     tr = tr + c * d
             gram[i][j] = tr
             gram[j][i] = tr
-    rad = kernel_c(gram, n, r)
-    rad_dim = len(rad)
-    # Echelonized radical for reduction.
-    ech = []
-    pivots = []
-    for v in rad:
-        cur = v[:]
-        for pcol, prow in zip(pivots, ech):
-            if not cur[pcol].is_zero():
-                f = cur[pcol]
-                cur = [x - f * y for x, y in zip(cur, prow)]
-        lead = next((j for j in range(n) if not cur[j].is_zero()), None)
-        if lead is None:
-            continue
-        inv = cur[lead].inverse()
-        cur = [x * inv for x in cur]
-        pivots.append(lead)
-        ech.append(cur)
-
-    def reduce_mod_rad(vec):
-        cur = vec[:]
-        for pcol, prow in zip(pivots, ech):
-            if not cur[pcol].is_zero():
-                f = cur[pcol]
-                cur = [x - f * y for x, y in zip(cur, prow)]
-        return cur
+    rad_rows, rad_pivots = rref_c(kernel_c(gram, n, r))
+    rad_dim = len(rad_rows)
 
     # Incrementally cut the space {x : [x, b_j] in rad for all j}.
-    K = [[r.one() if i == j else r.zero() for j in range(n)] for i in range(n)]
+    K = mat_eye(n, r)
     for j in range(n):
         if not K:
             break
@@ -742,24 +673,16 @@ def _census_table(A):
                     col[k] = col[k] + cu * c
                 for k, c in A.product(j, u).items():
                     col[k] = col[k] - cu * c
-            images.append(reduce_mod_rad(col))
+            images.append(reduce_c(col, rad_rows, rad_pivots))
         # kernel over the combination coefficients
         rows = [[images[t][coord] for t in range(len(K))] for coord in range(n)]
         rows = [row for row in rows if any(not x.is_zero() for x in row)]
         if not rows:
             continue
         combo = kernel_c(rows, len(K), r)
-        K = [[sum_c([K[t][col] * cvec[t] for t in range(len(K))], r)
-              for col in range(n)] for cvec in combo]
+        K = mat_mul_c(combo, K, r)
     count = len(K) - rad_dim
     return rad_dim, count, n - rad_dim
-
-
-def sum_c(values, r):
-    total = r.zero()
-    for v in values:
-        total = total + v
-    return total
 
 
 def _infer_blocks(A, rad_dim, count, dimq, constructed_dims):
@@ -774,7 +697,7 @@ def _infer_blocks(A, rad_dim, count, dimq, constructed_dims):
         return [1] * count, "inferred-commutative", notes
     if count and dimq % count == 0:
         d2 = dimq // count
-        d = int(round(d2 ** 0.5))
+        d = math.isqrt(d2)
         if d * d == d2:
             return [d] * count, "inferred-uniform", notes
     raise NonSplit("block dimensions not certified over the cyclotomic "

@@ -295,15 +295,7 @@ def f_elements_and_z0_brackets(model, r):
     Verifies the expected l-center shapes: every bracket of l-th powers is a
     single global constant gamma times the matching exponent times the
     product, with the extra additive term f_{i-1} on diagonal pairs.
-    Results are cached on the model per root choice.
     """
-    cache = getattr(model, "_center_cache", None)
-    if cache is None:
-        cache = {}
-        model._center_cache = cache
-    key = (r.l, r.primitive_index)
-    if key in cache:
-        return cache[key]
     P = model.presentation
     n = model.n
     adm = model.admissibility(r.l)
@@ -431,13 +423,11 @@ def f_elements_and_z0_brackets(model, r):
         elif const.is_zero():
             shapes_ok = False
             shape_notes.append("diagonal additive term vanished at pair %d" % i)
-    report = WeylCenterReport(frame_names=names, f_exprs=f_exprs,
-                              gammas=gammas, gamma_bound=bound,
-                              brackets=brackets, kappa=kappa,
-                              f_consts=f_consts, shapes_ok=shapes_ok,
-                              shape_notes=shape_notes)
-    cache[key] = report
-    return report
+    return WeylCenterReport(frame_names=names, f_exprs=f_exprs,
+                            gammas=gammas, gamma_bound=bound,
+                            brackets=brackets, kappa=kappa,
+                            f_consts=f_consts, shapes_ok=shapes_ok,
+                            shape_notes=shape_notes)
 
 
 def _sub_expr(target, other, r):

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from .exactnum import QLaurent, NotDivisible, divide_by_cyclotomic
 from . import engine
 from . import fiber as fiber_mod
-from . import models as models_mod
 from . import strata as strata_mod
 from . import zlattice
 
@@ -110,40 +109,6 @@ class StabilizerResult:
     checks: dict
 
 
-def _subspace_span(vectors, r, dim):
-    """Reduced echelon rows spanning the given coefficient vectors."""
-    rows = []
-    pivots = []
-    for v in vectors:
-        cur = list(v)
-        for pcol, prow in zip(pivots, rows):
-            if not cur[pcol].is_zero():
-                f = cur[pcol]
-                cur = [x - f * y for x, y in zip(cur, prow)]
-        lead = next((j for j in range(dim) if not cur[j].is_zero()), None)
-        if lead is None:
-            continue
-        inv = cur[lead].inverse()
-        cur = [x * inv for x in cur]
-        for t in range(len(rows)):
-            if not rows[t][lead].is_zero():
-                f = rows[t][lead]
-                rows[t] = [x - f * y for x, y in zip(rows[t], cur)]
-        pivots.append(lead)
-        rows.append(cur)
-    order = sorted(range(len(pivots)), key=lambda t: pivots[t])
-    return [rows[t] for t in order], [pivots[t] for t in order]
-
-
-def _in_span(vec, rows, pivots):
-    cur = list(vec)
-    for pcol, prow in zip(pivots, rows):
-        if not cur[pcol].is_zero():
-            f = cur[pcol]
-            cur = [x - f * y for x, y in zip(cur, prow)]
-    return all(x.is_zero() for x in cur)
-
-
 def rank_and_checks(g):
     """Verify the t/n split and compute the rank.
 
@@ -166,11 +131,12 @@ def rank_and_checks(g):
     # (b) n is an ideal with vanishing lower central series
     def unit(i):
         return [r.one() if t == i else r.zero() for t in range(n_dim)]
-    n_rows, n_piv = _subspace_span([unit(i) for i in g.n_idx], r, n_dim)
+    n_rows, n_piv = fiber_mod.rref_c([unit(i) for i in g.n_idx])
     ideal = True
     for i in range(n_dim):
         for j in g.n_idx:
-            if not _in_span(g.bracket_of(i, j), n_rows, n_piv):
+            rest = fiber_mod.reduce_c(g.bracket_of(i, j), n_rows, n_piv)
+            if any(not c.is_zero() for c in rest):
                 ideal = False
     checks["n_ideal"] = ideal
     series = [unit(i) for i in g.n_idx]
@@ -185,8 +151,7 @@ def rank_and_checks(g):
                 w = g.bracket_vectors(unit(i), v)
                 if any(not c.is_zero() for c in w):
                     nxt.append(w)
-        rows, piv = _subspace_span(nxt, r, n_dim)
-        series = rows
+        series, _ = fiber_mod.rref_c(nxt)
     checks["n_nilpotent"] = nilpotent
     # (c) diagonalizability of each toral generator
     diag = True
@@ -200,15 +165,8 @@ def rank_and_checks(g):
         raise DecompositionInvalid("t/n split checks failed: %r" % checks)
     # joint weight kernel: toral combinations acting by zero
     ads = [g.ad_matrix(unit(i)) for i in g.t_idx]
-    rows = []
-    for a in range(n_dim):
-        for b in range(n_dim):
-            row = [M[a][b] for M in ads]
-            if any(not x.is_zero() for x in row):
-                rows.append(row)
-    ker = fiber_mod.kernel_c(rows, len(g.t_idx), r) if rows else \
-        [[r.one() if a == b else r.zero() for b in range(len(g.t_idx))]
-         for a in range(len(g.t_idx))]
+    rows = [[M[a][b] for M in ads] for a in range(n_dim) for b in range(n_dim)]
+    ker = fiber_mod.kernel_c(rows, len(g.t_idx), r)
     checks["weight_kernel_dim"] = len(ker)
     rank = len(g.t_idx) - len(ker)
     return StabilizerResult(lie=g, rank=rank, checks=checks)
@@ -225,9 +183,9 @@ def _squarefree_minpoly(M, r):
         flat = [[P[a][b] for a in range(n) for b in range(n)] for P in powers]
         mat = [[flat[t][c] for t in range(k)] for c in range(n * n)]
         rhs = [-flat[k][c] for c in range(n * n)]
-        sol = fiber_mod.solve_c(mat, [rhs], k, r)
+        sol = fiber_mod.solve_c(mat, rhs, k, r)
         if sol is not None:
-            coeffs = sol[0] + [r.one()]
+            coeffs = sol + [r.one()]
             return _poly_squarefree(coeffs, r)
         if k > n:
             raise ArithmeticError("minimal polynomial search overran")
@@ -279,25 +237,11 @@ def _poly_squarefree(coeffs, r):
 # ---------------------------------------------------------------------------
 # Twisted-model stabilizers: everything is a lattice monomial.
 
-def monomial_cocycle(S, a, b):
-    """Exponent c with mono(a) mono(b) = q^c mono(a + b)."""
-    c = 0
-    for i in range(len(a)):
-        ai = a[i]
-        if not ai:
-            continue
-        Si = S[i]
-        for j in range(i):
-            if b[j]:
-                c += Si[j] * ai * b[j]
-    return c
-
-
 def monomial_bracket_scalar(S, r, alpha, beta):
     """Poisson bracket scalar of two central monomials in a twisted algebra:
     {mono(alpha), mono(beta)} = scalar * mono(alpha + beta) at eps."""
-    c1 = monomial_cocycle(S, alpha, beta)
-    c2 = monomial_cocycle(S, beta, alpha)
+    c1 = strata_mod.survivor_cocycle(S, alpha, beta)
+    c2 = strata_mod.survivor_cocycle(S, beta, alpha)
     f = QLaurent({c1: 1}) + QLaurent({c2: -1})
     if f.is_zero():
         return r.zero()
@@ -387,7 +331,7 @@ def _twisted_stabilizer(ctx, located, character, level):
             if m is None:
                 raise engine.ExpressionFailed(
                     "bracket monomial escapes the stratum frame")
-            gamma = _ordered_cocycle(model.S, frame_cols, m)
+            gamma, _ = strata_mod.ordered_product_data(model.S, frame_cols, m)
             coeff = lam * r.eps_power(-gamma)
             expr = {tuple(m): coeff}
             const, grad = engine.expression_linear_part(expr, values, r)
@@ -401,21 +345,6 @@ def _twisted_stabilizer(ctx, located, character, level):
                 t_idx=[i for i, g in enumerate(gens) if g.part == "t"],
                 n_idx=[i for i, g in enumerate(gens) if g.part != "t"])
     return lie
-
-
-def _ordered_cocycle(S, frame_cols, mults):
-    """Exponent relating the ordered product of frame monomials to the
-    monomial of the summed exponent."""
-    acc = [0] * len(S)
-    gamma = 0
-    for col, m in zip(frame_cols, mults):
-        if m == 0:
-            continue
-        step = [m * x for x in col]
-        gamma += monomial_cocycle(S, col, col) * (m * (m - 1) // 2)
-        gamma += monomial_cocycle(S, acc, step)
-        acc = [a + b for a, b in zip(acc, step)]
-    return gamma
 
 
 # ---------------------------------------------------------------------------
@@ -433,25 +362,15 @@ class _WeylChart:
         self.r = ctx.root
         self.n = self.model.n
         n = self.n
-        center = models_mod.f_elements_and_z0_brackets(self.model, ctx.root)
-        self.center = center
+        center = ctx.weyl_center
         self.names = (["a%d" % i for i in range(1, n + 1)] +
                       ["b%d" % i for i in range(1, n + 1)] +
                       ["f%d" % i for i in range(1, n + 1)])
         self.base = 2 * n  # gradient directions: a's and b's
         self.width = 3 * n
         r = self.r
-        self.values = []
-        for name in self.names:
-            if name[0] == "f":
-                k = int(name[1:])
-                vals = [character.value(strata_mod.n_to_gen(self.model, nm))
-                        for nm in center.frame_names]
-                self.values.append(engine.evaluate_expression(
-                    center.f_exprs[k], vals, r))
-            else:
-                self.values.append(
-                    character.value(strata_mod.n_to_gen(self.model, name)))
+        self.values = ctx.frame_values(character) + [
+            ctx.lcenter_value("w%d" % k, character) for k in range(1, n + 1)]
         # f expressions and gradients over the a/b directions
         self.f_expr = []
         self.f_grad = []
@@ -723,13 +642,12 @@ def _weyl_stabilizer(ctx, located, character, level):
             grad = chart.gradient(br, extra)
             if all(c.is_zero() for c in grad):
                 continue
-            sols = fiber_mod.solve_c(
+            vec = fiber_mod.solve_c(
                 [[grads[t][d] for t in range(dim)] for d in range(width_out)],
-                [grad], dim, r)
-            if sols is None:
+                grad, dim, r)
+            if vec is None:
                 raise engine.ExpressionFailed(
                     "bracket class escapes the stabilizer basis")
-            vec = sols[0]
             if any(not c.is_zero() for c in vec):
                 bracket[(i, j)] = vec
     lie = FDLie(labels=[g[0] for g in gens], root=r, bracket=bracket,
@@ -786,13 +704,13 @@ def linearized_stabilizer(names, exprs, values, r):
                             grad[t] = grad[t] + ci * cj * g[t]
             if all(c.is_zero() for c in grad):
                 continue
-            sols = fiber_mod.solve_c(
+            vec = fiber_mod.solve_c(
                 [[kernel[t][d] for t in range(dim)] for d in range(m)],
-                [grad], dim, r)
-            if sols is None:
+                grad, dim, r)
+            if vec is None:
                 raise engine.ExpressionFailed(
                     "linearized bracket leaves the tensor kernel")
-            bracket[(a, b)] = sols[0]
+            bracket[(a, b)] = vec
     labels = ["k%d" % (a + 1) for a in range(dim)]
     lie = FDLie(labels=labels, root=r, bracket=bracket, t_idx=[], n_idx=[])
     return _attach_split(lie)
@@ -816,7 +734,7 @@ def _attach_split(g):
         if all(all(c.is_zero() for c in g.bracket_vectors(units[i], units[j]))
                for j in range(dim)):
             vectors.append(units[i])
-    rows, piv = _subspace_span(vectors, r, dim)
+    rows, piv = fiber_mod.rref_c(vectors)
     t_cols = [i for i in range(dim) if i not in set(piv)]
     basis = [units[c] for c in t_cols] + rows
     if len(basis) != dim:
@@ -828,10 +746,10 @@ def _attach_split(g):
             w = g.bracket_vectors(basis[i], basis[j])
             if all(c.is_zero() for c in w):
                 continue
-            sols = fiber_mod.solve_c(mat, [w], dim, r)
-            if sols is None:
+            vec = fiber_mod.solve_c(mat, w, dim, r)
+            if vec is None:
                 raise DecompositionInvalid("rebase failed to express a bracket")
-            bracket[(i, j)] = sols[0]
+            bracket[(i, j)] = vec
     out = FDLie(labels=["v%d" % (i + 1) for i in range(dim)], root=r,
                 bracket=bracket, t_idx=list(range(len(t_cols))),
                 n_idx=list(range(len(t_cols), dim)))
@@ -899,12 +817,15 @@ def main_theorem_check(model, character, r, ctx=None):
     if ctx is None:
         ctx = strata_mod.enumerate_strata(model, r)
     character.check(model, r)
-    kappa = _model_kappa(model, ctx, r)
+    try:
+        kappa = ctx.bracket_table()[2]
+    except ArithmeticError:
+        kappa = None
     loc = strata_mod.locate(character, ctx)
     notes = []
     if isinstance(loc, strata_mod.Uncovered):
-        names, exprs, values = _z0_table(model, ctx, r, character)
-        g = linearized_stabilizer(names, exprs, values, r)
+        names, exprs, _ = ctx.bracket_table()
+        g = linearized_stabilizer(names, exprs, ctx.frame_values(character), r)
         res = rank_and_checks(g)
         predicted = r.l ** res.rank
         A = fiber_mod.fiber_algebra(model, character, r)
@@ -960,8 +881,9 @@ def main_theorem_check(model, character, r, ctx=None):
                      % len(missing_ext))
     # linearized comparison when the character level allows it
     try:
-        names, exprs, values = _z0_table(model, ctx, r, character)
-        g_lin = linearized_stabilizer(names, exprs, values, r)
+        names, exprs, _ = ctx.bracket_table()
+        g_lin = linearized_stabilizer(names, exprs,
+                                      ctx.frame_values(character), r)
         res_lin = rank_and_checks(g_lin)
         checks["linearized_rank"] = res_lin.rank
         if res_lin.rank != rank:
@@ -982,25 +904,3 @@ def main_theorem_check(model, character, r, ctx=None):
                          verdict=verdict,
                          kappa=kappa, checks=checks, notes=notes)
 
-
-def _model_kappa(model, ctx, r):
-    if isinstance(model, models_mod.WeylModel):
-        return models_mod.f_elements_and_z0_brackets(model, r).kappa
-    try:
-        _, _, kappa = models_mod.twisted_z0_table(model, r)
-        return kappa
-    except ArithmeticError:
-        return None
-
-
-def _z0_table(model, ctx, r, character):
-    if isinstance(model, models_mod.WeylModel):
-        center = models_mod.f_elements_and_z0_brackets(model, r)
-        names = center.frame_names
-        values = [character.value(strata_mod.n_to_gen(model, nm))
-                  for nm in names]
-        return names, center.brackets, values
-    names, exprs, _ = models_mod.twisted_z0_table(model, r)
-    values = [character.value(model.presentation.gens[i])
-              for i in range(model.N)]
-    return names, exprs, values

@@ -109,21 +109,45 @@ class Stratum:
 
 @dataclass
 class StrataContext:
-    """Enumerated strata plus whatever the location conditions need."""
+    """Enumerated strata and the per-(model, root) l-center data: the Weyl
+    center report, and the l-center bracket table built on first use."""
 
     model: object
     root: object
     strata: list
-    f_exprs: list | None = None  # quantum Weyl: w_i^l over the a/b frame
-    ab_names: list | None = None
+    weyl_center: object = None  # quantum Weyl: models.WeylCenterReport
+    # bracket_table()'s result, or the exception its build raised
+    _table: object = field(default=None, init=False, repr=False)
+
+    def bracket_table(self):
+        """(names, exprs, kappa) of the l-center bracket table over the frame
+        of generator l-th powers.  A build that raised raises the same
+        exception at every call."""
+        if self._table is None:
+            c = self.weyl_center
+            try:
+                self._table = (
+                    (c.frame_names, c.brackets, c.kappa) if c is not None
+                    else models_mod.twisted_z0_table(self.model, self.root))
+            except (ArithmeticError, ValueError) as exc:
+                self._table = exc
+        if isinstance(self._table, Exception):
+            raise self._table
+        return self._table
+
+    def frame_values(self, character):
+        """Character values on the frame names of the bracket table."""
+        if self.weyl_center is not None:
+            return [character.value(n_to_gen(self.model, n))
+                    for n in self.weyl_center.frame_names]
+        return [character.value(g) for g in self.model.presentation.gens]
 
     def lcenter_value(self, label, character):
         """Value at the character of the l-th power behind a condition label."""
-        if label.startswith("w") and self.f_exprs is not None:
-            k = int(label[1:])
-            vals = [character.value(n_to_gen(self.model, n))
-                    for n in self.ab_names]
-            return engine.evaluate_expression(self.f_exprs[k], vals, self.root)
+        if label.startswith("w") and self.weyl_center is not None:
+            return engine.evaluate_expression(
+                self.weyl_center.f_exprs[int(label[1:])],
+                self.frame_values(character), self.root)
         return character.value(label)
 
 
@@ -250,7 +274,7 @@ def _enumerate_weyl(model, r):
             inverted_labels=["%s%d" % s for s in surv_syms],
         ))
     return StrataContext(model=model, root=r, strata=strata,
-                         f_exprs=center.f_exprs, ab_names=center.frame_names)
+                         weyl_center=center)
 
 
 def _fmt(s):
@@ -275,16 +299,34 @@ def _verify_survivor_commutation(model, survivors, skew):
 
 
 def survivor_cocycle(skew, u, v):
-    """Exponent c with mono(u) mono(v) = q^c mono(u + v) in the survivor
-    frame, for the normal ordering along the survivor list."""
+    """Exponent c with mono(u) mono(v) = q^c mono(u + v) for the skew
+    exponent matrix of the frame, in the normal ordering along the frame."""
     c = 0
     for rpos in range(len(u)):
-        if not u[rpos]:
+        ur = u[rpos]
+        if not ur:
             continue
+        row = skew[rpos]
         for spos in range(rpos):
             if v[spos]:
-                c += skew[rpos][spos] * u[rpos] * v[spos]
+                c += row[spos] * ur * v[spos]
     return c
+
+
+def ordered_product_data(skew, rows, coeffs):
+    """Exponent cocycle gamma and summed exponent acc of the ordered product
+    prod_r mono(row_r)^(c_r) = q^gamma mono(acc)."""
+    acc = [0] * len(skew)
+    gamma = 0
+    for row, c in zip(rows, coeffs):
+        if c == 0:
+            continue
+        step = [c * x for x in row]
+        # internal cocycle of mono(row)^c
+        gamma += survivor_cocycle(skew, row, row) * (c * (c - 1) // 2)
+        gamma += survivor_cocycle(skew, acc, step)
+        acc = [a + b for a, b in zip(acc, step)]
+    return gamma, acc
 
 
 def monomial_value(stratum, character, r, u):

@@ -227,3 +227,119 @@ def test_representation_element_evaluation(r3):
     elem = engine.Element(2, {(3, 0): 1})
     M = rep.matrix_of_element(m, elem, r3)
     assert fiber.mat_eq_c(M, fiber.mat_eye(3, r3))
+
+
+# ---------------------------------------------------------------------------
+# The row-reduction core on seeded random systems with planted rank.
+
+def _rand_scalar(rng, r):
+    if rng.random() < 0.3:
+        return r.zero()
+    out = r.zero()
+    for k in range(r.deg):
+        out = out + r.eps_power(k) * rng.randint(-2, 2)
+    return out
+
+
+def _planted_system(rng, r, m, n, k):
+    """(A, left) with A = B C of rank exactly k, and `left` spanning the
+    vectors u with u A = 0: B holds I_k in k of its rows and C holds I_k in
+    k of its columns."""
+    rows_b = rng.sample(range(m), k)
+    others = [i for i in range(m) if i not in rows_b]
+    B = [[r.zero()] * k for _ in range(m)]
+    for t, i in enumerate(rows_b):
+        B[i][t] = r.one()
+    for i in others:
+        B[i] = [_rand_scalar(rng, r) for _ in range(k)]
+    cols_c = rng.sample(range(n), k)
+    C = [[_rand_scalar(rng, r) for _ in range(n)] for _ in range(k)]
+    for t, j in enumerate(cols_c):
+        for s in range(k):
+            C[s][j] = r.one() if s == t else r.zero()
+    A = fiber.mat_mul_c(B, C, r) if k else [[r.zero()] * n for _ in range(m)]
+    left = []
+    for i in others:
+        u = [r.zero()] * m
+        u[i] = r.one()
+        for t, i2 in enumerate(rows_b):
+            u[i2] = -B[i][t]
+        left.append(u)
+    return A, left
+
+
+def _apply(A, x, r):
+    return [fiber.mat_mul_c([row], [[c] for c in x], r)[0][0] for row in A]
+
+
+def _dot(u, v, r):
+    total = r.zero()
+    for a, b in zip(u, v):
+        total = total + a * b
+    return total
+
+
+def _systems():
+    rng = random.Random(20101095)
+    for l in (3, 5):
+        r = cyclotomic_build(l)
+        for _ in range(40):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            k = rng.randint(0, min(m, n))
+            A, left = _planted_system(rng, r, m, n, k)
+            yield rng, r, A, left, m, n, k
+
+
+def test_core_kernel_and_rank():
+    for rng, r, A, _, m, n, k in _systems():
+        ech, pivots = fiber.rref_c(A)
+        assert len(pivots) == k == len(ech)
+        assert pivots == sorted(pivots)
+        ker = fiber.kernel_c(A, n, r)
+        assert len(ker) + k == n
+        for v in ker:
+            assert all(c.is_zero() for c in _apply(A, v, r))
+        # the reduced form does not depend on the order of the rows
+        shuffled = A[:]
+        rng.shuffle(shuffled)
+        assert fiber.rref_c(shuffled) == (ech, pivots)
+
+
+def test_core_solve():
+    for rng, r, A, left, m, n, k in _systems():
+        pivots = fiber.rref_c(A)[1]
+        x0 = [_rand_scalar(rng, r) for _ in range(n)]
+        for b in (_apply(A, x0, r), [_rand_scalar(rng, r) for _ in range(m)]):
+            consistent = all(_dot(u, b, r).is_zero() for u in left)
+            x = fiber.solve_c(A, b, n, r)
+            assert (x is not None) == consistent
+            if x is not None:
+                assert _apply(A, x, r) == b
+                assert all(x[j].is_zero() for j in range(n)
+                           if j not in pivots)
+
+
+def test_core_inverse():
+    for rng, r, A, _, m, n, k in _systems():
+        if m != n:
+            continue
+        if k < n:
+            with pytest.raises(ZeroDivisionError):
+                fiber.mat_inv_c(A, r)
+            continue
+        Ainv = fiber.mat_inv_c(A, r)
+        eye = fiber.mat_eye(n, r)
+        assert fiber.mat_eq_c(fiber.mat_mul_c(A, Ainv, r), eye)
+        assert fiber.mat_eq_c(fiber.mat_mul_c(Ainv, A, r), eye)
+
+
+def test_core_span_membership():
+    for rng, r, A, _, m, n, k in _systems():
+        ech, pivots = fiber.rref_c(A)
+        coeffs = [_rand_scalar(rng, r) for _ in range(m)]
+        combo = [_dot(coeffs, col, r) for col in zip(*A)]
+        for v in (combo, [_rand_scalar(rng, r) for _ in range(n)]):
+            rest = fiber.reduce_c(v, ech, pivots)
+            member = all(c.is_zero() for c in rest)
+            assert member == (len(fiber.rref_c(A + [v])[1]) == k)
+        assert all(c.is_zero() for c in fiber.reduce_c(combo, ech, pivots))

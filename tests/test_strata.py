@@ -184,3 +184,32 @@ def test_monomial_value_consistency(r3):
     for u in ([1, 0], [0, 1], [1, 1], [2, 1]):
         val = strata.monomial_value(st, chi, r3, u)
         assert val ** 3 == strata.monomial_l_value(st, ctx, chi, u)
+
+
+def test_bracket_table_built_once_per_context(r3, monkeypatch):
+    calls = []
+    real = models.twisted_z0_table
+
+    def counted(model, r):
+        calls.append(model)
+        return real(model, r)
+
+    monkeypatch.setattr(models, "twisted_z0_table", counted)
+    m = models.build_twisted([[0, 1], [-1, 0]], 2)
+    ctx = strata.enumerate_strata(m, r3)
+    assert calls == []
+    assert ctx.bracket_table() is ctx.bracket_table()
+    assert len(calls) == 1
+
+    def failing(model, r):
+        calls.append(model)
+        raise ArithmeticError("twisted bracket constant is not global")
+
+    monkeypatch.setattr(models, "twisted_z0_table", failing)
+    ctx2 = strata.enumerate_strata(m, r3)
+    with pytest.raises(ArithmeticError) as first:
+        ctx2.bracket_table()
+    with pytest.raises(ArithmeticError) as again:
+        ctx2.bracket_table()
+    assert again.value is first.value
+    assert len(calls) == 2
