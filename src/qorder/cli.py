@@ -255,11 +255,6 @@ def serialize_scalar(x):
     return x
 
 
-def serialize_expression(expr):
-    return {" ".join(str(e) for e in key): serialize_scalar(c)
-            for key, c in sorted(expr.items())}
-
-
 def character_from_spec(spec, model, r):
     values = {}
     witnesses = {}
@@ -525,27 +520,34 @@ def cmd_stabilizer(model, r, spec):
     return doc, text, 0
 
 
-def _verify_one(args):
-    spec_blob, char_blob = args
-    spec = parse_jobspec(spec_blob)
+def _verify_characters(model, r, spec):
+    """The default characters plus the job's own, sorted by key."""
+    characters = default_characters(model, r)
+    extra = character_from_spec(spec, model, r)
+    if extra is not None and all(extra.key() != c.key() for c in characters):
+        characters.append(extra)
+    characters.sort(key=lambda c: c.key())
+    return characters
+
+
+# (model, root, strata context, characters) of a `--jobs` worker process
+_worker = None
+
+
+def _init_worker(spec):
+    global _worker
     r = cyclotomic_build(spec.l, spec.primitive_index)
     model = build_model(spec)
-    values = {k: parse_scalar(v, r) for k, v in char_blob["values"].items()}
-    wits = {k: parse_scalar(v, r) for k, v in char_blob["witness"].items()}
-    character = strata_mod.Character(values, wits).check(model, r)
-    ctx = strata_mod.enumerate_strata(model, r)
-    _, rec = _theorem_record(model, character, r, ctx)
-    return rec
+    _worker = (model, r, strata_mod.enumerate_strata(model, r),
+               _verify_characters(model, r, spec))
 
 
-def _char_blob(character):
-    def fmt(x):
-        return ",".join(str(c) for c in x.vec)
-    return {"values": {k: fmt(v) for k, v in character.values.items()},
-            "witness": {k: fmt(v) for k, v in character.witnesses.items()}}
+def _verify_one(i):
+    model, r, ctx, characters = _worker
+    return _theorem_record(model, characters[i], r, ctx)[1]
 
 
-def cmd_verify(model, r, spec, jobs=1, spec_blob=None):
+def cmd_verify(model, r, spec, jobs=1):
     ctx = strata_mod.enumerate_strata(model, r)
     adm = model.admissibility(r.l)
     if not adm:
@@ -553,19 +555,13 @@ def cmd_verify(model, r, spec, jobs=1, spec_blob=None):
         doc = {"command": "verify", "spec": spec.echo(), "notes": [MINOR_NOTE],
                "results": [rec]}
         return doc, ["verify: inadmissible root order"], 2
-    characters = default_characters(model, r)
-    extra = character_from_spec(spec, model, r)
-    if extra is not None and all(extra.key() != c.key() for c in characters):
-        characters.append(extra)
-    characters.sort(key=lambda c: c.key())
-    if jobs > 1 and spec_blob is not None:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            recs = list(pool.map(
-                _verify_one,
-                [(spec_blob, _char_blob(c)) for c in characters]))
+    characters = _verify_characters(model, r, spec)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=(spec,)) as pool:
+            recs = list(pool.map(_verify_one, range(len(characters))))
     else:
         recs = [_theorem_record(model, c, r, ctx)[1] for c in characters]
-    recs.sort(key=lambda rec: rec["character"])
     verdicts = [rec["result.verdict"] for rec in recs]
     passed = sum(1 for v in verdicts if v.startswith("PASS"))
     flagged = sum(1 for v in verdicts if v == "PASS-with-flag")
@@ -605,11 +601,11 @@ COMMANDS = {
 }
 
 
-def run(command, spec, jobs=1, spec_blob=None):
+def run(command, spec, jobs=1):
     r = cyclotomic_build(spec.l, spec.primitive_index)
     model = build_model(spec)
     if command == "verify":
-        return cmd_verify(model, r, spec, jobs=jobs, spec_blob=spec_blob)
+        return cmd_verify(model, r, spec, jobs=jobs)
     if command not in COMMANDS:
         raise ParseError(0, "command", "unknown command %r" % command)
     return COMMANDS[command](model, r, spec)
@@ -635,8 +631,7 @@ def main(argv=None):
         return 1
     try:
         spec = parse_jobspec(blob)
-        doc, text, code = run(args.command, spec, jobs=args.jobs,
-                              spec_blob=blob)
+        doc, text, code = run(args.command, spec, jobs=args.jobs)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return 1

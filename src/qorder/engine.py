@@ -263,9 +263,6 @@ class AlgebraPresentation:
     def gen_index(self, name):
         return self.gens.index(name)
 
-    def gen_element(self, i, power=1):
-        return Element.gen(self.N, i, power)
-
     def __repr__(self):
         return "AlgebraPresentation(%s)" % ", ".join(self.gens)
 

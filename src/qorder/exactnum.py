@@ -338,12 +338,6 @@ class CycloNum:
                 out = out + self.root.canonical_power((k * m) % self.root.l) * c
         return out
 
-    def as_rational(self):
-        """The value as a Fraction, or None if it is not rational."""
-        if any(self.vec[1:]):
-            return None
-        return self.vec[0]
-
     def __repr__(self):
         if self.is_zero():
             return "0"

@@ -5,16 +5,17 @@ The fiber of a character is the quotient of the specialized algebra by the
 central ideal the character cuts out.  Twisted models give monomial fibers
 (products of basis monomials are scalar multiples of basis monomials), which
 keeps the census combinatorial; models with lower-order terms get a full
-structure-constant table.  The census computes the radical of the trace form
-and the center dimension of the semisimple quotient; it never assumes the
-count it is asked to confirm.
+structure-constant table.  The census computes the radical J of the trace
+form and counts dim A/([A, A] + J), with [A, A] spanned by the commutators
+of the algebra's generators with its basis; it never assumes the count it is
+asked to confirm.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 
 from .exactnum import CycloNum
 from . import engine
@@ -175,9 +176,13 @@ def mat_inv_c(A, r):
 class FDAlgebra:
     """Finite-dimensional algebra over the cyclotomic field.
 
+    gens lists the basis indices of the generators' images; they generate
+    the algebra, so the commutators [g, b] of generators g with basis
+    elements b span [A, A].
     monomial=True: products of basis elements are scalar multiples of basis
     elements, provided by mono_mult (index pair -> (index, scalar) or None);
-    mono_index is the same map without the scalar, for cheap radical scans.
+    mono_index is the same map without the scalar, for the census's cheap
+    power walk.
     monomial=False: table[(i, j)] is a sparse dict index -> scalar.
     """
 
@@ -186,6 +191,7 @@ class FDAlgebra:
     basis_labels: list
     monomial: bool
     unit_index: int
+    gens: list
     mono_mult: object = None
     mono_index: object = None
     table: dict = None
@@ -280,6 +286,7 @@ def fiber_algebra(model, character, r, located=None):
     monomial = not P.delta
     basis = [tuple(v) for v in iproduct(range(l), repeat=N)]
     index = {v: i for i, v in enumerate(basis)}
+    unit_vectors = [tuple(int(i == g) for i in range(N)) for g in range(N)]
     notes = []
 
     if monomial:
@@ -334,9 +341,10 @@ def fiber_algebra(model, character, r, located=None):
         unit_rep, unit_w = uf.find((0,) * N)
         if unit_w != one:
             notes.append("unit representative carries a scalar")
+        gens = [rep_index[uf.find(e)[0]] for e in unit_vectors]
         return FDAlgebra(dim=len(reps), root=r, basis_labels=reps,
                          monomial=True, unit_index=rep_index[unit_rep],
-                         mono_mult=mono_mult, mono_index=mono_index,
+                         gens=gens, mono_mult=mono_mult, mono_index=mono_index,
                          notes=notes)
 
     # Structure-constant table through the rewriting engine.
@@ -365,6 +373,7 @@ def fiber_algebra(model, character, r, located=None):
         notes.append("extension quotient on a table fiber is not supported")
     return FDAlgebra(dim=len(basis), root=r, basis_labels=basis,
                      monomial=False, unit_index=index[(0,) * N],
+                     gens=[index[e] for e in unit_vectors],
                      table=table, notes=notes)
 
 
@@ -573,11 +582,14 @@ class CensusResult:
 def census(A, constructed_dims=None):
     """Radical and block count of a finite-dimensional algebra.
 
-    The radical is the kernel of the trace form (exact, characteristic 0);
-    the count is the dimension of the center of the semisimple quotient.
-    Block dimensions are certified against constructed representations when
-    given, or inferred in the commutative/uniform cases; anything else
-    raises NonSplit rather than guessing.
+    The radical J is the kernel of the trace form (exact, characteristic 0).
+    The count is dim A/([A, A] + J), which equals the dimension of the
+    center of the semisimple quotient A/J; [A, A] is spanned by the
+    commutators [g, b] of the generators g with the basis elements b, since
+    [xy, c] = [x, yc] + [y, cx].  Block dimensions are certified against
+    constructed representations when given, or inferred in the
+    commutative/uniform cases; anything else raises NonSplit rather than
+    guessing.
     """
     if A.dim > FIBER_DIM_LIMIT:
         raise TooLarge("census refused beyond dimension %d" % FIBER_DIM_LIMIT)
@@ -592,43 +604,38 @@ def census(A, constructed_dims=None):
 
 
 def _census_monomial(A):
-    n = A.dim
+    """J is spanned by the basis monomials b with b^l = 0, and every
+    commutator of two monomials is a multiple of one monomial, so the count
+    is the number of live monomials that no nonzero [g, b] hits."""
+    l = A.root.l
     unit = A.unit_index
-    index_of = A.mono_index if A.mono_index is not None else \
-        (lambda i, j: (lambda h: h and h[0])(A.mono_mult(i, j)))
-    partnered = [False] * n
-    for i in range(n):
-        for j in range(n):
-            if index_of(i, j) == unit:
-                partnered[i] = True
+    live = []
+    for b in range(A.dim):
+        power = b
+        for _ in range(l - 1):
+            power = A.mono_index(power, b)
+            if power is None:
                 break
-    rad_dim = sum(1 for x in partnered if not x)
-    live = [i for i in range(n) if partnered[i]]
+        else:
+            if power != unit:
+                raise ArithmeticError("l-th power of a monomial is not a unit")
+            live.append(b)
     live_set = set(live)
-    count = 0
-    for i in live:
-        central = True
-        for j in live:
-            kij = index_of(i, j)
-            kji = index_of(j, i)
-            # products land on the same basis element when nonzero
-            if kij is None and kji is None:
+    hit = set()
+    for g in A.gens:
+        if g not in live_set:
+            continue
+        for b in live:
+            gb = A.mono_mult(g, b)
+            if gb is None:
                 continue
-            if kij is None or kji is None:
-                if (kij if kij is not None else kji) in live_set:
-                    central = False
-                    break
-                continue
-            if kij != kji:
+            bg = A.mono_mult(b, g)
+            if bg[0] != gb[0]:
                 raise ArithmeticError("monomial product order mismatch")
-            if kij not in live_set:
-                continue
-            if A.mono_mult(i, j)[1] != A.mono_mult(j, i)[1]:
-                central = False
-                break
-        if central:
-            count += 1
-    return rad_dim, count, n - rad_dim
+            if gb[1] != bg[1]:
+                hit.add(gb[0])
+    count = len(live_set - hit)
+    return A.dim - len(live), count, len(live)
 
 
 def _census_table(A):
@@ -654,35 +661,19 @@ def _census_table(A):
                     tr = tr + c * d
             gram[i][j] = tr
             gram[j][i] = tr
-    rad_rows, rad_pivots = rref_c(kernel_c(gram, n, r))
-    rad_dim = len(rad_rows)
+    rad = kernel_c(gram, n, r)
 
-    # Incrementally cut the space {x : [x, b_j] in rad for all j}.
-    K = mat_eye(n, r)
-    for j in range(n):
-        if not K:
-            break
-        images = []
-        for vec in K:
-            col = [r.zero() for _ in range(n)]
-            for u in range(n):
-                cu = vec[u]
-                if cu.is_zero():
-                    continue
-                for k, c in A.product(u, j).items():
-                    col[k] = col[k] + cu * c
-                for k, c in A.product(j, u).items():
-                    col[k] = col[k] - cu * c
-            images.append(reduce_c(col, rad_rows, rad_pivots))
-        # kernel over the combination coefficients
-        rows = [[images[t][coord] for t in range(len(K))] for coord in range(n)]
-        rows = [row for row in rows if any(not x.is_zero() for x in row)]
-        if not rows:
-            continue
-        combo = kernel_c(rows, len(K), r)
-        K = mat_mul_c(combo, K, r)
-    count = len(K) - rad_dim
-    return rad_dim, count, n - rad_dim
+    def commutator(g, b):
+        vec = [r.zero()] * n
+        for k, c in A.product(g, b).items():
+            vec[k] = vec[k] + c
+        for k, c in A.product(b, g).items():
+            vec[k] = vec[k] - c
+        return vec
+
+    span = rref_c(chain(rad, (commutator(g, b) for g in A.gens
+                              for b in range(n))))[1]
+    return len(rad), n - len(span), n - len(rad)
 
 
 def _infer_blocks(A, rad_dim, count, dimq, constructed_dims):

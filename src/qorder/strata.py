@@ -103,9 +103,6 @@ class Stratum:
     def t(self):
         return self.torus.t
 
-    def survivor_positions(self):
-        return [s.gen_index for s in self.survivors]
-
 
 @dataclass
 class StrataContext:

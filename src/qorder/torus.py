@@ -38,10 +38,6 @@ class TorusStructure:
     def m(self):
         return 2 * self.k + self.p
 
-    def pair_rows(self):
-        return [(self.basis[2 * i], self.basis[2 * i + 1], self.ds[i])
-                for i in range(self.k)]
-
     def z_rows(self):
         return self.basis[2 * self.k:]
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from qorder import cli
+from qorder import cli, fiber
 
 PLANE = """
 # quantum plane at a cube root of unity
@@ -101,20 +101,52 @@ def test_verify_weyl_flags_uncovered(tmp_path):
     assert "2 flagged uncovered" in text and "0 fail" in text
 
 
+def test_verify_marks_oversized_fibers_unchecked(tmp_path, monkeypatch):
+    # the plane's fibers have dimension 9; a cap of 8 refuses every census,
+    # and the sweep still reports every character with its prediction
+    monkeypatch.setattr(fiber, "FIBER_DIM_LIMIT", 8)
+    code, text = run_cli(tmp_path, PLANE, "verify")
+    assert code == 0
+    lines = text.splitlines()
+    assert lines[0] == ("verify: 4 characters, 0 pass (0 flagged uncovered), "
+                        "0 fail")
+    assert len(lines) == 5
+    for line in lines[1:]:
+        assert "-> UNCHECKED (predicted=" in line and "oracle=None" in line
+
+
+def test_verify_marks_nonsplit_census_unchecked(tmp_path, monkeypatch):
+    def nonsplit(A, constructed_dims=None):
+        raise fiber.NonSplit("blocks not certified")
+
+    monkeypatch.setattr(fiber, "census", nonsplit)
+    code, text = run_cli(tmp_path, WEYL, "verify", "--format", "data")
+    assert code == 0
+    recs = json.loads(text)["results"]
+    # covered and uncovered characters alike
+    assert {rec["result.covered"] for rec in recs} == {True, False}
+    for rec in recs:
+        assert rec["result.verdict"] == "UNCHECKED"
+        assert rec["result.oracle"] is None
+        assert rec["result.predicted"] is not None
+        assert "census: blocks not certified" in rec["result.notes"]
+
+
 def test_report_determinism(tmp_path):
-    job = tmp_path / "job.txt"
-    job.write_text(PLANE)
-    outs = []
-    for name in ("a.json", "b.json"):
-        out = tmp_path / name
+    for job_text in (PLANE, WEYL):
+        job = tmp_path / "job.txt"
+        job.write_text(job_text)
+        outs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            assert cli.main(["verify", "--spec", str(job), "--format", "data",
+                             "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        out = tmp_path / "c.json"
         assert cli.main(["verify", "--spec", str(job), "--format", "data",
-                         "--out", str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
-    out = tmp_path / "c.json"
-    assert cli.main(["verify", "--spec", str(job), "--format", "data",
-                     "--jobs", "2", "--out", str(out)]) == 0
-    assert out.read_bytes() == outs[0]
+                         "--jobs", "2", "--out", str(out)]) == 0
+        assert out.read_bytes() == outs[0]
 
 
 def test_data_format_keys(tmp_path):

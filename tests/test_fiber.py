@@ -1,10 +1,12 @@
 import random
+from itertools import product as iproduct
 
 import pytest
 
 from qorder.exactnum import cyclotomic_build
-from qorder import engine, fiber, models, strata
+from qorder import cli, engine, fiber, models, strata
 from conftest import make_character
+from test_cli import CUSTOM_WEYL
 
 
 def plane_ctx(r):
@@ -211,11 +213,76 @@ def test_census_nonsplit_raised(r3):
             put(a, b, c)
     put("f", "f", "f")
     A = fiber.FDAlgebra(dim=5, root=r, basis_labels=basis, monomial=False,
-                        unit_index=0, table=table)
+                        unit_index=0, gens=list(range(5)), table=table)
     res_rad = fiber._census_table(A)
     assert res_rad[0] == 0 and res_rad[1] == 2
     with pytest.raises(fiber.NonSplit):
         fiber.census(A)
+
+
+def _center_dim_of_quotient(A):
+    """(dim J, dim Z(A/J)) straight from the definitions: J is the kernel of
+    the trace form, and Z(A/J) is {x : [x, b_j] in J for all j} / J, found
+    by one kernel of the stacked system over every basis element b_j."""
+    n, r = A.dim, A.root
+    prod = {(i, j): A.product(i, j) for i in range(n) for j in range(n)}
+
+    # tr(L_i L_j): the coefficient of b_k in b_i b_j b_k, summed over k
+    gram = [[r.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            tr = r.zero()
+            for k in range(n):
+                for t, c in prod[j, k].items():
+                    d = prod[i, t].get(k)
+                    if d is not None:
+                        tr = tr + c * d
+            gram[i][j] = tr
+    rad = fiber.kernel_c(gram, n, r)
+    ech, pivots = fiber.rref_c(rad)
+    stacked = []
+    for j in range(n):
+        cols = []
+        for u in range(n):
+            comm = [r.zero()] * n
+            for k, c in prod[u, j].items():
+                comm[k] = comm[k] + c
+            for k, c in prod[j, u].items():
+                comm[k] = comm[k] - c
+            cols.append(fiber.reduce_c(comm, ech, pivots))
+        stacked.extend([cols[u][k] for u in range(n)] for k in range(n))
+    K = fiber.kernel_c(stacked, n, r)
+    return len(rad), len(K) - len(rad)
+
+
+def _small_fibers(r3):
+    W = models.build_weyl([[0]], [1])
+    for y, x in iproduct((0, 1), repeat=2):
+        wits = {g: 1 for g, v in (("y1", y), ("x1", x)) if v}
+        chi = make_character(r3, {"y1": y, "x1": x}, wits).check(W, r3)
+        yield fiber.fiber_algebra(W, chi, r3)
+    spec = cli.parse_jobspec(CUSTOM_WEYL)
+    mc = cli.build_model(spec)
+    yield fiber.fiber_algebra(mc, cli.character_from_spec(spec, mc, r3), r3)
+    m = models.build_twisted([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]], 3)
+    ctx = strata.enumerate_strata(m, r3)
+    for bits in iproduct((0, 1), repeat=3):
+        vals = dict(zip(m.presentation.gens, bits))
+        chi = make_character(r3, vals, {g: 1 for g, v in vals.items() if v})
+        loc = strata.locate(chi.check(m, r3), ctx)
+        yield fiber.fiber_algebra(m, chi, r3, loc)
+
+
+def test_census_count_is_center_dimension(r3):
+    # count = dim A/([A, A] + J) from generator commutators equals the
+    # center dimension of A/J computed from every basis commutator
+    seen = set()
+    for A in _small_fibers(r3):
+        res = fiber.census(A)
+        assert (res.rad_dim, res.count) == _center_dim_of_quotient(A)
+        seen.add((A.monomial, A.dim))
+    # table fibers, full monomial fibers and extension quotients all occur
+    assert {(False, 9), (True, 27), (True, 9)} <= seen
 
 
 def test_representation_element_evaluation(r3):
