@@ -5,7 +5,7 @@ The fiber of a character is the quotient of the specialized algebra by the
 central ideal the character cuts out.  Twisted models give monomial fibers
 (products of basis monomials are scalar multiples of basis monomials), which
 keeps the census combinatorial; models with lower-order terms get a full
-structure-constant table.  The census computes the radical J of the trace
+structure-constant table, built from the generators' left operators.  The census computes the radical J of the trace
 form and counts dim A/([A, A] + J), with [A, A] spanned by the commutators
 of the algebra's generators with its basis; it never assumes the count it is
 asked to confirm.
@@ -14,7 +14,7 @@ asked to confirm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, product as iproduct
 
 from .exactnum import CycloNum
@@ -32,6 +32,10 @@ class TooLarge(ValueError):
 
 class NonSplit(ArithmeticError):
     """Block structure could not be certified over the cyclotomic field."""
+
+
+class Unsupported(ValueError):
+    """The fiber needs a quotient the census cannot build."""
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +78,7 @@ def mat_sub_c(A, B):
 
 
 def mat_scale_c(A, c):
-    return [[a * c for a in row] for row in A]
+    return [[a if a.is_zero() else a * c for a in row] for row in A]
 
 
 def mat_eq_c(A, B):
@@ -195,7 +199,6 @@ class FDAlgebra:
     mono_mult: object = None
     mono_index: object = None
     table: dict = None
-    notes: list = field(default_factory=list)
 
     def product(self, i, j):
         if self.monomial:
@@ -275,6 +278,12 @@ def fiber_algebra(model, character, r, located=None):
     l-th powers act as the character values.  When the located stratum has
     ambient-central monomials beyond the l-center (extending z's), the fiber
     is further divided by their character values, which requires witnesses.
+
+    Models with lower-order terms get a structure-constant table built from
+    the generators' left operators.  It needs every generator's l-th power
+    central at eps (engine.ValidationFailed otherwise), and a located
+    stratum with extending z's raises Unsupported, since the table build has
+    no extension quotient.
     """
     P = model.presentation
     N = P.N
@@ -287,18 +296,15 @@ def fiber_algebra(model, character, r, located=None):
     basis = [tuple(v) for v in iproduct(range(l), repeat=N)]
     index = {v: i for i, v in enumerate(basis)}
     unit_vectors = [tuple(int(i == g) for i in range(N)) for g in range(N)]
-    notes = []
 
     if monomial:
         S = P.S
-        one = r.one()
         uf = _WeightedUF(r)
         if located is not None:
             st = located.stratum
             for j in range(st.torus.t, st.torus.p):
                 if j not in located.z_ext:
-                    notes.append("extension value missing for z_%d" % (j + 1))
-                    continue
+                    continue  # reported as an unresolved extension value
                 zval = located.z_ext[j]
                 u = strata_mod.embed_vector(st, N, st.torus.z_rows()[j])
                 for w in basis:
@@ -338,43 +344,76 @@ def fiber_algebra(model, character, r, located=None):
             vec2 = tuple((x + y) % l for x, y in zip(a, b))
             return _ri[uf.find(vec2)[0]]
 
-        unit_rep, unit_w = uf.find((0,) * N)
-        if unit_w != one:
-            notes.append("unit representative carries a scalar")
         gens = [rep_index[uf.find(e)[0]] for e in unit_vectors]
         return FDAlgebra(dim=len(reps), root=r, basis_labels=reps,
-                         monomial=True, unit_index=rep_index[unit_rep],
-                         gens=gens, mono_mult=mono_mult, mono_index=mono_index,
-                         notes=notes)
+                         monomial=True,
+                         unit_index=rep_index[uf.find((0,) * N)[0]],
+                         gens=gens, mono_mult=mono_mult, mono_index=mono_index)
 
-    # Structure-constant table through the rewriting engine.
-    table = {}
-    spec_mono = {v: EpsElement(N, r, {v: r.one()}) for v in basis}
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            prod = engine.mul_at_root(P, r, spec_mono[a], spec_mono[b])
+    ts = located.stratum.torus if located is not None else None
+    if ts is not None and ts.t < ts.p:
+        raise Unsupported("extension quotient on a table fiber is not "
+                          "supported")
+    # Structure-constant table from the generators' left operators: for
+    # a != 0 with first nonzero position u, x^a = x_u x^a' with a' = a - e_u
+    # earlier in the basis, so row a is L_u applied to row a'.  Reducing
+    # exponents is a homomorphism exactly when the l-th powers are central.
+    one = r.one()
+    _check_central_powers(P, r, unit_vectors)
+
+    def reduced(prod):
+        entry = {}
+        for vec, c in prod.terms.items():
+            red = _reduce_exponent(vec, l, chi_list)
+            if red is None:
+                continue
+            vec2, scal = red
+            _accumulate(entry, index[vec2], c if scal is None else c * scal)
+        return entry
+
+    gen_elems = [EpsElement(N, r, {e: one}) for e in unit_vectors]
+    ops = [[reduced(engine.mul_at_root(P, r, g, EpsElement(N, r, {b: one})))
+            for b in basis] for g in gen_elems]
+    table = {(0, j): {j: one} for j in range(len(basis))}
+    for i, a in enumerate(basis[1:], 1):
+        u = next(t for t, e in enumerate(a) if e)
+        prev = index[a[:u] + (a[u] - 1,) + a[u + 1:]]
+        Lu = ops[u]
+        for j in range(len(basis)):
             entry = {}
-            for vec, c in prod.terms.items():
-                red = _reduce_exponent(vec, l, chi_list)
-                if red is None:
-                    continue
-                vec2, scal = red
-                val = c if scal is None else c * scal
-                k = index[vec2]
-                cur = entry.get(k)
-                cur = val if cur is None else cur + val
-                if cur:
-                    entry[k] = cur
-                else:
-                    entry.pop(k, None)
+            for k, c in table.get((prev, j), {}).items():
+                for m, d in Lu[k].items():
+                    _accumulate(entry, m, c * d)
             if entry:
                 table[(i, j)] = entry
-    if located is not None and located.stratum.torus.t < located.stratum.torus.p:
-        notes.append("extension quotient on a table fiber is not supported")
     return FDAlgebra(dim=len(basis), root=r, basis_labels=basis,
                      monomial=False, unit_index=index[(0,) * N],
-                     gens=[index[e] for e in unit_vectors],
-                     table=table, notes=notes)
+                     gens=[index[e] for e in unit_vectors], table=table)
+
+
+def _accumulate(entry, k, val):
+    """entry[k] += val on a sparse vector, dropping zeros."""
+    cur = entry.get(k)
+    cur = val if cur is None else cur + val
+    if cur:
+        entry[k] = cur
+    else:
+        entry.pop(k, None)
+
+
+def _check_central_powers(P, r, unit_vectors):
+    """The table fiber treats x_u^l as the scalar chi(x_u); that is the
+    quotient by a central ideal only when each x_u^l commutes with every
+    generator at eps."""
+    one = r.one()
+    gens = [EpsElement(P.N, r, {e: one}) for e in unit_vectors]
+    for u, e in enumerate(unit_vectors):
+        power = EpsElement(P.N, r, {tuple(r.l * x for x in e): one})
+        for g in gens:
+            if (engine.mul_at_root(P, r, power, g)
+                    != engine.mul_at_root(P, r, g, power)):
+                raise engine.ValidationFailed(
+                    "%s^l is not central at eps" % P.gens[u])
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +615,6 @@ class CensusResult:
     blocks: list | None
     blocks_method: str
     dim: int
-    notes: list = field(default_factory=list)
 
 
 def census(A, constructed_dims=None):
@@ -597,10 +635,9 @@ def census(A, constructed_dims=None):
         rad_dim, count, dimq = _census_monomial(A)
     else:
         rad_dim, count, dimq = _census_table(A)
-    blocks, method, notes = _infer_blocks(A, rad_dim, count, dimq,
-                                          constructed_dims)
+    blocks, method = _infer_blocks(count, dimq, constructed_dims)
     return CensusResult(rad_dim=rad_dim, count=count, blocks=blocks,
-                        blocks_method=method, dim=A.dim, notes=notes)
+                        blocks_method=method, dim=A.dim)
 
 
 def _census_monomial(A):
@@ -639,26 +676,26 @@ def _census_monomial(A):
 
 
 def _census_table(A):
+    """The trace form of an associative algebra is tr(L_i L_j) =
+    tr(L_{b_i b_j}) = sum_k c_ijk t_k, with t_k = tr(L_k) read off the table
+    once per basis element."""
     n = A.dim
     r = A.root
-    # Left multiplication operators, sparse: L[i][(row, col)] = coeff.
-    L = []
-    for i in range(n):
-        M = {}
+    traces = []
+    for k in range(n):
+        t = r.zero()
         for j in range(n):
-            for k, c in A.product(i, j).items():
-                M[(k, j)] = M.get((k, j), r.zero()) + c
-        L.append({k: v for k, v in M.items() if not v.is_zero()})
+            c = A.product(k, j).get(j)
+            if c is not None:
+                t = t + c
+        traces.append(t)
     gram = mat_zero(n, r)
     for i in range(n):
-        Li = L[i]
         for j in range(i, n):
-            Lj = L[j]
             tr = r.zero()
-            for (a, b), c in Li.items():
-                d = Lj.get((b, a))
-                if d is not None:
-                    tr = tr + c * d
+            for k, c in A.product(i, j).items():
+                if not traces[k].is_zero():
+                    tr = tr + c * traces[k]
             gram[i][j] = tr
             gram[j][i] = tr
     rad = kernel_c(gram, n, r)
@@ -676,21 +713,19 @@ def _census_table(A):
     return len(rad), n - len(span), n - len(rad)
 
 
-def _infer_blocks(A, rad_dim, count, dimq, constructed_dims):
-    notes = []
+def _infer_blocks(count, dimq, constructed_dims):
     if constructed_dims is not None:
         dims = sorted(constructed_dims)
         if len(dims) == count and sum(d * d for d in dims) == dimq:
-            return dims, "construction", notes
-        notes.append("constructed representations disagree with the census")
-        return None, "mismatch", notes
+            return dims, "construction"
+        return None, "mismatch"
     if count == dimq:
-        return [1] * count, "inferred-commutative", notes
+        return [1] * count, "inferred-commutative"
     if count and dimq % count == 0:
         d2 = dimq // count
         d = math.isqrt(d2)
         if d * d == d2:
-            return [d] * count, "inferred-uniform", notes
+            return [d] * count, "inferred-uniform"
     raise NonSplit("block dimensions not certified over the cyclotomic "
                    "field (mixed sizes or a nonsplit center): semisimple "
                    "dimension %d over %d central classes" % (dimq, count))

@@ -803,11 +803,13 @@ def psi_check(g_l0, g_eps, r):
 
 def _census_count(model, character, r, located, dims, notes):
     """The census count of the character's fiber, or None with a note when
-    the fiber is over the size cap or its blocks are not split."""
+    the fiber is over the size cap, needs an extension quotient the table
+    build lacks, or its blocks are not split."""
     try:
         A = fiber_mod.fiber_algebra(model, character, r, located)
         return fiber_mod.census(A, dims).count
-    except (fiber_mod.TooLarge, fiber_mod.NonSplit) as exc:
+    except (fiber_mod.TooLarge, fiber_mod.Unsupported,
+            fiber_mod.NonSplit) as exc:
         notes.append("census: %s" % exc)
         return None
 

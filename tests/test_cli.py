@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -34,6 +35,12 @@ root.l = 3
 character.y = 0
 character.x = 0
 """
+
+# the same tower with S = 3: at a cube root of unity it is the classical
+# Weyl algebra y x = x y - 1, where y^3 is not central
+CLASSICAL_AT_EPS = (CUSTOM_WEYL.replace("0 -1 / 1 0", "0 -3 / 3 0")
+                    .replace("exponents = 1 0", "exponents = 3 0")
+                    .replace("q^-1", "q^-3"))
 
 
 def run_cli(tmp_path, job_text, command, *extra):
@@ -130,6 +137,49 @@ def test_verify_marks_nonsplit_census_unchecked(tmp_path, monkeypatch):
         assert rec["result.oracle"] is None
         assert rec["result.predicted"] is not None
         assert "census: blocks not certified" in rec["result.notes"]
+
+
+def test_verify_marks_extending_table_fibers_unchecked(tmp_path,
+                                                     monkeypatch):
+    # a located stratum with an extending z needs a quotient the table
+    # build lacks: the covered characters are refused, the uncovered ones
+    # (no located stratum) are still counted
+    build = fiber.fiber_algebra
+
+    def with_extending_z(model, character, r, located=None):
+        if located is not None:
+            st = located.stratum
+            torus = dataclasses.replace(st.torus, p=st.torus.t + 1)
+            located = dataclasses.replace(
+                located, stratum=dataclasses.replace(st, torus=torus))
+        return build(model, character, r, located)
+
+    monkeypatch.setattr(fiber, "fiber_algebra", with_extending_z)
+    code, text = run_cli(tmp_path, WEYL, "verify", "--format", "data")
+    assert code == 0
+    recs = json.loads(text)["results"]
+    assert {rec["result.covered"] for rec in recs} == {True, False}
+    for rec in recs:
+        if rec["result.covered"]:
+            assert rec["result.verdict"] == "UNCHECKED"
+            assert rec["result.oracle"] is None
+            assert ("census: extension quotient on a table fiber is not "
+                    "supported") in rec["result.notes"]
+        else:
+            assert rec["result.verdict"] == "PASS-with-flag"
+
+
+def test_noncentral_lth_power_is_a_validation_error(tmp_path, capsys):
+    code, text = run_cli(tmp_path, CLASSICAL_AT_EPS, "oracle")
+    assert code == 2 and text == ""
+    assert "y^l is not central at eps" in capsys.readouterr().err
+    # the quantum Weyl pair meets the premise
+    code, text = run_cli(tmp_path, CUSTOM_WEYL, "oracle")
+    assert code == 0
+    assert text == ("oracle: dim=9 rad=0 count=1 blocks=[3] "
+                    "(inferred-uniform)\n")
+    code, text = run_cli(tmp_path, WEYL, "verify")
+    assert code == 0 and "0 fail" in text
 
 
 def test_report_determinism(tmp_path):

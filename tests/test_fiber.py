@@ -1,5 +1,6 @@
 import random
 from itertools import product as iproduct
+from types import SimpleNamespace
 
 import pytest
 
@@ -255,15 +256,25 @@ def _center_dim_of_quotient(A):
     return len(rad), len(K) - len(rad)
 
 
-def _small_fibers(r3):
+def _weyl_n1_characters(r):
+    """The quantum Weyl pair with every {0, 1} character (witness 1)."""
     W = models.build_weyl([[0]], [1])
     for y, x in iproduct((0, 1), repeat=2):
         wits = {g: 1 for g, v in (("y1", y), ("x1", x)) if v}
-        chi = make_character(r3, {"y1": y, "x1": x}, wits).check(W, r3)
-        yield fiber.fiber_algebra(W, chi, r3)
+        yield W, make_character(r, {"y1": y, "x1": x}, wits).check(W, r)
+
+
+def _custom_weyl_character(r3):
     spec = cli.parse_jobspec(CUSTOM_WEYL)
     mc = cli.build_model(spec)
-    yield fiber.fiber_algebra(mc, cli.character_from_spec(spec, mc, r3), r3)
+    return mc, cli.character_from_spec(spec, mc, r3)
+
+
+def _small_fibers(r3, r5):
+    for r in (r3, r5):
+        for W, chi in _weyl_n1_characters(r):
+            yield fiber.fiber_algebra(W, chi, r)
+    yield fiber.fiber_algebra(*_custom_weyl_character(r3), r3)
     m = models.build_twisted([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]], 3)
     ctx = strata.enumerate_strata(m, r3)
     for bits in iproduct((0, 1), repeat=3):
@@ -273,16 +284,63 @@ def _small_fibers(r3):
         yield fiber.fiber_algebra(m, chi, r3, loc)
 
 
-def test_census_count_is_center_dimension(r3):
+def test_census_count_is_center_dimension(r3, r5):
     # count = dim A/([A, A] + J) from generator commutators equals the
-    # center dimension of A/J computed from every basis commutator
+    # center dimension of A/J computed from every basis commutator, and the
+    # trace form from the trace functional equals tr(L_i L_j) from the table
     seen = set()
-    for A in _small_fibers(r3):
+    for A in _small_fibers(r3, r5):
         res = fiber.census(A)
         assert (res.rad_dim, res.count) == _center_dim_of_quotient(A)
         seen.add((A.monomial, A.dim))
-    # table fibers, full monomial fibers and extension quotients all occur
-    assert {(False, 9), (True, 27), (True, 9)} <= seen
+    # table fibers at l = 3 and 5, full monomial fibers and extension
+    # quotients all occur
+    assert {(False, 9), (False, 25), (True, 27), (True, 9)} <= seen
+
+
+def _pairwise_table(model, character, r):
+    """The structure table from one engine product per pair of basis
+    monomials, each reduced by the character."""
+    P = model.presentation
+    chi = [character.value(g) for g in P.gens]
+    basis = [tuple(v) for v in iproduct(range(r.l), repeat=P.N)]
+    index = {v: i for i, v in enumerate(basis)}
+    mono = [engine.EpsElement(P.N, r, {v: r.one()}) for v in basis]
+    table = {}
+    for i, j in iproduct(range(len(basis)), repeat=2):
+        entry = {}
+        for vec, c in engine.mul_at_root(P, r, mono[i], mono[j]).terms.items():
+            red = fiber._reduce_exponent(vec, r.l, chi)
+            if red is None:
+                continue
+            k = index[red[0]]
+            val = c if red[1] is None else c * red[1]
+            entry[k] = entry[k] + val if k in entry else val
+        entry = {k: c for k, c in entry.items() if c}
+        if entry:
+            table[i, j] = entry
+    return table
+
+
+def test_table_from_left_operators_matches_pairwise_products(r3, r5):
+    cases = [(W, chi, r) for r in (r3, r5)
+             for W, chi in _weyl_n1_characters(r)]
+    cases.append(_custom_weyl_character(r3) + (r3,))
+    # values other than 0 and 1 put their scalars into the reduced products
+    W = models.build_weyl([[0]], [1])
+    cases.append((W, make_character(r3, {"y1": 2, "x1": -1}).check(W, r3),
+                  r3))
+    for model, chi, r in cases:
+        A = fiber.fiber_algebra(model, chi, r)
+        assert A.table == _pairwise_table(model, chi, r)
+
+
+def test_table_fiber_refuses_extending_z(r3):
+    W, chi = next(_weyl_n1_characters(r3))
+    torus = SimpleNamespace(t=0, p=1)
+    located = SimpleNamespace(stratum=SimpleNamespace(torus=torus), z_ext={})
+    with pytest.raises(fiber.Unsupported, match="extension quotient"):
+        fiber.fiber_algebra(W, chi, r3, located)
 
 
 def test_representation_element_evaluation(r3):
