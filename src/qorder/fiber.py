@@ -5,10 +5,11 @@ The fiber of a character is the quotient of the specialized algebra by the
 central ideal the character cuts out.  Twisted models give monomial fibers
 (products of basis monomials are scalar multiples of basis monomials), which
 keeps the census combinatorial; models with lower-order terms get a full
-structure-constant table, built from the generators' left operators.  The census computes the radical J of the trace
-form and counts dim A/([A, A] + J), with [A, A] spanned by the commutators
-of the algebra's generators with its basis; it never assumes the count it is
-asked to confirm.
+structure-constant table, built from the generators' left operators.  The
+census computes the radical J of the trace form and counts
+dim A/([A, A] + J), with [A, A] spanned by the commutators of the algebra's
+generators with its basis; it never assumes the count it is asked to
+confirm.
 """
 
 from __future__ import annotations
@@ -354,10 +355,10 @@ def fiber_algebra(model, character, r, located=None):
     if ts is not None and ts.t < ts.p:
         raise Unsupported("extension quotient on a table fiber is not "
                           "supported")
-    # Structure-constant table from the generators' left operators: for
-    # a != 0 with first nonzero position u, x^a = x_u x^a' with a' = a - e_u
-    # earlier in the basis, so row a is L_u applied to row a'.  Reducing
-    # exponents is a homomorphism exactly when the l-th powers are central.
+    # For a != 0 with first nonzero position u, x^a = x_u x^a' with
+    # a' = a - e_u earlier in the basis, so row a is L_u applied to row a'.
+    # Reducing exponents is a homomorphism exactly when the l-th powers are
+    # central.
     one = r.one()
     _check_central_powers(P, r, unit_vectors)
 
