@@ -1,15 +1,20 @@
 """Exact scalars: rationals, Laurent polynomials in q, and cyclotomic numbers.
 
-Everything here is exact rational arithmetic; no floating point anywhere.
-Specialization at a primitive l-th root of unity is done inside the quotient
-ring Q[q]/(Phi_l), so different primitive roots are selected by an exponent
-rather than by numerics.
+Everything here is exact; no floating point anywhere.  Laurent polynomials
+keep Fraction coefficients.  Specialization at a primitive l-th root of unity
+is done inside the quotient ring Q[q]/(Phi_l), so different primitive roots
+are selected by an exponent rather than by numerics.  Its elements are stored
+as integer numerators over one positive denominator, the representation of
+FLINT's fmpq_poly: Phi_l is monic with integer coefficients, so reduction
+never leaves the integers, and an inverse is the product of the other Galois
+conjugates over the rational norm.  Fractions appear only where values come
+in (constructor, scalars) and go out (CycloNum.vec).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class NotDivisible(ArithmeticError):
@@ -206,25 +211,65 @@ def _cyclotomic_coeffs(l, _cache={1: [-1, 1]}):
     return list(quo)
 
 
+_new = object.__new__
+
+
+def _make(root, num, den):
+    """CycloNum with integer tuple num over den, already in canonical form."""
+    x = _new(CycloNum)
+    x.root = root
+    x.num = num
+    x.den = den
+    return x
+
+
+def _canonical(root, num, den):
+    """CycloNum num/den for den > 0, with the common content removed."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple([c // g for c in num])
+            den //= g
+    return _make(root, num, den)
+
+
 class CycloNum:
     """Element of Q[q]/(Phi_l): a polynomial of degree < deg Phi_l in eps.
+
+    The value is stored as integer numerators num (coefficients of 1, eps,
+    ..., eps^(deg-1)) over one positive denominator den, in canonical form:
+    gcd(den, *num) == 1, and zero is all-zero numerators over 1.  Equal values
+    therefore have equal (num, den), so == and hash compare integer tuples.
+    Phi_l is monic with integer coefficients, so products reduce without
+    leaving the integers; the inverse is the product of the other Galois
+    conjugates of num divided by its norm, a nonzero integer.  vec gives the
+    coefficients as Fractions, and the constructor accepts them (or ints).
 
     The canonical primitive root eps is the residue class of q; alternative
     primitive roots are reached through RootData.primitive_index, which acts
     at evaluation time, or through the galois() map.
     """
 
-    __slots__ = ("root", "vec")
+    __slots__ = ("root", "num", "den")
 
     def __init__(self, root, vec):
+        vec = [_frac(c) for c in vec]
+        den = lcm(*[c.denominator for c in vec])
         self.root = root
-        self.vec = tuple(vec)
+        self.num = tuple([c.numerator * (den // c.denominator) for c in vec])
+        self.den = den
+
+    @property
+    def vec(self):
+        """Coefficients of 1, eps, ..., eps^(deg-1) as Fractions."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     def is_zero(self):
-        return all(c == 0 for c in self.vec)
+        return not any(self.num)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.num)
 
     def _check(self, other):
         if self.root.l != other.root.l:
@@ -237,78 +282,106 @@ class CycloNum:
         if not isinstance(other, CycloNum):
             return NotImplemented
         self._check(other)
-        return self.vec == other.vec
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.root.l, self.vec))
+        return hash((self.root.l, self.num, self.den))
 
     def __neg__(self):
-        return CycloNum(self.root, tuple(-c for c in self.vec))
+        return _make(self.root, tuple([-c for c in self.num]), self.den)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.root.scalar(other)
         if not isinstance(other, CycloNum):
-            return NotImplemented
-        self._check(other)
-        return CycloNum(self.root,
-                        tuple(a + b for a, b in zip(self.vec, other.vec)))
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.root.scalar(other)
+        if other.root is not self.root:
+            self._check(other)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            num = tuple([a + b for a, b in zip(self.num, other.num)])
+        else:
+            num = tuple([a * d2 + b * d1 for a, b in zip(self.num, other.num)])
+            d1 *= d2
+        return _canonical(self.root, num, d1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.root.scalar(other)
         if not isinstance(other, CycloNum):
-            return NotImplemented
-        return self + (-other)
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.root.scalar(other)
+        if other.root is not self.root:
+            self._check(other)
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            num = tuple([a - b for a, b in zip(self.num, other.num)])
+        else:
+            num = tuple([a * d2 - b * d1 for a, b in zip(self.num, other.num)])
+            d1 *= d2
+        return _canonical(self.root, num, d1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scale(self, p, q):
+        """self * p / q for integers p and q != 0."""
+        if q < 0:
+            p, q = -p, -q
+        return _canonical(self.root, tuple([c * p for c in self.num]),
+                          self.den * q)
+
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            return CycloNum(self.root, tuple(v * c for v in self.vec))
         if not isinstance(other, CycloNum):
+            if isinstance(other, (int, Fraction)):
+                return self._scale(other.numerator, other.denominator)
             return NotImplemented
-        self._check(other)
-        deg = self.root.deg
-        prod = [Fraction(0)] * (2 * deg - 1 if deg > 1 else 1)
-        for i, a in enumerate(self.vec):
-            if not a:
-                continue
-            for j, b in enumerate(other.vec):
-                if b:
-                    prod[i + j] += a * b
-        return CycloNum(self.root, self.root.reduce_poly(prod))
+        root = self.root
+        if other.root is not root:
+            self._check(other)
+        # Convolve, then fold q^deg, ..., q^(2 deg - 2) back through the
+        # integer rows of q^k mod Phi_l.
+        deg = root.deg
+        prod = [0] * (2 * deg - 1)
+        b = other.num
+        for i, x in enumerate(self.num):
+            if x:
+                for j, y in enumerate(b, i):
+                    prod[j] += x * y
+        out = prod[:deg]
+        for c, high in zip(prod[deg:], root._high):
+            if c:
+                for i, v in high:
+                    out[i] += c * v
+        return _canonical(root, tuple(out), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse through the extended Euclid algorithm."""
-        if self.is_zero():
+        """Multiplicative inverse: den times the product of the other Galois
+        conjugates of num, over the norm of num."""
+        num = self.num
+        if not any(num):
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        phi = [Fraction(c) for c in self.root.phi]
-        a = list(self.vec)
-        # Extended gcd of a and phi in Q[q]; phi is irreducible so the gcd
-        # is a nonzero constant and the Bezout cofactor of a is the inverse.
-        r0, r1 = phi, _trim(a)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while _trim(r1):
-            q, r = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        const = r0
-        if len(_trim(const)) != 1:
-            raise ArithmeticError("cyclotomic modulus is not irreducible here")
-        c = const[0]
-        inv = [x / c for x in s0]
-        return CycloNum(self.root, self.root.reduce_poly(inv))
+        root = self.root
+        if not any(num[1:]):
+            return root.one()._scale(self.den, num[0])
+        a = _make(root, num, 1)
+        conj = root.one()
+        for m in range(2, root.l):
+            if gcd(m, root.l) == 1:
+                conj = conj * a.galois(m)
+        norm = a * conj
+        if any(norm.num[1:]):
+            raise ArithmeticError("cyclotomic norm is not rational")
+        return conj._scale(self.den, norm.num[0])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self.root.scalar(other)
+            if not other:
+                raise ZeroDivisionError("cyclotomic division by zero")
+            return self._scale(other.denominator, other.numerator)
         if not isinstance(other, CycloNum):
             return NotImplemented
         return self * other.inverse()
@@ -330,13 +403,18 @@ class CycloNum:
 
     def galois(self, m):
         """Image under the field automorphism raising the canonical root to m."""
-        if gcd(m, self.root.l) != 1:
+        root = self.root
+        l = root.l
+        if gcd(m, l) != 1:
             raise ValueError("galois exponent must be coprime to l")
-        out = self.root.zero()
-        for k, c in enumerate(self.vec):
+        out = [0] * root.deg
+        pw = root._pow
+        for k, c in enumerate(self.num):
             if c:
-                out = out + self.root.canonical_power((k * m) % self.root.l) * c
-        return out
+                for i, v in enumerate(pw[(k * m) % l]):
+                    if v:
+                        out[i] += c * v
+        return _canonical(root, tuple(out), self.den)
 
     def __repr__(self):
         if self.is_zero():
@@ -354,48 +432,35 @@ class CycloNum:
         return " + ".join(parts)
 
 
-def _trim(p):
+def poly_trim(p):
+    """Coefficient list (low degree first) without trailing zeros.  The
+    coefficients may be Fractions or CycloNums: anything with a truth value."""
     p = list(p)
-    while p and p[-1] == 0:
+    while p and not p[-1]:
         p.pop()
     return p
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    for i, y in enumerate(b):
-        a[i] -= y
-    return a
-
-
-def _poly_divmod_frac(num, den):
+def poly_divmod(num, den):
+    """Long division of coefficient lists (low degree first) over a field,
+    Q or Q(eps): (quotient, trimmed remainder)."""
     num = list(num)
-    den = _trim(den)
+    den = poly_trim(den)
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     dn = len(den) - 1
-    lead = den[-1]
+    inv = 1 / den[-1]
+    zero = inv * 0
     if len(num) - 1 < dn:
-        return [Fraction(0)], num
-    out = [Fraction(0)] * (len(num) - dn)
+        return [zero], poly_trim(num)
+    out = [zero] * (len(num) - dn)
     for k in range(len(num) - dn - 1, -1, -1):
-        c = num[k + dn] / lead
+        c = num[k + dn] * inv
         out[k] = c
         if c:
             for i, d in enumerate(den):
                 num[k + i] -= c * d
-    return out, _trim(num)
+    return out, poly_trim(num)
 
 
 class RootData:
@@ -405,7 +470,8 @@ class RootData:
     evaluations of Laurent polynomials go through that choice.
     """
 
-    __slots__ = ("l", "phi", "primitive_index", "deg", "_pow", "_phi_prime")
+    __slots__ = ("l", "phi", "primitive_index", "deg", "_pow", "_high",
+                 "_powers", "_zero", "_one", "_phi_prime")
 
     def __init__(self, l, primitive_index=1):
         if l < 2:
@@ -415,60 +481,62 @@ class RootData:
         self.l = l
         self.primitive_index = primitive_index % l
         self.phi = tuple(_cyclotomic_coeffs(l))
-        self.deg = len(self.phi) - 1
-        # q^k mod Phi_l for 0 <= k < l, as Fraction vectors of length deg.
-        self._pow = []
-        for k in range(l):
-            vec = [Fraction(0)] * max(k + 1, 1)
-            vec[k] = Fraction(1)
-            self._pow.append(tuple(self.reduce_poly(vec)))
+        deg = self.deg = len(self.phi) - 1
+        # q^k mod Phi_l for 0 <= k < l, as integer vectors of length deg:
+        # multiply by q and replace q^deg by -(Phi_l - q^deg).
+        vec = (1,) + (0,) * (deg - 1)
+        pw = []
+        for _ in range(l):
+            pw.append(vec)
+            top = vec[-1]
+            vec = tuple(a - top * p for a, p in zip((0,) + vec[:-1], self.phi))
+        self._pow = tuple(pw)
+        # A product of two reduced vectors has degree <= 2*deg - 2; its
+        # coefficients of q^deg and up reduce through these sparse rows.
+        self._high = tuple(tuple((i, v) for i, v in enumerate(pw[k % l]) if v)
+                           for k in range(deg, 2 * deg - 1))
+        self._powers = tuple(_make(self, v, 1) for v in pw)
+        self._zero = _make(self, (0,) * deg, 1)
+        self._one = self._powers[0]
         self._phi_prime = None
 
-    def reduce_poly(self, vec):
-        """Reduce a Fraction coefficient vector mod Phi_l to length deg."""
-        vec = [Fraction(c) for c in vec]
-        phi = self.phi
-        for k in range(len(vec) - 1, self.deg - 1, -1):
-            c = vec[k]
-            if c:
-                vec[k] = Fraction(0)
-                for i in range(self.deg):
-                    vec[k - self.deg + i] -= c * phi[i]
-        vec = vec[:self.deg]
-        vec += [Fraction(0)] * (self.deg - len(vec))
-        return tuple(vec)
-
     def zero(self):
-        return CycloNum(self, (Fraction(0),) * self.deg)
+        return self._zero
 
     def one(self):
-        return self.scalar(1)
+        return self._one
 
     def scalar(self, c):
-        vec = [Fraction(0)] * self.deg
-        vec[0] = _frac(c)
-        return CycloNum(self, tuple(vec))
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError("expected int or Fraction, got %s"
+                            % type(c).__name__)
+        return _make(self, (c.numerator,) + (0,) * (self.deg - 1),
+                     c.denominator)
 
     def canonical_power(self, k):
         """k-th power of the canonical root, ignoring primitive_index."""
-        return CycloNum(self, self._pow[k % self.l])
+        return self._powers[k % self.l]
 
     def eps_power(self, k):
         """eps^k for the selected primitive root."""
-        k = (k * self.primitive_index) % self.l
-        return CycloNum(self, self._pow[k])
+        return self._powers[(k * self.primitive_index) % self.l]
 
     def eps(self):
         return self.eps_power(1)
 
     def eval(self, f):
         """Evaluate a QLaurent at eps; a ring homomorphism."""
-        out = [Fraction(0)] * self.deg
-        for d, c in f.coeffs.items():
-            vec = self._pow[(d * self.primitive_index) % self.l]
-            for i, v in enumerate(vec):
-                out[i] += v * c
-        return CycloNum(self, tuple(out))
+        coeffs = f.coeffs
+        den = lcm(*[c.denominator for c in coeffs.values()])
+        out = [0] * self.deg
+        pw = self._pow
+        j, l = self.primitive_index, self.l
+        for d, c in coeffs.items():
+            a = c.numerator * (den // c.denominator)
+            for i, v in enumerate(pw[(d * j) % l]):
+                if v:
+                    out[i] += a * v
+        return _canonical(self, tuple(out), den)
 
     def phi_prime_eps(self):
         """Phi_l'(eps), the correction factor for division by (q - eps)."""
@@ -499,17 +567,18 @@ def divide_by_cyclotomic(f, r):
     """
     if f.is_zero():
         return QLaurent.zero()
+    # Phi_l is monic with integer coefficients: divide the integer
+    # numerators of f over their common denominator.
     shift = f.min_degree()
-    top = f.max_degree()
-    num = [Fraction(0)] * (top - shift + 1)
+    den = lcm(*[c.denominator for c in f.coeffs.values()])
+    num = [0] * (f.max_degree() - shift + 1)
     for d, c in f.coeffs.items():
-        num[d - shift] = c
-    den = [Fraction(c) for c in r.phi]
-    quo, rem = _poly_divmod_frac(num, den)
-    if rem:
+        num[d - shift] = c.numerator * (den // c.denominator)
+    quo, rem = _poly_divmod_int(num, r.phi)
+    if any(rem):
         raise NotDivisible("Phi_%d does not divide the given polynomial" % r.l)
     out = QLaurent()
-    out.coeffs = {i + shift: c for i, c in enumerate(quo) if c}
+    out.coeffs = {i + shift: Fraction(c, den) for i, c in enumerate(quo) if c}
     return out
 
 

@@ -52,21 +52,16 @@ def mat_zero(n, r):
 
 
 def mat_mul_c(A, B, r):
-    n = len(A)
-    m = len(B[0])
-    k = len(B)
-    out = [[r.zero() for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        Oi = out[i]
-        for t in range(k):
-            a = Ai[t]
-            if a.is_zero():
-                continue
-            Bt = B[t]
-            for j in range(m):
-                if not Bt[j].is_zero():
-                    Oi[j] = Oi[j] + a * Bt[j]
+    # The nonzero entries of each row of B, found once per product.
+    rows_b = [[(j, b) for j, b in enumerate(Bt) if not b.is_zero()]
+              for Bt in B]
+    zero = r.zero()
+    out = [[zero] * len(B[0]) for _ in A]
+    for Ai, Oi in zip(A, out):
+        for a, Bt in zip(Ai, rows_b):
+            if Bt and not a.is_zero():
+                for j, b in Bt:
+                    Oi[j] = Oi[j] + a * b
     return out
 
 

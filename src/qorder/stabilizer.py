@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactnum import QLaurent, NotDivisible, divide_by_cyclotomic
+from .exactnum import (QLaurent, NotDivisible, divide_by_cyclotomic,
+                       poly_divmod, poly_trim)
 from . import engine
 from . import fiber as fiber_mod
 from . import strata as strata_mod
@@ -186,52 +187,18 @@ def _squarefree_minpoly(M, r):
         sol = fiber_mod.solve_c(mat, rhs, k, r)
         if sol is not None:
             coeffs = sol + [r.one()]
-            return _poly_squarefree(coeffs, r)
+            return _poly_squarefree(coeffs)
         if k > n:
             raise ArithmeticError("minimal polynomial search overran")
 
 
-def _poly_trim(p):
-    q = list(p)
-    while q and q[-1].is_zero():
-        q.pop()
-    return q
-
-
-def _poly_divmod(a, b, r):
-    a = _poly_trim(a)
-    b = _poly_trim(b)
-    if not b:
-        raise ZeroDivisionError
-    out = [r.zero()] * max(len(a) - len(b) + 1, 0)
-    rem = list(a)
-    binv = b[-1].inverse()
-    while len(rem) >= len(b) and _poly_trim(rem):
-        rem = _poly_trim(rem)
-        if len(rem) < len(b):
-            break
-        c = rem[-1] * binv
-        k = len(rem) - len(b)
-        out[k] = c
-        for i in range(len(b)):
-            rem[k + i] = rem[k + i] - c * b[i]
-        rem = rem[:-1]
-    return out, _poly_trim(rem)
-
-
-def _poly_gcd(a, b, r):
-    a, b = _poly_trim(a), _poly_trim(b)
+def _poly_squarefree(coeffs):
+    """True when gcd(p, p') is a constant, p given low degree first."""
+    a = poly_trim(coeffs)
+    b = poly_trim([a[i] * i for i in range(1, len(a))])
     while b:
-        _, rem = _poly_divmod(a, b, r)
-        a, b = b, rem
-    return a
-
-
-def _poly_squarefree(coeffs, r):
-    p = _poly_trim(coeffs)
-    dp = [p[i] * i for i in range(1, len(p))]
-    g = _poly_gcd(p, dp, r)
-    return len(g) <= 1
+        a, b = b, poly_divmod(a, b)[1]
+    return len(a) <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from qorder.exactnum import (
+    CycloNum,
     QLaurent,
     NotDivisible,
     cyclotomic_build,
     eval_at_root,
     divide_by_cyclotomic,
+    poly_divmod,
+    poly_trim,
 )
 
 
@@ -117,7 +121,6 @@ def test_inverses():
         done = 0
         while done < 200:
             vec = [Fraction(rng.randint(-4, 4)) for _ in range(r.deg)]
-            from qorder.exactnum import CycloNum
             x = CycloNum(r, vec)
             if x.is_zero():
                 continue
@@ -153,3 +156,146 @@ def test_eps_selection_respects_primitive_index():
     v = r.eval(QLaurent({1: 1}))
     base = cyclotomic_build(5).eps()
     assert v == base * base
+
+
+# Reference arithmetic on Fraction coefficient vectors (low degree first):
+# reduction by Phi_l from the top, schoolbook products and the extended
+# Euclid inverse.  CycloNum must agree with it through .vec.
+
+def ref_reduce(vec, phi):
+    deg = len(phi) - 1
+    vec = [Fraction(c) for c in vec]
+    for k in range(len(vec) - 1, deg - 1, -1):
+        c = vec[k]
+        if c:
+            vec[k] = Fraction(0)
+            for i in range(deg):
+                vec[k - deg + i] -= c * phi[i]
+    vec = vec[:deg]
+    return tuple(vec + [Fraction(0)] * (deg - len(vec)))
+
+
+def ref_poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def ref_trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def ref_inverse(a, phi):
+    r0, r1 = [Fraction(c) for c in phi], ref_trim(a)
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while r1:
+        quo, rem = poly_long_division(r0, r1)
+        s = ref_poly_mul(quo, s1)
+        s = [x - y for x, y in zip(s0 + [0] * len(s), s + [0] * len(s0))]
+        r0, r1 = r1, ref_trim(rem)
+        s0, s1 = s1, s
+    assert len(r0) == 1
+    return ref_reduce([x / r0[0] for x in s0], phi)
+
+
+def ref_power_vec(l, terms):
+    """sum of c * q^(k mod l) for (k, c) in terms, as a length-l vector."""
+    vec = [Fraction(0)] * l
+    for k, c in terms:
+        vec[k % l] += c
+    return vec
+
+
+def rand_cyclo(rng, r):
+    return CycloNum(r, [Fraction(rng.randint(-9, 9),
+                                 rng.choice((1, 2, 3, 4, 6, 9)))
+                        for _ in range(r.deg)])
+
+
+def test_arithmetic_matches_fraction_reference():
+    rng = random.Random(2010)
+    for l in (2, 3, 4, 5, 6, 7, 9, 12):
+        r = cyclotomic_build(l)
+        for _ in range(40):
+            x, y = rand_cyclo(rng, r), rand_cyclo(rng, r)
+            a, b = x.vec, y.vec
+            assert (x * y).vec == ref_reduce(ref_poly_mul(a, b), r.phi)
+            assert (x + y).vec == tuple(u + v for u, v in zip(a, b))
+            assert (x - y).vec == tuple(u - v for u, v in zip(a, b))
+            if not x.is_zero():
+                assert x.inverse().vec == ref_inverse(a, r.phi)
+            for m in range(1, l):
+                if math.gcd(m, l) == 1:
+                    want = ref_power_vec(l, [(k * m, c)
+                                             for k, c in enumerate(a)])
+                    assert x.galois(m).vec == ref_reduce(want, r.phi)
+        for j in (m for m in range(1, l) if math.gcd(m, l) == 1):
+            rj = cyclotomic_build(l, j)
+            for _ in range(10):
+                f = rand_laurent(rng, span=2 * l)
+                want = ref_power_vec(l, [(d * j, c) for d, c in f.items()])
+                assert rj.eval(f).vec == ref_reduce(want, rj.phi)
+
+
+def test_canonical_form():
+    rng = random.Random(2011)
+    for l in (3, 5, 12):
+        r = cyclotomic_build(l)
+        half = CycloNum(r, [Fraction(2, 4)] + [0] * (r.deg - 1))
+        same = r.scalar(Fraction(1, 2))
+        assert half == same and hash(half) == hash(same)
+        assert half.vec == same.vec == (Fraction(1, 2),) + (0,) * (r.deg - 1)
+        for _ in range(30):
+            x = rand_cyclo(rng, r)
+            for y in ((x * 3) / 3, x * Fraction(6, 7) / Fraction(6, 7),
+                      (x + x) * Fraction(1, 2), CycloNum(r, x.vec),
+                      x * r.one(), (x - r.one()) + 1):
+                assert y == x and hash(y) == hash(x) and y.vec == x.vec
+            assert x - x == r.zero() and hash(x - x) == hash(r.zero())
+            assert all(type(c) is Fraction for c in x.vec)
+
+
+def test_exceptional_inputs(r3, r5):
+    for r in (r3, r5):
+        with pytest.raises(ZeroDivisionError):
+            r.zero().inverse()
+        with pytest.raises(ZeroDivisionError):
+            r.one() / r.zero()
+        with pytest.raises(ValueError):
+            r.eps().galois(r.l)
+    with pytest.raises(ValueError):
+        cyclotomic_build(12).eps().galois(2)
+
+
+def test_cyclotomic_arithmetic_builds_no_fractions(monkeypatch):
+    rng = random.Random(2012)
+    for l in (3, 5, 12):
+        r = cyclotomic_build(l)
+        x, y = rand_cyclo(rng, r), rand_cyclo(rng, r)
+        f = rand_laurent(rng, span=2 * l)
+        with monkeypatch.context() as m:
+            def refuse(cls, *args, **kwargs):
+                raise AssertionError("Fraction built")
+            m.setattr(Fraction, "__new__", refuse)
+            for z in (x + y, x - y, x * y, x.inverse(), x.galois(l - 1),
+                      r.eval(f), x * 3, x / 3):
+                z.is_zero()
+
+
+def test_poly_divmod_over_q_matches_long_division():
+    rng = random.Random(2013)
+    for _ in range(100):
+        num = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+               for _ in range(rng.randint(1, 7))]
+        den = [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+               for _ in range(rng.randint(0, 3))]
+        den.append(Fraction(rng.randint(1, 3), rng.randint(1, 4)))
+        quo, rem = poly_divmod(num, den)
+        want_quo, want_rem = poly_long_division(num, den)
+        assert poly_trim(quo) == poly_trim(want_quo)
+        assert rem == poly_trim(want_rem)

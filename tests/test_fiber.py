@@ -468,3 +468,26 @@ def test_core_span_membership():
             member = all(c.is_zero() for c in rest)
             assert member == (len(fiber.rref_c(A + [v])[1]) == k)
         assert all(c.is_zero() for c in fiber.reduce_c(combo, ech, pivots))
+
+
+def test_mat_mul_matches_triple_loop():
+    rng = random.Random(20101096)
+    for l in (3, 5):
+        r = cyclotomic_build(l)
+        for _ in range(30):
+            n, k, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+            A = [[_rand_scalar(rng, r) if rng.random() < 0.4 else r.zero()
+                  for _ in range(k)] for _ in range(n)]
+            B = [[_rand_scalar(rng, r) if rng.random() < 0.4 else r.zero()
+                  for _ in range(m)] for _ in range(k)]
+            A[rng.randrange(n)] = [r.zero()] * k
+            B[rng.randrange(k)] = [r.zero()] * m
+            col = rng.randrange(m)
+            for row in B:
+                row[col] = r.zero()
+            plain = [[r.zero()] * m for _ in range(n)]
+            for i in range(n):
+                for j in range(m):
+                    for t in range(k):
+                        plain[i][j] = plain[i][j] + A[i][t] * B[t][j]
+            assert fiber.mat_mul_c(A, B, r) == plain

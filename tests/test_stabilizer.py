@@ -4,6 +4,7 @@ from qorder.exactnum import cyclotomic_build
 from qorder import models, stabilizer, strata
 from qorder.stabilizer import (
     DecompositionInvalid,
+    _poly_squarefree,
     FDLie,
     HypothesisFailed,
     linearized_stabilizer,
@@ -293,3 +294,20 @@ def test_twisted_stabilizer_matches_engine_duplicate():
                 assert set(bracket) == set(g.bracket)
                 for key, vec in bracket.items():
                     assert vec == g.bracket[key], (S, level, key)
+
+
+def test_poly_squarefree_over_cyclotomic_field():
+    for l in (3, 5):
+        r = cyclotomic_build(l)
+        e = r.eps()
+
+        def times_linear(p, root):
+            # p * (x - root), coefficients low degree first
+            return ([-root * p[0]] +
+                    [p[i - 1] - root * p[i] for i in range(1, len(p))] +
+                    [p[-1]])
+
+        simple = times_linear(times_linear([r.one()], r.one()), e)
+        double = times_linear(simple, r.one())
+        assert _poly_squarefree(simple)
+        assert not _poly_squarefree(double)
