@@ -7,8 +7,9 @@ are selected by an exponent rather than by numerics.  Its elements are stored
 as integer numerators over one positive denominator, the representation of
 FLINT's fmpq_poly: Phi_l is monic with integer coefficients, so reduction
 never leaves the integers, and an inverse is the product of the other Galois
-conjugates over the rational norm.  Fractions appear only where values come
-in (constructor, scalars) and go out (CycloNum.vec).
+conjugates over the rational norm.  A cyclotomic number meets Fractions only
+where values come in (constructor, scalars, Laurent coefficients) and go out
+(CycloNum.vec).
 """
 
 from __future__ import annotations
