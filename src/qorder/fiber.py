@@ -4,12 +4,17 @@ brute-force census.
 The fiber of a character is the quotient of the specialized algebra by the
 central ideal the character cuts out.  Twisted models give monomial fibers
 (products of basis monomials are scalar multiples of basis monomials), which
-keeps the census combinatorial; models with lower-order terms get a full
+keeps the census combinatorial: it compares integer cocycle exponents and
+does no cyclotomic arithmetic.  Models with lower-order terms get a full
 structure-constant table, built from the generators' left operators.  The
 census computes the radical J of the trace form and counts
 dim A/([A, A] + J), with [A, A] spanned by the commutators of the algebra's
 generators with its basis; it never assumes the count it is asked to
 confirm.
+
+Clock/shift representations are built and verified on sparse monomial rows
+(one {column: nonzero} dict per row), so products cost O(nnz) and l-th
+powers O(nnz log l); their dense matrices are filled in once verified.
 """
 
 from __future__ import annotations
@@ -67,10 +72,6 @@ def mat_mul_c(A, B, r):
 
 def mat_add_c(A, B):
     return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_sub_c(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_scale_c(A, c):
@@ -180,9 +181,13 @@ class FDAlgebra:
     the algebra, so the commutators [g, b] of generators g with basis
     elements b span [A, A].
     monomial=True: products of basis elements are scalar multiples of basis
-    elements, provided by mono_mult (index pair -> (index, scalar) or None);
-    mono_index is the same map without the scalar, for the census's cheap
-    power walk.
+    elements, provided by mono_mult (index pair -> (index, scalar) or None).
+    mono_index gives the same product in integers: (k, c) or None, with k
+    the product's basis index and c the survivor_cocycle exponent of the two
+    labels.  mono_mult(i, j) is (k, eps^c * s), where s (the l-th-power
+    scalar and the union-find weight) is nonzero and depends only on the sum
+    of the two labels, so [b_i, b_j] != 0 exactly when c(i, j) and c(j, i)
+    differ mod l.
     monomial=False: table[(i, j)] is a sparse dict index -> scalar.
     """
 
@@ -338,7 +343,8 @@ def fiber_algebra(model, character, r, located=None):
                 if a[c] + b[c] >= l:
                     return None
             vec2 = tuple((x + y) % l for x, y in zip(a, b))
-            return _ri[uf.find(vec2)[0]]
+            return (_ri[uf.find(vec2)[0]],
+                    strata_mod.survivor_cocycle(S, a, b))
 
         gens = [rep_index[uf.find(e)[0]] for e in unit_vectors]
         return FDAlgebra(dim=len(reps), root=r, basis_labels=reps,
@@ -413,49 +419,139 @@ def _check_central_powers(P, r, unit_vectors):
 
 
 # ---------------------------------------------------------------------------
+# Sparse matrices over the cyclotomic field: one {column: nonzero} dict per
+# row.  Clock and shift matrices and their scaled products have one entry per
+# row, so a product costs O(nnz) and a k-th power O(nnz log k).  Zeros are
+# never stored, so two sparse matrices are equal exactly when their rows are.
+
+def sp_eye(n, r):
+    one = r.one()
+    return [{i: one} for i in range(n)]
+
+
+def sp_zero(n):
+    return [{} for _ in range(n)]
+
+
+def sp_from_dense(A):
+    return [{j: a for j, a in enumerate(row) if a} for row in A]
+
+
+def sp_to_dense(A, r):
+    zero = r.zero()
+    out = []
+    for row in A:
+        dense = [zero] * len(A)
+        for j, a in row.items():
+            dense[j] = a
+        out.append(dense)
+    return out
+
+
+def sp_mul(A, B):
+    out = []
+    for row in A:
+        acc = {}
+        for k, a in row.items():
+            for j, b in B[k].items():
+                c = acc.get(j)
+                acc[j] = a * b if c is None else c + a * b
+        out.append({j: c for j, c in acc.items() if c})
+    return out
+
+
+def sp_add(A, B):
+    out = []
+    for ra, rb in zip(A, B):
+        row = dict(ra)
+        for j, b in rb.items():
+            _accumulate(row, j, b)
+        out.append(row)
+    return out
+
+
+def sp_scale(A, c):
+    if not c:
+        return sp_zero(len(A))
+    return [{j: a * c for j, a in row.items()} for row in A]
+
+
+def sp_inv(A, r):
+    """Inverse.  One entry per row in distinct columns is a scaled
+    permutation, inverted entrywise; anything else goes through mat_inv_c."""
+    entries = [next(iter(row.items())) for row in A if len(row) == 1]
+    if len(entries) == len(A) and len({j for j, _ in entries}) == len(A):
+        out = [None] * len(A)
+        for i, (j, a) in enumerate(entries):
+            out[j] = {i: a.inverse()}
+        return out
+    return sp_from_dense(mat_inv_c(sp_to_dense(A, r), r))
+
+
+def sp_pow(A, k, r):
+    """A^k by binary powering; negative k powers the inverse."""
+    if k < 0:
+        A, k = sp_inv(A, r), -k
+    out = sp_eye(len(A), r)
+    while k:
+        if k & 1:
+            out = sp_mul(out, A)
+        k >>= 1
+        if k:
+            A = sp_mul(A, A)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Clock and shift representations over a located stratum.
 
 @dataclass
 class Representation:
-    mats: dict  # generator label -> matrix over the cyclotomic field
+    """rows maps each generator label to its sparse matrix; mats holds the
+    same matrices as dense row lists, filled in once the representation is
+    verified."""
+
+    rows: dict
     dim: int
     z_scalars: tuple
     verified: bool = False
+    mats: dict = None
 
-    def matrix_of_element(self, model, elem, r):
-        """Evaluate a PBW element under the representation."""
-        n = self.dim
-        out = mat_zero(n, r)
+    def sparse_of_element(self, model, elem, r):
+        """Evaluate a PBW element under the representation, as sparse rows."""
         P = model.presentation
+        out = sp_zero(self.dim)
         for vec, c in elem.terms.items():
             coeff = c if isinstance(c, CycloNum) else r.eval(c)
-            term = mat_eye(n, r)
+            term = sp_eye(self.dim, r)
             for i, e in enumerate(vec):
                 if e:
-                    term = mat_mul_c(term, mat_pow_c(self.mats[P.gens[i]], e, r), r)
-            out = mat_add_c(out, mat_scale_c(term, coeff))
+                    term = sp_mul(term, sp_pow(self.rows[P.gens[i]], e, r))
+            out = sp_add(out, sp_scale(term, coeff))
         return out
+
+    def matrix_of_element(self, model, elem, r):
+        """Evaluate a PBW element under the representation, as dense rows."""
+        return sp_to_dense(self.sparse_of_element(model, elem, r), r)
 
 
 def _clock(l, omega_pow, r, k_index, k_total):
     """Diagonal matrix eps^(omega_pow * digit) acting on tensor slot
     k_index of k_total clock registers."""
-    dim = l ** k_total
-    M = mat_zero(dim, r)
-    for idx in range(dim):
-        digit = (idx // l ** k_index) % l
-        M[idx][idx] = r.eps_power(omega_pow * digit)
-    return M
+    base = l ** k_index
+    return [{idx: r.eps_power(omega_pow * ((idx // base) % l))}
+            for idx in range(l ** k_total)]
 
 
 def _shift(l, r, k_index, k_total):
     dim = l ** k_total
-    M = mat_zero(dim, r)
+    M = sp_zero(dim)
     base = l ** k_index
+    one = r.one()
     for idx in range(dim):
         digit = (idx // base) % l
         jdx = idx + base if digit < l - 1 else idx - (l - 1) * base
-        M[jdx][idx] = r.one()
+        M[jdx] = {idx: one}
     return M
 
 
@@ -464,7 +560,7 @@ def clock_shift_irreps(ctx, located, character):
 
     Paired torus generators act by scaled clock and shift matrices, central
     monomials by scalars, killed elements by zero; every defining relation
-    is then verified exactly.
+    is then verified exactly, on sparse rows.
     """
     model = ctx.model
     r = ctx.root
@@ -480,10 +576,10 @@ def clock_shift_irreps(ctx, located, character):
         frame_scalars.append(strata_mod.monomial_value(st, character, r, row))
     frame_mats = []
     for i in range(k):
-        frame_mats.append(mat_scale_c(_clock(l, ts.ds[i], r, i, k),
-                                      frame_scalars[2 * i]))
-        frame_mats.append(mat_scale_c(_shift(l, r, i, k),
-                                      frame_scalars[2 * i + 1]))
+        frame_mats.append(sp_scale(_clock(l, ts.ds[i], r, i, k),
+                                   frame_scalars[2 * i]))
+        frame_mats.append(sp_scale(_shift(l, r, i, k),
+                                   frame_scalars[2 * i + 1]))
     out = []
     m = ts.m
     inv_rows = {}
@@ -505,7 +601,7 @@ def clock_shift_irreps(ctx, located, character):
                     raise strata_mod.MissingWitness(
                         "extension value for z_%d unavailable" % (j + 1))
             z_scalars.append(val)
-            z_mats.append(mat_scale_c(mat_eye(dim, r), val))
+            z_mats.append(sp_scale(sp_eye(dim, r), val))
         all_mats = frame_mats + z_mats
         surv_mats = {}
         for s_idx, item in enumerate(st.survivors):
@@ -513,22 +609,23 @@ def clock_shift_irreps(ctx, located, character):
             gamma, acc = strata_mod.ordered_product_data(st.skew, basis_rows,
                                                         coeffs)
             assert acc == [1 if t == s_idx else 0 for t in range(m)]
-            M = mat_eye(dim, r)
+            M = sp_eye(dim, r)
             for Mr, c in zip(all_mats, coeffs):
                 if c:
-                    M = mat_mul_c(M, mat_pow_c(Mr, c, r), r)
-            M = mat_scale_c(M, r.eps_power(-gamma))
+                    M = sp_mul(M, sp_pow(Mr, c, r))
+            M = sp_scale(M, r.eps_power(-gamma))
             surv_mats[item.label] = M
         mats.update(surv_mats)
         for label in st.killed_labels:
             if not label.startswith("w"):
-                mats[label] = mat_zero(dim, r)
+                mats[label] = sp_zero(dim)
         if st.kind == "A2":
             _fill_weyl_generators(model, st, mats, r, dim)
-        rep = Representation(mats={g: mats[g] for g in P.gens}, dim=dim,
+        rep = Representation(rows={g: mats[g] for g in P.gens}, dim=dim,
                              z_scalars=tuple(z_scalars))
         _verify_representation(model, rep, character, r)
         rep.verified = True
+        rep.mats = {g: sp_to_dense(M, r) for g, M in rep.rows.items()}
         out.append(rep)
     return out
 
@@ -550,52 +647,50 @@ def _fill_weyl_generators(model, st, mats, r, dim):
     killed pairs already have zero matrices."""
     T1, T2, T3 = st.pattern
     n = model.n
-    wmats = {0: mat_eye(dim, r)}
+    wmats = {0: sp_eye(dim, r)}
     for i in range(1, n + 1):
         if "w%d" % i in mats:
             wmats[i] = mats["w%d" % i]
         elif i in T3:
-            wmats[i] = mat_zero(dim, r)
+            wmats[i] = sp_zero(dim)
     for i in range(1, n + 1):
         if "x%d" % i in mats and "y%d" % i in mats:
             continue
         if i in T1:
-            mats.setdefault("y%d" % i, mat_zero(dim, r))
+            mats.setdefault("y%d" % i, sp_zero(dim))
             continue
         if i in T2:
             # x survives (or is killed with T1), y dies
-            mats.setdefault("y%d" % i, mat_zero(dim, r))
+            mats.setdefault("y%d" % i, sp_zero(dim))
             continue
         # y survives, x is determined: x_i = (q_i - 1)^-1 y_i^-1 (w_i - w_{i-1})
         qi = r.eps_power(model.exps[i - 1])
         coef = (qi - r.one()).inverse()
-        yinv = mat_inv_c(mats["y%d" % i], r)
-        diff = mat_sub_c(wmats[i], wmats[i - 1])
-        mats["x%d" % i] = mat_scale_c(mat_mul_c(yinv, diff, r), coef)
+        yinv = sp_inv(mats["y%d" % i], r)
+        diff = sp_add(wmats[i], sp_scale(wmats[i - 1], -1))
+        mats["x%d" % i] = sp_scale(sp_mul(yinv, diff), coef)
 
 
 def _verify_representation(model, rep, character, r):
     """Every defining relation and every central value must hold exactly."""
     P = model.presentation
     N = P.N
-    dim = rep.dim
-    gm = [rep.mats[P.gens[i]] for i in range(N)]
+    gm = [rep.rows[P.gens[i]] for i in range(N)]
     for u in range(N):
         for v in range(u + 1, N):
-            lhs = mat_mul_c(gm[u], gm[v], r)
-            rhs = mat_scale_c(mat_mul_c(gm[v], gm[u], r),
-                              r.eps_power(P.S[u][v]))
+            lhs = sp_mul(gm[u], gm[v])
+            rhs = sp_scale(sp_mul(gm[v], gm[u]), r.eps_power(P.S[u][v]))
             rule = P.delta.get((u, v))
             if rule is not None:
-                rhs = mat_add_c(rhs, rep.matrix_of_element(model, rule, r))
-            if not mat_eq_c(lhs, rhs):
+                rhs = sp_add(rhs, rep.sparse_of_element(model, rule, r))
+            if lhs != rhs:
                 raise ArithmeticError(
                     "relation (%s, %s) fails in the representation"
                     % (P.gens[u], P.gens[v]))
     for i in range(N):
-        Ml = mat_pow_c(gm[i], r.l, r)
-        expect = mat_scale_c(mat_eye(dim, r), character.value(P.gens[i]))
-        if not mat_eq_c(Ml, expect):
+        Ml = sp_pow(gm[i], r.l, r)
+        expect = sp_scale(sp_eye(rep.dim, r), character.value(P.gens[i]))
+        if Ml != expect:
             raise ArithmeticError(
                 "central value of %s^l fails in the representation"
                 % P.gens[i])
@@ -639,16 +734,19 @@ def census(A, constructed_dims=None):
 def _census_monomial(A):
     """J is spanned by the basis monomials b with b^l = 0, and every
     commutator of two monomials is a multiple of one monomial, so the count
-    is the number of live monomials that no nonzero [g, b] hits."""
+    is the number of live monomials that no nonzero [g, b] hits.  Only the
+    integer products of mono_index are read: [g, b] != 0 exactly when the
+    two cocycle exponents differ mod l."""
     l = A.root.l
     unit = A.unit_index
     live = []
     for b in range(A.dim):
         power = b
         for _ in range(l - 1):
-            power = A.mono_index(power, b)
-            if power is None:
+            step = A.mono_index(power, b)
+            if step is None:
                 break
+            power = step[0]
         else:
             if power != unit:
                 raise ArithmeticError("l-th power of a monomial is not a unit")
@@ -659,13 +757,13 @@ def _census_monomial(A):
         if g not in live_set:
             continue
         for b in live:
-            gb = A.mono_mult(g, b)
+            gb = A.mono_index(g, b)
             if gb is None:
                 continue
-            bg = A.mono_mult(b, g)
+            bg = A.mono_index(b, g)
             if bg[0] != gb[0]:
                 raise ArithmeticError("monomial product order mismatch")
-            if gb[1] != bg[1]:
+            if (gb[1] - bg[1]) % l:
                 hit.add(gb[0])
     count = len(live_set - hit)
     return A.dim - len(live), count, len(live)

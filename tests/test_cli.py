@@ -285,3 +285,38 @@ def test_exit_code_3_on_verdict_mismatch(tmp_path, monkeypatch):
     job = tmp_path / "job.txt"
     job.write_text(PLANE)
     assert cli.main(["verify", "--spec", str(job)]) == 3
+
+
+# twisted N=5 at l=7: the fiber (dimension 7^5) is over the census cap, the
+# representations (dimension 49) are not
+TWISTED_N5_L7 = """
+algebra.kind = twisted
+algebra.S = 0 1 0 0 0 / -1 0 1 0 0 / 0 -1 0 1 0 / 0 0 -1 0 1 / 0 0 0 -1 0
+algebra.n_poly = 1
+root.l = 7
+"""
+
+
+def test_verify_twisted_n5_l7(tmp_path, monkeypatch):
+    built = []
+    irreps = fiber.clock_shift_irreps
+
+    def recording(ctx, located, character):
+        reps = irreps(ctx, located, character)
+        built.extend(reps)
+        return reps
+
+    monkeypatch.setattr(fiber, "clock_shift_irreps", recording)
+    code, text = run_cli(tmp_path, TWISTED_N5_L7, "verify", "--format",
+                         "data")
+    assert code == 0
+    recs = json.loads(text)["results"]
+    assert len(recs) == 2
+    for rec in recs:
+        assert rec["result.verdict"] == "UNCHECKED"
+        assert rec["result.oracle"] is None
+        assert rec["result.predicted"] == 1
+        assert rec["result.notes"] == [
+            "census: fiber dimension 16807 exceeds the cap"]
+    # one representation per character, built and verified on the way
+    assert [(p.dim, p.verified) for p in built] == [(49, True)] * 2

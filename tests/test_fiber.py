@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qorder.exactnum import cyclotomic_build
+from qorder.exactnum import CycloNum, cyclotomic_build
 from qorder import cli, engine, fiber, models, strata
 from conftest import make_character
 from test_cli import CUSTOM_WEYL
@@ -491,3 +491,241 @@ def test_mat_mul_matches_triple_loop():
                     for t in range(k):
                         plain[i][j] = plain[i][j] + A[i][t] * B[t][j]
             assert fiber.mat_mul_c(A, B, r) == plain
+
+
+# ---------------------------------------------------------------------------
+# Sparse representations against the dense matrix helpers.
+
+def _dense_relations_hold(model, rep, character, r):
+    """Every defining relation and l-th power, checked with dense products
+    on rep.mats."""
+    P = model.presentation
+    gm = [rep.mats[g] for g in P.gens]
+    for u in range(P.N):
+        for v in range(u + 1, P.N):
+            lhs = fiber.mat_mul_c(gm[u], gm[v], r)
+            rhs = fiber.mat_scale_c(fiber.mat_mul_c(gm[v], gm[u], r),
+                                    r.eps_power(P.S[u][v]))
+            rule = P.delta.get((u, v))
+            if rule is not None:
+                rhs = fiber.mat_add_c(rhs, rep.matrix_of_element(model, rule,
+                                                                 r))
+            if not fiber.mat_eq_c(lhs, rhs):
+                return False
+    eye = fiber.mat_eye(rep.dim, r)
+    return all(fiber.mat_eq_c(fiber.mat_pow_c(M, r.l, r),
+                              fiber.mat_scale_c(eye, character.value(g)))
+               for g, M in zip(P.gens, gm))
+
+
+def _built_representations(r3):
+    """(model, character, stratum kind, representation) for every
+    representation the tests of this suite build."""
+    out = []
+
+    def add(model, ctx, chi):
+        loc = strata.locate(chi, ctx)
+        try:
+            reps = fiber.clock_shift_irreps(ctx, loc, chi)
+        except strata.MissingWitness:
+            return  # `verify` reports this and builds nothing
+        out.extend((model, chi, loc.stratum.kind, rep) for rep in reps)
+
+    m, ctx = plane_ctx(r3)
+    add(m, ctx, make_character(r3, {"x1": 1, "x2": 1},
+                               {"x1": 1, "x2": 1}).check(m, r3))
+    add(m, ctx, make_character(r3, {"x1": 0, "x2": 1},
+                               {"x2": 1}).check(m, r3))
+    mc = models.build_twisted([[0]], 1)
+    add(mc, strata.enumerate_strata(mc, r3),
+        make_character(r3, {"x1": 1}, {"x1": 1}).check(mc, r3))
+    for S, n_poly in [([[0, 0], [0, 0]], 2), ([[0, 2], [-2, 0]], 1),
+                      ([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]], 3)]:
+        m = models.build_twisted(S, n_poly)
+        ctx = strata.enumerate_strata(m, r3)
+        gens = m.presentation.gens
+        for bits in iproduct((0, 1), repeat=n_poly):
+            vals = dict(zip(gens, bits))
+            vals.update({g: 1 for g in gens[n_poly:]})
+            wits = {g: 1 for g, v in vals.items() if v}
+            add(m, ctx, make_character(r3, vals, wits).check(m, r3))
+    # the covered characters of `qorder verify` on the Weyl pair
+    W = models.build_weyl([[0]], [1])
+    ctx = strata.enumerate_strata(W, r3)
+    for chi in cli.default_characters(W, r3):
+        if isinstance(strata.locate(chi, ctx), strata.Located):
+            add(W, ctx, chi)
+    # the killed-w Weyl n=2 stratum of test_wider.py
+    W = models.build_weyl([[0, 1], [-1, 0]], [1, 1])
+    e, one = r3.eps(), r3.one()
+    u = (one - e).inverse()
+    add(W, strata.enumerate_strata(W, r3), strata.Character(
+        {"x1": u ** 3, "x2": one, "y1": one, "y2": one},
+        {"x1": u, "x2": one, "y1": one, "y2": one,
+         "w2": e - one}).check(W, r3))
+    return out
+
+
+def _dense_or_error(f, *args):
+    try:
+        return f(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def _sparse_matches_dense(A, B, r):
+    """The sparse product, powers and inverse equal the dense ones."""
+    sA, sB = fiber.sp_from_dense(A), fiber.sp_from_dense(B)
+    assert fiber.sp_to_dense(sA, r) == A
+    assert fiber.sp_mul(sA, sB) == fiber.sp_from_dense(
+        fiber.mat_mul_c(A, B, r))
+    for k in (-1, 2, r.l):
+        dense = _dense_or_error(fiber.mat_pow_c, A, k, r)
+        sparse = _dense_or_error(fiber.sp_pow, sA, k, r)
+        assert sparse == (dense if dense is ZeroDivisionError
+                          else fiber.sp_from_dense(dense))
+    dense = _dense_or_error(fiber.mat_inv_c, A, r)
+    sparse = _dense_or_error(fiber.sp_inv, sA, r)
+    assert sparse == (dense if dense is ZeroDivisionError
+                      else fiber.sp_from_dense(dense))
+
+
+def test_sparse_representations_match_dense(r3):
+    built = _built_representations(r3)
+    kinds = set()
+    permuted = 0
+    for model, chi, kind, rep in built:
+        assert rep.verified
+        assert _dense_relations_hold(model, rep, chi, r3)
+        mats = [rep.mats[g] for g in model.presentation.gens]
+        for g, M in zip(model.presentation.gens, mats):
+            assert rep.rows[g] == fiber.sp_from_dense(M)
+            permuted += any(j != i for i, row in enumerate(rep.rows[g])
+                            for j in row)
+        for A in mats:
+            for B in mats:
+                _sparse_matches_dense(A, B, r3)
+            # a sum is in general not monomial, so its inverse takes the
+            # dense fallback
+            _sparse_matches_dense(fiber.mat_add_c(A, mats[0]), A, r3)
+        kinds.add((kind, rep.dim))
+    # the Weyl stratum goes through _fill_weyl_generators
+    assert kinds == {("A1", 1), ("A1", 3), ("A2", 3)}
+    assert permuted > 0
+
+
+def test_sparse_core_matches_dense_on_random_matrices():
+    for rng, r, A, _, m, n, k in _systems():
+        if m == n:
+            B = [[_rand_scalar(rng, r) for _ in range(n)] for _ in range(n)]
+            _sparse_matches_dense(A, B, r)
+            _sparse_matches_dense(B, A, r)
+
+
+def test_verify_representation_rejects_broken_matrices(r3):
+    m, ctx = plane_ctx(r3)
+    chi = make_character(r3, {"x1": 1, "x2": 1},
+                         {"x1": 1, "x2": 1}).check(m, r3)
+    rep = fiber.clock_shift_irreps(ctx, strata.locate(chi, ctx), chi)[0]
+    X1, X2 = rep.rows["x1"], rep.rows["x2"]
+
+    def check(rows):
+        broken = fiber.Representation(rows=rows, dim=rep.dim,
+                                      z_scalars=rep.z_scalars)
+        fiber._verify_representation(m, broken, chi, r3)
+
+    check({"x1": X1, "x2": X2})
+    # swapped, x1 x2 = eps^-1 x2 x1; every l-th power is still 1
+    with pytest.raises(ArithmeticError, match="relation"):
+        check({"x1": X2, "x2": X1})
+    # scaled by 2, every relation holds and x1^3 = 8
+    with pytest.raises(ArithmeticError, match="central value of x1"):
+        check({"x1": fiber.sp_scale(X1, 2), "x2": X2})
+
+
+# ---------------------------------------------------------------------------
+# The integer monomial census against the cyclotomic comparison it replaced.
+
+def _census_monomial_reference(A):
+    """(rad_dim, count, dim A/J) with [g, b] != 0 decided by comparing the
+    two CycloNum products of mono_mult."""
+    live = []
+    for b in range(A.dim):
+        power = b
+        for _ in range(A.root.l - 1):
+            step = A.mono_mult(power, b)
+            if step is None:
+                break
+            power = step[0]
+        else:
+            assert power == A.unit_index
+            live.append(b)
+    hit = set()
+    for g in A.gens:
+        if g not in live:
+            continue
+        for b in live:
+            gb = A.mono_mult(g, b)
+            if gb is not None:
+                bg = A.mono_mult(b, g)
+                assert bg[0] == gb[0]
+                if gb[1] != bg[1]:
+                    hit.add(gb[0])
+    return A.dim - len(live), len(set(live) - hit), len(live)
+
+
+def _located_fibers(m, r, characters):
+    ctx = strata.enumerate_strata(m, r)
+    for chi in characters:
+        yield fiber.fiber_algebra(m, chi, r, strata.locate(chi, ctx))
+
+
+def _default_fibers(S, n_poly, r):
+    m = models.build_twisted(S, n_poly)
+    if m.admissibility(r.l):
+        yield from _located_fibers(m, r, cli.default_characters(m, r))
+
+
+MONOMIAL_625_JOB0 = """
+algebra.kind = twisted
+algebra.S = 0 0 -1 -1 / 0 0 -2 -1 / 1 2 0 -2 / 1 1 2 0
+algebra.n_poly = 2
+root.l = 5
+root.primitive_index = 4
+"""
+
+
+def test_monomial_census_matches_cyclotomic_reference(r3, r5):
+    fibers = []
+    for S, n_poly in [([[0, 1], [-1, 0]], 2), ([[0, 0], [0, 0]], 2),
+                      ([[0, 2], [-2, 0]], 1),
+                      ([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]], 3)]:
+        fibers.extend(_default_fibers(S, n_poly, r3))
+    fibers.extend(_default_fibers([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]], 3,
+                                  r5))
+    spec = cli.parse_jobspec(MONOMIAL_625_JOB0)
+    m = cli.build_model(spec)
+    r = cyclotomic_build(spec.l, spec.primitive_index)
+    fibers.extend(_located_fibers(m, r, cli.default_characters(m, r)))
+    seen = set()
+    for A in fibers:
+        assert A.monomial
+        assert fiber._census_monomial(A) == _census_monomial_reference(A)
+        seen.add((A.root.l, A.dim))
+    # full fibers, extension quotients at l = 3 and 5, and dim 625
+    assert {(3, 9), (3, 27), (3, 1), (5, 25), (5, 125), (5, 625)} <= seen
+
+
+def test_monomial_census_does_no_cyclotomic_arithmetic(r3, r5, monkeypatch):
+    fibers = list(_default_fibers([[0, 1], [-1, 0]], 2, r3))
+    fibers.extend(_default_fibers([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]], 3,
+                                  r5))
+    expected = [fiber.census(A) for A in fibers]
+
+    def refuse(*args):
+        raise AssertionError("cyclotomic arithmetic in the census")
+
+    for name in ("__mul__", "__rmul__", "__eq__", "__add__", "__sub__",
+                 "__truediv__", "inverse"):
+        monkeypatch.setattr(CycloNum, name, refuse)
+    assert [fiber.census(A) for A in fibers] == expected
