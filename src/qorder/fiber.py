@@ -6,11 +6,13 @@ central ideal the character cuts out.  Twisted models give monomial fibers
 (products of basis monomials are scalar multiples of basis monomials), which
 keeps the census combinatorial: it compares integer cocycle exponents and
 does no cyclotomic arithmetic.  Models with lower-order terms get a full
-structure-constant table, built from the generators' left operators.  The
-census computes the radical J of the trace form and counts
-dim A/([A, A] + J), with [A, A] spanned by the commutators of the algebra's
-generators with its basis; it never assumes the count it is asked to
-confirm.
+structure-constant table, built from the generators' left operators and
+graded by the presentation's own (Z/l)-weights.  The census computes the
+radical J of the trace form and counts dim A/([A, A] + J), with [A, A]
+spanned by the commutators of the algebra's generators with its basis; a
+table fiber is counted one degree of its grading at a time, after every
+product is checked to be homogeneous.  It never assumes the count it is
+asked to confirm.
 
 Clock/shift representations are built and verified on sparse monomial rows
 (one {column: nonzero} dict per row), so products cost O(nnz) and l-th
@@ -50,10 +52,6 @@ class Unsupported(ValueError):
 def mat_eye(n, r):
     return [[r.one() if i == j else r.zero() for j in range(n)]
             for i in range(n)]
-
-
-def mat_zero(n, r):
-    return [[r.zero() for _ in range(n)] for _ in range(n)]
 
 
 def mat_mul_c(A, B, r):
@@ -115,12 +113,15 @@ def reduce_c(vec, rows, pivots):
     return cur
 
 
-def rref_c(vectors):
+def rref_c(vectors, limit=None):
     """Reduced row echelon form of the span of vectors: (rows, pivots),
-    sorted by pivot column."""
+    sorted by pivot column.  With limit, stops reading vectors once the span
+    has that many rows (the full space, when limit is the width)."""
     rows = []
     pivots = []
     for vec in vectors:
+        if len(rows) == limit:
+            break
         cur = reduce_c(vec, rows, pivots)
         lead = next((j for j, x in enumerate(cur) if not x.is_zero()), None)
         if lead is None:
@@ -189,6 +190,11 @@ class FDAlgebra:
     of the two labels, so [b_i, b_j] != 0 exactly when c(i, j) and c(j, i)
     differ mod l.
     monomial=False: table[(i, j)] is a sparse dict index -> scalar.
+    degrees labels the basis elements of a table fiber by their degree in a
+    (Z/l)^K grading: degrees[i] is a tuple of K residues mod l, and every
+    product b_i b_j must lie in degree degrees[i] + degrees[j] (the census
+    checks this and raises engine.ValidationFailed otherwise).  None means
+    the trivial grading, with every element in degree 0.
     """
 
     dim: int
@@ -200,6 +206,7 @@ class FDAlgebra:
     mono_mult: object = None
     mono_index: object = None
     table: dict = None
+    degrees: list = None
 
     def product(self, i, j):
         if self.monomial:
@@ -281,10 +288,11 @@ def fiber_algebra(model, character, r, located=None):
     is further divided by their character values, which requires witnesses.
 
     Models with lower-order terms get a structure-constant table built from
-    the generators' left operators.  It needs every generator's l-th power
-    central at eps (engine.ValidationFailed otherwise), and a located
-    stratum with extending z's raises Unsupported, since the table build has
-    no extension quotient.
+    the generators' left operators, graded by presentation_weights.  It
+    needs every generator's l-th power central at eps
+    (engine.ValidationFailed otherwise), and a located stratum with
+    extending z's raises Unsupported, since the table build has no extension
+    quotient.
     """
     P = model.presentation
     N = P.N
@@ -388,9 +396,34 @@ def fiber_algebra(model, character, r, located=None):
                     _accumulate(entry, m, c * d)
             if entry:
                 table[(i, j)] = entry
+    weights = presentation_weights(P, l)
+    degrees = [tuple(sum(w * e for w, e in zip(wt, a)) % l for wt in weights)
+               for a in basis]
     return FDAlgebra(dim=len(basis), root=r, basis_labels=basis,
                      monomial=False, unit_index=index[(0,) * N],
-                     gens=[index[e] for e in unit_vectors], table=table)
+                     gens=[index[e] for e in unit_vectors], table=table,
+                     degrees=degrees)
+
+
+def presentation_weights(P, l):
+    """Generator weights of the presentation's own grading, reduced mod l.
+
+    The weights w are the integer solutions of <w, a> = w_u + w_v for every
+    term x^a of every delta_(u, v), so each defining relation is homogeneous
+    with deg x^a = <w, a>; the l-th powers are homogeneous mod l.  Returns
+    one weight vector per basis vector of that lattice; none means the
+    trivial grading.  A tower that passes engine.validate always has a
+    nonzero weight: row u of S with s_u in place u, for the first generator
+    u with a delta rule (its q-skew identity and the automorphism sigma_u of
+    the later generators make every relation homogeneous)."""
+    rows = []
+    for (u, v), rule in P.delta.items():
+        for vec in rule.terms:
+            row = list(vec)
+            row[u] -= 1
+            row[v] -= 1
+            rows.append(row)
+    return [[w % l for w in wt] for wt in zlattice.kernel_int(rows)]
 
 
 def _accumulate(entry, k, val):
@@ -770,41 +803,84 @@ def _census_monomial(A):
 
 
 def _census_table(A):
-    """The trace form of an associative algebra is tr(L_i L_j) =
-    tr(L_{b_i b_j}) = sum_k c_ijk t_k, with t_k = tr(L_k) read off the table
-    once per basis element."""
+    """The census of a structure table, one degree of its grading at a time.
+
+    The trace form of an associative algebra is tr(L_i L_j) =
+    tr(L_{b_i b_j}) = sum_k c_ijk t_k with t_k = tr(L_k).  L_b shifts degree
+    by deg b, so only degree-0 elements have a nonzero trace, the form pairs
+    degree e only with -e, and J is the direct sum over e of the kernels of
+    the blocks with rows of degree -e and columns of degree e.  Each
+    commutator [g, b] lies in degree deg g + deg b, so [A, A] + J is reduced
+    per degree, in the coordinates of that component, until it fills it.
+    All of this rests on every product being homogeneous, which is checked
+    first; with the trivial grading there is one component, the whole
+    algebra."""
     n = A.dim
     r = A.root
-    traces = []
+    l = r.l
+    labels = A.degrees or [()] * n
+    names = sorted(set(labels))
+    code = {d: t for t, d in enumerate(names)}
+    deg = [code[d] for d in labels]
+    plus = [[code.get(tuple((x + y) % l for x, y in zip(d, e)))
+             for e in names] for d in names]
+    minus = [code.get(tuple(-x % l for x in d)) for d in names]
+    for (i, j), entry in A.table.items():
+        d = plus[deg[i]][deg[j]]
+        if any(deg[k] != d for k in entry):
+            raise engine.ValidationFailed(
+                "the product of basis elements %d and %d is not homogeneous"
+                % (i, j))
+    comps = [[] for _ in names]
+    for i, d in enumerate(deg):
+        comps[d].append(i)
+    pos = [0] * n
+    for comp in comps:
+        for t, i in enumerate(comp):
+            pos[i] = t
+
+    zero = code.get(tuple(0 for _ in names[0]))
+    traces = {}
     for k in range(n):
+        if deg[k] != zero:
+            continue
         t = r.zero()
         for j in range(n):
             c = A.product(k, j).get(j)
             if c is not None:
                 t = t + c
-        traces.append(t)
-    gram = mat_zero(n, r)
-    for i in range(n):
-        for j in range(i, n):
-            tr = r.zero()
-            for k, c in A.product(i, j).items():
-                if not traces[k].is_zero():
-                    tr = tr + c * traces[k]
-            gram[i][j] = tr
-            gram[j][i] = tr
-    rad = kernel_c(gram, n, r)
+        if not t.is_zero():
+            traces[k] = t
 
-    def commutator(g, b):
-        vec = [r.zero()] * n
+    def trace_form(i, j):
+        tr = r.zero()
+        for k, c in A.product(i, j).items():
+            if k in traces:
+                tr = tr + c * traces[k]
+        return tr
+
+    def commutator(g, b, size):
+        vec = [r.zero()] * size
         for k, c in A.product(g, b).items():
-            vec[k] = vec[k] + c
+            vec[pos[k]] = vec[pos[k]] + c
         for k, c in A.product(b, g).items():
-            vec[k] = vec[k] - c
+            vec[pos[k]] = vec[pos[k]] - c
         return vec
 
-    span = rref_c(chain(rad, (commutator(g, b) for g in A.gens
-                              for b in range(n))))[1]
-    return len(rad), n - len(span), n - len(rad)
+    rad_dim = 0
+    rank = 0
+    for d, comp in enumerate(comps):
+        partners = comps[minus[d]] if minus[d] is not None else []
+        block = [[trace_form(i, j) for j in comp] for i in partners]
+        rad = kernel_c(block, len(comp), r)
+        rad_dim += len(rad)
+        sources = [(g, b) for g in A.gens
+                   for e, other in enumerate(comps) if plus[deg[g]][e] == d
+                   for b in other]
+        rank += len(rref_c(chain(rad, (commutator(g, b, len(comp))
+                                       for g, b in sources)),
+                           limit=len(comp))[1])
+    return rad_dim, n - rank, n - rad_dim
 
 
 def _infer_blocks(count, dimq, constructed_dims):

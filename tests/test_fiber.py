@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from collections import Counter
 from itertools import product as iproduct
 from types import SimpleNamespace
 
@@ -194,11 +196,9 @@ def test_extension_quotient_matches_representation_count(r3):
     assert res0.count == 9
 
 
-def test_census_nonsplit_raised(r3):
-    # matrix-units block plus a lone idempotent: semisimple of dimension 5
-    # with a 2-dimensional center; no uniform block size exists, so the
-    # census refuses to certify blocks
-    r = r3
+def _nonsplit_algebra(r):
+    """A matrix-units block plus a lone idempotent, built by hand with no
+    degrees: semisimple of dimension 5 with a 2-dimensional center."""
     basis = ["e11", "e12", "e21", "e22", "f"]
     idx = {b: i for i, b in enumerate(basis)}
     table = {}
@@ -213,8 +213,13 @@ def test_census_nonsplit_raised(r3):
             c = "e" + i[0] + j[1] if i[1] == j[0] else None
             put(a, b, c)
     put("f", "f", "f")
-    A = fiber.FDAlgebra(dim=5, root=r, basis_labels=basis, monomial=False,
-                        unit_index=0, gens=list(range(5)), table=table)
+    return fiber.FDAlgebra(dim=5, root=r, basis_labels=basis, monomial=False,
+                           unit_index=0, gens=list(range(5)), table=table)
+
+
+def test_census_nonsplit_raised(r3):
+    # no uniform block size exists, so the census refuses to certify blocks
+    A = _nonsplit_algebra(r3)
     res_rad = fiber._census_table(A)
     assert res_rad[0] == 0 and res_rad[1] == 2
     with pytest.raises(fiber.NonSplit):
@@ -729,3 +734,144 @@ def test_monomial_census_does_no_cyclotomic_arithmetic(r3, r5, monkeypatch):
                  "__truediv__", "inverse"):
         monkeypatch.setattr(CycloNum, name, refuse)
     assert [fiber.census(A) for A in fibers] == expected
+
+
+# ---------------------------------------------------------------------------
+# The graded table census against the dense census it replaced.
+
+def _census_table_reference(A):
+    """(rad_dim, count, dim A/J) from the dense n x n trace form and one
+    elimination over every generator commutator, ignoring any grading."""
+    n, r = A.dim, A.root
+    traces = []
+    for k in range(n):
+        t = r.zero()
+        for j in range(n):
+            c = A.product(k, j).get(j)
+            if c is not None:
+                t = t + c
+        traces.append(t)
+    gram = [[r.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            tr = r.zero()
+            for k, c in A.product(i, j).items():
+                if not traces[k].is_zero():
+                    tr = tr + c * traces[k]
+            gram[i][j] = tr
+            gram[j][i] = tr
+    rad = fiber.kernel_c(gram, n, r)
+
+    def commutator(g, b):
+        vec = [r.zero()] * n
+        for k, c in A.product(g, b).items():
+            vec[k] = vec[k] + c
+        for k, c in A.product(b, g).items():
+            vec[k] = vec[k] - c
+        return vec
+
+    span = fiber.rref_c(rad + [commutator(g, b) for g in A.gens
+                               for b in range(n)])[1]
+    return len(rad), n - len(span), n - len(rad)
+
+
+WEYL_N2 = ([[0, 1], [-1, 0]], [1, 1])
+
+
+def _weyl_n2_table_fibers(r3):
+    """The dim-81 fibers of the two `weyl-table` benchmark characters (all
+    ones; every y zero and every x one) and of the killed-w stratum of
+    test_wider.py, which has a radical."""
+    W = models.build_weyl(*WEYL_N2)
+    for ys, xs in ((1, 1), (0, 1)):
+        vals = {"y1": ys, "y2": ys, "x1": xs, "x2": xs}
+        wits = {g: 1 for g, v in vals.items() if v}
+        yield fiber.fiber_algebra(W, make_character(r3, vals, wits)
+                                  .check(W, r3), r3)
+    e, one = r3.eps(), r3.one()
+    u = (one - e).inverse()
+    chi = strata.Character({"x1": u ** 3, "x2": one, "y1": one, "y2": one},
+                           {"x1": u, "x2": one, "y1": one, "y2": one,
+                            "w2": e - one}).check(W, r3)
+    ctx = strata.enumerate_strata(W, r3)
+    yield fiber.fiber_algebra(W, chi, r3, strata.locate(chi, ctx))
+
+
+def _component_sizes(degrees):
+    return sorted(Counter(degrees).values())
+
+
+def test_graded_census_matches_dense_reference(r3, r5):
+    fibers = []
+    for r in (r3, r5):
+        fibers.extend(fiber.fiber_algebra(W, chi, r)
+                      for W, chi in _weyl_n1_characters(r))
+    W = models.build_weyl([[0]], [1])
+    fibers.append(fiber.fiber_algebra(
+        W, make_character(r3, {"y1": 2, "x1": -1}).check(W, r3), r3))
+    fibers.append(fiber.fiber_algebra(*_custom_weyl_character(r3), r3))
+    fibers.extend(_weyl_n2_table_fibers(r3))
+    fibers.append(_nonsplit_algebra(r3))
+    seen = set()
+    for A in fibers:
+        res = fiber._census_table(A)
+        assert res == _census_table_reference(A)
+        graded = A.degrees is not None
+        seen.add((A.dim, graded and len(set(A.degrees)), res[0] > 0))
+    # Weyl n=1 at l = 3 and 5 and n=2 with and without a radical, graded
+    # into l^n components, and the hand-built algebra with no degrees
+    assert seen == {(9, 3, False), (25, 5, False), (81, 9, False),
+                    (81, 9, True), (5, False, False)}
+
+
+def _monomial_degrees(P, l):
+    weights = fiber.presentation_weights(P, l)
+    return [tuple(sum(w * e for w, e in zip(wt, a)) % l for wt in weights)
+            for a in iproduct(range(l), repeat=P.N)]
+
+
+def test_weyl_grading_components(r3):
+    # deg y_i = e_i and deg x_i = -e_i: l^n components of size l^n
+    for n, S, exps in ((1, [[0]], [1]), (2, *WEYL_N2)):
+        P = models.build_weyl(S, exps).presentation
+        for l in (3, 5):
+            assert (_component_sizes(_monomial_degrees(P, l))
+                    == [l ** n] * l ** n)
+    # the built fibers carry the same labels
+    W, chi = next(_weyl_n1_characters(r3))
+    A = fiber.fiber_algebra(W, chi, r3)
+    assert A.degrees == _monomial_degrees(W.presentation, 3)
+    for A in _weyl_n2_table_fibers(r3):
+        assert _component_sizes(A.degrees) == [9] * 9
+
+
+def test_trivial_grading(r3):
+    # delta rules that admit only the zero weight give no weight vector, so
+    # every label is the empty tuple: one component.  (These three constant
+    # rules fail engine.validate; a valid tower always has the nonzero
+    # weight S_u + s_u e_u of its first generator u with a delta rule.)
+    one = engine.Element.one(3)
+    P = engine.AlgebraPresentation(
+        ["a", "b", "c"], 3, [[0, 1, -1], [-1, 0, 1], [1, -1, 0]],
+        exps=[1, 1, 0], delta={(0, 1): one, (0, 2): one, (1, 2): one})
+    assert fiber.presentation_weights(P, 3) == []
+    assert set(_monomial_degrees(P, 3)) == {()}
+    # the same fibers with every element in degree 0 get the same census
+    for A in (next(_weyl_n2_table_fibers(r3)),
+              fiber.fiber_algebra(*_custom_weyl_character(r3), r3)):
+        flat = dataclasses.replace(A, degrees=[()] * A.dim)
+        assert fiber._census_table(flat) == fiber._census_table(A)
+        assert fiber._census_table(dataclasses.replace(A, degrees=None)) \
+            == fiber._census_table(A)
+
+
+def test_census_rejects_a_wrong_degree_label(r3):
+    W, chi = next(_weyl_n1_characters(r3))
+    A = fiber.fiber_algebra(W, chi, r3)
+    fiber.census(A)
+    for g in A.gens:
+        degrees = list(A.degrees)
+        degrees[g] = tuple((x + 1) % 3 for x in degrees[g])
+        broken = dataclasses.replace(A, degrees=degrees)
+        with pytest.raises(engine.ValidationFailed, match="homogeneous"):
+            fiber.census(broken)
