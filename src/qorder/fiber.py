@@ -5,14 +5,17 @@ The fiber of a character is the quotient of the specialized algebra by the
 central ideal the character cuts out.  Twisted models give monomial fibers
 (products of basis monomials are scalar multiples of basis monomials), which
 keeps the census combinatorial: it compares integer cocycle exponents and
-does no cyclotomic arithmetic.  Models with lower-order terms get a full
-structure-constant table, built from the generators' left operators and
-graded by the presentation's own (Z/l)-weights.  The census computes the
-radical J of the trace form and counts dim A/([A, A] + J), with [A, A]
-spanned by the commutators of the algebra's generators with its basis; a
-table fiber is counted one degree of its grading at a time, after every
-product is checked to be homogeneous.  It never assumes the count it is
-asked to confirm.
+does no cyclotomic arithmetic.  Models with lower-order terms give table
+fibers: no product table is stored, only the left operators of the
+generators on the PBW basis, graded by the presentation's own
+(Z/l)-weights.  The census computes the radical J of the trace form and
+counts dim A/([A, A] + J), with [A, A] spanned by the commutators of the
+algebra's generators with its basis.  A table fiber is counted one degree
+of its grading at a time from those operators alone: the right operators
+follow from them, homogeneity is checked on both, the degree-0 traces come
+from the full left operators of half-monomials, and the gram blocks are
+filled row by row from the traces.  The census never assumes the count it
+is asked to confirm.
 
 Clock/shift representations are built and verified on sparse monomial rows
 (one {column: nonzero} dict per row), so products cost O(nnz) and l-th
@@ -183,18 +186,25 @@ class FDAlgebra:
     elements b span [A, A].
     monomial=True: products of basis elements are scalar multiples of basis
     elements, provided by mono_mult (index pair -> (index, scalar) or None).
-    mono_index gives the same product in integers: (k, c) or None, with k
-    the product's basis index and c the survivor_cocycle exponent of the two
-    labels.  mono_mult(i, j) is (k, eps^c * s), where s (the l-th-power
-    scalar and the union-find weight) is nonzero and depends only on the sum
-    of the two labels, so [b_i, b_j] != 0 exactly when c(i, j) and c(j, i)
-    differ mod l.
-    monomial=False: table[(i, j)] is a sparse dict index -> scalar.
+    mono_index gives the same product's basis index in integers (k or
+    None), and mono_cocycle(i, j) the survivor_cocycle exponent c of the
+    two labels.  mono_mult(i, j) is (k, eps^c * s), where s (the
+    l-th-power scalar and the union-find weight) is nonzero and depends
+    only on the sum of the two labels, so [b_i, b_j] != 0 exactly when
+    c(i, j) and c(j, i) differ mod l.
+    monomial=False: no product is stored.  basis_labels are exponent
+    vectors a with b_a = x^a in PBW order, gens[u] is the index of e_u and
+    the unit is the zero vector.  Every other a has a' = a - e_v in the
+    basis before it, v its first nonzero position, and b_a = x_v b_a'.
+    left[u] is the left operator of generator u as sparse rows: left[u][j]
+    is x_u b_j, a dict index -> scalar.  Every product is a composition of
+    these operators (product(i, j) composes them, for tests).
     degrees labels the basis elements of a table fiber by their degree in a
     (Z/l)^K grading: degrees[i] is a tuple of K residues mod l, and every
     product b_i b_j must lie in degree degrees[i] + degrees[j] (the census
-    checks this and raises engine.ValidationFailed otherwise).  None means
-    the trivial grading, with every element in degree 0.
+    checks this on the generators' operators and raises
+    engine.ValidationFailed otherwise).  None means the trivial grading,
+    with every element in degree 0.
     """
 
     dim: int
@@ -205,14 +215,20 @@ class FDAlgebra:
     gens: list
     mono_mult: object = None
     mono_index: object = None
-    table: dict = None
+    mono_cocycle: object = None
+    left: list = None
     degrees: list = None
 
     def product(self, i, j):
         if self.monomial:
             hit = self.mono_mult(i, j)
             return {} if hit is None else {hit[0]: hit[1]}
-        return self.table.get((i, j), {})
+        # b_i b_j = x_v1 (x_v2 (... b_j)): the last generator acts first
+        vec = {j: self.root.one()}
+        for u, e in reversed(list(enumerate(self.basis_labels[i]))):
+            for _ in range(e):
+                vec = sp_mul([vec], self.left[u])[0]
+        return vec
 
 
 class _WeightedUF:
@@ -287,12 +303,12 @@ def fiber_algebra(model, character, r, located=None):
     ambient-central monomials beyond the l-center (extending z's), the fiber
     is further divided by their character values, which requires witnesses.
 
-    Models with lower-order terms get a structure-constant table built from
-    the generators' left operators, graded by presentation_weights.  It
-    needs every generator's l-th power central at eps
-    (engine.ValidationFailed otherwise), and a located stratum with
-    extending z's raises Unsupported, since the table build has no extension
-    quotient.
+    Models with lower-order terms keep the generators' left operators on
+    the basis (N * l^N engine products) and no product table, graded by
+    presentation_weights.  They need every generator's l-th power central
+    at eps (engine.ValidationFailed otherwise), and a located stratum with
+    extending z's raises Unsupported, since the table build has no
+    extension quotient.
     """
     P = model.presentation
     N = P.N
@@ -345,27 +361,31 @@ def fiber_algebra(model, character, r, located=None):
             rep, w = uf.find(vec2)
             return _ri[rep], lam * w
 
-        def mono_index(i, j, _reps=reps, _ri=rep_index):
+        # The index of each reduced vector's representative, so that
+        # mono_index runs no find; with no union every vector is its own.
+        rep_of = ({v: rep_index[uf.find(v)[0]] for v in basis} if uf.parent
+                  else rep_index)
+
+        def mono_index(i, j, _reps=reps):
             a, b = _reps[i], _reps[j]
             for c in zero_coords:
                 if a[c] + b[c] >= l:
                     return None
-            vec2 = tuple((x + y) % l for x, y in zip(a, b))
-            return (_ri[uf.find(vec2)[0]],
-                    strata_mod.survivor_cocycle(S, a, b))
+            return rep_of[tuple((x + y) % l for x, y in zip(a, b))]
 
-        gens = [rep_index[uf.find(e)[0]] for e in unit_vectors]
+        def mono_cocycle(i, j, _reps=reps):
+            return strata_mod.survivor_cocycle(S, _reps[i], _reps[j])
+
         return FDAlgebra(dim=len(reps), root=r, basis_labels=reps,
-                         monomial=True,
-                         unit_index=rep_index[uf.find((0,) * N)[0]],
-                         gens=gens, mono_mult=mono_mult, mono_index=mono_index)
+                         monomial=True, unit_index=rep_of[(0,) * N],
+                         gens=[rep_of[e] for e in unit_vectors],
+                         mono_mult=mono_mult, mono_index=mono_index,
+                         mono_cocycle=mono_cocycle)
 
     ts = located.stratum.torus if located is not None else None
     if ts is not None and ts.t < ts.p:
         raise Unsupported("extension quotient on a table fiber is not "
                           "supported")
-    # For a != 0 with first nonzero position u, x^a = x_u x^a' with
-    # a' = a - e_u earlier in the basis, so row a is L_u applied to row a'.
     # Reducing exponents is a homomorphism exactly when the l-th powers are
     # central.
     one = r.one()
@@ -382,26 +402,14 @@ def fiber_algebra(model, character, r, located=None):
         return entry
 
     gen_elems = [EpsElement(N, r, {e: one}) for e in unit_vectors]
-    ops = [[reduced(engine.mul_at_root(P, r, g, EpsElement(N, r, {b: one})))
-            for b in basis] for g in gen_elems]
-    table = {(0, j): {j: one} for j in range(len(basis))}
-    for i, a in enumerate(basis[1:], 1):
-        u = next(t for t, e in enumerate(a) if e)
-        prev = index[a[:u] + (a[u] - 1,) + a[u + 1:]]
-        Lu = ops[u]
-        for j in range(len(basis)):
-            entry = {}
-            for k, c in table.get((prev, j), {}).items():
-                for m, d in Lu[k].items():
-                    _accumulate(entry, m, c * d)
-            if entry:
-                table[(i, j)] = entry
+    left = [[reduced(engine.mul_at_root(P, r, g, EpsElement(N, r, {b: one})))
+             for b in basis] for g in gen_elems]
     weights = presentation_weights(P, l)
     degrees = [tuple(sum(w * e for w, e in zip(wt, a)) % l for wt in weights)
                for a in basis]
     return FDAlgebra(dim=len(basis), root=r, basis_labels=basis,
                      monomial=False, unit_index=index[(0,) * N],
-                     gens=[index[e] for e in unit_vectors], table=table,
+                     gens=[index[e] for e in unit_vectors], left=left,
                      degrees=degrees)
 
 
@@ -768,18 +776,17 @@ def _census_monomial(A):
     """J is spanned by the basis monomials b with b^l = 0, and every
     commutator of two monomials is a multiple of one monomial, so the count
     is the number of live monomials that no nonzero [g, b] hits.  Only the
-    integer products of mono_index are read: [g, b] != 0 exactly when the
-    two cocycle exponents differ mod l."""
+    integer products of mono_index and mono_cocycle are read: [g, b] != 0
+    exactly when the two cocycle exponents differ mod l."""
     l = A.root.l
     unit = A.unit_index
     live = []
     for b in range(A.dim):
         power = b
         for _ in range(l - 1):
-            step = A.mono_index(power, b)
-            if step is None:
+            power = A.mono_index(power, b)
+            if power is None:
                 break
-            power = step[0]
         else:
             if power != unit:
                 raise ArithmeticError("l-th power of a monomial is not a unit")
@@ -793,31 +800,54 @@ def _census_monomial(A):
             gb = A.mono_index(g, b)
             if gb is None:
                 continue
-            bg = A.mono_index(b, g)
-            if bg[0] != gb[0]:
+            if A.mono_index(b, g) != gb:
                 raise ArithmeticError("monomial product order mismatch")
-            if (gb[1] - bg[1]) % l:
-                hit.add(gb[0])
+            if (A.mono_cocycle(g, b) - A.mono_cocycle(b, g)) % l:
+                hit.add(gb)
     count = len(live_set - hit)
     return A.dim - len(live), count, len(live)
 
 
 def _census_table(A):
-    """The census of a structure table, one degree of its grading at a time.
+    """The census of a table fiber, one degree of its grading at a time:
+    (rad_dim, count, dim A/J) from the blocks of _table_components."""
+    r = A.root
+    rad_dim = 0
+    rank = 0
+    for comp, _, block, commutators in _table_components(A):
+        rad = kernel_c(block, len(comp), r)
+        rad_dim += len(rad)
+        rank += len(rref_c(chain(rad, commutators), limit=len(comp))[1])
+    return rad_dim, A.dim - rank, A.dim - rad_dim
 
-    The trace form of an associative algebra is tr(L_i L_j) =
-    tr(L_{b_i b_j}) = sum_k c_ijk t_k with t_k = tr(L_k).  L_b shifts degree
-    by deg b, so only degree-0 elements have a nonzero trace, the form pairs
-    degree e only with -e, and J is the direct sum over e of the kernels of
-    the blocks with rows of degree -e and columns of degree e.  Each
-    commutator [g, b] lies in degree deg g + deg b, so [A, A] + J is reduced
-    per degree, in the coordinates of that component, until it fills it.
-    All of this rests on every product being homogeneous, which is checked
-    first; with the trivial grading there is one component, the whole
-    algebra."""
+
+def _table_components(A):
+    """Per degree d of the grading of a table fiber: (comp, partners, block,
+    commutators), read from the generators' left operators only.
+
+    comp lists the basis elements of degree d and partners those of degree
+    -d.  The trace form of an associative algebra is tr(L_i L_j) =
+    tau(b_i b_j) with tau(b) = tr(L_b).  L_b shifts degree by deg b, so only
+    degree-0 elements have a nonzero trace, the form pairs degree d only
+    with -d, and J is the direct sum over d of the kernels of the blocks
+    block[s][t] = tau(b_partners[s] b_comp[t]).  Each commutator [g, b]
+    lies in degree deg g + deg b; commutators yields those of degree d, in
+    the coordinates of comp, lazily, so the caller can stop once they fill
+    it.  All of this rests on every product being homogeneous, which is
+    checked on the generators' left and right operators first (every
+    product is a composition of them); with the trivial grading there is
+    one component, the whole algebra.
+
+    The right operators come from the left ones: b_a = x_v b_a' gives
+    b_a x_u = x_v (b_a' x_u).  The degree-0 traces come from _traces, and
+    the gram rows follow from them by tau(xy) = tau(yx): tau(b_a b_j) =
+    tau(b_a' b_j x_v).
+    """
     n = A.dim
     r = A.root
     l = r.l
+    zero_s = r.zero()
+    basis = A.basis_labels
     labels = A.degrees or [()] * n
     names = sorted(set(labels))
     code = {d: t for t, d in enumerate(names)}
@@ -825,12 +855,6 @@ def _census_table(A):
     plus = [[code.get(tuple((x + y) % l for x, y in zip(d, e)))
              for e in names] for d in names]
     minus = [code.get(tuple(-x % l for x in d)) for d in names]
-    for (i, j), entry in A.table.items():
-        d = plus[deg[i]][deg[j]]
-        if any(deg[k] != d for k in entry):
-            raise engine.ValidationFailed(
-                "the product of basis elements %d and %d is not homogeneous"
-                % (i, j))
     comps = [[] for _ in names]
     for i, d in enumerate(deg):
         comps[d].append(i)
@@ -839,48 +863,103 @@ def _census_table(A):
         for t, i in enumerate(comp):
             pos[i] = t
 
-    zero = code.get(tuple(0 for _ in names[0]))
-    traces = {}
-    for k in range(n):
-        if deg[k] != zero:
-            continue
-        t = r.zero()
+    # b_i = x_v b_p for every i but the unit, with p earlier in the basis
+    index = {a: i for i, a in enumerate(basis)}
+    steps = [None] * n
+    for i, a in enumerate(basis):
+        if i != A.unit_index:
+            v = next(t for t, e in enumerate(a) if e)
+            steps[i] = (v, index[a[:v] + (a[v] - 1,) + a[v + 1:]])
+    right = []
+    for g in A.gens:
+        rows = [None] * n
+        rows[A.unit_index] = {g: r.one()}
+        for i, step in enumerate(steps):
+            if step is not None:
+                rows[i] = sp_mul([rows[step[1]]], A.left[step[0]])[0]
+        right.append(rows)
+    for left, rt, g in zip(A.left, right, A.gens):
         for j in range(n):
-            c = A.product(k, j).get(j)
-            if c is not None:
-                t = t + c
-        if not t.is_zero():
-            traces[k] = t
+            d = plus[deg[g]][deg[j]]
+            for i, k, entry in ((g, j, left[j]), (j, g, rt[j])):
+                if any(deg[m] != d for m in entry):
+                    raise engine.ValidationFailed(
+                        "the product of basis elements %d and %d is not "
+                        "homogeneous" % (i, k))
 
-    def trace_form(i, j):
-        tr = r.zero()
-        for k, c in A.product(i, j).items():
-            if k in traces:
-                tr = tr + c * traces[k]
-        return tr
+    zero = code[tuple(0 for _ in names[0])]
+    traces = _traces(A, steps, index, comps[zero])
 
-    def commutator(g, b, size):
-        vec = [r.zero()] * size
-        for k, c in A.product(g, b).items():
+    # gram[i] lists tau(b_i b_j) for j of degree -deg i, in the order of
+    # that component
+    gram = [None] * n
+    gram[A.unit_index] = [traces.get(j, zero_s) for j in comps[zero]]
+    for i, step in enumerate(steps):
+        if step is None:
+            continue
+        v, p = step
+        prev = gram[p]
+        row = []
+        for j in (comps[minus[deg[i]]] if minus[deg[i]] is not None else ()):
+            t = zero_s
+            for m, c in right[v][j].items():
+                t = t + c * prev[pos[m]]
+            row.append(t)
+        gram[i] = row
+
+    def commutator(u, b, size):
+        vec = [zero_s] * size
+        for k, c in A.left[u][b].items():
             vec[pos[k]] = vec[pos[k]] + c
-        for k, c in A.product(b, g).items():
+        for k, c in right[u][b].items():
             vec[pos[k]] = vec[pos[k]] - c
         return vec
 
-    rad_dim = 0
-    rank = 0
     for d, comp in enumerate(comps):
         partners = comps[minus[d]] if minus[d] is not None else []
-        block = [[trace_form(i, j) for j in comp] for i in partners]
-        rad = kernel_c(block, len(comp), r)
-        rad_dim += len(rad)
-        sources = [(g, b) for g in A.gens
+        sources = [(u, b) for u, g in enumerate(A.gens)
                    for e, other in enumerate(comps) if plus[deg[g]][e] == d
                    for b in other]
-        rank += len(rref_c(chain(rad, (commutator(g, b, len(comp))
-                                       for g, b in sources)),
-                           limit=len(comp))[1])
-    return rad_dim, n - rank, n - rad_dim
+        yield (comp, partners, [gram[i] for i in partners],
+               (commutator(u, b, len(comp)) for u, b in sources))
+
+
+def _traces(A, steps, index, elements):
+    """{k: tr(L_{b_k})} for the basis elements k of a table fiber listed in
+    elements, zeros left out.  x^a = x^p x^q for a = (p | q) split at
+    position N // 2, so tr(L_{x^a}) = sum_j sum_m (x^q b_j)_m (x^p b_m)_j
+    needs the full left operators of those half-monomials only, each one
+    operator product from its predecessor along steps."""
+    r = A.root
+    full = {A.unit_index: sp_eye(A.dim, r)}
+
+    def full_left(i):
+        """Rows b_m -> b_i b_m of the left operator of b_i."""
+        path = []
+        k = i
+        while k not in full:
+            path.append(k)
+            k = steps[k][1]
+        for k in reversed(path):
+            v, p = steps[k]
+            full[k] = sp_mul(full[p], A.left[v])
+        return full[i]
+
+    traces = {}
+    for k in elements:
+        a = A.basis_labels[k]
+        half = len(a) // 2
+        head = full_left(index[a[:half] + (0,) * (len(a) - half)])
+        tail = full_left(index[(0,) * half + a[half:]])
+        t = r.zero()
+        for j, row in enumerate(tail):
+            for m, c in row.items():
+                d = head[m].get(j)
+                if d is not None:
+                    t = t + c * d
+        if t:
+            traces[k] = t
+    return traces
 
 
 def _infer_blocks(count, dimq, constructed_dims):

@@ -320,3 +320,28 @@ def test_verify_twisted_n5_l7(tmp_path, monkeypatch):
             "census: fiber dimension 16807 exceeds the cap"]
     # one representation per character, built and verified on the way
     assert [(p.dim, p.verified) for p in built] == [(49, True)] * 2
+
+
+# `weyl-table` job 0 of benchmark seed 1 at l = 5: a dim-625 table fiber
+WEYL_N2_L5 = """
+algebra.kind = weyl
+algebra.S = 0 1 / -1 0
+algebra.exponents = 1 1
+root.l = 5
+root.primitive_index = 2
+character.x1 = 1
+character.witness.x1 = 1
+character.x2 = 1
+character.witness.x2 = 1
+character.y1 = 1
+character.witness.y1 = 1
+character.y2 = 1
+character.witness.y2 = 1
+"""
+
+
+def test_oracle_weyl_n2_l5(tmp_path):
+    code, text = run_cli(tmp_path, WEYL_N2_L5, "oracle")
+    assert code == 0
+    assert text == ("oracle: dim=625 rad=0 count=1 blocks=[25] "
+                    "(inferred-uniform)\n")

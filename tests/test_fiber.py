@@ -197,24 +197,24 @@ def test_extension_quotient_matches_representation_count(r3):
 
 
 def _nonsplit_algebra(r):
-    """A matrix-units block plus a lone idempotent, built by hand with no
-    degrees: semisimple of dimension 5 with a 2-dimensional center."""
-    basis = ["e11", "e12", "e21", "e22", "f"]
-    idx = {b: i for i, b in enumerate(basis)}
-    table = {}
-
-    def put(a, b, c):
-        if c is not None:
-            table[(idx[a], idx[b])] = {idx[c]: r.one()}
-
-    for a in ("e11", "e12", "e21", "e22"):
-        for b in ("e11", "e12", "e21", "e22"):
-            i, j = a[1:], b[1:]
-            c = "e" + i[0] + j[1] if i[1] == j[0] else None
-            put(a, b, c)
-    put("f", "f", "f")
+    """A matrix-units block plus a lone idempotent, M_2 + C, with no
+    degrees: semisimple of dimension 5 with a 2-dimensional center.  It is
+    generated by X = e12, Y = e21 and F = f, with the ordered monomials 1,
+    X, Y, XY = e11 and F as its basis (e22 = 1 - XY - F), and given by the
+    left operators of its generators."""
+    basis = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
+    one, XY, F = 0, 3, 4
+    e = r.one()
+    left = [
+        # X: 1 -> X, Y -> XY, everything else -> 0
+        [{1: e}, {}, {XY: e}, {}, {}],
+        # Y: 1 -> Y, X -> e22, XY -> Y
+        [{2: e}, {one: e, XY: -e, F: -e}, {}, {2: e}, {}],
+        # F: 1 -> F, F -> F
+        [{F: e}, {}, {}, {}, {F: e}],
+    ]
     return fiber.FDAlgebra(dim=5, root=r, basis_labels=basis, monomial=False,
-                           unit_index=0, gens=list(range(5)), table=table)
+                           unit_index=0, gens=[1, 2, 4], left=left)
 
 
 def test_census_nonsplit_raised(r3):
@@ -337,7 +337,43 @@ def test_table_from_left_operators_matches_pairwise_products(r3, r5):
                   r3))
     for model, chi, r in cases:
         A = fiber.fiber_algebra(model, chi, r)
-        assert A.table == _pairwise_table(model, chi, r)
+        n = A.dim
+        table = _pairwise_table(model, chi, r)
+        products = {(i, j): A.product(i, j)
+                    for i, j in iproduct(range(n), repeat=2)}
+        assert {k: v for k, v in products.items() if v} == table
+        # the gram blocks and commutator spans of the census, built inline
+        # from the pairwise table
+        traces = []
+        for k in range(n):
+            t = r.zero()
+            for j in range(n):
+                t = t + table.get((k, j), {}).get(j, r.zero())
+            traces.append(t)
+
+        def tau(i, j):
+            t = r.zero()
+            for k, c in table.get((i, j), {}).items():
+                t = t + c * traces[k]
+            return t
+
+        commutators = []
+        for g, b in iproduct(A.gens, range(n)):
+            vec = dict(table.get((g, b), {}))
+            for k, c in table.get((b, g), {}).items():
+                vec[k] = vec.get(k, r.zero()) - c
+            vec = {k: c for k, c in vec.items() if c}
+            if vec:
+                commutators.append(vec)
+        covered = 0
+        for comp, partners, block, comms in fiber._table_components(A):
+            assert block == [[tau(i, j) for j in comp] for i in partners]
+            mine = [[vec.get(k, r.zero()) for k in comp]
+                    for vec in commutators if set(vec) <= set(comp)]
+            covered += len(mine)
+            assert fiber.rref_c(list(comms)) == fiber.rref_c(mine)
+        # every nonzero commutator is homogeneous
+        assert covered == len(commutators)
 
 
 def test_table_fiber_refuses_extending_z(r3):
@@ -801,27 +837,48 @@ def _component_sizes(degrees):
     return sorted(Counter(degrees).values())
 
 
-def test_graded_census_matches_dense_reference(r3, r5):
-    fibers = []
+def _table_fibers(r3, r5):
+    """Weyl n=1 at l = 3 and 5 and n=2 with and without a radical, graded
+    into l^n components, and the hand-built algebra with no degrees."""
     for r in (r3, r5):
-        fibers.extend(fiber.fiber_algebra(W, chi, r)
-                      for W, chi in _weyl_n1_characters(r))
+        for W, chi in _weyl_n1_characters(r):
+            yield fiber.fiber_algebra(W, chi, r)
     W = models.build_weyl([[0]], [1])
-    fibers.append(fiber.fiber_algebra(
-        W, make_character(r3, {"y1": 2, "x1": -1}).check(W, r3), r3))
-    fibers.append(fiber.fiber_algebra(*_custom_weyl_character(r3), r3))
-    fibers.extend(_weyl_n2_table_fibers(r3))
-    fibers.append(_nonsplit_algebra(r3))
+    yield fiber.fiber_algebra(
+        W, make_character(r3, {"y1": 2, "x1": -1}).check(W, r3), r3)
+    yield fiber.fiber_algebra(*_custom_weyl_character(r3), r3)
+    yield from _weyl_n2_table_fibers(r3)
+    yield _nonsplit_algebra(r3)
+
+
+def test_graded_census_matches_dense_reference(r3, r5):
     seen = set()
-    for A in fibers:
+    for A in _table_fibers(r3, r5):
         res = fiber._census_table(A)
         assert res == _census_table_reference(A)
         graded = A.degrees is not None
         seen.add((A.dim, graded and len(set(A.degrees)), res[0] > 0))
-    # Weyl n=1 at l = 3 and 5 and n=2 with and without a radical, graded
-    # into l^n components, and the hand-built algebra with no degrees
     assert seen == {(9, 3, False), (25, 5, False), (81, 9, False),
                     (81, 9, True), (5, False, False)}
+
+
+def test_table_census_reads_no_product(r3, r5, monkeypatch):
+    fibers = list(_table_fibers(r3, r5))
+    expected = [fiber._census_table(A) for A in fibers]
+
+    def refuse(*args):
+        raise AssertionError("the census read a product")
+
+    monkeypatch.setattr(fiber.FDAlgebra, "product", refuse)
+    for A, want in zip(fibers, expected):
+        assert not A.monomial
+        if A.degrees is None:  # the hand-built M_2 + C
+            assert fiber._census_table(A) == want
+            with pytest.raises(fiber.NonSplit):
+                fiber.census(A)
+            continue
+        res = fiber.census(A)
+        assert (res.rad_dim, res.count, A.dim - res.rad_dim) == want
 
 
 def _monomial_degrees(P, l):
