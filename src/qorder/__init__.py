@@ -24,7 +24,6 @@ from .zlattice import (
 from .engine import (
     AlgebraPresentation,
     Element,
-    EpsElement,
     NotCentral,
     ValidationFailed,
     commutator,
@@ -56,7 +55,7 @@ __all__ = [
     "cyclotomic_build", "eval_at_root", "divide_by_cyclotomic",
     "SkewForm", "is_admissible", "kernel_int", "skew_normal_form",
     "smith_normal_form",
-    "AlgebraPresentation", "Element", "EpsElement", "NotCentral",
+    "AlgebraPresentation", "Element", "NotCentral",
     "ValidationFailed", "commutator", "is_central_at_root", "normal_form",
     "poisson_bracket", "validate",
     "build_borel_sl2", "build_twisted", "build_weyl", "build_weyl_matrices",

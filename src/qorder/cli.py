@@ -321,9 +321,9 @@ def cmd_check(model, r, spec):
     return doc, text, code
 
 
-def _monomial_str(model, vec):
+def _monomial_str(names, vec):
     bits = []
-    for name, e in zip(model.presentation.gens, vec):
+    for name, e in zip(names, vec):
         if e:
             bits.append("%s^%d" % (name, e) if e != 1 else name)
     return "*".join(bits) if bits else "1"
@@ -339,12 +339,12 @@ def cmd_center(model, r, spec):
         if all(it.gen_index is not None for it in st.survivors):
             emb = [strata_mod.embed_vector(st, model.N, v) for v in eps_c]
             emb_l = [strata_mod.embed_vector(st, model.N, v) for v in l_c]
-            eps_str = [_monomial_str(model, v) for v in emb]
-            l_str = [_monomial_str(model, v) for v in emb_l]
+            eps_str = [_monomial_str(model.presentation.gens, v) for v in emb]
+            l_str = [_monomial_str(model.presentation.gens, v) for v in emb_l]
         else:
             labels = [it.label for it in st.survivors]
-            eps_str = [_torus_mono_str(labels, v) for v in eps_c]
-            l_str = [_torus_mono_str(labels, v) for v in l_c]
+            eps_str = [_monomial_str(labels, v) for v in eps_c]
+            l_str = [_monomial_str(labels, v) for v in l_c]
         results.append({"result.stratum": st.stratum_id,
                         "result.eps_center": eps_str,
                         "result.l_center": l_str,
@@ -354,14 +354,6 @@ def cmd_center(model, r, spec):
     doc = {"command": "center", "spec": spec.echo(), "notes": [],
            "results": results}
     return doc, text, 0
-
-
-def _torus_mono_str(labels, vec):
-    bits = []
-    for name, e in zip(labels, vec):
-        if e:
-            bits.append("%s^%d" % (name, e) if e != 1 else name)
-    return "*".join(bits) if bits else "1"
 
 
 def cmd_strata(model, r, spec):
@@ -548,13 +540,12 @@ def _verify_one(i):
 
 
 def cmd_verify(model, r, spec, jobs=1):
-    ctx = strata_mod.enumerate_strata(model, r)
-    adm = model.admissibility(r.l)
-    if not adm:
+    if not model.admissibility(r.l):
         rec = _admissibility_record(model, r)
         doc = {"command": "verify", "spec": spec.echo(), "notes": [MINOR_NOTE],
                "results": [rec]}
         return doc, ["verify: inadmissible root order"], 2
+    ctx = strata_mod.enumerate_strata(model, r)
     characters = _verify_characters(model, r, spec)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,

@@ -42,7 +42,10 @@ class ExpressionFailed(ArithmeticError):
 
 
 class Element:
-    """Finite sum of PBW monomials with QLaurent coefficients."""
+    """Finite sum of PBW monomials: {exponent vector: coefficient}.
+
+    Coefficients are QLaurents (Q[q, q^-1]) or, once specialized at a root
+    of unity, CycloNums; int and Fraction coefficients become QLaurents."""
 
     __slots__ = ("N", "terms")
 
@@ -51,7 +54,7 @@ class Element:
         self.terms = {}
         if terms:
             for vec, c in terms.items():
-                if not isinstance(c, QLaurent):
+                if isinstance(c, (int, Fraction)):
                     c = QLaurent.const(c)
                 if c:
                     self.terms[tuple(vec)] = c
@@ -118,7 +121,7 @@ class Element:
         return self + (-other)
 
     def scale(self, c):
-        if not isinstance(c, QLaurent):
+        if isinstance(c, (int, Fraction)):
             c = QLaurent.const(c)
         out = Element(self.N)
         if c:
@@ -139,77 +142,6 @@ class Element:
         for vec in self.support():
             bits.append("(%s)*x^%s" % (self.terms[vec], list(vec)))
         return " + ".join(bits)
-
-
-class EpsElement:
-    """Element with coefficients specialized at a root of unity."""
-
-    __slots__ = ("N", "root", "terms")
-
-    def __init__(self, N, root, terms=None):
-        self.N = N
-        self.root = root
-        self.terms = {}
-        if terms:
-            for vec, c in terms.items():
-                if c:
-                    self.terms[tuple(vec)] = c
-
-    @classmethod
-    def zero(cls, N, root):
-        return cls(N, root)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def support(self):
-        return sorted(self.terms)
-
-    def lead(self):
-        if not self.terms:
-            raise ValueError("zero element has no leading monomial")
-        return max(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, EpsElement):
-            return NotImplemented
-        return self.N == other.N and self.terms == other.terms
-
-    def __neg__(self):
-        out = EpsElement(self.N, self.root)
-        out.terms = {v: -c for v, c in self.terms.items()}
-        return out
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for v, c in other.terms.items():
-            s = out.get(v)
-            s = c if s is None else s + c
-            if s:
-                out[v] = s
-            else:
-                out.pop(v, None)
-        r = EpsElement(self.N, self.root)
-        r.terms = out
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        out = EpsElement(self.N, self.root)
-        if c:
-            out.terms = {v: w * c for v, w in self.terms.items()}
-        return out
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join("(%s)*x^%s" % (self.terms[v], list(v))
-                          for v in self.support())
 
 
 class AlgebraPresentation:
@@ -251,10 +183,6 @@ class AlgebraPresentation:
                 if any(vec[w] < 0 for w in range(n_poly)):
                     raise ValueError("delta value has negative polynomial exponent")
             self.delta[(u, v)] = elem
-        # Positions w that can block a later generator on its way left.
-        self.blockers_for = {
-            u: sorted(w for (w, v) in self.delta if v == u) for u in range(N)
-        }
         self._rewriters = {}
 
     def is_invertible(self, i):
@@ -267,55 +195,18 @@ class AlgebraPresentation:
         return "AlgebraPresentation(%s)" % ", ".join(self.gens)
 
 
-class _LaurentRing:
-    """Coefficient adapter for rewriting over Q[q, q^-1]."""
-
-    key = "laurent"
-
-    def __init__(self, pres):
-        self.delta_terms = {k: e.terms for k, e in pres.delta.items()}
-
-    @staticmethod
-    def qpow(k):
-        return QLaurent.q_power(k)
-
-    @staticmethod
-    def make(N, terms):
-        out = Element(N)
-        out.terms = terms
-        return out
-
-
-class _EpsRing:
-    """Coefficient adapter for rewriting over Q[q]/(Phi_l)."""
-
-    def __init__(self, pres, root):
-        self.root = root
-        self.key = ("eps", root.l, root.primitive_index)
-        self.delta_terms = {
-            k: {vec: root.eval(c) for vec, c in e.terms.items() if root.eval(c)}
-            for k, e in pres.delta.items()
-        }
-        self.delta_terms = {k: t for k, t in self.delta_terms.items() if t}
-
-    def qpow(self, k):
-        return self.root.eps_power(k)
-
-    def make(self, N, terms):
-        out = EpsElement(N, self.root)
-        out.terms = terms
-        return out
-
-
 class _Rewriter:
-    """Normal-form multiplication over a fixed presentation and scalar ring."""
+    """Normal-form multiplication over a fixed presentation and scalar ring.
 
-    def __init__(self, pres, ring):
-        self.pres = pres
-        self.ring = ring
+    qpow(k) is the scalar q^k of the ring and delta maps (u, v) to the terms
+    of the lower-order part of x_u x_v, with coefficients in that ring."""
+
+    def __init__(self, pres, qpow, delta):
         self.N = pres.N
         self.S = pres.S
-        self.delta = ring.delta_terms
+        self.qpow = qpow
+        self.delta = delta
+        # Positions w that can block a later generator on its way left.
         self.blockers_for = {
             u: sorted(w for (w, v) in self.delta if v == u)
             for u in range(pres.N)
@@ -351,24 +242,16 @@ class _Rewriter:
         return cur
 
     def gen_pow_times(self, u, k, terms):
-        if k < 0:
-            # Invertible generators q-commute exactly: one scalar shift.
+        if k < 0 or not self.blockers_for[u]:
+            # Invertible generators, and generators nothing blocks, q-commute
+            # exactly past every monomial: one scalar shift.
             out = {}
             Su = self.S[u]
             for vec, c in terms.items():
                 scal = k * sum(Su[w] * vec[w] for w in range(u) if vec[w])
                 nv = list(vec)
                 nv[u] += k
-                self._add(out, tuple(nv), c * self.ring.qpow(scal))
-            return out
-        if not self.blockers_for[u]:
-            out = {}
-            Su = self.S[u]
-            for vec, c in terms.items():
-                scal = k * sum(Su[w] * vec[w] for w in range(u) if vec[w])
-                nv = list(vec)
-                nv[u] += k
-                self._add(out, tuple(nv), c * self.ring.qpow(scal))
+                self._add(out, tuple(nv), c * self.qpow(scal))
             return out
         cur = terms
         for _ in range(k):
@@ -398,7 +281,7 @@ class _Rewriter:
                 scal = sum(Su[w] * b[w] for w in range(u) if b[w])
                 nv = list(b)
                 nv[u] += 1
-                return {tuple(nv): self.ring.qpow(scal)}
+                return {tuple(nv): self.qpow(scal)}
             w = blocking
             scal = sum(Su[t] * b[t] for t in range(w) if b[t])
             prefix = [(t, b[t]) for t in range(w) if b[t]]
@@ -407,7 +290,7 @@ class _Rewriter:
                 submono[t] = 0
             inner = self._gen_tail(u, w, submono[w], submono)
             out = {}
-            factor = self.ring.qpow(scal)
+            factor = self.qpow(scal)
             for vec, c in inner.items():
                 nv = list(vec)
                 for t, e in prefix:
@@ -423,7 +306,7 @@ class _Rewriter:
             rest = list(mono)
             rest[w] = 0
             return self.gen_times_mono(u, tuple(rest))
-        step = self.ring.qpow(self.S[u][w])
+        step = self.qpow(self.S[u][w])
         lower = list(mono)
         lower[w] = k - 1
         t1 = self._gen_tail(u, w, k - 1, lower)
@@ -434,32 +317,34 @@ class _Rewriter:
             self._add(out, tuple(nv), c * step)
         dterms = self.delta.get((w, u))
         if dterms:
-            tail = {tuple(lower): self.ring.qpow(0)}
+            tail = {tuple(lower): self.qpow(0)}
             prod = self.mul_terms(dterms, tail)
             for vec, c in prod.items():
                 self._add(out, vec, -(c * step))
         return out
 
 
-def _rewriter(P, ring_cls, *args):
-    if ring_cls is _LaurentRing:
-        key = "laurent"
-    else:
-        root = args[0]
-        key = ("eps", root.l, root.primitive_index)
+def _rewriter(P, r=None):
+    """The presentation's rewriter over Q[q, q^-1] (r None) or at the root
+    r, built once per root."""
+    key = None if r is None else (r.l, r.primitive_index)
     rw = P._rewriters.get(key)
     if rw is None:
-        ring = ring_cls(P, *args) if args else ring_cls(P)
-        rw = _Rewriter(P, ring)
+        if r is None:
+            rw = _Rewriter(P, QLaurent.q_power,
+                           {k: e.terms for k, e in P.delta.items()})
+        else:
+            delta = {k: specialize(e, r).terms for k, e in P.delta.items()}
+            rw = _Rewriter(P, r.eps_power,
+                           {k: t for k, t in delta.items() if t})
         P._rewriters[key] = rw
     return rw
 
 
 def mul(P, a, b):
     """Product of two normal-form elements, renormalized."""
-    rw = _rewriter(P, _LaurentRing)
     out = Element(P.N)
-    out.terms = rw.mul_terms(a.terms, b.terms)
+    out.terms = _rewriter(P).mul_terms(a.terms, b.terms)
     return out
 
 
@@ -472,14 +357,13 @@ def power(P, a, k):
 
 def mul_at_root(P, r, a, b):
     """Product of two specialized elements at eps."""
-    rw = _rewriter(P, _EpsRing, r)
-    out = EpsElement(P.N, r)
-    out.terms = rw.mul_terms(a.terms, b.terms)
+    out = Element(P.N)
+    out.terms = _rewriter(P, r).mul_terms(a.terms, b.terms)
     return out
 
 
 def power_at_root(P, r, a, k):
-    out = EpsElement(P.N, r, {(0,) * P.N: r.one()})
+    out = Element.one(P.N, r.one())
     for _ in range(k):
         out = mul_at_root(P, r, out, a)
     return out
@@ -487,7 +371,7 @@ def power_at_root(P, r, a, k):
 
 def specialize(a, r):
     """Map an Element to coefficients in Q[q]/(Phi_l)."""
-    out = EpsElement(a.N, r)
+    out = Element(a.N)
     for vec, c in a.terms.items():
         e = r.eval(c)
         if e:
@@ -745,7 +629,7 @@ def express_in_frame(P, r, target, frame, max_steps=4096):
                     % (list(alpha), f.name), residual)
         prod = cache.get(m)
         if prod is None:
-            prod = EpsElement(P.N, r, {(0,) * P.N: r.one()})
+            prod = Element.one(P.N, r.one())
             for mi, f in zip(m, frame):
                 if mi == 0:
                     continue
@@ -782,7 +666,8 @@ def expression_linear_part(expr, values, root):
     Returns (constant term at the point, list of partial derivatives).
     Handles zero values: a monomial with two or more vanishing factors has
     zero gradient; with exactly one vanishing factor only that partial
-    survives.
+    survives.  A negative power of a vanishing factor is a pole and raises
+    ZeroDivisionError.
     """
     n = len(values)
     grad = [root.zero() for _ in range(n)]
@@ -790,6 +675,8 @@ def expression_linear_part(expr, values, root):
     for m, c in expr.items():
         zero_pos = [i for i, (mi, val) in enumerate(zip(m, values))
                     if mi != 0 and val.is_zero()]
+        if any(m[i] < 0 for i in zero_pos):
+            raise ZeroDivisionError("frame polynomial has a pole at the point")
         if not zero_pos:
             base = c
             for mi, val in zip(m, values):

@@ -514,10 +514,6 @@ class RootData:
         return _make(self, (c.numerator,) + (0,) * (self.deg - 1),
                      c.denominator)
 
-    def canonical_power(self, k):
-        """k-th power of the canonical root, ignoring primitive_index."""
-        return self._powers[k % self.l]
-
     def eps_power(self, k):
         """eps^k for the selected primitive root."""
         return self._powers[(k * self.primitive_index) % self.l]

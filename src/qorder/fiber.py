@@ -19,7 +19,7 @@ is asked to confirm.
 
 Clock/shift representations are built and verified on sparse monomial rows
 (one {column: nonzero} dict per row), so products cost O(nnz) and l-th
-powers O(nnz log l); their dense matrices are filled in once verified.
+powers O(nnz log l).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from itertools import chain, product as iproduct
 
 from .exactnum import CycloNum
 from . import engine
-from .engine import EpsElement
 from . import strata as strata_mod
 from . import zlattice
 
@@ -401,8 +400,8 @@ def fiber_algebra(model, character, r, located=None):
             _accumulate(entry, index[vec2], c if scal is None else c * scal)
         return entry
 
-    gen_elems = [EpsElement(N, r, {e: one}) for e in unit_vectors]
-    left = [[reduced(engine.mul_at_root(P, r, g, EpsElement(N, r, {b: one})))
+    gen_elems = [engine.Element(N, {e: one}) for e in unit_vectors]
+    left = [[reduced(engine.mul_at_root(P, r, g, engine.Element(N, {b: one})))
              for b in basis] for g in gen_elems]
     weights = presentation_weights(P, l)
     degrees = [tuple(sum(w * e for w, e in zip(wt, a)) % l for wt in weights)
@@ -449,9 +448,9 @@ def _check_central_powers(P, r, unit_vectors):
     quotient by a central ideal only when each x_u^l commutes with every
     generator at eps."""
     one = r.one()
-    gens = [EpsElement(P.N, r, {e: one}) for e in unit_vectors]
+    gens = [engine.Element(P.N, {e: one}) for e in unit_vectors]
     for u, e in enumerate(unit_vectors):
-        power = EpsElement(P.N, r, {tuple(r.l * x for x in e): one})
+        power = engine.Element(P.N, {tuple(r.l * x for x in e): one})
         for g in gens:
             if (engine.mul_at_root(P, r, power, g)
                     != engine.mul_at_root(P, r, g, power)):
@@ -517,22 +516,25 @@ def sp_scale(A, c):
     return [{j: a * c for j, a in row.items()} for row in A]
 
 
-def sp_inv(A, r):
-    """Inverse.  One entry per row in distinct columns is a scaled
-    permutation, inverted entrywise; anything else goes through mat_inv_c."""
+def sp_inv(A, name="matrix"):
+    """Inverse of a scaled permutation (one entry per row, in distinct
+    columns), inverted entrywise.  Every matrix the program inverts is a
+    product of scaled clock and shift matrices; any other raises
+    ArithmeticError, naming it."""
     entries = [next(iter(row.items())) for row in A if len(row) == 1]
-    if len(entries) == len(A) and len({j for j, _ in entries}) == len(A):
-        out = [None] * len(A)
-        for i, (j, a) in enumerate(entries):
-            out[j] = {i: a.inverse()}
-        return out
-    return sp_from_dense(mat_inv_c(sp_to_dense(A, r), r))
+    if len(entries) != len(A) or len({j for j, _ in entries}) != len(A):
+        raise ArithmeticError("%s is not a scaled permutation matrix, so it "
+                              "has no sparse inverse" % name)
+    out = [None] * len(A)
+    for i, (j, a) in enumerate(entries):
+        out[j] = {i: a.inverse()}
+    return out
 
 
 def sp_pow(A, k, r):
     """A^k by binary powering; negative k powers the inverse."""
     if k < 0:
-        A, k = sp_inv(A, r), -k
+        A, k = sp_inv(A), -k
     out = sp_eye(len(A), r)
     while k:
         if k & 1:
@@ -548,15 +550,12 @@ def sp_pow(A, k, r):
 
 @dataclass
 class Representation:
-    """rows maps each generator label to its sparse matrix; mats holds the
-    same matrices as dense row lists, filled in once the representation is
-    verified."""
+    """rows maps each generator label to its sparse matrix."""
 
     rows: dict
     dim: int
     z_scalars: tuple
     verified: bool = False
-    mats: dict = None
 
     def sparse_of_element(self, model, elem, r):
         """Evaluate a PBW element under the representation, as sparse rows."""
@@ -570,10 +569,6 @@ class Representation:
                     term = sp_mul(term, sp_pow(self.rows[P.gens[i]], e, r))
             out = sp_add(out, sp_scale(term, coeff))
         return out
-
-    def matrix_of_element(self, model, elem, r):
-        """Evaluate a PBW element under the representation, as dense rows."""
-        return sp_to_dense(self.sparse_of_element(model, elem, r), r)
 
 
 def _clock(l, omega_pow, r, k_index, k_total):
@@ -666,7 +661,6 @@ def clock_shift_irreps(ctx, located, character):
                              z_scalars=tuple(z_scalars))
         _verify_representation(model, rep, character, r)
         rep.verified = True
-        rep.mats = {g: sp_to_dense(M, r) for g, M in rep.rows.items()}
         out.append(rep)
     return out
 
@@ -707,7 +701,7 @@ def _fill_weyl_generators(model, st, mats, r, dim):
         # y survives, x is determined: x_i = (q_i - 1)^-1 y_i^-1 (w_i - w_{i-1})
         qi = r.eps_power(model.exps[i - 1])
         coef = (qi - r.one()).inverse()
-        yinv = sp_inv(mats["y%d" % i], r)
+        yinv = sp_inv(mats["y%d" % i], "y%d" % i)
         diff = sp_add(wmats[i], sp_scale(wmats[i - 1], -1))
         mats["x%d" % i] = sp_scale(sp_mul(yinv, diff), coef)
 

@@ -68,13 +68,11 @@ class WeylMatrices:
     texp: skew exponents of the x-block commutations (x_i x_j = q^t_ij x_j x_i)
     uexp: exponents of the cross relations (x_i y_j = q^u_ij y_j x_i)
     sstar: the assembled 2n x 2n skew matrix on the (y..., x...) generators
-    qexp: exponent matrix of the assembled relation table, equal to sstar
     """
 
     texp: list
     uexp: list
     sstar: list
-    qexp: list
 
 
 def build_weyl_matrices(S, exps):
@@ -109,8 +107,7 @@ def build_weyl_matrices(S, exps):
             sstar[i][n + j] = -uexp[j][i]
             sstar[n + i][j] = uexp[i][j]
             sstar[n + i][n + j] = texp[i][j]
-    return WeylMatrices(texp=texp, uexp=uexp, sstar=sstar,
-                        qexp=[row[:] for row in sstar])
+    return WeylMatrices(texp=texp, uexp=uexp, sstar=sstar)
 
 
 @dataclass

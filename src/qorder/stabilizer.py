@@ -158,7 +158,7 @@ def rank_and_checks(g):
     diag = True
     for i in g.t_idx:
         M = g.ad_matrix(unit(i))
-        if not _squarefree_minpoly(M, r):
+        if not _diagonalizable(M, r):
             diag = False
     checks["ad_t_diagonalizable"] = diag
     if not (checks["t_abelian"] and checks["n_ideal"] and
@@ -173,32 +173,34 @@ def rank_and_checks(g):
     return StabilizerResult(lie=g, rank=rank, checks=checks)
 
 
-def _squarefree_minpoly(M, r):
-    """True when the minimal polynomial of M is squarefree."""
+def _diagonalizable(M, r):
+    """True when M is diagonalizable over the algebraic closure, that is when
+    the squarefree part p/gcd(p, p') of its characteristic polynomial p
+    vanishes at M.  p comes from the Faddeev-LeVerrier recursion, exact in
+    characteristic 0; the squarefree part is evaluated at M by Horner."""
     n = len(M)
-    # Find the first linear dependency among the powers of M.
-    powers = [fiber_mod.mat_eye(n, r)]
-    while True:
-        powers.append(fiber_mod.mat_mul_c(powers[-1], M, r))
-        k = len(powers) - 1
-        flat = [[P[a][b] for a in range(n) for b in range(n)] for P in powers]
-        mat = [[flat[t][c] for t in range(k)] for c in range(n * n)]
-        rhs = [-flat[k][c] for c in range(n * n)]
-        sol = fiber_mod.solve_c(mat, rhs, k, r)
-        if sol is not None:
-            coeffs = sol + [r.one()]
-            return _poly_squarefree(coeffs)
-        if k > n:
-            raise ArithmeticError("minimal polynomial search overran")
-
-
-def _poly_squarefree(coeffs):
-    """True when gcd(p, p') is a constant, p given low degree first."""
-    a = poly_trim(coeffs)
-    b = poly_trim([a[i] * i for i in range(1, len(a))])
+    # M_k = M M_(k-1) + c_(n-k+1) I and c_(n-k) = -tr(M M_k) / k, with
+    # M_0 = 0 and c_n = 1; p is stored low degree first.
+    p = [r.zero()] * n + [r.one()]
+    MMk = [[r.zero()] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        MMk = fiber_mod.mat_mul_c(M, _plus_scalar(MMk, p[n - k + 1]), r)
+        p[n - k] = -sum((MMk[i][i] for i in range(n)), r.zero()) / k
+    g = p
+    b = poly_trim([p[i] * i for i in range(1, n + 1)])
     while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return len(a) <= 1
+        g, b = b, poly_divmod(g, b)[1]
+    squarefree = poly_trim(poly_divmod(p, g)[0])
+    value = [[r.zero()] * n for _ in range(n)]
+    for c in reversed(squarefree):
+        value = _plus_scalar(fiber_mod.mat_mul_c(value, M, r), c)
+    return all(x.is_zero() for row in value for x in row)
+
+
+def _plus_scalar(A, c):
+    """A + c I."""
+    return [[a + c if i == j else a for j, a in enumerate(row)]
+            for i, row in enumerate(A)]
 
 
 # ---------------------------------------------------------------------------
@@ -469,69 +471,18 @@ class _WeylChart:
                 out = self.add(out, self.scale(part, c1 * c2))
         return out
 
-    def value_of(self, expr):
-        total = self.r.zero()
-        for vec, c in expr.items():
-            term = c
-            dead = False
-            for s, e in enumerate(vec):
-                if not e:
-                    continue
-                v = self.values[s]
-                if v.is_zero():
-                    if e < 0:
-                        raise ZeroDivisionError(
-                            "chart function has a pole at the character")
-                    dead = True
-                    break
-                term = term * v ** e
-            if not dead:
-                total = total + term
-        return total
-
     def gradient(self, expr, extra_dirs=0):
         """Linear part at the character over (a..., b...) plus opaque
-        directions, using the chain rule through the f coordinates."""
+        directions: the chain rule through the f coordinates."""
         r = self.r
-        width_out = self.base + extra_dirs
-        grad = [r.zero()] * width_out
-        for vec, c in expr.items():
-            factors = []  # (direction kind, index, exponent, value)
-            for s, e in enumerate(vec):
-                if e:
-                    factors.append((s, e, self.values[s]))
-            zero_pos = [t for t, (_, _, v) in enumerate(factors) if v.is_zero()]
-            if any(factors[t][1] < 0 for t in zero_pos):
-                raise ZeroDivisionError(
-                    "chart function has a pole at the character")
-            if len(zero_pos) >= 2:
-                continue
-            if len(zero_pos) == 1:
-                t0 = zero_pos[0]
-                s0, e0, _ = factors[t0]
-                if e0 != 1:
-                    continue
-                base = c
-                for t, (s, e, v) in enumerate(factors):
-                    if t != t0:
-                        base = base * v ** e
-                self._add_direction(grad, s0, base)
-                continue
-            base = c
-            for s, e, v in factors:
-                base = base * v ** e
-            for s, e, v in factors:
-                self._add_direction(grad, s, base * r.scalar(e) * v.inverse())
+        _, lin = engine.expression_linear_part(expr, self.values, r)
+        grad = lin[:self.base] + [r.zero()] * extra_dirs
+        for k, c in enumerate(lin[self.base:], start=1):
+            if not c.is_zero():
+                for t, g in enumerate(self.f_grad[k]):
+                    if not g.is_zero():
+                        grad[t] = grad[t] + c * g
         return grad
-
-    def _add_direction(self, grad, s, coeff):
-        if s < self.base:
-            grad[s] = grad[s] + coeff
-        else:
-            fg = self.f_grad[s - self.base + 1]
-            for t in range(self.base):
-                if not fg[t].is_zero():
-                    grad[t] = grad[t] + coeff * fg[t]
 
 
 def _weyl_stabilizer(ctx, located, character, level):
@@ -601,7 +552,7 @@ def _weyl_stabilizer(ctx, located, character, level):
             br = chart.bracket_functions(fi, fj)
             if not br:
                 continue
-            const = chart.value_of(br)
+            const = engine.evaluate_expression(br, chart.values, r)
             if not const.is_zero():
                 raise HypothesisFailed(
                     "bracket of %s, %s does not vanish at the character"

@@ -83,6 +83,31 @@ def test_check_and_admissibility(tmp_path):
     assert code == 2 and "admissible=False" in text
 
 
+@pytest.mark.parametrize("job, offender", [
+    # a Weyl pair exponent divisible by l
+    ("algebra.kind = weyl\nalgebra.S = 0 0 / 0 0\nalgebra.exponents = 3 1\n"
+     "root.l = 3\n", {"result.offending_exponent": 3}),
+    # a pairing invariant sharing a factor with l
+    ("algebra.kind = twisted\nalgebra.S = 0 3 / -3 0\nroot.l = 3\n",
+     {"result.offending_minor": {"subset": [0, 1], "value": 9}}),
+], ids=["weyl-exponent", "twisted-minor"])
+def test_verify_reports_an_inadmissible_root(tmp_path, capsys, job, offender):
+    """verify checks admissibility before it builds any stratum, so it
+    writes the same admissibility record as check, with exit code 2."""
+    code, text = run_cli(tmp_path, job, "verify", "--format", "data")
+    doc = json.loads(text)
+    assert code == 2 and capsys.readouterr().err == ""
+    assert doc["command"] == "verify"
+    assert doc["results"] == [dict({"result.admissible": False,
+                                    "result.l": 3}, **offender)]
+    check_code, check_text = run_cli(tmp_path, job, "check", "--format",
+                                     "data")
+    assert check_code == 2
+    assert json.loads(check_text)["results"] == doc["results"]
+    assert run_cli(tmp_path, job, "verify") == (
+        2, "verify: inadmissible root order\n")
+
+
 def test_commands_on_plane(tmp_path):
     for command, needle in (
         ("strata", "T=10"),

@@ -69,8 +69,8 @@ def test_clock_shift_quantum_plane(r3):
     reps = fiber.clock_shift_irreps(ctx, loc, chi)
     assert len(reps) == 1 and reps[0].dim == 3 and reps[0].verified
     # h g = eps g h on the representing matrices of the generators
-    X1 = reps[0].mats["x1"]
-    X2 = reps[0].mats["x2"]
+    X1 = fiber.sp_to_dense(reps[0].rows["x1"], r3)
+    X2 = fiber.sp_to_dense(reps[0].rows["x2"], r3)
     lhs = fiber.mat_mul_c(X1, X2, r3)
     rhs = fiber.mat_scale_c(fiber.mat_mul_c(X2, X1, r3), r3.eps())
     assert fiber.mat_eq_c(lhs, rhs)
@@ -85,8 +85,8 @@ def test_clock_shift_killed_stratum(r3):
     # killed generator acts by zero; the other by the three cube roots
     seen = set()
     for p in reps:
-        assert p.mats["x1"][0][0].is_zero()
-        v = p.mats["x2"][0][0]
+        assert p.rows["x1"] == [{}]
+        v = p.rows["x2"][0][0]
         assert v ** 3 == r3.one()
         seen.add(tuple(v.vec))
     assert len(seen) == 3
@@ -310,7 +310,7 @@ def _pairwise_table(model, character, r):
     chi = [character.value(g) for g in P.gens]
     basis = [tuple(v) for v in iproduct(range(r.l), repeat=P.N)]
     index = {v: i for i, v in enumerate(basis)}
-    mono = [engine.EpsElement(P.N, r, {v: r.one()}) for v in basis]
+    mono = [engine.Element(P.N, {v: r.one()}) for v in basis]
     table = {}
     for i, j in iproduct(range(len(basis)), repeat=2):
         entry = {}
@@ -391,8 +391,8 @@ def test_representation_element_evaluation(r3):
     loc = strata.locate(chi, ctx)
     rep = fiber.clock_shift_irreps(ctx, loc, chi)[0]
     elem = engine.Element(2, {(3, 0): 1})
-    M = rep.matrix_of_element(m, elem, r3)
-    assert fiber.mat_eq_c(M, fiber.mat_eye(3, r3))
+    M = rep.sparse_of_element(m, elem, r3)
+    assert M == fiber.sp_eye(3, r3)
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +539,9 @@ def test_mat_mul_matches_triple_loop():
 
 def _dense_relations_hold(model, rep, character, r):
     """Every defining relation and l-th power, checked with dense products
-    on rep.mats."""
+    on the representation's matrices."""
     P = model.presentation
-    gm = [rep.mats[g] for g in P.gens]
+    gm = [fiber.sp_to_dense(rep.rows[g], r) for g in P.gens]
     for u in range(P.N):
         for v in range(u + 1, P.N):
             lhs = fiber.mat_mul_c(gm[u], gm[v], r)
@@ -549,8 +549,8 @@ def _dense_relations_hold(model, rep, character, r):
                                     r.eps_power(P.S[u][v]))
             rule = P.delta.get((u, v))
             if rule is not None:
-                rhs = fiber.mat_add_c(rhs, rep.matrix_of_element(model, rule,
-                                                                 r))
+                rhs = fiber.mat_add_c(rhs, fiber.sp_to_dense(
+                    rep.sparse_of_element(model, rule, r), r))
             if not fiber.mat_eq_c(lhs, rhs):
                 return False
     eye = fiber.mat_eye(rep.dim, r)
@@ -607,60 +607,69 @@ def _built_representations(r3):
     return out
 
 
-def _dense_or_error(f, *args):
-    try:
-        return f(*args)
-    except ZeroDivisionError:
-        return ZeroDivisionError
-
-
 def _sparse_matches_dense(A, B, r):
-    """The sparse product, powers and inverse equal the dense ones."""
+    """The sparse product and powers equal the dense ones.  A scaled
+    permutation has the dense inverse; any other matrix has no sparse
+    inverse.  Returns whether A is a scaled permutation."""
     sA, sB = fiber.sp_from_dense(A), fiber.sp_from_dense(B)
     assert fiber.sp_to_dense(sA, r) == A
     assert fiber.sp_mul(sA, sB) == fiber.sp_from_dense(
         fiber.mat_mul_c(A, B, r))
-    for k in (-1, 2, r.l):
-        dense = _dense_or_error(fiber.mat_pow_c, A, k, r)
-        sparse = _dense_or_error(fiber.sp_pow, sA, k, r)
-        assert sparse == (dense if dense is ZeroDivisionError
-                          else fiber.sp_from_dense(dense))
-    dense = _dense_or_error(fiber.mat_inv_c, A, r)
-    sparse = _dense_or_error(fiber.sp_inv, sA, r)
-    assert sparse == (dense if dense is ZeroDivisionError
-                      else fiber.sp_from_dense(dense))
+    for k in (2, r.l):
+        assert fiber.sp_pow(sA, k, r) == fiber.sp_from_dense(
+            fiber.mat_pow_c(A, k, r))
+    columns = [j for row in sA for j in row]
+    permutation = (all(len(row) == 1 for row in sA)
+                   and len(set(columns)) == len(sA))
+    if permutation:
+        inverse = fiber.sp_from_dense(fiber.mat_inv_c(A, r))
+        assert fiber.sp_inv(sA) == inverse
+        assert fiber.sp_pow(sA, -1, r) == inverse
+    else:
+        with pytest.raises(ArithmeticError, match="A is not a scaled perm"):
+            fiber.sp_inv(sA, "A")
+        with pytest.raises(ArithmeticError, match="not a scaled permutation"):
+            fiber.sp_pow(sA, -1, r)
+    return permutation
 
 
 def test_sparse_representations_match_dense(r3):
     built = _built_representations(r3)
     kinds = set()
     permuted = 0
+    permutations = set()
     for model, chi, kind, rep in built:
         assert rep.verified
         assert _dense_relations_hold(model, rep, chi, r3)
-        mats = [rep.mats[g] for g in model.presentation.gens]
+        mats = [fiber.sp_to_dense(rep.rows[g], r3)
+                for g in model.presentation.gens]
         for g, M in zip(model.presentation.gens, mats):
             assert rep.rows[g] == fiber.sp_from_dense(M)
             permuted += any(j != i for i, row in enumerate(rep.rows[g])
                             for j in row)
         for A in mats:
             for B in mats:
-                _sparse_matches_dense(A, B, r3)
-            # a sum is in general not monomial, so its inverse takes the
-            # dense fallback
-            _sparse_matches_dense(fiber.mat_add_c(A, mats[0]), A, r3)
+                permutations.add(_sparse_matches_dense(A, B, r3))
         kinds.add((kind, rep.dim))
     # the Weyl stratum goes through _fill_weyl_generators
     assert kinds == {("A1", 1), ("A1", 3), ("A2", 3)}
     assert permuted > 0
+    # killed generators act by zero, which has no inverse
+    assert permutations == {True, False}
 
 
 def test_sparse_core_matches_dense_on_random_matrices():
+    permutations = set()
     for rng, r, A, _, m, n, k in _systems():
         if m == n:
             B = [[_rand_scalar(rng, r) for _ in range(n)] for _ in range(n)]
-            _sparse_matches_dense(A, B, r)
-            _sparse_matches_dense(B, A, r)
+            perm = rng.sample(range(n), n)
+            C = [[r.eps_power(rng.randrange(r.l)) * rng.choice((-2, 1, 3))
+                  if j == perm[i] else r.zero() for j in range(n)]
+                 for i in range(n)]
+            for X, Y in ((A, B), (B, A), (C, A)):
+                permutations.add(_sparse_matches_dense(X, Y, r))
+    assert permutations == {True, False}
 
 
 def test_verify_representation_rejects_broken_matrices(r3):

@@ -32,7 +32,6 @@ def test_weyl_matrices_n1():
     assert wm.texp == [[0]]
     assert wm.uexp == [[1]]
     assert wm.sstar == [[0, -1], [1, 0]]
-    assert wm.qexp == wm.sstar
 
 
 def test_weyl_matrices_n2():

@@ -1,10 +1,12 @@
+import random
+
 import pytest
 
-from qorder.exactnum import cyclotomic_build
-from qorder import models, stabilizer, strata
+from qorder.exactnum import cyclotomic_build, poly_divmod, poly_trim
+from qorder import cli, fiber, models, stabilizer, strata
 from qorder.stabilizer import (
     DecompositionInvalid,
-    _poly_squarefree,
+    _diagonalizable,
     FDLie,
     HypothesisFailed,
     linearized_stabilizer,
@@ -15,6 +17,7 @@ from qorder.stabilizer import (
     stabilizer_from_stratum,
 )
 from conftest import make_character
+from test_acceptance import _sweep_plan
 
 
 def plane(r):
@@ -296,6 +299,14 @@ def test_twisted_stabilizer_matches_engine_duplicate():
                     assert vec == g.bracket[key], (S, level, key)
 
 
+def _companion(p, r):
+    """Companion matrix of a monic p (low degree first): its minimal
+    polynomial is p itself."""
+    n = len(p) - 1
+    return [[(r.one() if j == i - 1 else r.zero()) if j < n - 1 else -p[i]
+             for j in range(n)] for i in range(n)]
+
+
 def test_poly_squarefree_over_cyclotomic_field():
     for l in (3, 5):
         r = cyclotomic_build(l)
@@ -309,5 +320,115 @@ def test_poly_squarefree_over_cyclotomic_field():
 
         simple = times_linear(times_linear([r.one()], r.one()), e)
         double = times_linear(simple, r.one())
-        assert _poly_squarefree(simple)
-        assert not _poly_squarefree(double)
+        assert _diagonalizable(_companion(simple, r), r)
+        assert not _diagonalizable(_companion(double, r), r)
+
+
+# ---------------------------------------------------------------------------
+# Diagonalizability: the characteristic polynomial against the minimal
+# polynomial search it replaced.
+
+def _squarefree_minpoly_reference(M, r):
+    """True when the minimal polynomial of M is squarefree: the first linear
+    dependency among the powers of M, flattened into one solve_c, and the
+    gcd of that polynomial with its derivative."""
+    n = len(M)
+    powers = [fiber.mat_eye(n, r)]
+    while True:
+        powers.append(fiber.mat_mul_c(powers[-1], M, r))
+        k = len(powers) - 1
+        flat = [[P[a][b] for a in range(n) for b in range(n)] for P in powers]
+        mat = [[flat[t][c] for t in range(k)] for c in range(n * n)]
+        rhs = [-flat[k][c] for c in range(n * n)]
+        sol = fiber.solve_c(mat, rhs, k, r)
+        if sol is not None:
+            a = poly_trim(sol + [r.one()])
+            b = poly_trim([a[i] * i for i in range(1, len(a))])
+            while b:
+                a, b = b, poly_divmod(a, b)[1]
+            return len(a) <= 1
+        if k > n:
+            raise ArithmeticError("minimal polynomial search overran")
+
+
+def _jordan_cases(r):
+    """(name, matrix, diagonalizable) for Jordan-block shapes."""
+    z, o, e = r.zero(), r.one(), r.eps()
+    t = r.scalar(2)
+
+    def diag(*d):
+        return [[d[i] if i == j else z for j in range(len(d))]
+                for i in range(len(d))]
+
+    return [
+        ("2x2 Jordan block", [[t, o], [z, t]], False),
+        ("3x3 with one 2-block", [[t, o, z], [z, t, z], [z, z, o]], False),
+        ("repeated eigenvalue", diag(t, t, o), True),
+        ("nilpotent 2x2", [[z, o], [z, z]], False),
+        ("nilpotent 3x3", [[z, o, z], [z, z, o], [z, z, z]], False),
+        ("zero 1x1", [[z]], True),
+        ("zero 3x3", diag(z, z, z), True),
+        ("eps Jordan block", [[e, e * e], [z, e]], False),
+        ("eps diagonal", diag(e, e * e, e, o), True),
+        ("eps 3x3 with one 2-block", [[e, z, z], [z, e, o + e], [z, z, e]],
+         False),
+        ("distinct eigenvalues, upper", [[e, o, t], [z, o, e], [z, z, t]],
+         True),
+    ]
+
+
+def _conjugate(M, rng, r):
+    """Q M Q^-1 for a random unipotent upper-triangular Q."""
+    n = len(M)
+    Q = [[r.one() if i == j else
+          (r.eps_power(rng.randrange(r.l)) * rng.randint(-2, 2) if j > i
+           else r.zero()) for j in range(n)] for i in range(n)]
+    return fiber.mat_mul_c(fiber.mat_mul_c(Q, M, r), fiber.mat_inv_c(Q, r), r)
+
+
+def test_diagonalizable_matches_reference_on_jordan_blocks():
+    rng = random.Random(20101097)
+    for l in (3, 5):
+        r = cyclotomic_build(l)
+        for name, M, expected in _jordan_cases(r):
+            for A in (M, _conjugate(M, rng, r)):
+                assert _diagonalizable(A, r) == expected, (l, name)
+                assert _squarefree_minpoly_reference(A, r) == expected
+
+
+def test_diagonalizable_matches_reference_on_built_ad_matrices(monkeypatch):
+    """Every toral ad matrix that main_theorem_check builds on every fifth
+    admissible model of the acceptance sweep and on the quantum Weyl
+    algebras n=1 and n=2 at l = 3.  The census is skipped: fiber_algebra
+    raises TooLarge, which makes a character UNCHECKED once its stabilizers
+    are built."""
+    seen = []
+    original = stabilizer._diagonalizable
+
+    def record(M, r):
+        seen.append((M, r))
+        return original(M, r)
+
+    def too_large(*args):
+        raise fiber.TooLarge("census skipped")
+
+    monkeypatch.setattr(stabilizer, "_diagonalizable", record)
+    monkeypatch.setattr(fiber, "fiber_algebra", too_large)
+    r3 = cyclotomic_build(3)
+    jobs = [(models.build_weyl([[0]], [1]), r3),
+            (models.build_weyl([[0, 1], [-1, 0]], [1, 1]), r3)]
+    for S, ls, np_cap in _sweep_plan():
+        for l in ls:
+            for n_poly in range((len(S) if np_cap is None else np_cap) + 1):
+                model = models.build_twisted(S, n_poly)
+                if model.admissibility(l):
+                    jobs.append((model, cyclotomic_build(l)))
+    for model, r in jobs[:2] + jobs[2::5]:
+        ctx = strata.enumerate_strata(model, r)
+        for chi in cli.default_characters(model, r):
+            main_theorem_check(model, chi, r, ctx)
+    assert {len(M) for M, _ in seen} == {2, 3, 4}
+    distinct = {(r.l, tuple(tuple(row) for row in M)): (M, r) for M, r in seen}
+    assert len(distinct) > 40
+    for M, r in distinct.values():
+        assert original(M, r) == _squarefree_minpoly_reference(M, r)
