@@ -11,7 +11,6 @@ from .exactnum import (
     RootData,
     NotDivisible,
     cyclotomic_build,
-    eval_at_root,
     divide_by_cyclotomic,
 )
 from .zlattice import (
@@ -52,7 +51,7 @@ from .stabilizer import (
 
 __all__ = [
     "QLaurent", "CycloNum", "RootData", "NotDivisible",
-    "cyclotomic_build", "eval_at_root", "divide_by_cyclotomic",
+    "cyclotomic_build", "divide_by_cyclotomic",
     "SkewForm", "is_admissible", "kernel_int", "skew_normal_form",
     "smith_normal_form",
     "AlgebraPresentation", "Element", "NotCentral",

@@ -49,7 +49,6 @@ class JobSpec:
         self.primitive_index = 1
         self.character = {}
         self.witness = {}
-        self.command = None
 
     def echo(self):
         out = {"algebra.kind": self.kind, "root.l": self.l,
@@ -102,9 +101,7 @@ def parse_jobspec(text):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key == "command":
-            spec.command = value
-        elif key == "algebra.kind":
+        if key == "algebra.kind":
             if value not in ("twisted", "weyl", "borel-sl2", "custom"):
                 raise ParseError(line_no, key, "unknown algebra kind %r" % value)
             spec.kind = value

@@ -551,11 +551,6 @@ def cyclotomic_build(l, primitive_index=1):
     return RootData(l, primitive_index)
 
 
-def eval_at_root(f, r):
-    """Specialize a Laurent polynomial at the chosen primitive root."""
-    return r.eval(f)
-
-
 def divide_by_cyclotomic(f, r):
     """Exact quotient f / Phi_l in Q[q, q^-1].
 
@@ -577,12 +572,3 @@ def divide_by_cyclotomic(f, r):
     out = QLaurent()
     out.coeffs = {i + shift: Fraction(c, den) for i, c in enumerate(quo) if c}
     return out
-
-
-def divides_cyclotomic(f, r):
-    """True when Phi_l divides f exactly."""
-    try:
-        divide_by_cyclotomic(f, r)
-        return True
-    except NotDivisible:
-        return False

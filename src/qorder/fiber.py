@@ -70,31 +70,6 @@ def mat_mul_c(A, B, r):
     return out
 
 
-def mat_add_c(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale_c(A, c):
-    return [[a if a.is_zero() else a * c for a in row] for row in A]
-
-
-def mat_eq_c(A, B):
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
-def mat_is_zero(A):
-    return all(a.is_zero() for row in A for a in row)
-
-
-def mat_pow_c(A, k, r):
-    if k < 0:
-        return mat_pow_c(mat_inv_c(A, r), -k, r)
-    out = mat_eye(len(A), r)
-    for _ in range(k):
-        out = mat_mul_c(out, A, r)
-    return out
-
-
 # The one row reduction.  A matrix is a list of dense rows; its reduced row
 # echelon form is unique, so every result below is independent of the order
 # in which rows are inserted.
@@ -163,14 +138,6 @@ def solve_c(rows, rhs, ncols, r):
     for col, row in zip(pivots, ech):
         x[col] = row[ncols]
     return x
-
-
-def mat_inv_c(A, r):
-    n = len(A)
-    ech, pivots = rref_c([row + eye for row, eye in zip(A, mat_eye(n, r))])
-    if pivots and pivots[-1] >= n:
-        raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in ech]
 
 
 # ---------------------------------------------------------------------------
@@ -471,21 +438,6 @@ def sp_eye(n, r):
 
 def sp_zero(n):
     return [{} for _ in range(n)]
-
-
-def sp_from_dense(A):
-    return [{j: a for j, a in enumerate(row) if a} for row in A]
-
-
-def sp_to_dense(A, r):
-    zero = r.zero()
-    out = []
-    for row in A:
-        dense = [zero] * len(A)
-        for j, a in row.items():
-            dense[j] = a
-        out.append(dense)
-    return out
 
 
 def sp_mul(A, B):

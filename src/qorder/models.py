@@ -273,17 +273,24 @@ class WeylCenterReport:
 
 def _weyl_ab_frame(model, r):
     P = model.presentation
-    frame = []
-    names = []
-    for i in range(1, model.n + 1):
-        frame.append(FrameFactor("a%d" % i,
-                                 Element.gen(P.N, model.xpos(i), r.l)))
-        names.append("a%d" % i)
-    for i in range(1, model.n + 1):
-        frame.append(FrameFactor("b%d" % i,
-                                 Element.gen(P.N, model.ypos(i), r.l)))
-        names.append("b%d" % i)
-    return names, frame
+    pairs = range(1, model.n + 1)
+    frame = ([FrameFactor("a%d" % i, Element.gen(P.N, model.xpos(i), r.l))
+              for i in pairs] +
+             [FrameFactor("b%d" % i, Element.gen(P.N, model.ypos(i), r.l))
+              for i in pairs])
+    return [f.name for f in frame], frame
+
+
+def frame_brackets(P, r, frame):
+    """Poisson brackets of the frame factors written in the frame: maps
+    (f_p.name, f_q.name), for p < q in frame order, to a frame polynomial."""
+    out = {}
+    for p, fp in enumerate(frame):
+        for fq in frame[p + 1:]:
+            br = engine.poisson_bracket(P, r, fp.lift, fq.lift)
+            out[(fp.name, fq.name)] = (
+                engine.express_in_frame(P, r, br, frame) if br else {})
+    return out
 
 
 def f_elements_and_z0_brackets(model, r):
@@ -332,28 +339,8 @@ def f_elements_and_z0_brackets(model, r):
             shapes_ok = False
             shape_notes.append("f_%d has terms outside 1 + sum gamma_k a_k b_k" % i)
 
-    brackets = {}
-
-    def bracket_expr(u, v):
-        br = engine.poisson_bracket(P, r, u, v)
-        if br.is_zero():
-            return {}
-        return engine.express_in_frame(P, r, br, frame)
-
+    brackets = frame_brackets(P, r, frame)
     mats = model.matrices
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            a_i = Element.gen(P.N, model.xpos(i), r.l)
-            a_j = Element.gen(P.N, model.xpos(j), r.l)
-            b_i = Element.gen(P.N, model.ypos(i), r.l)
-            b_j = Element.gen(P.N, model.ypos(j), r.l)
-            if i < j:
-                brackets[("a%d" % i, "a%d" % j)] = bracket_expr(a_i, a_j)
-                brackets[("b%d" % i, "b%d" % j)] = bracket_expr(b_i, b_j)
-            if i != j:
-                brackets[("a%d" % i, "b%d" % j)] = bracket_expr(a_i, b_j)
-            else:
-                brackets[("a%d" % i, "b%d" % i)] = bracket_expr(a_i, b_i)
 
     def pair_vec(p, q):
         vec = [0] * (2 * n)
@@ -449,14 +436,11 @@ def twisted_z0_table(model, r):
     frame = [FrameFactor(names[i], Element.gen(N, i, r.l),
                          invertible=model.presentation.is_invertible(i))
              for i in range(N)]
-    exprs = {}
+    exprs = frame_brackets(P, r, frame)
     kappa = None
     for i in range(N):
         for j in range(i + 1, N):
-            br = engine.poisson_bracket(
-                P, r, Element.gen(N, i, r.l), Element.gen(N, j, r.l))
-            expr = engine.express_in_frame(P, r, br, frame) if br else {}
-            exprs[(names[i], names[j])] = expr
+            expr = exprs[(names[i], names[j])]
             s = model.S[i][j]
             key = tuple(1 if t in (i, j) else 0 for t in range(N))
             if s and expr:

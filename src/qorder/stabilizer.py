@@ -76,14 +76,10 @@ class FDLie:
                         out[k] = out[k] + ci * cj * vec[k]
         return out
 
-    def ad_matrix(self, vec):
-        """Matrix of ad(vec) acting on the algebra, columns = basis images."""
-        r = self.root
-        cols = []
-        for j in range(self.dim):
-            ej = [r.one() if t == j else r.zero() for t in range(self.dim)]
-            cols.append(self.bracket_vectors(vec, ej))
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+    def ad_matrix(self, i):
+        """Matrix of ad(b_i) acting on the algebra, columns = basis images."""
+        cols = [self.bracket_of(i, j) for j in range(self.dim)]
+        return [[col[k] for col in cols] for k in range(self.dim)]
 
     def verify_jacobi(self):
         r = self.root
@@ -129,17 +125,14 @@ def rank_and_checks(g):
     checks["t_abelian"] = all(
         all(c.is_zero() for c in g.bracket_of(i, j))
         for i in g.t_idx for j in g.t_idx if i < j)
-    # (b) n is an ideal with vanishing lower central series
+    # (b) n is an ideal with vanishing lower central series; t and n
+    # partition the basis, so a bracket lies in n exactly when its t
+    # coordinates vanish
     def unit(i):
         return [r.one() if t == i else r.zero() for t in range(n_dim)]
-    n_rows, n_piv = fiber_mod.rref_c([unit(i) for i in g.n_idx])
-    ideal = True
-    for i in range(n_dim):
-        for j in g.n_idx:
-            rest = fiber_mod.reduce_c(g.bracket_of(i, j), n_rows, n_piv)
-            if any(not c.is_zero() for c in rest):
-                ideal = False
-    checks["n_ideal"] = ideal
+    checks["n_ideal"] = all(g.bracket_of(i, j)[t].is_zero()
+                            for i in range(n_dim) for j in g.n_idx
+                            for t in g.t_idx)
     series = [unit(i) for i in g.n_idx]
     nilpotent = False
     for _ in range(n_dim + 1):
@@ -155,17 +148,12 @@ def rank_and_checks(g):
         series, _ = fiber_mod.rref_c(nxt)
     checks["n_nilpotent"] = nilpotent
     # (c) diagonalizability of each toral generator
-    diag = True
-    for i in g.t_idx:
-        M = g.ad_matrix(unit(i))
-        if not _diagonalizable(M, r):
-            diag = False
-    checks["ad_t_diagonalizable"] = diag
+    ads = [g.ad_matrix(i) for i in g.t_idx]
+    checks["ad_t_diagonalizable"] = all(_diagonalizable(M, r) for M in ads)
     if not (checks["t_abelian"] and checks["n_ideal"] and
             checks["n_nilpotent"] and checks["ad_t_diagonalizable"]):
         raise DecompositionInvalid("t/n split checks failed: %r" % checks)
     # joint weight kernel: toral combinations acting by zero
-    ads = [g.ad_matrix(unit(i)) for i in g.t_idx]
     rows = [[M[a][b] for M in ads] for a in range(n_dim) for b in range(n_dim)]
     ker = fiber_mod.kernel_c(rows, len(g.t_idx), r)
     checks["weight_kernel_dim"] = len(ker)
@@ -349,19 +337,18 @@ class _WeylChart:
             const, grad = engine.expression_linear_part(
                 center.f_exprs[k], self.values[:self.base], r)
             self.f_grad.append(grad)
-        # pairwise bracket table over (a..., b..., f...): chart polynomials
+        # pairwise bracket table over (a..., b..., f...): chart polynomials;
+        # the f columns by the Leibniz rule through the a/b expansion of f
         self.table = {}
         for (na, nb), expr in center.brackets.items():
             self.table[(self._pos(na), self._pos(nb))] = {
                 self._pad(vec): c for vec, c in expr.items()}
-        for k in range(1, n + 1):
-            fk = self.f_expr[k]
-            for pos in range(self.base):
-                self.table[(pos, 2 * n + k - 1)] = self._leibniz_vs_poly(pos, fk)
-        for k in range(1, n + 1):
-            for m in range(k, n + 1):
-                self.table[(2 * n + k - 1, 2 * n + m - 1)] = \
-                    self._poly_vs_poly(self.f_expr[k], self.f_expr[m])
+        coords = [{tuple(int(t == s) for t in range(self.width)): r.one()}
+                  for s in range(self.base)] + self.f_expr[1:]
+        for col in range(self.base, self.width):
+            for s in range(col):
+                self.table[(s, col)] = self.bracket_functions(coords[s],
+                                                              coords[col])
 
     def _pos(self, name):
         if name[0] == "a":
@@ -409,37 +396,6 @@ class _WeylChart:
         if c.is_zero():
             return {}
         return {v: c * w for v, w in e.items()}
-
-    def _leibniz_vs_poly(self, pos, poly):
-        """{coordinate pos, polynomial} through the Leibniz rule."""
-        out = {}
-        for vec, c in poly.items():
-            for s in range(self.width):
-                if not vec[s]:
-                    continue
-                base = self.base_table(pos, s)
-                if not base:
-                    continue
-                rest = list(vec)
-                rest[s] -= 1
-                term = self.scale(self.mul({tuple(rest): self.r.one()}, base),
-                                  c * self.r.scalar(vec[s]))
-                out = self.add(out, term)
-        return out
-
-    def _poly_vs_poly(self, p1, p2):
-        out = {}
-        for vec, c in p1.items():
-            for s in range(self.width):
-                if not vec[s]:
-                    continue
-                rest = list(vec)
-                rest[s] -= 1
-                inner = self._leibniz_vs_poly(s, p2)
-                term = self.scale(self.mul({tuple(rest): self.r.one()}, inner),
-                                  c * self.r.scalar(vec[s]))
-                out = self.add(out, term)
-        return out
 
     def bracket_monomials(self, m1, m2):
         """{chart monomial, chart monomial} by bilinear Leibniz expansion."""
@@ -649,7 +605,7 @@ def _attach_split(g):
     units = [[r.one() if t == i else r.zero() for t in range(dim)]
              for i in range(dim)]
     for i in range(dim):
-        if all(all(c.is_zero() for c in g.bracket_vectors(units[i], units[j]))
+        if all(all(c.is_zero() for c in g.bracket_of(i, j))
                for j in range(dim)):
             vectors.append(units[i])
     rows, piv = fiber_mod.rref_c(vectors)

@@ -21,7 +21,7 @@ from qorder.zlattice import (
     smith_normal_form,
     zeros,
 )
-from conftest import make_character
+from conftest import make_character, mat_add_c, mat_eq_c, mat_scale_c
 
 
 def all_skew(n, span=2):
@@ -266,9 +266,9 @@ def test_criterion_6_weyl_edge(r3):
     Y = [[z, z, z], [one, z, z], [z, one, z]]
     X = [[z, one, z], [z, z, -(e * e)], [z, z, z]]
     lhs = fiber.mat_mul_c(X, Y, r3)
-    rhs = fiber.mat_add_c(fiber.mat_scale_c(fiber.mat_mul_c(Y, X, r3), e),
+    rhs = mat_add_c(mat_scale_c(fiber.mat_mul_c(Y, X, r3), e),
                           fiber.mat_eye(3, r3))
-    assert fiber.mat_eq_c(lhs, rhs)
+    assert mat_eq_c(lhs, rhs)
     W = models.build_weyl([[0]], [1])
     ctx = strata.enumerate_strata(W, r3)
     chi = make_character(r3, {"x1": 0, "y1": 0}).check(W, r3)

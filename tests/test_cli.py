@@ -64,6 +64,11 @@ def test_parse_errors(tmp_path):
     job.write_text("algebra.kindd = twisted\n")
     assert cli.main(["check", "--spec", str(job)]) == 1
     assert cli.main(["check", "--spec", str(tmp_path / "missing.txt")]) == 1
+    # the command comes from the command line; a job file cannot name one
+    with pytest.raises(cli.ParseError, match=r"line 1 \(command\): unknown"):
+        cli.parse_jobspec("command = verify\n" + PLANE)
+    job.write_text("command = verify\n" + PLANE)
+    assert cli.main(["verify", "--spec", str(job)]) == 1
 
 
 def test_validation_exit_code(tmp_path):

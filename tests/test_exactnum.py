@@ -9,7 +9,6 @@ from qorder.exactnum import (
     QLaurent,
     NotDivisible,
     cyclotomic_build,
-    eval_at_root,
     divide_by_cyclotomic,
     poly_divmod,
     poly_trim,
@@ -68,11 +67,11 @@ def test_phi_divides_q_l_minus_one():
 def test_eval_examples(r3):
     e = r3.eps()
     # q^2 at a primitive cube root is -1 - eps
-    v = eval_at_root(QLaurent({2: 1}), r3)
+    v = r3.eval(QLaurent({2: 1}))
     assert v == -(r3.one()) - e
     # negative powers use the field inverse
-    assert eval_at_root(QLaurent({-1: 1}), r3) == e.inverse()
-    assert eval_at_root(QLaurent({3: 1, 0: -1}), r3).is_zero()
+    assert r3.eval(QLaurent({-1: 1})) == e.inverse()
+    assert r3.eval(QLaurent({3: 1, 0: -1})).is_zero()
 
 
 def test_primitive_root_order(r3, r5):

@@ -8,7 +8,9 @@ import pytest
 
 from qorder.exactnum import CycloNum, cyclotomic_build
 from qorder import cli, engine, fiber, models, strata
-from conftest import make_character
+from conftest import (make_character, mat_add_c, mat_eq_c, mat_inv_c,
+                      mat_is_zero, mat_pow_c, mat_scale_c, sp_from_dense,
+                      sp_to_dense)
 from test_cli import CUSTOM_WEYL
 
 
@@ -69,11 +71,11 @@ def test_clock_shift_quantum_plane(r3):
     reps = fiber.clock_shift_irreps(ctx, loc, chi)
     assert len(reps) == 1 and reps[0].dim == 3 and reps[0].verified
     # h g = eps g h on the representing matrices of the generators
-    X1 = fiber.sp_to_dense(reps[0].rows["x1"], r3)
-    X2 = fiber.sp_to_dense(reps[0].rows["x2"], r3)
+    X1 = sp_to_dense(reps[0].rows["x1"], r3)
+    X2 = sp_to_dense(reps[0].rows["x2"], r3)
     lhs = fiber.mat_mul_c(X1, X2, r3)
-    rhs = fiber.mat_scale_c(fiber.mat_mul_c(X2, X1, r3), r3.eps())
-    assert fiber.mat_eq_c(lhs, rhs)
+    rhs = mat_scale_c(fiber.mat_mul_c(X2, X1, r3), r3.eps())
+    assert mat_eq_c(lhs, rhs)
 
 
 def test_clock_shift_killed_stratum(r3):
@@ -123,11 +125,11 @@ def test_census_weyl_edge(r3):
     Y = [[z, z, z], [one, z, z], [z, one, z]]
     X = [[z, one, z], [z, z, -(e * e)], [z, z, z]]
     lhs = fiber.mat_mul_c(X, Y, r3)
-    rhs = fiber.mat_add_c(fiber.mat_scale_c(fiber.mat_mul_c(Y, X, r3), e),
+    rhs = mat_add_c(mat_scale_c(fiber.mat_mul_c(Y, X, r3), e),
                           fiber.mat_eye(3, r3))
-    assert fiber.mat_eq_c(lhs, rhs)
-    assert fiber.mat_is_zero(fiber.mat_pow_c(X, 3, r3))
-    assert fiber.mat_is_zero(fiber.mat_pow_c(Y, 3, r3))
+    assert mat_eq_c(lhs, rhs)
+    assert mat_is_zero(mat_pow_c(X, 3, r3))
+    assert mat_is_zero(mat_pow_c(Y, 3, r3))
     # with that confirmed, the census values are frozen
     W = models.build_weyl([[0]], [1])
     chi = make_character(r3, {"x1": 0, "y1": 0}).check(W, r3)
@@ -491,12 +493,12 @@ def test_core_inverse():
             continue
         if k < n:
             with pytest.raises(ZeroDivisionError):
-                fiber.mat_inv_c(A, r)
+                mat_inv_c(A, r)
             continue
-        Ainv = fiber.mat_inv_c(A, r)
+        Ainv = mat_inv_c(A, r)
         eye = fiber.mat_eye(n, r)
-        assert fiber.mat_eq_c(fiber.mat_mul_c(A, Ainv, r), eye)
-        assert fiber.mat_eq_c(fiber.mat_mul_c(Ainv, A, r), eye)
+        assert mat_eq_c(fiber.mat_mul_c(A, Ainv, r), eye)
+        assert mat_eq_c(fiber.mat_mul_c(Ainv, A, r), eye)
 
 
 def test_core_span_membership():
@@ -541,21 +543,21 @@ def _dense_relations_hold(model, rep, character, r):
     """Every defining relation and l-th power, checked with dense products
     on the representation's matrices."""
     P = model.presentation
-    gm = [fiber.sp_to_dense(rep.rows[g], r) for g in P.gens]
+    gm = [sp_to_dense(rep.rows[g], r) for g in P.gens]
     for u in range(P.N):
         for v in range(u + 1, P.N):
             lhs = fiber.mat_mul_c(gm[u], gm[v], r)
-            rhs = fiber.mat_scale_c(fiber.mat_mul_c(gm[v], gm[u], r),
+            rhs = mat_scale_c(fiber.mat_mul_c(gm[v], gm[u], r),
                                     r.eps_power(P.S[u][v]))
             rule = P.delta.get((u, v))
             if rule is not None:
-                rhs = fiber.mat_add_c(rhs, fiber.sp_to_dense(
+                rhs = mat_add_c(rhs, sp_to_dense(
                     rep.sparse_of_element(model, rule, r), r))
-            if not fiber.mat_eq_c(lhs, rhs):
+            if not mat_eq_c(lhs, rhs):
                 return False
     eye = fiber.mat_eye(rep.dim, r)
-    return all(fiber.mat_eq_c(fiber.mat_pow_c(M, r.l, r),
-                              fiber.mat_scale_c(eye, character.value(g)))
+    return all(mat_eq_c(mat_pow_c(M, r.l, r),
+                              mat_scale_c(eye, character.value(g)))
                for g, M in zip(P.gens, gm))
 
 
@@ -611,18 +613,18 @@ def _sparse_matches_dense(A, B, r):
     """The sparse product and powers equal the dense ones.  A scaled
     permutation has the dense inverse; any other matrix has no sparse
     inverse.  Returns whether A is a scaled permutation."""
-    sA, sB = fiber.sp_from_dense(A), fiber.sp_from_dense(B)
-    assert fiber.sp_to_dense(sA, r) == A
-    assert fiber.sp_mul(sA, sB) == fiber.sp_from_dense(
+    sA, sB = sp_from_dense(A), sp_from_dense(B)
+    assert sp_to_dense(sA, r) == A
+    assert fiber.sp_mul(sA, sB) == sp_from_dense(
         fiber.mat_mul_c(A, B, r))
     for k in (2, r.l):
-        assert fiber.sp_pow(sA, k, r) == fiber.sp_from_dense(
-            fiber.mat_pow_c(A, k, r))
+        assert fiber.sp_pow(sA, k, r) == sp_from_dense(
+            mat_pow_c(A, k, r))
     columns = [j for row in sA for j in row]
     permutation = (all(len(row) == 1 for row in sA)
                    and len(set(columns)) == len(sA))
     if permutation:
-        inverse = fiber.sp_from_dense(fiber.mat_inv_c(A, r))
+        inverse = sp_from_dense(mat_inv_c(A, r))
         assert fiber.sp_inv(sA) == inverse
         assert fiber.sp_pow(sA, -1, r) == inverse
     else:
@@ -641,10 +643,10 @@ def test_sparse_representations_match_dense(r3):
     for model, chi, kind, rep in built:
         assert rep.verified
         assert _dense_relations_hold(model, rep, chi, r3)
-        mats = [fiber.sp_to_dense(rep.rows[g], r3)
+        mats = [sp_to_dense(rep.rows[g], r3)
                 for g in model.presentation.gens]
         for g, M in zip(model.presentation.gens, mats):
-            assert rep.rows[g] == fiber.sp_from_dense(M)
+            assert rep.rows[g] == sp_from_dense(M)
             permuted += any(j != i for i, row in enumerate(rep.rows[g])
                             for j in row)
         for A in mats:

@@ -16,7 +16,7 @@ from qorder.stabilizer import (
     rank_and_checks,
     stabilizer_from_stratum,
 )
-from conftest import make_character
+from conftest import make_character, mat_inv_c
 from test_acceptance import _sweep_plan
 
 
@@ -107,6 +107,20 @@ def test_rank_and_checks_rejects_bad_split(r3):
                t_idx=[0], n_idx=[1, 2])
     with pytest.raises(DecompositionInvalid):
         rank_and_checks(g2)
+    # sl2 with n = span(x, y): [x, y] = h leaves n
+    z, o = r.zero(), r.one()
+    sl2 = FDLie(labels=["h", "x", "y"], root=r,
+                bracket={(0, 1): [z, o * 2, z], (0, 2): [z, z, -o * 2],
+                         (1, 2): [o, z, z]},
+                t_idx=[0], n_idx=[1, 2])
+    with pytest.raises(DecompositionInvalid, match="'n_ideal': False"):
+        rank_and_checks(sl2)
+    # [e, x] = x with t empty: n is the whole algebra, not nilpotent
+    ex = FDLie(labels=["e", "x"], root=r, bracket={(0, 1): [z, o]},
+               t_idx=[], n_idx=[0, 1])
+    with pytest.raises(DecompositionInvalid,
+                       match="'n_ideal': True, 'n_nilpotent': False"):
+        rank_and_checks(ex)
 
 
 def test_jacobi_detection(r3):
@@ -383,7 +397,7 @@ def _conjugate(M, rng, r):
     Q = [[r.one() if i == j else
           (r.eps_power(rng.randrange(r.l)) * rng.randint(-2, 2) if j > i
            else r.zero()) for j in range(n)] for i in range(n)]
-    return fiber.mat_mul_c(fiber.mat_mul_c(Q, M, r), fiber.mat_inv_c(Q, r), r)
+    return fiber.mat_mul_c(fiber.mat_mul_c(Q, M, r), mat_inv_c(Q, r), r)
 
 
 def test_diagonalizable_matches_reference_on_jordan_blocks():
