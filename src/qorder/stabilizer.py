@@ -4,21 +4,21 @@ The stabilizer of a character is the quotient, by the square of its maximal
 ideal, of the functions whose brackets land in the ideal.  Over a located
 stratum its generators are explicit: the l-th powers of the non-extending
 central torus monomials (the toral part), the extending central monomials,
-and the killed-generator l-th powers (the nilpotent part).  Structure
-constants come from the exact Poisson brackets, linearized at the character.
-The predicted number of irreducibles is l^rank, checked against the census.
+and the killed-generator l-th powers (the nilpotent part).  One chart of the
+l-center serves every model and the linearized path: structure constants
+are the gradients at the character of Poisson brackets taken from the
+l-center bracket table by the Leibniz rule.  The predicted number of
+irreducibles is l^rank, checked against the census.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactnum import (QLaurent, NotDivisible, divide_by_cyclotomic,
-                       poly_divmod, poly_trim)
+from .exactnum import poly_divmod, poly_trim
 from . import engine
 from . import fiber as fiber_mod
 from . import strata as strata_mod
-from . import zlattice
 
 
 class HypothesisFailed(ValueError):
@@ -101,7 +101,6 @@ class FDLie:
 
 @dataclass
 class StabilizerResult:
-    lie: FDLie
     rank: int
     checks: dict
 
@@ -158,7 +157,7 @@ def rank_and_checks(g):
     ker = fiber_mod.kernel_c(rows, len(g.t_idx), r)
     checks["weight_kernel_dim"] = len(ker)
     rank = len(g.t_idx) - len(ker)
-    return StabilizerResult(lie=g, rank=rank, checks=checks)
+    return StabilizerResult(rank=rank, checks=checks)
 
 
 def _diagonalizable(M, r):
@@ -192,402 +191,191 @@ def _plus_scalar(A, c):
 
 
 # ---------------------------------------------------------------------------
-# Twisted-model stabilizers: everything is a lattice monomial.
+# One chart of the l-center and one stabilizer builder.
 
-def monomial_bracket_scalar(S, r, alpha, beta):
-    """Poisson bracket scalar of two central monomials in a twisted algebra:
-    {mono(alpha), mono(beta)} = scalar * mono(alpha + beta) at eps."""
-    c1 = strata_mod.survivor_cocycle(S, alpha, beta)
-    c2 = strata_mod.survivor_cocycle(S, beta, alpha)
-    f = QLaurent({c1: 1}) + QLaurent({c2: -1})
-    if f.is_zero():
-        return r.zero()
-    try:
-        lift = divide_by_cyclotomic(f, r)
-    except NotDivisible:
-        raise engine.NotCentral("monomials do not commute at eps")
-    return r.eval(lift) * r.phi_prime_eps()
+class _Chart:
+    """Poisson chart of the l-center at a point.
+
+    Chart functions are Laurent polynomials {exponent vector: coefficient}
+    in the frame coordinates of an l-center bracket table, followed by the
+    central chain values f_k = w_k^l of quantum Weyl models, given by their
+    frame expansions.  Brackets come from the table, extended by the Leibniz
+    rule; gradients live over the frame coordinates, with the chain rule
+    through the f's.
+    """
+
+    def __init__(self, names, exprs, values, r, f_exprs=()):
+        self.r = r
+        self.base = len(names)
+        self.width = self.base + len(f_exprs)
+        pad = (0,) * len(f_exprs)
+        self.values = list(values) + [
+            engine.evaluate_expression(f, values, r) for f in f_exprs]
+        self.f_grad = [engine.expression_linear_part(f, values, r)[1]
+                       for f in f_exprs]
+        pos = {name: s for s, name in enumerate(names)}
+        self.table = {(pos[a], pos[b]): {m + pad: c for m, c in expr.items()}
+                      for (a, b), expr in exprs.items()}
+        coords = [self.unit(s) for s in range(self.base)] + [
+            {m + pad: c for m, c in f.items()} for f in f_exprs]
+        for col in range(self.base, self.width):
+            for s in range(col):
+                self.table[(s, col)] = self.bracket(coords[s], coords[col])
+
+    def unit(self, s, c=None):
+        """The chart function c times coordinate s."""
+        return {tuple(int(t == s) for t in range(self.width)):
+                self.r.one() if c is None else c}
+
+    def coordinate_bracket(self, s1, s2):
+        if (s1, s2) in self.table:
+            return self.table[(s1, s2)]
+        return {m: -c for m, c in self.table.get((s2, s1), {}).items()}
+
+    def bracket(self, f1, f2):
+        """{f1, f2} by the Leibniz rule over the coordinate brackets."""
+        out = {}
+        for m1, c1 in f1.items():
+            for m2, c2 in f2.items():
+                for s1, e1 in enumerate(m1):
+                    for s2, e2 in enumerate(m2):
+                        base = self.coordinate_bracket(s1, s2) \
+                            if e1 and e2 else None
+                        if not base:
+                            continue
+                        c = c1 * c2 * self.r.scalar(e1 * e2)
+                        rest = [a + b for a, b in zip(m1, m2)]
+                        rest[s1] -= 1
+                        rest[s2] -= 1
+                        for m, cb in base.items():
+                            fiber_mod._accumulate(
+                                out, tuple(a + b for a, b in zip(rest, m)),
+                                c * cb)
+        return out
+
+    def linear_part(self, f):
+        """(value, gradient over the frame coordinates) of f at the point."""
+        const, lin = engine.expression_linear_part(f, self.values, self.r)
+        grad = lin[:self.base]
+        for c, fg in zip(lin[self.base:], self.f_grad):
+            if not c.is_zero():
+                grad = [g + c * d for g, d in zip(grad, fg)]
+        return const, grad
 
 
-@dataclass
-class _LatticeGen:
-    label: str
-    alpha: tuple  # ambient exponent vector
-    value: object  # character value (CycloNum)
-    part: str  # 't', 'z', or 'i'
+def _stabilizer_lie(chart, gens):
+    """Stabilizer Lie algebra on generators (label, chart function, part).
 
-
-def _twisted_stratum_gens(ctx, located, character, level):
-    model = ctx.model
-    r = ctx.root
-    st = located.stratum
-    ts = st.torus
-    N = model.N
-    l = r.l
-    gens = []
-    for j in range(ts.p):
-        row = ts.z_rows()[j]
-        emb = strata_mod.embed_vector(st, N, row)
-        powered = (level == "l0") or (j < ts.t)
-        if powered:
-            alpha = tuple(l * x for x in emb)
-            val = strata_mod.monomial_l_value(st, ctx, character, row)
-            gens.append(_LatticeGen("z%d^l" % (j + 1), alpha, val,
-                                    "t" if j < ts.t else "z"))
+    A function None is an opaque direction, central in the ambient algebra.
+    The bracket of two generators is the gradient of their chart bracket,
+    which must vanish at the point, written in the generators' gradients.
+    Part 't' marks the toral candidates; the rest form the nilpotent one.
+    """
+    r = chart.r
+    dim = len(gens)
+    opaque = [i for i, g in enumerate(gens) if g[1] is None]
+    pad = [r.zero()] * len(opaque)
+    grads = []
+    for i, (_, fn, _) in enumerate(gens):
+        if fn is None:
+            vec = [r.zero()] * chart.base + list(pad)
+            vec[chart.base + opaque.index(i)] = r.one()
         else:
-            val = located.z_ext.get(j)
-            if val is None:
-                raise strata_mod.MissingWitness(
-                    "extension value for z_%d required at this level" % (j + 1))
-            gens.append(_LatticeGen("z%d" % (j + 1), tuple(emb), val, "z"))
-    P = model.presentation
-    for name in st.killed_labels:
-        gidx = P.gen_index(name)
-        alpha = tuple(l if t == gidx else 0 for t in range(N))
-        gens.append(_LatticeGen("a:%s" % name, alpha, r.zero(), "i"))
-    return gens
+            vec = chart.linear_part(fn)[1] + pad
+        grads.append(vec)
+    mat = [[g[d] for g in grads] for d in range(chart.base + len(opaque))]
+    bracket = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            fi, fj = gens[i][1], gens[j][1]
+            br = {} if fi is None or fj is None else chart.bracket(fi, fj)
+            if not br:
+                continue
+            const, grad = chart.linear_part(br)
+            if not const.is_zero():
+                raise HypothesisFailed(
+                    "bracket of %s, %s does not vanish at the character"
+                    % (gens[i][0], gens[j][0]))
+            if all(c.is_zero() for c in grad):
+                continue
+            vec = fiber_mod.solve_c(mat, grad + pad, dim, r)
+            if vec is None:
+                raise engine.ExpressionFailed(
+                    "bracket class escapes the stabilizer basis")
+            if any(not c.is_zero() for c in vec):
+                bracket[(i, j)] = vec
+    return FDLie(labels=[g[0] for g in gens], root=r, bracket=bracket,
+                 t_idx=[i for i, g in enumerate(gens) if g[2] == "t"],
+                 n_idx=[i for i, g in enumerate(gens) if g[2] != "t"])
 
 
 def stabilizer_from_stratum(ctx, located, character, level="eps"):
     """Stabilizer Lie algebra over a located stratum.
 
-    level 'eps' uses the ambient-center generator list (extending monomials
-    unpowered); level 'l0' uses l-th powers of everything.  Requires the
-    character not to vanish on the torus part.
+    The toral generators are the l-th powers z_j^l of the non-extending
+    central torus monomials, each the chart monomial of its survivor row
+    times eps^(c l(l-1)/2), c the row's self-cocycle.  Level 'eps' adds the
+    extending z_j unpowered, as opaque ambient-central directions; level
+    'l0' takes their l-th powers too.  The killed generators' l-th powers
+    are chart coordinates.  Requires the character not to vanish on the
+    survivors.
     """
     st = located.stratum
+    r = ctx.root
     for item in st.survivors:
         if item.gen_index is not None:
             val = ctx.lcenter_value(item.label, character)
             if val.is_zero():
                 raise HypothesisFailed(
                     "character vanishes on survivor %s" % item.label)
-    if st.kind == "A1":
-        return _twisted_stabilizer(ctx, located, character, level)
-    return _weyl_stabilizer(ctx, located, character, level)
-
-
-def _twisted_stabilizer(ctx, located, character, level):
-    model = ctx.model
-    r = ctx.root
-    gens = _twisted_stratum_gens(ctx, located, character, level)
-    dim = len(gens)
-    frame_cols = [list(g.alpha) for g in gens]
-    N = model.N
-    A = [[frame_cols[j][i] for j in range(dim)] for i in range(N)]
-    values = [g.value for g in gens]
-    bracket = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            lam = monomial_bracket_scalar(model.S, r, gens[i].alpha,
-                                          gens[j].alpha)
-            if lam.is_zero():
-                continue
-            target = [x + y for x, y in zip(gens[i].alpha, gens[j].alpha)]
-            m = zlattice.solve_int(A, target)
-            if m is None:
-                raise engine.ExpressionFailed(
-                    "bracket monomial escapes the stratum frame")
-            gamma, _ = strata_mod.ordered_product_data(model.S, frame_cols, m)
-            coeff = lam * r.eps_power(-gamma)
-            expr = {tuple(m): coeff}
-            const, grad = engine.expression_linear_part(expr, values, r)
-            if not const.is_zero():
-                raise HypothesisFailed(
-                    "bracket of %s, %s does not vanish at the character"
-                    % (gens[i].label, gens[j].label))
-            if any(not c.is_zero() for c in grad):
-                bracket[(i, j)] = grad
-    lie = FDLie(labels=[g.label for g in gens], root=r, bracket=bracket,
-                t_idx=[i for i, g in enumerate(gens) if g.part == "t"],
-                n_idx=[i for i, g in enumerate(gens) if g.part != "t"])
-    return lie
-
-
-# ---------------------------------------------------------------------------
-# Weyl-model stabilizers: chart over the l-center coordinates a, b, f.
-
-class _WeylChart:
-    """Poisson chart of a Weyl stratum: Laurent monomials in the l-th powers
-    a_i, b_i and the central chain values f_k, plus opaque extending
-    monomials.  Brackets come from the engine-derived table, extended by the
-    Leibniz rule; gradients live over the a/b (and opaque) directions.
-    """
-
-    def __init__(self, ctx, character):
-        self.model = ctx.model
-        self.r = ctx.root
-        self.n = self.model.n
-        n = self.n
-        center = ctx.weyl_center
-        self.names = (["a%d" % i for i in range(1, n + 1)] +
-                      ["b%d" % i for i in range(1, n + 1)] +
-                      ["f%d" % i for i in range(1, n + 1)])
-        self.base = 2 * n  # gradient directions: a's and b's
-        self.width = 3 * n
-        r = self.r
-        self.values = ctx.frame_values(character) + [
-            ctx.lcenter_value("w%d" % k, character) for k in range(1, n + 1)]
-        # f expressions and gradients over the a/b directions
-        self.f_expr = []
-        self.f_grad = []
-        for k in range(n + 1):
-            expr = {self._pad(vec): c for vec, c in center.f_exprs[k].items()}
-            self.f_expr.append(expr)
-            const, grad = engine.expression_linear_part(
-                center.f_exprs[k], self.values[:self.base], r)
-            self.f_grad.append(grad)
-        # pairwise bracket table over (a..., b..., f...): chart polynomials;
-        # the f columns by the Leibniz rule through the a/b expansion of f
-        self.table = {}
-        for (na, nb), expr in center.brackets.items():
-            self.table[(self._pos(na), self._pos(nb))] = {
-                self._pad(vec): c for vec, c in expr.items()}
-        coords = [{tuple(int(t == s) for t in range(self.width)): r.one()}
-                  for s in range(self.base)] + self.f_expr[1:]
-        for col in range(self.base, self.width):
-            for s in range(col):
-                self.table[(s, col)] = self.bracket_functions(coords[s],
-                                                              coords[col])
-
-    def _pos(self, name):
-        if name[0] == "a":
-            return int(name[1:]) - 1
-        if name[0] == "b":
-            return self.n + int(name[1:]) - 1
-        return 2 * self.n + int(name[1:]) - 1
-
-    def _pad(self, vec):
-        return tuple(vec) + (0,) * (self.width - len(vec))
-
-    def base_table(self, i, j):
-        """Bracket of chart coordinates i, j as a chart polynomial."""
-        if i == j:
-            return {}
-        if i < j:
-            return self.table.get((i, j), {})
-        return {k: -c for k, c in self.table.get((j, i), {}).items()}
-
-    def mul(self, e1, e2):
-        out = {}
-        for v1, c1 in e1.items():
-            for v2, c2 in e2.items():
-                k = tuple(a + b for a, b in zip(v1, v2))
-                cur = out.get(k)
-                cur = c1 * c2 if cur is None else cur + c1 * c2
-                if cur:
-                    out[k] = cur
-                else:
-                    out.pop(k, None)
-        return out
-
-    def add(self, e1, e2):
-        out = dict(e1)
-        for v, c in e2.items():
-            cur = out.get(v)
-            cur = c if cur is None else cur + c
-            if cur:
-                out[v] = cur
-            else:
-                out.pop(v, None)
-        return out
-
-    def scale(self, e, c):
-        if c.is_zero():
-            return {}
-        return {v: c * w for v, w in e.items()}
-
-    def bracket_monomials(self, m1, m2):
-        """{chart monomial, chart monomial} by bilinear Leibniz expansion."""
-        out = {}
-        for s1 in range(self.width):
-            if not m1[s1]:
-                continue
-            for s2 in range(self.width):
-                if not m2[s2]:
-                    continue
-                base = self.base_table(s1, s2)
-                if not base:
-                    continue
-                r1 = list(m1)
-                r1[s1] -= 1
-                r2 = list(m2)
-                r2[s2] -= 1
-                mono = tuple(a + b for a, b in zip(r1, r2))
-                factor = self.r.scalar(m1[s1] * m2[s2])
-                term = self.scale(self.mul({mono: self.r.one()}, base), factor)
-                out = self.add(out, term)
-        return out
-
-    def bracket_functions(self, f1, f2):
-        out = {}
-        for m1, c1 in f1.items():
-            for m2, c2 in f2.items():
-                part = self.bracket_monomials(m1, m2)
-                out = self.add(out, self.scale(part, c1 * c2))
-        return out
-
-    def gradient(self, expr, extra_dirs=0):
-        """Linear part at the character over (a..., b...) plus opaque
-        directions: the chain rule through the f coordinates."""
-        r = self.r
-        _, lin = engine.expression_linear_part(expr, self.values, r)
-        grad = lin[:self.base] + [r.zero()] * extra_dirs
-        for k, c in enumerate(lin[self.base:], start=1):
-            if not c.is_zero():
-                for t, g in enumerate(self.f_grad[k]):
-                    if not g.is_zero():
-                        grad[t] = grad[t] + c * g
-        return grad
-
-
-def _weyl_stabilizer(ctx, located, character, level):
-    model = ctx.model
-    r = ctx.root
-    st = located.stratum
+    names, exprs, _ = ctx.bracket_table()
+    f_exprs = ctx.weyl_center.f_exprs[1:] if ctx.weyl_center else []
+    chart = _Chart(names, exprs, ctx.frame_values(character), r, f_exprs)
+    coords = ctx.frame_labels() + ["w%d" % k
+                                   for k in range(1, len(f_exprs) + 1)]
+    surv = [coords.index(item.label) for item in st.survivors]
     ts = st.torus
-    l = r.l
-    chart = _WeylChart(ctx, character)
-    n = model.n
-    # chart monomial of each survivor's l-th power
-    surv_coord = []
-    for item in st.survivors:
-        vec = [0] * chart.width
-        if item.label[0] == "x":
-            vec[int(item.label[1:]) - 1] = 1
-        elif item.label[0] == "y":
-            vec[n + int(item.label[1:]) - 1] = 1
-        else:
-            vec[2 * n + int(item.label[1:]) - 1] = 1
-        surv_coord.append(tuple(vec))
-    gens = []  # (label, chart function or opaque index, value, part)
-    opaque = []
-    for j in range(ts.p):
-        row = ts.z_rows()[j]
-        powered = (level == "l0") or (j < ts.t)
-        if powered:
+    gens = []
+    for j, row in enumerate(ts.z_rows()):
+        if level == "l0" or j < ts.t:
             corr = strata_mod.survivor_cocycle(st.skew, row, row) \
-                * (l * (l - 1) // 2)
+                * (r.l * (r.l - 1) // 2)
             vec = [0] * chart.width
-            for s, e in enumerate(row):
-                for t in range(chart.width):
-                    vec[t] += e * surv_coord[s][t]
-            mono = {tuple(vec): r.eps_power(corr)}
-            gens.append(("z%d^l" % (j + 1), mono,
+            for s, e in zip(surv, row):
+                vec[s] = e
+            gens.append(("z%d^l" % (j + 1), {tuple(vec): r.eps_power(corr)},
                          "t" if j < ts.t else "z"))
+        elif j in located.z_ext:
+            gens.append(("z%d" % (j + 1), None, "z"))
         else:
-            val = located.z_ext.get(j)
-            if val is None:
-                raise strata_mod.MissingWitness(
-                    "extension value for z_%d required" % (j + 1))
-            opaque.append(val)
-            gens.append(("z%d" % (j + 1), ("opaque", len(opaque) - 1), "z"))
+            raise strata_mod.MissingWitness(
+                "extension value for z_%d required at this level" % (j + 1))
     for name in st.killed_labels:
-        vec = [0] * chart.width
-        vec[chart._pos({"x": "a", "y": "b", "w": "f"}[name[0]]
-                       + name[1:])] = 1
-        gens.append(("a:%s" % name, {tuple(vec): r.one()}, "i"))
-    dim = len(gens)
-    extra = len(opaque)
-    width_out = chart.base + extra
-    # gradient of each generator
-    grads = []
-    for label, fn, part in gens:
-        if isinstance(fn, tuple):
-            vec = [r.zero()] * width_out
-            vec[chart.base + fn[1]] = r.one()
-            grads.append(vec)
-        else:
-            grads.append(chart.gradient(fn, extra))
-    bracket = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            fi, fj = gens[i][1], gens[j][1]
-            if isinstance(fi, tuple) or isinstance(fj, tuple):
-                continue  # extending monomials are ambient-central
-            br = chart.bracket_functions(fi, fj)
-            if not br:
-                continue
-            const = engine.evaluate_expression(br, chart.values, r)
-            if not const.is_zero():
-                raise HypothesisFailed(
-                    "bracket of %s, %s does not vanish at the character"
-                    % (gens[i][0], gens[j][0]))
-            grad = chart.gradient(br, extra)
-            if all(c.is_zero() for c in grad):
-                continue
-            vec = fiber_mod.solve_c(
-                [[grads[t][d] for t in range(dim)] for d in range(width_out)],
-                grad, dim, r)
-            if vec is None:
-                raise engine.ExpressionFailed(
-                    "bracket class escapes the stabilizer basis")
-            if any(not c.is_zero() for c in vec):
-                bracket[(i, j)] = vec
-    lie = FDLie(labels=[g[0] for g in gens], root=r, bracket=bracket,
-                t_idx=[i for i, g in enumerate(gens) if g[2] == "t"],
-                n_idx=[i for i, g in enumerate(gens) if g[2] != "t"])
-    return lie
+        gens.append(("a:%s" % name, chart.unit(coords.index(name)), "i"))
+    return _stabilizer_lie(chart, gens)
 
-
-# ---------------------------------------------------------------------------
-# Linearized stabilizer directly from an l-center bracket table.
 
 def linearized_stabilizer(names, exprs, values, r):
     """Stabilizer of a character of the l-center from its bracket table.
 
     The degree-one part of the stabilizer is the kernel of the evaluated
-    Poisson tensor; the induced bracket is the linearization of the table.
-    Returns an FDLie on a kernel basis with a t/n candidate split.
+    Poisson tensor, whose vectors are linear chart functions; the induced
+    bracket is the linearization of the table.  Returns an FDLie on a kernel
+    basis with a t/n candidate split.
     """
+    chart = _Chart(names, exprs, values, r)
     m = len(names)
-    tensor = [[r.zero()] * m for _ in range(m)]
-    lin = {}
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            if (names[i], names[j]) in exprs:
-                expr = exprs[(names[i], names[j])]
-            elif (names[j], names[i]) in exprs:
-                expr = {k: -c for k, c in exprs[(names[j], names[i])].items()}
-            else:
-                expr = {}
-            const, grad = engine.expression_linear_part(expr, values, r)
-            tensor[i][j] = const
-            lin[(i, j)] = grad
-    kernel = fiber_mod.kernel_c(tensor, m, r)
-    dim = len(kernel)
-    bracket = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            grad = [r.zero()] * m
-            for i in range(m):
-                ci = kernel[a][i]
-                if ci.is_zero():
-                    continue
-                for j in range(m):
-                    if i == j:
-                        continue
-                    cj = kernel[b][j]
-                    if cj.is_zero():
-                        continue
-                    g = lin[(i, j)]
-                    for t in range(m):
-                        if not g[t].is_zero():
-                            grad[t] = grad[t] + ci * cj * g[t]
-            if all(c.is_zero() for c in grad):
-                continue
-            vec = fiber_mod.solve_c(
-                [[kernel[t][d] for t in range(dim)] for d in range(m)],
-                grad, dim, r)
-            if vec is None:
-                raise engine.ExpressionFailed(
-                    "linearized bracket leaves the tensor kernel")
-            bracket[(a, b)] = vec
-    labels = ["k%d" % (a + 1) for a in range(dim)]
-    lie = FDLie(labels=labels, root=r, bracket=bracket, t_idx=[], n_idx=[])
-    return _attach_split(lie)
+    tensor = [[engine.evaluate_expression(chart.coordinate_bracket(i, j),
+                                          values, r) for j in range(m)]
+              for i in range(m)]
+    gens = []
+    for a, vec in enumerate(fiber_mod.kernel_c(tensor, m, r)):
+        fn = {}
+        for s, c in enumerate(vec):
+            if not c.is_zero():
+                fn.update(chart.unit(s, c))
+        gens.append(("k%d" % (a + 1), fn, "n"))
+    return _attach_split(_stabilizer_lie(chart, gens))
 
 
 def _attach_split(g):

@@ -132,12 +132,17 @@ class StrataContext:
             raise self._table
         return self._table
 
-    def frame_values(self, character):
-        """Character values on the frame names of the bracket table."""
+    def frame_labels(self):
+        """The generator behind each frame coordinate of the bracket table;
+        the coordinate is that generator's l-th power."""
         if self.weyl_center is not None:
-            return [character.value(n_to_gen(self.model, n))
-                    for n in self.weyl_center.frame_names]
-        return [character.value(g) for g in self.model.presentation.gens]
+            return [{"a": "x", "b": "y"}[name[0]] + name[1:]
+                    for name in self.weyl_center.frame_names]
+        return list(self.model.presentation.gens)
+
+    def frame_values(self, character):
+        """Character values on the frame coordinates of the bracket table."""
+        return [character.value(g) for g in self.frame_labels()]
 
     def lcenter_value(self, label, character):
         """Value at the character of the l-th power behind a condition label."""
@@ -146,14 +151,6 @@ class StrataContext:
                 self.weyl_center.f_exprs[int(label[1:])],
                 self.frame_values(character), self.root)
         return character.value(label)
-
-
-def n_to_gen(model, frame_name):
-    """Map an a_i/b_i frame name to the underlying generator label."""
-    idx = int(frame_name[1:])
-    if frame_name.startswith("a"):
-        return "x%d" % idx
-    return "y%d" % idx
 
 
 @dataclass

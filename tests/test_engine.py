@@ -271,21 +271,29 @@ def test_associativity_probes_random():
 
 
 def test_monomial_bracket_scalar_matches_engine(r3, r5):
-    from qorder.stabilizer import monomial_bracket_scalar
+    # the stabilizer chart's bracket of two l-center monomials a^m, a^m'
+    # over the twisted bracket table is the engine's Poisson bracket of
+    # x^(l m) and x^(l m')
+    from qorder import models
+    from qorder.stabilizer import _Chart
     rng = random.Random(55)
     S = [[0, 1, 2], [-1, 0, -1], [-2, 1, 0]]
     P = AlgebraPresentation(["x1", "x2", "x3"], 3, S)
+    model = models.build_twisted(S, 3)
     for r in (r3, r5):
+        names, exprs, _ = models.twisted_z0_table(model, r)
+        chart = _Chart(names, exprs, [r.one()] * 3, r)
         for _ in range(40):
-            alpha = tuple(rng.randint(0, 2) * r.l for _ in range(3))
-            beta = tuple(rng.randint(0, 2) * r.l for _ in range(3))
-            u = Element.monomial(3, alpha)
-            v = Element.monomial(3, beta)
+            a = tuple(rng.randint(0, 2) for _ in range(3))
+            b = tuple(rng.randint(0, 2) for _ in range(3))
+            u = Element.monomial(3, tuple(r.l * x for x in a))
+            v = Element.monomial(3, tuple(r.l * x for x in b))
             br = poisson_bracket(P, r, u, v)
-            lam = monomial_bracket_scalar(S, r, alpha, beta)
-            target = tuple(a + b for a, b in zip(alpha, beta))
-            if lam.is_zero():
+            lam = chart.bracket({a: r.one()}, {b: r.one()})
+            target = tuple(x + y for x, y in zip(a, b))
+            if not lam:
                 assert br.is_zero()
             else:
-                assert set(br.terms) == {target}
-                assert br.terms[target] == lam
+                assert set(lam) == {target}
+                assert set(br.terms) == {tuple(r.l * x for x in target)}
+                assert br.terms[tuple(r.l * x for x in target)] == lam[target]

@@ -11,7 +11,6 @@ from qorder.stabilizer import (
     HypothesisFailed,
     linearized_stabilizer,
     main_theorem_check,
-    monomial_bracket_scalar,
     psi_check,
     rank_and_checks,
     stabilizer_from_stratum,
@@ -228,19 +227,23 @@ def test_main_theorem_witnessless_extension(r3):
 
 
 def test_monomial_bracket_antisymmetry(r3):
-    S = [[0, 1], [-1, 0]]
-    a, b = (3, 0), (0, 3)
-    lam1 = monomial_bracket_scalar(S, r3, a, b)
-    lam2 = monomial_bracket_scalar(S, r3, b, a)
-    assert lam1 == -lam2 and not lam1.is_zero()
+    m = models.build_twisted([[0, 1], [-1, 0]], 2)
+    names, exprs, _ = models.twisted_z0_table(m, r3)
+    chart = stabilizer._Chart(names, exprs, [r3.one(), r3.one()], r3)
+    for a, b in (((1, 0), (0, 1)), ((2, 1), (-1, 3))):
+        f, g = {a: r3.one()}, {b: r3.eps()}
+        ab, ba = chart.bracket(f, g), chart.bracket(g, f)
+        assert ab and ab == {k: -c for k, c in ba.items()}
 
 
 def _engine_stabilizer_twisted(model, ctx, loc, chi, r, level):
     """Independent duplicate of the twisted stratum stabilizer.
 
     Rebuilds the stratum inside a localized presentation (killed generators
-    polynomial, survivors invertible), computes every bracket with the
-    rewriting engine, expresses it in the frame, and linearizes."""
+    polynomial, survivors invertible) and lifts each generator there: a
+    powered z_j as the engine's l-th power of its survivor monomial, whose
+    q-power coefficient carries the reordering sign.  Every bracket comes
+    from the rewriting engine, expressed in the generators and linearized."""
     from qorder.engine import (
         AlgebraPresentation,
         Element,
@@ -248,6 +251,7 @@ def _engine_stabilizer_twisted(model, ctx, loc, chi, r, level):
         expression_linear_part,
         express_in_frame,
         poisson_bracket,
+        power,
     )
     st = loc.stratum
     killed = [i for i, g in enumerate(model.gens)
@@ -257,21 +261,28 @@ def _engine_stabilizer_twisted(model, ctx, loc, chi, r, level):
     N = model.N
     S2 = [[model.S[perm[a]][perm[b]] for b in range(N)] for a in range(N)]
     P2 = AlgebraPresentation([model.gens[i] for i in perm], len(killed), S2)
-    where = {orig: pos for pos, orig in enumerate(perm)}
-    gens = stabilizer._twisted_stratum_gens(ctx, loc, chi, level)
-    frame = []
-    lifts = []
-    for g in gens:
-        alpha2 = tuple(g.alpha[perm[pos]] for pos in range(N))
-        lift = Element.monomial(N, alpha2)
-        lifts.append(lift)
-        frame.append(FrameFactor(g.label, lift,
-                                 invertible=g.part in ("t", "z")))
-    values = [g.value for g in gens]
+    ts = st.torus
+    gens = []  # (label, lift in P2, value at the character, invertible)
+    for j, row in enumerate(ts.z_rows()):
+        emb = strata.embed_vector(st, N, row)
+        x = Element.monomial(N, tuple(emb[i] for i in perm))
+        if level == "l0" or j < ts.t:
+            lift = power(P2, x, r.l)
+            (coeff,) = lift.terms.values()
+            value = r.eval(coeff) * strata.monomial_l_value(st, ctx, chi, row)
+            gens.append(("z%d^l" % (j + 1), lift, value, True))
+        else:
+            gens.append(("z%d" % (j + 1), x, loc.z_ext[j], True))
+    for name in st.killed_labels:
+        pos = perm.index(model.gens.index(name))
+        gens.append(("a:%s" % name, Element.gen(N, pos, r.l), r.zero(), False))
+    frame = [FrameFactor(label, lift, invertible=inv)
+             for label, lift, _, inv in gens]
+    values = [g[2] for g in gens]
     bracket = {}
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            br = poisson_bracket(P2, r, lifts[i], lifts[j])
+            br = poisson_bracket(P2, r, gens[i][1], gens[j][1])
             if br.is_zero():
                 continue
             expr = express_in_frame(P2, r, br, frame)
@@ -279,12 +290,13 @@ def _engine_stabilizer_twisted(model, ctx, loc, chi, r, level):
             assert const.is_zero()
             if any(not c.is_zero() for c in grad):
                 bracket[(i, j)] = grad
-    return [g.label for g in gens], bracket
+    return [g[0] for g in gens], bracket
 
 
 def test_twisted_stabilizer_matches_engine_duplicate():
-    # the lattice/cocycle path and a fully engine-driven localized
-    # computation must produce identical structure constants
+    # the stratum stabilizer and a fully engine-driven localized
+    # computation must produce identical structure constants; at even l the
+    # l-th power of a row with odd self-cocycle carries the sign -1
     cases = [
         ([[0, 1], [-1, 0]], 2, {"x1": 0, "x2": 1}, {"x2": 1}),
         ([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]], 3,
@@ -293,8 +305,11 @@ def test_twisted_stabilizer_matches_engine_duplicate():
          {"x1": 1, "x2": 1, "x3": 0}, {"x1": 1, "x2": 1}),
         ([[0, 2, 0], [-2, 0, 0], [0, 0, 0]], 2,
          {"x1": 0, "x2": 0, "x3": 1}, {"x3": 1}),
+        ([[0, -1, -1, -1], [1, 0, -1, -1], [1, 1, 0, -1], [1, 1, 1, 0]], 4,
+         {"x1": 0, "x2": 1, "x3": 1, "x4": 1},
+         {"x2": 1, "x3": 1, "x4": 1}),
     ]
-    for l in (3, 5):
+    for l in (2, 3, 4, 5):
         r = cyclotomic_build(l)
         for S, n_poly, vals, wits in cases:
             m = models.build_twisted(S, n_poly)
@@ -310,7 +325,7 @@ def test_twisted_stabilizer_matches_engine_duplicate():
                 assert labels == g.labels
                 assert set(bracket) == set(g.bracket)
                 for key, vec in bracket.items():
-                    assert vec == g.bracket[key], (S, level, key)
+                    assert vec == g.bracket[key], (S, l, level, key)
 
 
 def _companion(p, r):

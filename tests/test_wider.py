@@ -82,7 +82,7 @@ def test_weyl_n2_killed_w_stratum_full_pipeline(r3):
     assert stabilizer.psi_check(g_l0, g_eps, r)
     assert res.count == r.l ** res_eps.rank == r.l ** loc.stratum.torus.t
     center = models.f_elements_and_z0_brackets(W, r)
-    values = [chi.value(strata.n_to_gen(W, nm)) for nm in center.frame_names]
     g_lin = stabilizer.linearized_stabilizer(center.frame_names,
-                                             center.brackets, values, r)
+                                             center.brackets,
+                                             ctx.frame_values(chi), r)
     assert stabilizer.rank_and_checks(g_lin).rank == 1
