@@ -365,9 +365,10 @@ def linearized_stabilizer(names, exprs, values, r):
     """
     chart = _Chart(names, exprs, values, r)
     m = len(names)
-    tensor = [[engine.evaluate_expression(chart.coordinate_bracket(i, j),
-                                          values, r) for j in range(m)]
-              for i in range(m)]
+    tensor = [[r.zero()] * m for _ in range(m)]
+    for (i, j), expr in chart.table.items():
+        c = engine.evaluate_expression(expr, values, r)
+        tensor[i][j], tensor[j][i] = c, -c
     gens = []
     for a, vec in enumerate(fiber_mod.kernel_c(tensor, m, r)):
         fn = {}
