@@ -278,7 +278,7 @@ def _stabilizer_lie(chart, gens):
     grads = []
     for i, (_, fn, _) in enumerate(gens):
         if fn is None:
-            vec = [r.zero()] * chart.base + list(pad)
+            vec = [r.zero()] * (chart.base + len(opaque))
             vec[chart.base + opaque.index(i)] = r.one()
         else:
             vec = chart.linear_part(fn)[1] + pad
