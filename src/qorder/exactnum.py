@@ -341,12 +341,30 @@ class CycloNum:
         root = self.root
         if other.root is not root:
             self._check(other)
+        a, b = self.num, other.num
+        # Factors 0, 1 and -1 have den 1 and the numerators cached on root.
+        # The product lives on self.root, and a negated canonical form is
+        # canonical.
+        if other.den == 1:
+            if b == root._zero_num:
+                return root._zero
+            if b == root._one_num:
+                return self
+            if b == root._minus_one_num:
+                return _make(root, tuple([-c for c in a]), self.den)
+        if self.den == 1:
+            if a == root._zero_num:
+                return root._zero
+            if a == root._one_num:
+                return other if other.root is root else \
+                    _make(root, b, other.den)
+            if a == root._minus_one_num:
+                return _make(root, tuple([-c for c in b]), other.den)
         # Convolve, then fold q^deg, ..., q^(2 deg - 2) back through the
         # integer rows of q^k mod Phi_l.
         deg = root.deg
         prod = [0] * (2 * deg - 1)
-        b = other.num
-        for i, x in enumerate(self.num):
+        for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
                     prod[j] += x * y
@@ -472,7 +490,8 @@ class RootData:
     """
 
     __slots__ = ("l", "phi", "primitive_index", "deg", "_pow", "_high",
-                 "_powers", "_zero", "_one", "_phi_prime")
+                 "_powers", "_zero", "_one", "_zero_num", "_one_num",
+                 "_minus_one_num", "_phi_prime")
 
     def __init__(self, l, primitive_index=1):
         if l < 2:
@@ -499,6 +518,9 @@ class RootData:
         self._powers = tuple(_make(self, v, 1) for v in pw)
         self._zero = _make(self, (0,) * deg, 1)
         self._one = self._powers[0]
+        self._zero_num = self._zero.num
+        self._one_num = self._one.num
+        self._minus_one_num = (-1,) + (0,) * (deg - 1)
         self._phi_prime = None
 
     def zero(self):

@@ -161,10 +161,19 @@ def rank_and_checks(g):
 
 
 def _diagonalizable(M, r):
-    """True when M is diagonalizable over the algebraic closure, that is when
-    the squarefree part p/gcd(p, p') of its characteristic polynomial p
-    vanishes at M.  p comes from the Faddeev-LeVerrier recursion, exact in
-    characteristic 0; the squarefree part is evaluated at M by Horner."""
+    """True when M is diagonalizable over the algebraic closure.  A diagonal
+    M is, with no arithmetic; any other goes through _diagonalizable_charpoly."""
+    if all(not x for i, row in enumerate(M) for j, x in enumerate(row)
+           if i != j):
+        return True
+    return _diagonalizable_charpoly(M, r)
+
+
+def _diagonalizable_charpoly(M, r):
+    """True when the squarefree part p/gcd(p, p') of the characteristic
+    polynomial p of M vanishes at M.  p comes from the Faddeev-LeVerrier
+    recursion, exact in characteristic 0; the squarefree part is evaluated at
+    M by Horner."""
     n = len(M)
     # M_k = M M_(k-1) + c_(n-k+1) I and c_(n-k) = -tr(M M_k) / k, with
     # M_0 = 0 and c_n = 1; p is stored low degree first.

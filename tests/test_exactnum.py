@@ -241,6 +241,34 @@ def test_arithmetic_matches_fraction_reference():
                 assert rj.eval(f).vec == ref_reduce(want, rj.phi)
 
 
+def test_trivial_factor_products_match_fraction_reference():
+    """Products by 0, 1 and -1 skip the convolution.  Each product, in both
+    orders, equals the reference product in value, == and hash, and lives on
+    its left factor's root, also across roots of one l with different
+    primitive indices."""
+    rng = random.Random(2014)
+
+    def operands(r):
+        return ([r.zero(), r.one(), -r.one(), r.scalar(Fraction(1, 2)),
+                 r.scalar(Fraction(-1, 3))] +
+                [s * r.eps_power(k) for k in range(r.l) for s in (1, -1)] +
+                [rand_cyclo(rng, r) for _ in range(4)])
+
+    for l in (2, 3, 4, 5, 6, 7, 9, 12):
+        j = max(m for m in range(1, l) if math.gcd(m, l) == 1)
+        r, rj = cyclotomic_build(l), cyclotomic_build(l, j)
+        xs, ys = operands(r), operands(r) + operands(rj)
+        for x in xs:
+            for y in ys:
+                want = ref_reduce(ref_poly_mul(x.vec, y.vec), r.phi)
+                for a, b in ((x, y), (y, x)):
+                    got = a * b
+                    ref = CycloNum(a.root, want)
+                    assert got.vec == want, (l, a, b)
+                    assert got == ref and hash(got) == hash(ref)
+                    assert got.root is a.root
+
+
 def test_canonical_form():
     rng = random.Random(2011)
     for l in (3, 5, 12):
@@ -269,6 +297,10 @@ def test_exceptional_inputs(r3, r5):
             r.eps().galois(r.l)
     with pytest.raises(ValueError):
         cyclotomic_build(12).eps().galois(2)
+    with pytest.raises(ValueError):
+        r3.one() * r5.eps()
+    with pytest.raises(ValueError):
+        r5.zero() * r3.eps()
 
 
 def test_cyclotomic_arithmetic_builds_no_fractions(monkeypatch):
@@ -282,7 +314,8 @@ def test_cyclotomic_arithmetic_builds_no_fractions(monkeypatch):
                 raise AssertionError("Fraction built")
             m.setattr(Fraction, "__new__", refuse)
             for z in (x + y, x - y, x * y, x.inverse(), x.galois(l - 1),
-                      r.eval(f), x * 3, x / 3):
+                      r.eval(f), x * 3, x / 3, r.one() * x, -r.one() * x,
+                      r.zero() * x):
                 z.is_zero()
 
 

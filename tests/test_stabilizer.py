@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,7 @@ from qorder import cli, fiber, models, stabilizer, strata
 from qorder.stabilizer import (
     DecompositionInvalid,
     _diagonalizable,
+    _diagonalizable_charpoly,
     FDLie,
     HypothesisFailed,
     linearized_stabilizer,
@@ -461,3 +463,69 @@ def test_diagonalizable_matches_reference_on_built_ad_matrices(monkeypatch):
     assert len(distinct) > 40
     for M, r in distinct.values():
         assert original(M, r) == _squarefree_minpoly_reference(M, r)
+
+
+# The diagonal shortcut of _diagonalizable against the Faddeev-LeVerrier
+# path it skips.
+
+def _is_diagonal(M):
+    return all(x.is_zero() for i, row in enumerate(M)
+               for j, x in enumerate(row) if i != j)
+
+
+def test_diagonal_shortcut_matches_charpoly():
+    rng = random.Random(20101098)
+    for l in (3, 5):
+        r = cyclotomic_build(l)
+        entries = [r.zero(), r.one(), -r.one(), r.eps(), r.scalar(2)]
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            D = [[rng.choice(entries) if i == j else r.zero()
+                  for j in range(n)] for i in range(n)]
+            assert _diagonalizable(D, r) and _diagonalizable_charpoly(D, r)
+            C = _conjugate(D, rng, r)
+            assert _diagonalizable(C, r) and _diagonalizable_charpoly(C, r)
+        D = [[r.eps() if i == j else r.zero() for j in range(3)]
+             for i in range(3)]
+        D[2][2] = r.zero()
+        C = _conjugate(D, random.Random(1), r)
+        assert not _is_diagonal(C) and _diagonalizable(C, r)
+        for name, M, expected in _jordan_cases(r):
+            assert _diagonalizable(M, r) == expected, (l, name)
+            assert _diagonalizable_charpoly(M, r) == expected, (l, name)
+
+
+def test_diagonal_shortcut_on_golden_ad_matrices(monkeypatch):
+    """Every toral ad matrix that main_theorem_check builds on the
+    characters of `verify` over every golden job whose tower has strata.
+    The census is skipped as in the test above."""
+    seen = []
+    original = stabilizer._diagonalizable
+
+    def record(M, r):
+        seen.append((M, r))
+        return original(M, r)
+
+    def too_large(*args):
+        raise fiber.TooLarge("census skipped")
+
+    monkeypatch.setattr(stabilizer, "_diagonalizable", record)
+    monkeypatch.setattr(fiber, "fiber_algebra", too_large)
+    checked = 0
+    for job in sorted((Path(__file__).parent / "golden").glob("*.job")):
+        spec = cli.parse_jobspec(job.read_text())
+        r = cyclotomic_build(spec.l, spec.primitive_index)
+        model = cli.build_model(spec)
+        if not model.admissibility(r.l):
+            continue
+        try:
+            ctx = strata.enumerate_strata(model, r)
+        except ValueError:
+            continue
+        for chi in cli._verify_characters(model, r, spec):
+            main_theorem_check(model, chi, r, ctx)
+            checked += 1
+    assert checked and seen
+    assert any(_is_diagonal(M) for M, _ in seen)
+    for M, r in seen:
+        assert original(M, r) == _diagonalizable_charpoly(M, r)
