@@ -424,15 +424,18 @@ def test_diagonalizable_matches_reference_on_jordan_blocks():
         for name, M, expected in _jordan_cases(r):
             for A in (M, _conjugate(M, rng, r)):
                 assert _diagonalizable(A, r) == expected, (l, name)
+                assert _diagonalizable_charpoly(A, r) == expected, (l, name)
                 assert _squarefree_minpoly_reference(A, r) == expected
 
 
 def test_diagonalizable_matches_reference_on_built_ad_matrices(monkeypatch):
     """Every toral ad matrix that main_theorem_check builds on every fifth
-    admissible model of the acceptance sweep and on the quantum Weyl
-    algebras n=1 and n=2 at l = 3.  The census is skipped: fiber_algebra
-    raises TooLarge, which makes a character UNCHECKED once its stabilizers
-    are built."""
+    admissible model of the acceptance sweep, on the quantum Weyl algebras
+    n=1 and n=2 at l = 3, and on the `verify` characters of every golden job
+    whose tower has strata.  The census is skipped: fiber_algebra raises
+    TooLarge, which makes a character UNCHECKED once its stabilizers are
+    built.  The diagonal shortcut, the Faddeev-LeVerrier path and the
+    minimal polynomial reference agree on each."""
     seen = []
     original = stabilizer._diagonalizable
 
@@ -454,64 +457,9 @@ def test_diagonalizable_matches_reference_on_built_ad_matrices(monkeypatch):
                 model = models.build_twisted(S, n_poly)
                 if model.admissibility(l):
                     jobs.append((model, cyclotomic_build(l)))
-    for model, r in jobs[:2] + jobs[2::5]:
-        ctx = strata.enumerate_strata(model, r)
-        for chi in cli.default_characters(model, r):
-            main_theorem_check(model, chi, r, ctx)
-    assert {len(M) for M, _ in seen} == {2, 3, 4}
-    distinct = {(r.l, tuple(tuple(row) for row in M)): (M, r) for M, r in seen}
-    assert len(distinct) > 40
-    for M, r in distinct.values():
-        assert original(M, r) == _squarefree_minpoly_reference(M, r)
-
-
-# The diagonal shortcut of _diagonalizable against the Faddeev-LeVerrier
-# path it skips.
-
-def _is_diagonal(M):
-    return all(x.is_zero() for i, row in enumerate(M)
-               for j, x in enumerate(row) if i != j)
-
-
-def test_diagonal_shortcut_matches_charpoly():
-    rng = random.Random(20101098)
-    for l in (3, 5):
-        r = cyclotomic_build(l)
-        entries = [r.zero(), r.one(), -r.one(), r.eps(), r.scalar(2)]
-        for _ in range(30):
-            n = rng.randint(1, 5)
-            D = [[rng.choice(entries) if i == j else r.zero()
-                  for j in range(n)] for i in range(n)]
-            assert _diagonalizable(D, r) and _diagonalizable_charpoly(D, r)
-            C = _conjugate(D, rng, r)
-            assert _diagonalizable(C, r) and _diagonalizable_charpoly(C, r)
-        D = [[r.eps() if i == j else r.zero() for j in range(3)]
-             for i in range(3)]
-        D[2][2] = r.zero()
-        C = _conjugate(D, random.Random(1), r)
-        assert not _is_diagonal(C) and _diagonalizable(C, r)
-        for name, M, expected in _jordan_cases(r):
-            assert _diagonalizable(M, r) == expected, (l, name)
-            assert _diagonalizable_charpoly(M, r) == expected, (l, name)
-
-
-def test_diagonal_shortcut_on_golden_ad_matrices(monkeypatch):
-    """Every toral ad matrix that main_theorem_check builds on the
-    characters of `verify` over every golden job whose tower has strata.
-    The census is skipped as in the test above."""
-    seen = []
-    original = stabilizer._diagonalizable
-
-    def record(M, r):
-        seen.append((M, r))
-        return original(M, r)
-
-    def too_large(*args):
-        raise fiber.TooLarge("census skipped")
-
-    monkeypatch.setattr(stabilizer, "_diagonalizable", record)
-    monkeypatch.setattr(fiber, "fiber_algebra", too_large)
-    checked = 0
+    runs = [(model, r, strata.enumerate_strata(model, r),
+             cli.default_characters(model, r))
+            for model, r in jobs[:2] + jobs[2::5]]
     for job in sorted((Path(__file__).parent / "golden").glob("*.job")):
         spec = cli.parse_jobspec(job.read_text())
         r = cyclotomic_build(spec.l, spec.primitive_index)
@@ -520,12 +468,38 @@ def test_diagonal_shortcut_on_golden_ad_matrices(monkeypatch):
             continue
         try:
             ctx = strata.enumerate_strata(model, r)
-        except ValueError:
+        except ValueError:  # a tower with lower-order terms has no strata
             continue
-        for chi in cli._verify_characters(model, r, spec):
+        runs.append((model, r, ctx, cli._verify_characters(model, r, spec)))
+    assert len(runs) - len(jobs[:2] + jobs[2::5]) >= 10
+    for model, r, ctx, characters in runs:
+        for chi in characters:
             main_theorem_check(model, chi, r, ctx)
-            checked += 1
-    assert checked and seen
-    assert any(_is_diagonal(M) for M, _ in seen)
-    for M, r in seen:
-        assert original(M, r) == _diagonalizable_charpoly(M, r)
+    assert {len(M) for M, _ in seen} == {2, 3, 4}
+    distinct = {(r.l, tuple(tuple(row) for row in M)): (M, r) for M, r in seen}
+    assert len(distinct) > 40
+    for M, r in distinct.values():
+        assert original(M, r) == _diagonalizable_charpoly(M, r) == \
+            _squarefree_minpoly_reference(M, r)
+
+
+def test_diagonal_shortcut_matches_charpoly():
+    """Diagonal matrices with repeated and zero entries take the shortcut;
+    their unipotent conjugates are diagonalizable but mostly not diagonal,
+    and go through the Faddeev-LeVerrier path.  Both paths say True."""
+    rng = random.Random(20101098)
+    conjugated = 0
+    for l in (3, 5):
+        r = cyclotomic_build(l)
+        entries = [r.zero(), r.one(), -r.one(), r.eps(), r.scalar(2)]
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            D = [[rng.choice(entries) if i == j else r.zero()
+                  for j in range(n)] for i in range(n)]
+            C = _conjugate(D, rng, r)
+            conjugated += any(not C[i][j].is_zero() for i in range(n)
+                              for j in range(n) if i != j)
+            for A in (D, C):
+                assert _diagonalizable(A, r) and _diagonalizable_charpoly(A, r)
+    assert conjugated > 20
+
