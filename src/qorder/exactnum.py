@@ -379,13 +379,19 @@ class CycloNum:
 
     def inverse(self):
         """Multiplicative inverse: den times the product of the other Galois
-        conjugates of num, over the norm of num."""
+        conjugates of num, over the norm of num.  A rational or +-eps^k / d
+        is inverted directly."""
         num = self.num
         if not any(num):
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         root = self.root
         if not any(num[1:]):
             return root.one()._scale(self.den, num[0])
+        # +-eps^k / d, the union-find's usual weight: d * +-eps^(-k)
+        hit = root._power_index.get(num)
+        if hit is not None:
+            k, sign = hit
+            return root._powers[-k % root.l]._scale(sign * self.den, 1)
         a = _make(root, num, 1)
         conj = root.one()
         for m in range(2, root.l):
@@ -490,8 +496,8 @@ class RootData:
     """
 
     __slots__ = ("l", "phi", "primitive_index", "deg", "_pow", "_high",
-                 "_powers", "_zero", "_one", "_zero_num", "_one_num",
-                 "_minus_one_num", "_phi_prime")
+                 "_powers", "_power_index", "_zero", "_one", "_zero_num",
+                 "_one_num", "_minus_one_num", "_phi_prime")
 
     def __init__(self, l, primitive_index=1):
         if l < 2:
@@ -516,6 +522,10 @@ class RootData:
         self._high = tuple(tuple((i, v) for i, v in enumerate(pw[k % l]) if v)
                            for k in range(deg, 2 * deg - 1))
         self._powers = tuple(_make(self, v, 1) for v in pw)
+        # numerators of +-q^k -> (k, sign); at even l, -q^k is q^(k + l/2)
+        self._power_index = {tuple([-c for c in v]): (k, -1)
+                             for k, v in enumerate(pw)}
+        self._power_index.update((v, (k, 1)) for k, v in enumerate(pw))
         self._zero = _make(self, (0,) * deg, 1)
         self._one = self._powers[0]
         self._zero_num = self._zero.num

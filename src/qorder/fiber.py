@@ -4,7 +4,8 @@ brute-force census.
 The fiber of a character is the quotient of the specialized algebra by the
 central ideal the character cuts out.  Twisted models give monomial fibers
 (products of basis monomials are scalar multiples of basis monomials), which
-keeps the census combinatorial: it compares integer cocycle exponents and
+keeps the census combinatorial: it reads integer rows of products and
+cocycle differences, built by exponent arithmetic on basis positions, and
 does no cyclotomic arithmetic.  Models with lower-order terms give table
 fibers: no product table is stored, only the left operators of the
 generators on the PBW basis, graded by the presentation's own
@@ -34,6 +35,7 @@ from . import strata as strata_mod
 from . import zlattice
 
 FIBER_DIM_LIMIT = 6561
+MONOMIAL_DIM_LIMIT = 7 ** 6
 
 
 class TooLarge(ValueError):
@@ -152,12 +154,14 @@ class FDAlgebra:
     elements b span [A, A].
     monomial=True: products of basis elements are scalar multiples of basis
     elements, provided by mono_mult (index pair -> (index, scalar) or None).
-    mono_index gives the same product's basis index in integers (k or
-    None), and mono_cocycle(i, j) the survivor_cocycle exponent c of the
-    two labels.  mono_mult(i, j) is (k, eps^c * s), where s (the
-    l-th-power scalar and the union-find weight) is nonzero and depends
-    only on the sum of the two labels, so [b_i, b_j] != 0 exactly when
-    c(i, j) and c(j, i) differ mod l.
+    mono_mult(i, j) is (k, eps^c * s), with c = c(i, j) the survivor_cocycle
+    exponent of the two labels and s (the l-th-power scalar and the
+    union-find weight) nonzero and dependent only on the sum of the labels,
+    so [b_i, b_j] != 0 exactly when c(i, j) and c(j, i) differ mod l.  The
+    census reads integer rows instead: mono_power[b] is the index of b^l
+    (the unit) or None when b^l = 0, and gen_rows(k), for g = gens[k], is
+    the row of indices of g b (None when it vanishes) and the row of
+    (c(g, b) - c(b, g)) mod l, over every basis element b.
     monomial=False: no product is stored.  basis_labels are exponent
     vectors a with b_a = x^a in PBW order, gens[u] is the index of e_u and
     the unit is the zero vector.  Every other a has a' = a - e_v in the
@@ -180,8 +184,8 @@ class FDAlgebra:
     unit_index: int
     gens: list
     mono_mult: object = None
-    mono_index: object = None
-    mono_cocycle: object = None
+    mono_power: list = None
+    gen_rows: object = None
     left: list = None
     degrees: list = None
 
@@ -279,79 +283,23 @@ def fiber_algebra(model, character, r, located=None):
     P = model.presentation
     N = P.N
     l = r.l
-    if l ** N > FIBER_DIM_LIMIT:
+    monomial = not P.delta
+    cap = MONOMIAL_DIM_LIMIT if monomial else FIBER_DIM_LIMIT
+    if l ** N > cap:
         raise TooLarge("fiber dimension %d exceeds the cap" % l ** N)
     character.check(model, r)
     chi_list = [character.value(P.gens[i]) for i in range(N)]
-    monomial = not P.delta
     basis = [tuple(v) for v in iproduct(range(l), repeat=N)]
-    index = {v: i for i, v in enumerate(basis)}
     unit_vectors = [tuple(int(i == g) for i in range(N)) for g in range(N)]
 
     if monomial:
-        S = P.S
-        uf = _WeightedUF(r)
-        if located is not None:
-            st = located.stratum
-            for j in range(st.torus.t, st.torus.p):
-                if j not in located.z_ext:
-                    continue  # reported as an unresolved extension value
-                zval = located.z_ext[j]
-                u = strata_mod.embed_vector(st, N, st.torus.z_rows()[j])
-                for w in basis:
-                    raw = tuple(u[i] + w[i] for i in range(N))
-                    red = _reduce_exponent(raw, l, chi_list)
-                    if red is None:
-                        raise ArithmeticError("central monomial truncated")
-                    vec2, scal = red
-                    lam = r.eps_power(strata_mod.survivor_cocycle(S, u, w))
-                    if scal is not None:
-                        lam = lam * scal
-                    if not uf.union(vec2, w, zval / lam):
-                        raise ArithmeticError(
-                            "inconsistent extension relations in the fiber")
-        reps = sorted({uf.find(v)[0] for v in basis})
-        rep_index = {v: i for i, v in enumerate(reps)}
-        zero_coords = [i for i in range(N) if chi_list[i].is_zero()]
-
-        def mono_mult(i, j, _reps=reps, _ri=rep_index):
-            a, b = _reps[i], _reps[j]
-            raw = tuple(x + y for x, y in zip(a, b))
-            red = _reduce_exponent(raw, l, chi_list)
-            if red is None:
-                return None
-            vec2, scal = red
-            lam = r.eps_power(strata_mod.survivor_cocycle(S, a, b))
-            if scal is not None:
-                lam = lam * scal
-            rep, w = uf.find(vec2)
-            return _ri[rep], lam * w
-
-        # The index of each reduced vector's representative, so that
-        # mono_index runs no find; with no union every vector is its own.
-        rep_of = ({v: rep_index[uf.find(v)[0]] for v in basis} if uf.parent
-                  else rep_index)
-
-        def mono_index(i, j, _reps=reps):
-            a, b = _reps[i], _reps[j]
-            for c in zero_coords:
-                if a[c] + b[c] >= l:
-                    return None
-            return rep_of[tuple((x + y) % l for x, y in zip(a, b))]
-
-        def mono_cocycle(i, j, _reps=reps):
-            return strata_mod.survivor_cocycle(S, _reps[i], _reps[j])
-
-        return FDAlgebra(dim=len(reps), root=r, basis_labels=reps,
-                         monomial=True, unit_index=rep_of[(0,) * N],
-                         gens=[rep_of[e] for e in unit_vectors],
-                         mono_mult=mono_mult, mono_index=mono_index,
-                         mono_cocycle=mono_cocycle)
+        return _monomial_fiber(P, r, chi_list, basis, unit_vectors, located)
 
     ts = located.stratum.torus if located is not None else None
     if ts is not None and ts.t < ts.p:
         raise Unsupported("extension quotient on a table fiber is not "
                           "supported")
+    index = {v: i for i, v in enumerate(basis)}
     # Reducing exponents is a homomorphism exactly when the l-th powers are
     # central.
     one = r.one()
@@ -377,6 +325,107 @@ def fiber_algebra(model, character, r, located=None):
                      monomial=False, unit_index=index[(0,) * N],
                      gens=[index[e] for e in unit_vectors], left=left,
                      degrees=degrees)
+
+
+def _monomial_fiber(P, r, chi_list, basis, unit_vectors, located):
+    """The monomial branch of fiber_algebra.  A basis vector a sits at
+    position sum a_i l^(N-1-i) of basis; its rows are built by exponent
+    arithmetic on those positions, one coordinate at a time."""
+    N = P.N
+    l = r.l
+    S = P.S
+    uf = _WeightedUF(r)
+    if located is not None:
+        st = located.stratum
+        for j in range(st.torus.t, st.torus.p):
+            if j not in located.z_ext:
+                continue  # reported as an unresolved extension value
+            zval = located.z_ext[j]
+            u = strata_mod.embed_vector(st, N, st.torus.z_rows()[j])
+            for w in basis:
+                raw = tuple(u[i] + w[i] for i in range(N))
+                red = _reduce_exponent(raw, l, chi_list)
+                if red is None:
+                    raise ArithmeticError("central monomial truncated")
+                vec2, scal = red
+                lam = r.eps_power(strata_mod.survivor_cocycle(S, u, w))
+                if scal is not None:
+                    lam = lam * scal
+                if not uf.union(vec2, w, zval / lam):
+                    raise ArithmeticError(
+                        "inconsistent extension relations in the fiber")
+
+    def position(v):
+        p = 0
+        for x in v:
+            p = p * l + x
+        return p
+
+    # The representatives' positions and, per position, the index of its
+    # representative; with no union the basis represents itself.
+    reps = rep_of = None
+    labels = basis
+    if uf.parent:
+        rep_pos = [position(uf.find(v)[0]) for v in basis]
+        reps = sorted(set(rep_pos))
+        rank = {p: i for i, p in enumerate(reps)}
+        rep_of = [rank[p] for p in rep_pos]
+        labels = [basis[p] for p in reps]
+
+    def index_at(p):
+        return p if rep_of is None else rep_of[p]
+
+    zeros = {i for i in range(N) if chi_list[i].is_zero()}
+    dead = -l ** N
+
+    def indices(m, u):
+        """Per basis element a, the index of the reduced monomial m*a + u,
+        or None where a vanishing l-th power truncates it.  dead keeps a
+        truncated position negative through every later coordinate."""
+        out = _digit_fold([[dead if i in zeros and m * d + e >= l
+                            else (m * d + e) % l for d in range(l)]
+                           for i, e in enumerate(u)], l)
+        if reps is not None:
+            return [None if out[p] < 0 else rep_of[out[p]] for p in reps]
+        return [None if p < 0 else p for p in out]
+
+    def gen_rows(k):
+        u = labels[gens[k]]
+        # c(u, a) - c(a, u) is linear in a: its coefficient on a_i
+        form = [strata_mod.survivor_cocycle(S, u, e)
+                - strata_mod.survivor_cocycle(S, e, u) for e in unit_vectors]
+        comm = _digit_fold([[w * d for d in range(l)] for w in form], 1)
+        if reps is not None:
+            comm = [comm[p] for p in reps]
+        return indices(1, u), [c % l for c in comm]
+
+    def mono_mult(i, j):
+        a, b = labels[i], labels[j]
+        raw = tuple(x + y for x, y in zip(a, b))
+        red = _reduce_exponent(raw, l, chi_list)
+        if red is None:
+            return None
+        vec2, scal = red
+        lam = r.eps_power(strata_mod.survivor_cocycle(S, a, b))
+        if scal is not None:
+            lam = lam * scal
+        rep, w = uf.find(vec2)
+        return index_at(position(rep)), lam * w
+
+    gens = [index_at(position(e)) for e in unit_vectors]
+    return FDAlgebra(dim=len(labels), root=r, basis_labels=labels,
+                     monomial=True, unit_index=index_at(0), gens=gens,
+                     mono_mult=mono_mult, mono_power=indices(l, (0,) * N),
+                     gen_rows=gen_rows)
+
+
+def _digit_fold(cols, radix):
+    """[sum_i cols[i][a_i] * radix^(N-1-i)] over the vectors a in basis
+    order, extended one coordinate at a time."""
+    cur = [0]
+    for col in cols:
+        cur = [x * radix + c for x in cur for c in col]
+    return cur
 
 
 def presentation_weights(P, l):
@@ -570,11 +619,8 @@ def clock_shift_irreps(ctx, located, character):
                                    frame_scalars[2 * i + 1]))
     out = []
     m = ts.m
-    inv_rows = {}
-    for s_idx in range(m):
-        target = [1 if t == s_idx else 0 for t in range(m)]
-        coeffs = _frame_coordinates(basis_rows, target)
-        inv_rows[s_idx] = coeffs
+    targets = [[int(t == s_idx) for t in range(m)] for s_idx in range(m)]
+    inv_rows = [_frame_coordinates(basis_rows, t) for t in targets]
     for choice in iproduct(range(l), repeat=ts.t):
         mats = {}
         z_mats = []
@@ -596,7 +642,9 @@ def clock_shift_irreps(ctx, located, character):
             coeffs = inv_rows[s_idx]
             gamma, acc = strata_mod.ordered_product_data(st.skew, basis_rows,
                                                         coeffs)
-            assert acc == [1 if t == s_idx else 0 for t in range(m)]
+            if acc != targets[s_idx]:
+                raise ArithmeticError("the ordered frame product of %s has "
+                                      "exponent %s" % (item.label, acc))
             M = sp_eye(dim, r)
             for Mr, c in zip(all_mats, coeffs):
                 if c:
@@ -707,8 +755,9 @@ def census(A, constructed_dims=None):
     commutative/uniform cases; anything else raises NonSplit rather than
     guessing.
     """
-    if A.dim > FIBER_DIM_LIMIT:
-        raise TooLarge("census refused beyond dimension %d" % FIBER_DIM_LIMIT)
+    cap = MONOMIAL_DIM_LIMIT if A.monomial else FIBER_DIM_LIMIT
+    if A.dim > cap:
+        raise TooLarge("census refused beyond dimension %d" % cap)
     if A.monomial:
         rad_dim, count, dimq = _census_monomial(A)
     else:
@@ -722,36 +771,22 @@ def _census_monomial(A):
     """J is spanned by the basis monomials b with b^l = 0, and every
     commutator of two monomials is a multiple of one monomial, so the count
     is the number of live monomials that no nonzero [g, b] hits.  Only the
-    integer products of mono_index and mono_cocycle are read: [g, b] != 0
-    exactly when the two cocycle exponents differ mod l."""
-    l = A.root.l
-    unit = A.unit_index
-    live = []
-    for b in range(A.dim):
-        power = b
-        for _ in range(l - 1):
-            power = A.mono_index(power, b)
-            if power is None:
-                break
-        else:
-            if power != unit:
-                raise ArithmeticError("l-th power of a monomial is not a unit")
-            live.append(b)
-    live_set = set(live)
+    integer rows are read: mono_power, and per generator the product and
+    commutator rows of gen_rows, where [g, b] != 0 exactly when the
+    commutator entry (the difference of the two cocycle exponents mod l) is
+    nonzero.  The product of two live monomials is live (a vanishing
+    coordinate stays 0), so every hit is live."""
+    alive = [p is not None for p in A.mono_power]
+    if any(p != A.unit_index for p in A.mono_power if p is not None):
+        raise ArithmeticError("l-th power of a monomial is not a unit")
     hit = set()
-    for g in A.gens:
-        if g not in live_set:
-            continue
-        for b in live:
-            gb = A.mono_index(g, b)
-            if gb is None:
-                continue
-            if A.mono_index(b, g) != gb:
-                raise ArithmeticError("monomial product order mismatch")
-            if (A.mono_cocycle(g, b) - A.mono_cocycle(b, g)) % l:
-                hit.add(gb)
-    count = len(live_set - hit)
-    return A.dim - len(live), count, len(live)
+    for k, g in enumerate(A.gens):
+        if alive[g]:
+            product, comm = A.gen_rows(k)
+            hit.update([gb for gb, c, ok in zip(product, comm, alive)
+                        if c and ok])
+    live = alive.count(True)
+    return A.dim - live, live - len(hit), live
 
 
 def _census_table(A):

@@ -142,6 +142,7 @@ def test_verify_marks_oversized_fibers_unchecked(tmp_path, monkeypatch):
     # the plane's fibers have dimension 9; a cap of 8 refuses every census,
     # and the sweep still reports every character with its prediction
     monkeypatch.setattr(fiber, "FIBER_DIM_LIMIT", 8)
+    monkeypatch.setattr(fiber, "MONOMIAL_DIM_LIMIT", 8)
     code, text = run_cli(tmp_path, PLANE, "verify")
     assert code == 0
     lines = text.splitlines()
@@ -317,8 +318,8 @@ def test_exit_code_3_on_verdict_mismatch(tmp_path, monkeypatch):
     assert cli.main(["verify", "--spec", str(job)]) == 3
 
 
-# twisted N=5 at l=7: the fiber (dimension 7^5) is over the census cap, the
-# representations (dimension 49) are not
+# twisted N=5 at l=7: the fiber (dimension 7^5) is under the monomial census
+# cap, and the representations have dimension 49
 TWISTED_N5_L7 = """
 algebra.kind = twisted
 algebra.S = 0 1 0 0 0 / -1 0 1 0 0 / 0 -1 0 1 0 / 0 0 -1 0 1 / 0 0 0 -1 0
@@ -343,13 +344,33 @@ def test_verify_twisted_n5_l7(tmp_path, monkeypatch):
     recs = json.loads(text)["results"]
     assert len(recs) == 2
     for rec in recs:
-        assert rec["result.verdict"] == "UNCHECKED"
-        assert rec["result.oracle"] is None
+        assert rec["result.verdict"] == "PASS"
+        assert rec["result.oracle"] == 1
         assert rec["result.predicted"] == 1
-        assert rec["result.notes"] == [
-            "census: fiber dimension 16807 exceeds the cap"]
+        assert rec["result.notes"] == []
     # one representation per character, built and verified on the way
     assert [(p.dim, p.verified) for p in built] == [(49, True)] * 2
+
+
+# the same tridiagonal S at N=6: the fiber's dimension 7^6 is the monomial
+# census cap
+TWISTED_N6_L7 = """
+algebra.kind = twisted
+algebra.S = 0 1 0 0 0 0 / -1 0 1 0 0 0 / 0 -1 0 1 0 0 / 0 0 -1 0 1 0 / \
+0 0 0 -1 0 1 / 0 0 0 0 -1 0
+algebra.n_poly = 1
+root.l = 7
+"""
+
+
+def test_verify_twisted_n6_l7(tmp_path):
+    code, text = run_cli(tmp_path, TWISTED_N6_L7, "verify", "--format",
+                         "data")
+    assert code == 0
+    recs = json.loads(text)["results"]
+    assert [(rec["result.verdict"], rec["result.predicted"],
+             rec["result.oracle"]) for rec in recs] == [("PASS", 7, 7),
+                                                        ("PASS", 1, 1)]
 
 
 # `weyl-table` job 0 of benchmark seed 1 at l = 5: a dim-625 table fiber

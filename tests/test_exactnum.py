@@ -127,6 +127,39 @@ def test_inverses():
             done += 1
 
 
+def _galois_inverse(x):
+    """1 / x as the product of the other Galois conjugates over the norm."""
+    r = x.root
+    conj = r.one()
+    for m in range(2, r.l):
+        if math.gcd(m, r.l) == 1:
+            conj = conj * x.galois(m)
+    norm, *rest = (x * conj).vec
+    assert not any(rest)
+    return conj / norm
+
+
+def test_inverse_of_scaled_eps_powers(monkeypatch):
+    # +-eps^k / d is inverted directly, with no Galois conjugate, and agrees
+    # with the conjugate product
+    cases = []
+    for l in (2, 3, 4, 5, 6, 7, 9, 12):
+        r = cyclotomic_build(l)
+        for k in range(l):
+            for d in (1, 2, -3):
+                x = r.eps_power(k) / d
+                cases.append((x, _galois_inverse(x)))
+
+    def refuse(self, m):
+        raise AssertionError("Galois conjugate taken")
+
+    monkeypatch.setattr(CycloNum, "galois", refuse)
+    for x, want in cases:
+        inv = x.inverse()
+        assert inv == want
+        assert x * inv == x.root.one()
+
+
 def test_laurent_ring_axioms():
     rng = random.Random(23)
     for _ in range(100):

@@ -36,11 +36,16 @@ def test_fiber_dims(r3):
 
 
 def test_fiber_too_large():
+    # each census path has its own cap: 5^8 is over the monomial one, and
+    # the dim-5^6 table fiber of the quantum Weyl algebra n = 3 over the
+    # table one, although 5^6 is under the monomial cap
     r = cyclotomic_build(5)
-    m = models.build_twisted([[0] * 6 for _ in range(6)], 6)
-    chi = make_character(r, {g: 0 for g in m.gens}).check(m, r)
-    with pytest.raises(fiber.TooLarge):
-        fiber.fiber_algebra(m, chi, r)
+    assert 5 ** 6 <= fiber.MONOMIAL_DIM_LIMIT < 5 ** 8
+    for m in (models.build_twisted([[0] * 8 for _ in range(8)], 8),
+              models.build_weyl([[0] * 3 for _ in range(3)], [1, 1, 1])):
+        chi = make_character(r, {g: 0 for g in m.gens}).check(m, r)
+        with pytest.raises(fiber.TooLarge):
+            fiber.fiber_algebra(m, chi, r)
 
 
 def test_fiber_associativity_spot(r3):
@@ -92,6 +97,23 @@ def test_clock_shift_killed_stratum(r3):
         assert v ** 3 == r3.one()
         seen.add(tuple(v.vec))
     assert len(seen) == 3
+
+
+def test_clock_shift_rejects_a_wrong_frame_product(r3, monkeypatch):
+    # a frame product that misses its survivor raises, also under python -O
+    m, ctx = plane_ctx(r3)
+    chi = make_character(r3, {"x1": 1, "x2": 1},
+                         {"x1": 1, "x2": 1}).check(m, r3)
+    loc = strata.locate(chi, ctx)
+    real = strata.ordered_product_data
+
+    def off_by_one(skew, rows, coeffs):
+        gamma, acc = real(skew, rows, coeffs)
+        return gamma, [acc[0] + 1] + acc[1:]
+
+    monkeypatch.setattr(strata, "ordered_product_data", off_by_one)
+    with pytest.raises(ArithmeticError, match="ordered frame product"):
+        fiber.clock_shift_irreps(ctx, loc, chi)
 
 
 def test_clock_shift_commutative(r3):
@@ -747,7 +769,7 @@ root.primitive_index = 4
 """
 
 
-def test_monomial_census_matches_cyclotomic_reference(r3, r5):
+def _reference_fibers(r3, r5):
     fibers = []
     for S, n_poly in [([[0, 1], [-1, 0]], 2), ([[0, 0], [0, 0]], 2),
                       ([[0, 2], [-2, 0]], 1),
@@ -759,13 +781,52 @@ def test_monomial_census_matches_cyclotomic_reference(r3, r5):
     m = cli.build_model(spec)
     r = cyclotomic_build(spec.l, spec.primitive_index)
     fibers.extend(_located_fibers(m, r, cli.default_characters(m, r)))
+    return fibers
+
+
+def test_monomial_census_matches_cyclotomic_reference(r3, r5):
     seen = set()
-    for A in fibers:
+    for A in _reference_fibers(r3, r5):
         assert A.monomial
         assert fiber._census_monomial(A) == _census_monomial_reference(A)
         seen.add((A.root.l, A.dim))
     # full fibers, extension quotients at l = 3 and 5, and dim 625
     assert {(3, 9), (3, 27), (3, 1), (5, 25), (5, 125), (5, 625)} <= seen
+
+
+def test_monomial_rows_match_mono_mult(r3, r5):
+    # the integer rows the census reads, entry by entry against the
+    # CycloNum products; the tridiagonal N = 3 fibers at l = 7 include an
+    # extension quotient with a vanishing coordinate
+    r7 = cyclotomic_build(7)
+    fibers = _reference_fibers(r3, r5)
+    fibers.extend(_default_fibers([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], 3,
+                                  r7))
+    assert (7, 49) in {(A.root.l, A.dim) for A in fibers}
+
+    def refuse(i, j):
+        raise AssertionError("mono_mult called by the census")
+
+    for A in fibers:
+        for b in range(A.dim):
+            power = b
+            for _ in range(A.root.l - 1):
+                step = A.mono_mult(power, b)
+                power = None if step is None else step[0]
+                if power is None:
+                    break
+            assert A.mono_power[b] == power
+        for k, g in enumerate(A.gens):
+            product, comm = A.gen_rows(k)
+            assert len(product) == len(comm) == A.dim
+            for b in range(A.dim):
+                gb, bg = A.mono_mult(g, b), A.mono_mult(b, g)
+                assert (product[b] is None) == (gb is None)
+                if gb is not None:
+                    assert product[b] == gb[0] == bg[0]
+                    assert (comm[b] != 0) == (gb[1] != bg[1])
+        blind = dataclasses.replace(A, mono_mult=refuse)
+        assert fiber._census_monomial(blind) == fiber._census_monomial(A)
 
 
 def test_monomial_census_does_no_cyclotomic_arithmetic(r3, r5, monkeypatch):
