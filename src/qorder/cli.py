@@ -626,6 +626,9 @@ def main(argv=None):
     except (engine.ValidationFailed, zlattice.NotSkew, ValueError) as exc:
         print("validation error: %s" % exc, file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print("check failed: %s" % exc, file=sys.stderr)
+        return 3
     if args.format == "data":
         payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:

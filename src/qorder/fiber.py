@@ -53,11 +53,6 @@ class Unsupported(ValueError):
 # ---------------------------------------------------------------------------
 # Dense linear algebra over the cyclotomic field (small dimensions only).
 
-def mat_eye(n, r):
-    return [[r.one() if i == j else r.zero() for j in range(n)]
-            for i in range(n)]
-
-
 def mat_mul_c(A, B, r):
     # The nonzero entries of each row of B, found once per product.
     rows_b = [[(j, b) for j, b in enumerate(Bt) if not b.is_zero()]
@@ -572,23 +567,24 @@ class Representation:
         return out
 
 
-def _clock(l, omega_pow, r, k_index, k_total):
-    """Diagonal matrix eps^(omega_pow * digit) acting on tensor slot
-    k_index of k_total clock registers."""
+def _clock(l, omega_pow, r, k_index, k_total, scalar):
+    """Diagonal matrix scalar * eps^(omega_pow * digit) acting on tensor
+    slot k_index of k_total clock registers."""
     base = l ** k_index
-    return [{idx: r.eps_power(omega_pow * ((idx // base) % l))}
+    return [{idx: scalar * r.eps_power(omega_pow * ((idx // base) % l))}
             for idx in range(l ** k_total)]
 
 
-def _shift(l, r, k_index, k_total):
+def _shift(l, k_index, k_total, scalar):
+    """Cyclic shift, scaled by scalar, of tensor slot k_index of k_total
+    registers."""
     dim = l ** k_total
     M = sp_zero(dim)
     base = l ** k_index
-    one = r.one()
     for idx in range(dim):
         digit = (idx // base) % l
         jdx = idx + base if digit < l - 1 else idx - (l - 1) * base
-        M[jdx] = {idx: one}
+        M[jdx] = {idx: scalar}
     return M
 
 
@@ -596,109 +592,68 @@ def clock_shift_irreps(ctx, located, character):
     """Explicit irreducibles over a located character, one per root choice.
 
     Paired torus generators act by scaled clock and shift matrices, central
-    monomials by scalars, killed elements by zero; every defining relation
-    is then verified exactly, on sparse rows.
+    monomials by scalars, killed elements by zero.  Each survivor's matrix is
+    its ordered product over the frame, read from the frame inverse and
+    built once; a choice of roots for the t non-extending z's rescales it by
+    eps^(choice . c), c its z coordinates.  Every defining relation is then
+    verified exactly, on sparse rows.
     """
     model = ctx.model
     r = ctx.root
     st = located.stratum
     ts = st.torus
-    P = model.presentation
     l = r.l
     k = ts.k
     dim = l ** k
-    basis_rows = ts.basis
-    frame_scalars = []
-    for row in basis_rows:
-        frame_scalars.append(strata_mod.monomial_value(st, character, r, row))
+    scalars = [strata_mod.monomial_value(st, character, r, row)
+               for row in ts.basis]
     frame_mats = []
     for i in range(k):
-        frame_mats.append(sp_scale(_clock(l, ts.ds[i], r, i, k),
-                                   frame_scalars[2 * i]))
-        frame_mats.append(sp_scale(_shift(l, r, i, k),
-                                   frame_scalars[2 * i + 1]))
+        frame_mats.append(_clock(l, ts.ds[i], r, i, k, scalars[2 * i]))
+        frame_mats.append(_shift(l, i, k, scalars[2 * i + 1]))
+    z_scalars = scalars[2 * k:]
+    survivors = []
+    for s_idx, (item, coeffs) in enumerate(zip(st.survivors, ts.inverse)):
+        gamma, acc = strata_mod.ordered_product_data(st.skew, ts.basis,
+                                                    coeffs)
+        if acc != [int(t == s_idx) for t in range(ts.m)]:
+            raise ArithmeticError("the ordered frame product of %s has "
+                                  "exponent %s" % (item.label, acc))
+        c = r.eps_power(-gamma)
+        for z, e in zip(z_scalars, coeffs[2 * k:]):
+            c = c * z ** e
+        M = sp_eye(dim, r)
+        for Mr, e in zip(frame_mats, coeffs):
+            if e:
+                M = sp_mul(M, sp_pow(Mr, e, r))
+        survivors.append((item.label, sp_scale(M, c), coeffs[2 * k:]))
     out = []
-    m = ts.m
-    targets = [[int(t == s_idx) for t in range(m)] for s_idx in range(m)]
-    inv_rows = [_frame_coordinates(basis_rows, t) for t in targets]
     for choice in iproduct(range(l), repeat=ts.t):
-        mats = {}
-        z_mats = []
-        z_scalars = []
-        for j in range(ts.p):
-            base = frame_scalars[2 * k + j]
-            if j < ts.t:
-                val = base * r.eps_power(choice[j])
-            else:
-                val = located.z_ext.get(j)
-                if val is None:
-                    raise strata_mod.MissingWitness(
-                        "extension value for z_%d unavailable" % (j + 1))
-            z_scalars.append(val)
-            z_mats.append(sp_scale(sp_eye(dim, r), val))
-        all_mats = frame_mats + z_mats
-        surv_mats = {}
-        for s_idx, item in enumerate(st.survivors):
-            coeffs = inv_rows[s_idx]
-            gamma, acc = strata_mod.ordered_product_data(st.skew, basis_rows,
-                                                        coeffs)
-            if acc != targets[s_idx]:
-                raise ArithmeticError("the ordered frame product of %s has "
-                                      "exponent %s" % (item.label, acc))
-            M = sp_eye(dim, r)
-            for Mr, c in zip(all_mats, coeffs):
-                if c:
-                    M = sp_mul(M, sp_pow(Mr, c, r))
-            M = sp_scale(M, r.eps_power(-gamma))
-            surv_mats[item.label] = M
-        mats.update(surv_mats)
-        for label in st.killed_labels:
-            if not label.startswith("w"):
-                mats[label] = sp_zero(dim)
+        mats = {label: sp_zero(dim) for label in st.killed_labels}
+        for label, M, zc in survivors:
+            e = sum(a * b for a, b in zip(choice, zc)) % l
+            mats[label] = sp_scale(M, r.eps_power(e)) if e else M
         if st.kind == "A2":
-            _fill_weyl_generators(model, st, mats, r, dim)
-        rep = Representation(rows={g: mats[g] for g in P.gens}, dim=dim,
-                             z_scalars=tuple(z_scalars))
+            _fill_weyl_generators(model, mats, r, dim)
+        zs = [z * r.eps_power(a) for z, a in zip(z_scalars, choice)]
+        rep = Representation(
+            rows={g: mats[g] for g in model.presentation.gens}, dim=dim,
+            z_scalars=tuple(zs + z_scalars[ts.t:]))
         _verify_representation(model, rep, character, r)
         rep.verified = True
         out.append(rep)
     return out
 
 
-def _frame_coordinates(basis_rows, target):
-    """Integer coordinates of target over the unimodular row basis."""
-    m = len(basis_rows)
-    A = [[basis_rows[j][i] for j in range(m)] for i in range(m)]
-    sol = zlattice.solve_int(A, target)
-    if sol is None:
-        raise ArithmeticError("unimodular frame failed to span")
-    return sol
-
-
-def _fill_weyl_generators(model, st, mats, r, dim):
-    """Derive the remaining generator matrices of a Weyl stratum.
-
-    Pairs with a dead y but killed w give x through the w-recursion; fully
-    killed pairs already have zero matrices."""
-    T1, T2, T3 = st.pattern
-    n = model.n
-    wmats = {0: sp_eye(dim, r)}
-    for i in range(1, n + 1):
-        if "w%d" % i in mats:
-            wmats[i] = mats["w%d" % i]
-        elif i in T3:
-            wmats[i] = sp_zero(dim)
-    for i in range(1, n + 1):
-        if "x%d" % i in mats and "y%d" % i in mats:
+def _fill_weyl_generators(model, mats, r, dim):
+    """Derive the x's of a Weyl stratum that are neither survivors nor
+    killed.  Each has a surviving y_i, and the w-recursion gives
+    x_i = (q_i - 1)^-1 y_i^-1 (w_i - w_{i-1}), with w_0 = 1."""
+    wmats = [sp_eye(dim, r)] + [mats["w%d" % i]
+                                for i in range(1, model.n + 1)]
+    for i in range(1, model.n + 1):
+        if "x%d" % i in mats:
             continue
-        if i in T1:
-            mats.setdefault("y%d" % i, sp_zero(dim))
-            continue
-        if i in T2:
-            # x survives (or is killed with T1), y dies
-            mats.setdefault("y%d" % i, sp_zero(dim))
-            continue
-        # y survives, x is determined: x_i = (q_i - 1)^-1 y_i^-1 (w_i - w_{i-1})
         qi = r.eps_power(model.exps[i - 1])
         coef = (qi - r.one()).inverse()
         yinv = sp_inv(mats["y%d" % i], "y%d" % i)

@@ -95,9 +95,7 @@ class Stratum:
     killed_labels: list
     survivors: list  # SurvivorItem
     skew: list
-    full_rows: list
     torus: torus_mod.TorusStructure
-    inverted_labels: list = field(default_factory=list)
 
     @property
     def t(self):
@@ -195,9 +193,7 @@ def _enumerate_twisted(model, r):
                 survivors=[SurvivorItem(P.gens[i], Element.gen(N, i), i)
                            for i in J],
                 skew=skew,
-                full_rows=full,
                 torus=ts,
-                inverted_labels=[P.gens[i] for i in J],
             ))
     return StrataContext(model=model, root=r, strata=strata)
 
@@ -263,9 +259,7 @@ def _enumerate_weyl(model, r):
             killed_labels=["%s%d" % s for s in killed_syms],
             survivors=survivors,
             skew=skew,
-            full_rows=full,
             torus=ts,
-            inverted_labels=["%s%d" % s for s in surv_syms],
         ))
     return StrataContext(model=model, root=r, strata=strata,
                          weyl_center=center)
@@ -370,9 +364,9 @@ def locate(character, ctx):
                 fail = "needs %s^l = 0" % label
                 break
         if fail is None:
-            for label in st.inverted_labels:
-                if ctx.lcenter_value(label, character).is_zero():
-                    fail = "needs %s^l != 0" % label
+            for item in st.survivors:
+                if ctx.lcenter_value(item.label, character).is_zero():
+                    fail = "needs %s^l != 0" % item.label
                     break
         if fail is None:
             hits.append(st)

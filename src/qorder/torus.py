@@ -26,6 +26,8 @@ class TorusStructure:
     basis is a unimodular m x m integer matrix whose rows are the exponent
     vectors (in torus coordinates) of h_1, g_1, ..., h_k, g_k, z_1, ..., z_p;
     the non-extending z's are z_1..z_t, the extending ones come last.
+    inverse is its integer inverse: row s holds the frame coordinates of
+    survivor s.
     """
 
     k: int
@@ -33,6 +35,7 @@ class TorusStructure:
     t: int
     ds: list
     basis: list
+    inverse: list
 
     @property
     def m(self):
@@ -73,10 +76,8 @@ def torus_structure(S_JJ, full_rows, l):
     else:
         z_rows = []
     basis = [list(form.U[i]) for i in range(2 * k)] + z_rows
-    if basis:
-        if abs(zlattice.det_int(basis)) != 1:
-            raise ArithmeticError("torus frame is not unimodular")
-    ts = TorusStructure(k=k, p=p, t=t, ds=list(form.ds), basis=basis)
+    ts = TorusStructure(k=k, p=p, t=t, ds=list(form.ds), basis=basis,
+                        inverse=_unimodular_inverse(basis, "torus frame"))
     _check_structure(S_JJ, full_rows, ts)
     return ts
 
@@ -110,13 +111,13 @@ def _compatible_z_basis(z_basis, ext):
     return zlattice.mat_mul(W, z_basis)
 
 
-def _unimodular_inverse(V):
+def _unimodular_inverse(V, name="matrix"):
     n = len(V)
     U, D, Vv = zlattice.smith_normal_form(V)
     # V unimodular: U V Vv = I  =>  V^-1 = Vv U
     for i in range(n):
         if D[i][i] != 1:
-            raise ValueError("matrix is not unimodular")
+            raise ArithmeticError("%s is not unimodular" % name)
     return zlattice.mat_mul(Vv, U)
 
 

@@ -26,6 +26,11 @@ def make_character(r, values, witnesses=None):
 # Dense matrices over the cyclotomic field, the references that the sparse
 # and representation tests compare against.  A matrix is a list of rows.
 
+def mat_eye(n, r):
+    return [[r.one() if i == j else r.zero() for j in range(n)]
+            for i in range(n)]
+
+
 def mat_add_c(A, B):
     return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
@@ -45,7 +50,7 @@ def mat_is_zero(A):
 def mat_inv_c(A, r):
     n = len(A)
     ech, pivots = fiber.rref_c(
-        [row + eye for row, eye in zip(A, fiber.mat_eye(n, r))])
+        [row + eye for row, eye in zip(A, mat_eye(n, r))])
     if pivots and pivots[-1] >= n:
         raise ZeroDivisionError("matrix is singular")
     return [row[n:] for row in ech]
@@ -54,7 +59,7 @@ def mat_inv_c(A, r):
 def mat_pow_c(A, k, r):
     if k < 0:
         return mat_pow_c(mat_inv_c(A, r), -k, r)
-    out = fiber.mat_eye(len(A), r)
+    out = mat_eye(len(A), r)
     for _ in range(k):
         out = fiber.mat_mul_c(out, A, r)
     return out

@@ -21,7 +21,8 @@ from qorder.zlattice import (
     smith_normal_form,
     zeros,
 )
-from conftest import make_character, mat_add_c, mat_eq_c, mat_scale_c
+from conftest import (make_character, mat_add_c, mat_eq_c, mat_eye,
+                      mat_scale_c)
 
 
 def all_skew(n, span=2):
@@ -267,7 +268,7 @@ def test_criterion_6_weyl_edge(r3):
     X = [[z, one, z], [z, z, -(e * e)], [z, z, z]]
     lhs = fiber.mat_mul_c(X, Y, r3)
     rhs = mat_add_c(mat_scale_c(fiber.mat_mul_c(Y, X, r3), e),
-                          fiber.mat_eye(3, r3))
+                          mat_eye(3, r3))
     assert mat_eq_c(lhs, rhs)
     W = models.build_weyl([[0]], [1])
     ctx = strata.enumerate_strata(W, r3)

@@ -318,6 +318,30 @@ def test_exit_code_3_on_verdict_mismatch(tmp_path, monkeypatch):
     assert cli.main(["verify", "--spec", str(job)]) == 3
 
 
+def test_exit_code_3_on_a_failed_internal_check(tmp_path, monkeypatch,
+                                                capsys):
+    from qorder import stabilizer as stab
+
+    def undecomposable(g):
+        raise stab.DecompositionInvalid("no toral part")
+
+    def nonsplit(A, constructed_dims=None):
+        raise fiber.NonSplit("blocks not certified")
+
+    job = tmp_path / "job.txt"
+    job.write_text(PLANE)
+    for target, name, fake, command, message in (
+            (stab, "rank_and_checks", undecomposable, "verify",
+             "no toral part"),
+            (fiber, "census", nonsplit, "oracle", "blocks not certified")):
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, fake)
+            assert cli.main([command, "--spec", str(job)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "check failed: %s\n" % message
+
+
 # twisted N=5 at l=7: the fiber (dimension 7^5) is under the monomial census
 # cap, and the representations have dimension 49
 TWISTED_N5_L7 = """

@@ -7,10 +7,10 @@ from types import SimpleNamespace
 import pytest
 
 from qorder.exactnum import CycloNum, cyclotomic_build
-from qorder import cli, engine, fiber, models, strata
-from conftest import (make_character, mat_add_c, mat_eq_c, mat_inv_c,
-                      mat_is_zero, mat_pow_c, mat_scale_c, sp_from_dense,
-                      sp_to_dense)
+from qorder import cli, engine, fiber, models, strata, zlattice
+from conftest import (make_character, mat_add_c, mat_eq_c, mat_eye,
+                      mat_inv_c, mat_is_zero, mat_pow_c, mat_scale_c,
+                      sp_from_dense, sp_to_dense)
 from test_cli import CUSTOM_WEYL
 
 
@@ -125,6 +125,115 @@ def test_clock_shift_commutative(r3):
     assert [p.dim for p in reps] == [1]
 
 
+def _per_choice_irreps(ctx, loc, chi):
+    """(matrices, z scalars) of each root choice, built one choice at a
+    time: the z's act as scalar matrices in the frame product, every
+    survivor's frame coordinates come from an integer solve, extending z's
+    take the located extension values, and a derived Weyl x is read off
+    dense matrices."""
+    r, st = ctx.root, loc.stratum
+    ts, l = st.torus, r.l
+    k, dim = ts.k, l ** ts.k
+    scalars = [strata.monomial_value(st, chi, r, row) for row in ts.basis]
+    frame = []
+    for i in range(k):
+        frame.append(fiber._clock(l, ts.ds[i], r, i, k, scalars[2 * i]))
+        frame.append(fiber._shift(l, i, k, scalars[2 * i + 1]))
+    out = []
+    for choice in iproduct(range(l), repeat=ts.t):
+        z_vals = [scalars[2 * k + j] * r.eps_power(choice[j]) if j < ts.t
+                  else loc.z_ext[j] for j in range(ts.p)]
+        all_mats = frame + [fiber.sp_scale(fiber.sp_eye(dim, r), z)
+                            for z in z_vals]
+        mats = {label: fiber.sp_zero(dim) for label in st.killed_labels}
+        for s, item in enumerate(st.survivors):
+            e_s = [int(t == s) for t in range(ts.m)]
+            coeffs = zlattice.solve_int(zlattice.transpose(ts.basis), e_s)
+            gamma, acc = strata.ordered_product_data(st.skew, ts.basis,
+                                                     coeffs)
+            assert acc == e_s
+            M = fiber.sp_eye(dim, r)
+            for Mr, c in zip(all_mats, coeffs):
+                if c:
+                    M = fiber.sp_mul(M, fiber.sp_pow(Mr, c, r))
+            mats[item.label] = fiber.sp_scale(M, r.eps_power(-gamma))
+        if st.kind == "A2":
+            W = ctx.model
+            w = [mat_eye(dim, r)] + [sp_to_dense(mats["w%d" % i], r)
+                                     for i in range(1, W.n + 1)]
+            for i in range(1, W.n + 1):
+                if "x%d" % i not in mats:
+                    coef = (r.eps_power(W.exps[i - 1]) - r.one()).inverse()
+                    yinv = mat_inv_c(sp_to_dense(mats["y%d" % i], r), r)
+                    diff = mat_add_c(w[i], mat_scale_c(w[i - 1], -r.one()))
+                    mats["x%d" % i] = sp_from_dense(mat_scale_c(
+                        fiber.mat_mul_c(yinv, diff, r), coef))
+        out.append((mats, tuple(z_vals)))
+    return out
+
+
+def test_clock_shift_matches_the_per_choice_build(r3, r5):
+    cases = []
+    for r in (r3, r5):
+        for S, n_poly in [([[0, 1], [-1, 0]], 2), ([[0, 0], [0, 0]], 2),
+                          ([[0, 2], [-2, 0]], 1), ([[0]], 1),
+                          ([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], 1),
+                          ([[0, 1, 0], [-1, 0, 0], [0, 0, 0]], 2),
+                          ([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]], 3)]:
+            m = models.build_twisted(S, n_poly)
+            if not m.admissibility(r.l):
+                continue
+            ctx = strata.enumerate_strata(m, r)
+            gens = m.presentation.gens
+            for bits in iproduct((0, 1), repeat=n_poly):
+                live = bits + (1,) * (len(gens) - n_poly)
+                # distinct witnesses keep the frame scalars apart
+                wits = {g: r.scalar(i + 2)
+                        for i, (g, b) in enumerate(zip(gens, live)) if b}
+                vals = {g: wits[g] ** r.l if g in wits else r.zero()
+                        for g in gens}
+                cases.append((m, ctx, strata.Character(vals, wits)))
+    for W in (models.build_weyl([[0]], [1]),
+              models.build_weyl([[0, 1], [-1, 0]], [1, 1])):
+        ctx = strata.enumerate_strata(W, r3)
+        cases.extend((W, ctx, chi) for chi in cli.default_characters(W, r3))
+    # the killed-w Weyl n=2 stratum of test_wider.py
+    W = models.build_weyl([[0, 1], [-1, 0]], [1, 1])
+    e, one = r3.eps(), r3.one()
+    u = (one - e).inverse()
+    cases.append((W, strata.enumerate_strata(W, r3), strata.Character(
+        {"x1": u ** 3, "x2": one, "y1": one, "y2": one},
+        {"x1": u, "x2": one, "y1": one, "y2": one, "w2": e - one})))
+    shapes = set()
+    for model, ctx, chi in cases:
+        chi.check(model, ctx.root)
+        loc = strata.locate(chi, ctx)
+        if not isinstance(loc, strata.Located):
+            continue
+        st, ts = loc.stratum, loc.stratum.torus
+        try:
+            reps = fiber.clock_shift_irreps(ctx, loc, chi)
+        except strata.MissingWitness:
+            continue
+        expect = _per_choice_irreps(ctx, loc, chi)
+        assert len(reps) == len(expect) == ctx.root.l ** ts.t
+        for rep, (mats, z_vals) in zip(reps, expect):
+            assert rep.verified
+            for g in model.presentation.gens:
+                assert rep.rows[g] == mats[g], (st.stratum_id, g)
+            assert rep.z_scalars == z_vals
+            for j in range(ts.t, ts.p):
+                assert rep.z_scalars[j] == loc.z_ext[j]
+        derived = st.kind == "A2" and any(
+            g not in st.killed_labels + [s.label for s in st.survivors]
+            for g in model.presentation.gens)
+        shapes.add((st.kind, ts.t > 0, ts.p > ts.t, derived))
+    # (kind, t >= 1, extending z's, derived Weyl x)
+    assert shapes == {("A1", False, False, False), ("A1", True, False, False),
+                      ("A1", False, True, False), ("A1", True, True, False),
+                      ("A2", True, False, True)}
+
+
 def test_census_examples(r3):
     m, ctx = plane_ctx(r3)
     chi = make_character(r3, {"x1": 1, "x2": 1},
@@ -148,7 +257,7 @@ def test_census_weyl_edge(r3):
     X = [[z, one, z], [z, z, -(e * e)], [z, z, z]]
     lhs = fiber.mat_mul_c(X, Y, r3)
     rhs = mat_add_c(mat_scale_c(fiber.mat_mul_c(Y, X, r3), e),
-                          fiber.mat_eye(3, r3))
+                          mat_eye(3, r3))
     assert mat_eq_c(lhs, rhs)
     assert mat_is_zero(mat_pow_c(X, 3, r3))
     assert mat_is_zero(mat_pow_c(Y, 3, r3))
@@ -518,7 +627,7 @@ def test_core_inverse():
                 mat_inv_c(A, r)
             continue
         Ainv = mat_inv_c(A, r)
-        eye = fiber.mat_eye(n, r)
+        eye = mat_eye(n, r)
         assert mat_eq_c(fiber.mat_mul_c(A, Ainv, r), eye)
         assert mat_eq_c(fiber.mat_mul_c(Ainv, A, r), eye)
 
@@ -577,7 +686,7 @@ def _dense_relations_hold(model, rep, character, r):
                     rep.sparse_of_element(model, rule, r), r))
             if not mat_eq_c(lhs, rhs):
                 return False
-    eye = fiber.mat_eye(rep.dim, r)
+    eye = mat_eye(rep.dim, r)
     return all(mat_eq_c(mat_pow_c(M, r.l, r),
                               mat_scale_c(eye, character.value(g)))
                for g, M in zip(P.gens, gm))

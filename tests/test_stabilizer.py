@@ -17,7 +17,7 @@ from qorder.stabilizer import (
     rank_and_checks,
     stabilizer_from_stratum,
 )
-from conftest import make_character, mat_inv_c
+from conftest import make_character, mat_eye, mat_inv_c
 from test_acceptance import _sweep_plan
 
 
@@ -364,7 +364,7 @@ def _squarefree_minpoly_reference(M, r):
     dependency among the powers of M, flattened into one solve_c, and the
     gcd of that polynomial with its derivative."""
     n = len(M)
-    powers = [fiber.mat_eye(n, r)]
+    powers = [mat_eye(n, r)]
     while True:
         powers.append(fiber.mat_mul_c(powers[-1], M, r))
         k = len(powers) - 1

@@ -5,7 +5,9 @@ import pytest
 
 from qorder.exactnum import cyclotomic_build
 from qorder import engine, models, strata
+from qorder.zlattice import identity, mat_mul, solve_int, transpose
 from conftest import make_character
+from test_acceptance import _sweep_plan
 
 
 def test_a1_enumeration_counts(r3):
@@ -213,3 +215,34 @@ def test_bracket_table_built_once_per_context(r3, monkeypatch):
         ctx2.bracket_table()
     assert again.value is first.value
     assert len(calls) == 2
+
+
+def test_frame_inverse_matches_the_integer_solve():
+    # every stratum of the acceptance sweep's twisted family and of the
+    # quantum Weyl algebras n = 1 and 2: row s of the stored inverse is the
+    # integer solution of basis^T c = e_s
+    jobs = [(models.build_weyl([[0]], [1]), l) for l in (3, 5)]
+    jobs += [(models.build_weyl(S, exps), l) for l in (3, 5)
+             for S, exps in (([[0, 1], [-1, 0]], [1, 1]),
+                             ([[0, 0], [0, 0]], [1, 2]))]
+    for S, ls, np_cap in _sweep_plan():
+        for l in ls:
+            for n_poly in range((len(S) if np_cap is None else np_cap) + 1):
+                jobs.append((models.build_twisted(S, n_poly), l))
+    kinds = set()
+    for model, l in jobs:
+        if not model.admissibility(l):
+            continue
+        for st in strata.enumerate_strata(model, cyclotomic_build(l)).strata:
+            ts = st.torus
+            m = ts.m
+            assert mat_mul(ts.basis, ts.inverse) == identity(m)
+            for s in range(m):
+                e_s = [int(t == s) for t in range(m)]
+                assert ts.inverse[s] == solve_int(transpose(ts.basis), e_s)
+            kinds.add((st.kind, m > 0, ts.k > 0, ts.p > ts.t))
+    # (kind, m > 0, pairs, extending z's): every shape the families have
+    assert kinds == {("A1", False, False, False), ("A1", True, False, False),
+                     ("A1", True, False, True), ("A1", True, True, False),
+                     ("A1", True, True, True), ("A2", True, False, False),
+                     ("A2", True, True, False)}

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qorder import torus
 from qorder.torus import (
     InadmissibleBlock,
     center_generators_eps,
@@ -107,3 +108,13 @@ def test_t_invariant_under_generator_permutation():
 def test_inadmissible_block():
     with pytest.raises(InadmissibleBlock):
         torus_structure([[0, 2], [-2, 0]], [[0, 2], [-2, 0]], 2)
+
+
+def test_non_unimodular_frame_raises(monkeypatch):
+    # the frame inverse is the unimodularity check
+    def doubled(z_basis, ext):
+        return [[2 * x for x in row] for row in z_basis]
+
+    monkeypatch.setattr(torus, "_compatible_z_basis", doubled)
+    with pytest.raises(ArithmeticError, match="torus frame is not unimod"):
+        torus_structure([[0]], [[0], [0]], 3)

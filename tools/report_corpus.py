@@ -16,7 +16,10 @@ CHECKOUT; job files go to a temporary directory.  The corpus is
   job under CHECKOUT/tests/golden.
 
 The second form names every run whose record differs between two files, or
-that only one of them has, and exits 1 if there is any.  Uses the standard
+that only one of them has, and exits 1 if there is any.  A run is its
+command, job file text without comment lines, and format, and each distinct
+run is compared once: the corpus repeats some runs (a workload's seeds share
+jobs), so its 5,562 records make 5,020 comparisons.  Uses the standard
 library only.
 """
 
