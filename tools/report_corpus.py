@@ -15,12 +15,14 @@ CHECKOUT; job files go to a temporary directory.  The corpus is
 - `verify`, `stabilizer`, `count`, `oracle`, `center` and `strata` on every
   job under CHECKOUT/tests/golden.
 
-The second form names every run whose record differs between two files, or
-that only one of them has, and exits 1 if there is any.  A run is its
-command, job file text without comment lines, and format, and each distinct
-run is compared once: the corpus repeats some runs (a workload's seeds share
-jobs), so its 5,562 records make 5,020 comparisons.  Uses the standard
-library only.
+The second form compares every record.  A run is its command, job file
+text without comment lines, and format; the corpus repeats some runs (a
+workload's seeds share jobs), so its 5,562 records hold 5,020 runs.  It names
+every run that one file records twice with different results (exit code,
+stdout or stderr), and every run whose records differ between the two files
+or whose number of records does, and exits 1 if there is any.  Comparing a
+file with itself thus checks that no run gave two different reports inside
+one corpus.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -149,28 +151,67 @@ def _key(rec):
     return (rec["command"], job, rec["format"])
 
 
+FIELDS = ("code", "stdout", "stderr")
+
+
+def _runs(path):
+    """A file's records grouped by run, in file order."""
+    runs = {}
+    with open(path) as fh:
+        for rec in json.load(fh):
+            runs.setdefault(_key(rec), []).append(rec)
+    return runs
+
+
+def _print_run(key, where):
+    command, job, fmt = key
+    print("%s --format %s: %s\n  %s" % (
+        command, fmt, where,
+        "\n  ".join(line for line in job.splitlines() if line)))
+
+
+def _conflicts(path, runs):
+    """Print every run that the file records with two different results;
+    return their number."""
+    count = 0
+    for key, recs in sorted(runs.items()):
+        results = []
+        for rec in recs:
+            result = [rec[f] for f in FIELDS]
+            if result not in results:
+                results.append(result)
+        if len(results) < 2:
+            continue
+        count += 1
+        _print_run(key, "%d different results in %s" % (len(results), path))
+        for result in results:
+            print("  ---")
+            for f, value in zip(FIELDS, result):
+                print("  %s: %s" % (f, json.dumps(value)))
+    return count
+
+
 def compare(path_a, path_b):
-    with open(path_a) as fh:
-        a = {_key(rec): rec for rec in json.load(fh)}
-    with open(path_b) as fh:
-        b = {_key(rec): rec for rec in json.load(fh)}
+    a, b = _runs(path_a), _runs(path_b)
+    conflicting = _conflicts(path_a, a) + _conflicts(path_b, b)
     differing = 0
     for key in sorted(set(a) | set(b)):
-        ra, rb = a.get(key), b.get(key)
-        if ra is None or rb is None:
-            where = "only in %s" % (path_a if rb is None else path_b)
+        ra, rb = a.get(key, []), b.get(key, [])
+        if len(ra) != len(rb):
+            where = "%d records in %s, %d in %s" % (len(ra), path_a,
+                                                    len(rb), path_b)
         else:
-            fields = [f for f in ("code", "stdout", "stderr") if ra[f] != rb[f]]
+            fields = [f for f in FIELDS
+                      if any(x[f] != y[f] for x, y in zip(ra, rb))]
             if not fields:
                 continue
             where = "differs in " + ", ".join(fields)
         differing += 1
-        command, job, fmt = key
-        print("%s --format %s: %s\n  %s" % (
-            command, fmt, where,
-            "\n  ".join(line for line in job.splitlines() if line)))
-    print("%d runs compared, %d differ" % (len(set(a) | set(b)), differing))
-    return 1 if differing else 0
+        _print_run(key, where)
+    print("%d and %d records of %d runs compared, %d differ, %d conflict"
+          % (sum(map(len, a.values())), sum(map(len, b.values())),
+             len(set(a) | set(b)), differing, conflicting))
+    return 1 if differing or conflicting else 0
 
 
 def main(argv=None):
