@@ -483,7 +483,7 @@ def cmd_stabilizer(model, r, spec):
         g = stab_mod.stabilizer_from_stratum(ctx, loc, character, "eps")
         path = "stratum"
     else:
-        names, exprs, _ = ctx.bracket_table()
+        names, exprs = ctx.bracket_table()[:2]
         g = stab_mod.linearized_stabilizer(
             names, exprs, ctx.frame_values(character), r)
         path = "linearized"

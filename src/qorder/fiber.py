@@ -592,9 +592,10 @@ def clock_shift_irreps(ctx, located, character):
     """Explicit irreducibles over a located character, one per root choice.
 
     Paired torus generators act by scaled clock and shift matrices, central
-    monomials by scalars, killed elements by zero.  Each survivor's matrix is
-    its ordered product over the frame, read from the frame inverse and
-    built once; a choice of roots for the t non-extending z's rescales it by
+    monomials by scalars, killed elements by zero, and derived generators by
+    their sums of survivor monomials.  Each survivor's matrix is its ordered
+    product over the frame, read from the frame inverse and built once; a
+    choice of roots for the t non-extending z's rescales it by
     eps^(choice . c), c its z coordinates.  Every defining relation is then
     verified exactly, on sparse rows.
     """
@@ -633,8 +634,14 @@ def clock_shift_irreps(ctx, located, character):
         for label, M, zc in survivors:
             e = sum(a * b for a, b in zip(choice, zc)) % l
             mats[label] = sp_scale(M, r.eps_power(e)) if e else M
-        if st.kind == "A2":
-            _fill_weyl_generators(model, mats, r, dim)
+        for label, terms in st.derived:
+            M = sp_zero(dim)
+            for c, factors in terms:
+                T = sp_eye(dim, r)
+                for name, e in factors:
+                    T = sp_mul(T, sp_pow(mats[name], e, r))
+                M = sp_add(M, sp_scale(T, c))
+            mats[label] = M
         zs = [z * r.eps_power(a) for z, a in zip(z_scalars, choice)]
         rep = Representation(
             rows={g: mats[g] for g in model.presentation.gens}, dim=dim,
@@ -643,22 +650,6 @@ def clock_shift_irreps(ctx, located, character):
         rep.verified = True
         out.append(rep)
     return out
-
-
-def _fill_weyl_generators(model, mats, r, dim):
-    """Derive the x's of a Weyl stratum that are neither survivors nor
-    killed.  Each has a surviving y_i, and the w-recursion gives
-    x_i = (q_i - 1)^-1 y_i^-1 (w_i - w_{i-1}), with w_0 = 1."""
-    wmats = [sp_eye(dim, r)] + [mats["w%d" % i]
-                                for i in range(1, model.n + 1)]
-    for i in range(1, model.n + 1):
-        if "x%d" % i in mats:
-            continue
-        qi = r.eps_power(model.exps[i - 1])
-        coef = (qi - r.one()).inverse()
-        yinv = sp_inv(mats["y%d" % i], "y%d" % i)
-        diff = sp_add(wmats[i], sp_scale(wmats[i - 1], -1))
-        mats["x%d" % i] = sp_scale(sp_mul(yinv, diff), coef)
 
 
 def _verify_representation(model, rep, character, r):

@@ -2,8 +2,8 @@
 
 Twisted polynomial/Laurent algebras from a skew exponent matrix, the rank-one
 Borel enveloping algebra as a named twisted preset, and the quantum Weyl
-algebra with its exponent-matrix calculus, w-chain, and the derived structure
-of its l-center.
+algebra with its exponent-matrix calculus and w-chain; and the one l-center
+bracket table of either family, over the l-th powers of its generators.
 """
 
 from __future__ import annotations
@@ -223,64 +223,6 @@ def _verify_weyl_relations(model):
                     "x_%d w_%d commutation fails" % (i, j))
 
 
-def weyl_pair_exponent(model, gen_label, surv):
-    """Leading q-exponent when moving a generator past a survivor element.
-
-    surv is ('x', i), ('y', i) or ('w', i); gen_label likewise restricted to
-    generators ('x'/'y').  Returns c with  g * s = q^c * s * g  up to lower
-    terms.
-    """
-    kind_g, i = gen_label
-    kind_s, j = surv
-    mats = model.matrices
-    s_i = model.exps[i - 1]
-    if kind_s == "w":
-        if kind_g == "x":
-            return s_i if i <= j else 0
-        if kind_g == "y":
-            return -s_i if i <= j else 0
-        return 0
-    if kind_g == "w":
-        # inverse of the generator-past-w rule
-        return -weyl_pair_exponent(model, surv, gen_label) if kind_s != "w" else 0
-    gi = model.xpos(i) if kind_g == "x" else model.ypos(i)
-    sj = model.xpos(j) if kind_s == "x" else model.ypos(j)
-    return model.presentation.S[gi][sj]
-
-
-@dataclass
-class WeylCenterReport:
-    """Derived l-center structure of a quantum Weyl model.
-
-    f_exprs[i] is the expression of w_i^l at eps as a polynomial in the
-    l-th powers a_k = x_k^l, b_k = y_k^l (exponent vectors over the frame
-    a_1..a_n, b_1..b_n); gammas[k] is the coefficient of a_k b_k in f_k.
-    brackets maps ordered generator-name pairs to frame expressions.  Every
-    bracket of l-th powers equals kappa times the matching skew exponent
-    times the product; diagonal pairs carry an extra f_consts[i-1] * f_{i-1}.
-    """
-
-    frame_names: list
-    f_exprs: list
-    gammas: list
-    gamma_bound: str  # "k<=i" or "k<i", whichever the expansion shows
-    brackets: dict
-    kappa: object  # derived global constant
-    f_consts: list  # derived normalizations of the diagonal additive term
-    shapes_ok: bool
-    shape_notes: list
-
-
-def _weyl_ab_frame(model, r):
-    P = model.presentation
-    pairs = range(1, model.n + 1)
-    frame = ([FrameFactor("a%d" % i, Element.gen(P.N, model.xpos(i), r.l))
-              for i in pairs] +
-             [FrameFactor("b%d" % i, Element.gen(P.N, model.ypos(i), r.l))
-              for i in pairs])
-    return [f.name for f in frame], frame
-
-
 def frame_brackets(P, r, frame):
     """Poisson brackets of the frame factors written in the frame: maps
     (f_p.name, f_q.name), for p < q in frame order, to a frame polynomial."""
@@ -293,162 +235,58 @@ def frame_brackets(P, r, frame):
     return out
 
 
-def f_elements_and_z0_brackets(model, r):
-    """Expand f_i = w_i^l at eps over the a/b frame and tabulate brackets.
+def _frame_table(P, r, order, chain):
+    """The l-center bracket table over the l-th powers of the generators at
+    positions order, each frame coordinate named by its generator.
 
-    Verifies the expected l-center shapes: every bracket of l-th powers is a
-    single global constant gamma times the matching exponent times the
-    product, with the extra additive term f_{i-1} on diagonal pairs.
+    Returns (names, exprs, kappa, chain_exprs): exprs maps name pairs to
+    frame polynomials, kappa is the product coefficient of the first pair
+    with S != 0 divided by S (None when there is none), and chain_exprs maps
+    each label of chain to the frame expression of its element's l-th power
+    at eps.  A pair whose product coefficient is not kappa * S raises.
     """
-    P = model.presentation
-    n = model.n
-    adm = model.admissibility(r.l)
-    if not adm:
-        raise ValueError("root order %d is not admissible here" % r.l)
-    names, frame = _weyl_ab_frame(model, r)
-    f_exprs = [{(0,) * (2 * n): r.one()}]  # f_0 = 1
-    for i in range(1, n + 1):
-        wl = engine.specialize(engine.power(P, model.w[i], r.l), r)
-        try:
-            expr = engine.express_in_frame(P, r, wl, frame)
-        except ExpressionFailed as exc:
-            raise ExpressionFailed(
-                "w_%d^l does not lie in the l-center frame" % i,
-                exc.residual)
-        f_exprs.append(expr)
-    gammas = []
-    bound = "k<=i"
-    for k in range(1, n + 1):
-        vec = [0] * (2 * n)
-        vec[k - 1] = 1
-        vec[n + k - 1] = 1
-        g = f_exprs[k].get(tuple(vec), r.zero())
-        gammas.append(g)
-        if g.is_zero():
-            bound = "k<i"
-    shape_notes = []
-    shapes_ok = True
-    for i in range(1, n + 1):
-        expect_keys = {(0,) * (2 * n)}
-        for k in range(1, i + 1):
-            vec = [0] * (2 * n)
-            vec[k - 1] = 1
-            vec[n + k - 1] = 1
-            expect_keys.add(tuple(vec))
-        if not set(f_exprs[i]) <= expect_keys:
-            shapes_ok = False
-            shape_notes.append("f_%d has terms outside 1 + sum gamma_k a_k b_k" % i)
-
-    brackets = frame_brackets(P, r, frame)
-    mats = model.matrices
-
-    def pair_vec(p, q):
-        vec = [0] * (2 * n)
-        vec[p] += 1
-        vec[q] += 1
-        return tuple(vec)
-
-    # The global constant comes out of the diagonal leading terms; the pair
-    # exponents s_i are nonzero, so kappa is always determined.
-    kappa = None
-    for i in range(1, n + 1):
-        expr = brackets[("a%d" % i, "b%d" % i)]
-        lead = expr.get(pair_vec(i - 1, n + i - 1), r.zero())
-        derived = lead / r.scalar(model.exps[i - 1])
-        if kappa is None:
-            kappa = derived
-        elif kappa != derived:
-            shapes_ok = False
-            shape_notes.append("diagonal brackets disagree on the constant")
-
-    def check_pair(key, exponent, prod_key):
-        nonlocal shapes_ok
-        expr = brackets.get(key)
-        if expr is None:
-            return
-        coeff = expr.get(prod_key, r.zero())
-        rest = {k: v for k, v in expr.items() if k != prod_key}
-        if rest:
-            shapes_ok = False
-            shape_notes.append("bracket %s has unexpected terms" % (key,))
-            return
-        if coeff != kappa * r.scalar(exponent):
-            shapes_ok = False
-            shape_notes.append(
-                "bracket %s is not kappa * %d * product" % (key, exponent))
-
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i < j:
-                check_pair(("a%d" % i, "a%d" % j), mats.texp[i - 1][j - 1],
-                           pair_vec(i - 1, j - 1))
-                check_pair(("b%d" % i, "b%d" % j), model.S[i - 1][j - 1],
-                           pair_vec(n + i - 1, n + j - 1))
-            if i != j:
-                check_pair(("a%d" % i, "b%d" % j), mats.uexp[i - 1][j - 1],
-                           pair_vec(i - 1, n + j - 1))
-    # Diagonal pairs: the remainder past kappa s_i a_i b_i must be a scalar
-    # multiple of f_{i-1}; the scalar is derived and reported.
-    f_consts = []
-    for i in range(1, n + 1):
-        expr = dict(brackets[("a%d" % i, "b%d" % i)])
-        _sub_expr(expr, {pair_vec(i - 1, n + i - 1):
-                         kappa * r.scalar(model.exps[i - 1])}, r)
-        fprev = f_exprs[i - 1]
-        const = expr.get((0,) * (2 * n), r.zero())
-        f_consts.append(const)
-        scaled = {k: v * const for k, v in fprev.items()}
-        _sub_expr(expr, scaled, r)
-        if any(expr.values()):
-            shapes_ok = False
-            shape_notes.append(
-                "bracket (a%d, b%d) - kappa s a b is not proportional to f_%d"
-                % (i, i, i - 1))
-        elif const.is_zero():
-            shapes_ok = False
-            shape_notes.append("diagonal additive term vanished at pair %d" % i)
-    return WeylCenterReport(frame_names=names, f_exprs=f_exprs,
-                            gammas=gammas, gamma_bound=bound,
-                            brackets=brackets, kappa=kappa,
-                            f_consts=f_consts, shapes_ok=shapes_ok,
-                            shape_notes=shape_notes)
-
-
-def _sub_expr(target, other, r):
-    for k, v in other.items():
-        cur = target.get(k, r.zero()) - v
-        if cur:
-            target[k] = cur
-        else:
-            target.pop(k, None)
-
-
-def twisted_z0_table(model, r):
-    """Bracket table of the l-center of a twisted model, with the constant.
-
-    Returns (names, exprs, kappa): names a_1..a_N, exprs over the a-frame,
-    and the single derived constant kappa with every bracket equal to
-    kappa * S_ij * a_i a_j (kappa is None when S = 0).
-    """
-    P = model.presentation
-    N = model.N
-    names = ["a%d" % (i + 1) for i in range(N)]
-    frame = [FrameFactor(names[i], Element.gen(N, i, r.l),
-                         invertible=model.presentation.is_invertible(i))
-             for i in range(N)]
+    names = [P.gens[i] for i in order]
+    frame = [FrameFactor(P.gens[i], Element.gen(P.N, i, r.l),
+                         invertible=P.is_invertible(i)) for i in order]
     exprs = frame_brackets(P, r, frame)
     kappa = None
-    for i in range(N):
-        for j in range(i + 1, N):
-            expr = exprs[(names[i], names[j])]
-            s = model.S[i][j]
-            key = tuple(1 if t in (i, j) else 0 for t in range(N))
+    for p, i in enumerate(order):
+        for q in range(p + 1, len(order)):
+            expr = exprs[(names[p], names[q])]
+            s = P.S[i][order[q]]
             if s and expr:
-                c = expr.get(key)
-                derived = c / r.scalar(s)
+                key = tuple(int(t in (p, q)) for t in range(len(order)))
+                derived = expr.get(key, r.zero()) / r.scalar(s)
                 if kappa is None:
                     kappa = derived
                 elif kappa != derived:
-                    raise ArithmeticError(
-                        "twisted bracket constant is not global")
-    return names, exprs, kappa
+                    raise ArithmeticError("bracket constant is not global")
+    chain_exprs = {}
+    for label, elem in chain.items():
+        power = engine.specialize(engine.power(P, elem, r.l), r)
+        try:
+            chain_exprs[label] = engine.express_in_frame(P, r, power, frame)
+        except ExpressionFailed as exc:
+            raise ExpressionFailed(
+                "%s^l does not lie in the l-center frame" % label,
+                exc.residual)
+    return names, exprs, kappa, chain_exprs
+
+
+def f_elements_and_z0_brackets(model, r):
+    """l-center table of a quantum Weyl model over x_1..x_n, y_1..y_n, with
+    the chain f_k = w_k^l, k = 1..n, as frame expressions."""
+    if not model.admissibility(r.l):
+        raise ValueError("root order %d is not admissible here" % r.l)
+    pairs = range(1, model.n + 1)
+    return _frame_table(model.presentation, r,
+                        [model.xpos(i) for i in pairs] +
+                        [model.ypos(i) for i in pairs],
+                        {"w%d" % k: model.w[k] for k in pairs})
+
+
+def twisted_z0_table(model, r):
+    """l-center table of a twisted model over its generators, in their
+    order, with an empty chain; every bracket is kappa * S_ij times the
+    product."""
+    return _frame_table(model.presentation, r, range(model.N), {})

@@ -207,10 +207,9 @@ class _Chart:
 
     Chart functions are Laurent polynomials {exponent vector: coefficient}
     in the frame coordinates of an l-center bracket table, followed by the
-    central chain values f_k = w_k^l of quantum Weyl models, given by their
-    frame expansions.  Brackets come from the table, extended by the Leibniz
-    rule; gradients live over the frame coordinates, with the chain rule
-    through the f's.
+    table's chain coordinates f, given by their frame expansions.  Brackets
+    come from the table, extended by the Leibniz rule; gradients live over
+    the frame coordinates, with the chain rule through the f's.
     """
 
     def __init__(self, names, exprs, values, r, f_exprs=()):
@@ -337,11 +336,10 @@ def stabilizer_from_stratum(ctx, located, character, level="eps"):
             if val.is_zero():
                 raise HypothesisFailed(
                     "character vanishes on survivor %s" % item.label)
-    names, exprs, _ = ctx.bracket_table()
-    f_exprs = ctx.weyl_center.f_exprs[1:] if ctx.weyl_center else []
-    chart = _Chart(names, exprs, ctx.frame_values(character), r, f_exprs)
-    coords = ctx.frame_labels() + ["w%d" % k
-                                   for k in range(1, len(f_exprs) + 1)]
+    names, exprs, _, chain = ctx.bracket_table()
+    chart = _Chart(names, exprs, ctx.frame_values(character), r,
+                   list(chain.values()))
+    coords = names + list(chain)
     surv = [coords.index(item.label) for item in st.survivors]
     ts = st.torus
     gens = []
@@ -510,7 +508,7 @@ def main_theorem_check(model, character, r, ctx=None):
     loc = strata_mod.locate(character, ctx)
     notes = []
     if isinstance(loc, strata_mod.Uncovered):
-        names, exprs, _ = ctx.bracket_table()
+        names, exprs = ctx.bracket_table()[:2]
         g = linearized_stabilizer(names, exprs, ctx.frame_values(character), r)
         res = rank_and_checks(g)
         predicted = r.l ** res.rank
@@ -568,7 +566,7 @@ def main_theorem_check(model, character, r, ctx=None):
                      % len(missing_ext))
     # linearized comparison when the character level allows it
     try:
-        names, exprs, _ = ctx.bracket_table()
+        names, exprs = ctx.bracket_table()[:2]
         g_lin = linearized_stabilizer(names, exprs,
                                       ctx.frame_values(character), r)
         res_lin = rank_and_checks(g_lin)

@@ -89,13 +89,16 @@ class SurvivorItem:
 
 @dataclass
 class Stratum:
-    kind: str
     pattern: object
     stratum_id: str
     killed_labels: list
     survivors: list  # SurvivorItem
     skew: list
     torus: torus_mod.TorusStructure
+    # the generators that are neither killed nor survivors, each as a sum of
+    # ordered survivor monomials: (label, [(coefficient at eps,
+    # [(survivor label, exponent), ...]), ...])
+    derived: list = field(default_factory=list)
 
     @property
     def t(self):
@@ -104,51 +107,43 @@ class Stratum:
 
 @dataclass
 class StrataContext:
-    """Enumerated strata and the per-(model, root) l-center data: the Weyl
-    center report, and the l-center bracket table built on first use."""
+    """Enumerated strata and the per-(model, root) l-center bracket table,
+    built on first use by build_table."""
 
     model: object
     root: object
     strata: list
-    weyl_center: object = None  # quantum Weyl: models.WeylCenterReport
+    build_table: object  # () -> (names, exprs, kappa, chain), see models
     # bracket_table()'s result, or the exception its build raised
     _table: object = field(default=None, init=False, repr=False)
 
     def bracket_table(self):
-        """(names, exprs, kappa) of the l-center bracket table over the frame
-        of generator l-th powers.  A build that raised raises the same
-        exception at every call."""
+        """(names, exprs, kappa, chain) of the l-center bracket table: the
+        frame coordinates are the l-th powers of the generators in names, and
+        chain maps further labels to the frame expressions of their l-th
+        powers.  A build that raised raises the same exception at every
+        call."""
         if self._table is None:
-            c = self.weyl_center
             try:
-                self._table = (
-                    (c.frame_names, c.brackets, c.kappa) if c is not None
-                    else models_mod.twisted_z0_table(self.model, self.root))
+                self._table = self.build_table()
             except (ArithmeticError, ValueError) as exc:
                 self._table = exc
         if isinstance(self._table, Exception):
             raise self._table
         return self._table
 
-    def frame_labels(self):
-        """The generator behind each frame coordinate of the bracket table;
-        the coordinate is that generator's l-th power."""
-        if self.weyl_center is not None:
-            return [{"a": "x", "b": "y"}[name[0]] + name[1:]
-                    for name in self.weyl_center.frame_names]
-        return list(self.model.presentation.gens)
-
     def frame_values(self, character):
         """Character values on the frame coordinates of the bracket table."""
-        return [character.value(g) for g in self.frame_labels()]
+        return [character.value(g) for g in self.bracket_table()[0]]
 
     def lcenter_value(self, label, character):
-        """Value at the character of the l-th power behind a condition label."""
-        if label.startswith("w") and self.weyl_center is not None:
-            return engine.evaluate_expression(
-                self.weyl_center.f_exprs[int(label[1:])],
-                self.frame_values(character), self.root)
-        return character.value(label)
+        """Value at the character of the l-th power behind a condition label:
+        a generator's value, or its chain expression evaluated."""
+        if label in character.values:
+            return character.value(label)
+        return engine.evaluate_expression(self.bracket_table()[3][label],
+                                          self.frame_values(character),
+                                          self.root)
 
 
 @dataclass
@@ -179,23 +174,15 @@ def _enumerate_twisted(model, r):
     poly = list(range(model.n_poly))
     for size in range(len(poly) + 1):
         for T in combinations(poly, size):
-            killed = set(T)
-            J = [i for i in range(N) if i not in killed]
-            skew = [[model.S[i][j] for j in J] for i in J]
-            full = [[model.S[g][j] for j in J] for g in range(N)]
-            ts = torus_mod.torus_structure(skew, full, r.l)
-            mask = "".join("1" if i in killed else "0" for i in poly)
-            strata.append(Stratum(
-                kind="A1",
-                pattern=frozenset(T),
-                stratum_id="T=%s" % (mask or "-"),
-                killed_labels=[P.gens[i] for i in sorted(killed)],
-                survivors=[SurvivorItem(P.gens[i], Element.gen(N, i), i)
-                           for i in J],
-                skew=skew,
-                torus=ts,
-            ))
-    return StrataContext(model=model, root=r, strata=strata)
+            mask = "".join("1" if i in T else "0" for i in poly)
+            strata.append(_stratum(
+                P, r, frozenset(T), "T=%s" % (mask or "-"),
+                [P.gens[i] for i in T],
+                [SurvivorItem(P.gens[i], Element.gen(N, i), i)
+                 for i in range(N) if i not in T]))
+    return StrataContext(model=model, root=r, strata=strata,
+                         build_table=lambda: models_mod.twisted_z0_table(
+                             model, r))
 
 
 def weyl_admissible_triples(n):
@@ -218,72 +205,102 @@ def weyl_admissible_triples(n):
 
 
 def _enumerate_weyl(model, r):
+    """Strata of a quantum Weyl model, one per admissible triple: x_i dies
+    for i in T1 and survives for i in T2 - T1, y_i dies for i in T2, and w_i
+    dies for i in T3.  The other x_i, i outside T2, is derived from the
+    w-recursion: x_i = (q_i - 1)^-1 y_i^-1 (w_i - w_(i-1)), w_0 = 1."""
     P = model.presentation
     n = model.n
-    center = models_mod.f_elements_and_z0_brackets(model, r)
+    table = models_mod.f_elements_and_z0_brackets(model, r)
+
+    def gen(name, pos):
+        return SurvivorItem(name, Element.gen(P.N, pos), pos)
+
     strata = []
     for (T1, T2, T3) in weyl_admissible_triples(n):
         lam = set(range(1, n + 1))
-        surv_syms = ([("x", i) for i in sorted(T2 - T1)] +
-                     [("y", i) for i in sorted(lam - T2)] +
-                     [("w", i) for i in sorted(lam - T3)])
-        killed_syms = ([("x", i) for i in sorted(T1)] +
-                       [("y", i) for i in sorted(T2)] +
-                       [("w", i) for i in sorted(T3)])
-        survivors = []
-        for kind, i in surv_syms:
-            if kind == "x":
-                survivors.append(SurvivorItem("x%d" % i,
-                                              Element.gen(P.N, model.xpos(i)),
-                                              model.xpos(i)))
-            elif kind == "y":
-                survivors.append(SurvivorItem("y%d" % i,
-                                              Element.gen(P.N, model.ypos(i)),
-                                              model.ypos(i)))
-            else:
-                survivors.append(SurvivorItem("w%d" % i, model.w[i], None))
-        m = len(surv_syms)
-        skew = [[models_mod.weyl_pair_exponent(model, a, b) for b in surv_syms]
-                for a in surv_syms]
-        gen_syms = [("y", i) for i in range(n, 0, -1)] + \
-                   [("x", i) for i in range(1, n + 1)]
-        full = [[models_mod.weyl_pair_exponent(model, g, s) for s in surv_syms]
-                for g in gen_syms]
-        _verify_survivor_commutation(model, survivors, skew)
-        ts = torus_mod.torus_structure(skew, full, r.l)
+        survivors = ([gen("x%d" % i, model.xpos(i)) for i in sorted(T2 - T1)]
+                     + [gen("y%d" % i, model.ypos(i)) for i in sorted(lam - T2)]
+                     + [SurvivorItem("w%d" % i, model.w[i])
+                        for i in sorted(lam - T3)])
+        killed = (["x%d" % i for i in sorted(T1)] +
+                  ["y%d" % i for i in sorted(T2)] +
+                  ["w%d" % i for i in sorted(T3)])
+        derived = []
+        for i in sorted(lam - T2):
+            c = (r.eps_power(model.exps[i - 1]) - r.one()).inverse()
+            yinv = ("y%d" % i, -1)
+            terms = [(c, [yinv, ("w%d" % i, 1)])] if i not in T3 else []
+            if i == 1:
+                terms.append((-c, [yinv]))
+            elif i - 1 not in T3:
+                terms.append((-c, [yinv, ("w%d" % (i - 1), 1)]))
+            derived.append(("x%d" % i, terms))
         sid = "T1=%s;T2=%s;T3=%s" % (_fmt(T1), _fmt(T2), _fmt(T3))
-        strata.append(Stratum(
-            kind="A2",
-            pattern=(T1, T2, T3),
-            stratum_id=sid,
-            killed_labels=["%s%d" % s for s in killed_syms],
-            survivors=survivors,
-            skew=skew,
-            torus=ts,
-        ))
+        strata.append(_stratum(P, r, (T1, T2, T3), sid, killed, survivors,
+                               derived))
     return StrataContext(model=model, root=r, strata=strata,
-                         weyl_center=center)
+                         build_table=lambda: table)
 
 
 def _fmt(s):
     return "[%s]" % ",".join(str(i) for i in sorted(s))
 
 
-def _verify_survivor_commutation(model, survivors, skew):
-    """Exact engine check that the survivors q-commute with the listed
-    exponents."""
-    P = model.presentation
-    for a in range(len(survivors)):
-        for b in range(len(survivors)):
-            if a == b:
-                continue
-            lhs = engine.mul(P, survivors[a].lift, survivors[b].lift)
-            rhs = engine.mul(P, survivors[b].lift, survivors[a].lift)
-            rhs = rhs.scale(QLaurent.q_power(skew[a][b]))
-            if lhs != rhs:
-                raise engine.ValidationFailed(
-                    "survivors %s, %s do not q-commute as claimed"
-                    % (survivors[a].label, survivors[b].label))
+def _stratum(P, r, pattern, stratum_id, killed_labels, survivors,
+             derived=()):
+    """The stratum over survivors: their skew q-exponents, each generator's
+    row of q-exponents against them, and the torus.
+
+    Two generators with no delta rule between them read P.S.  A generator
+    outside the survivors reads P.S against a generator survivor too: that
+    is the exponent of their leading terms, exact modulo the killed ideal
+    for a killed generator and the pairing of the leading survivor monomial
+    for a derived one.  Every other pair is measured once with the engine,
+    and the measurement raises when the pair does not q-commute.
+    """
+    def measured(a, b):
+        ab = engine.mul(P, a.lift, b.lift)
+        ba = engine.mul(P, b.lift, a.lift)
+        lead = ba.lead()
+        if lead in ab.terms:
+            c = ab.terms[lead].max_degree() - ba.terms[lead].max_degree()
+            if ab == ba.scale(QLaurent.q_power(c)):
+                return c
+        raise engine.ValidationFailed("%s and %s do not q-commute"
+                                      % (a.label, b.label))
+
+    m = len(survivors)
+    skew = [[0] * m for _ in range(m)]
+    for a, sa in enumerate(survivors):
+        i = sa.gen_index
+        for b in range(a + 1, m):
+            sb = survivors[b]
+            j = sb.gen_index
+            if i is None or j is None or (i, j) in P.delta \
+                    or (j, i) in P.delta:
+                c = measured(sa, sb)
+            else:
+                c = P.S[i][j]
+            skew[a][b], skew[b][a] = c, -c
+    position = {s.gen_index: a for a, s in enumerate(survivors)}
+    full = []
+    for g in range(P.N):
+        if g in position:
+            full.append(skew[position[g]])
+            continue
+        row = []
+        for s in survivors:
+            if s.gen_index is None:
+                gen = SurvivorItem(P.gens[g], Element.gen(P.N, g), g)
+                row.append(measured(gen, s))
+            else:
+                row.append(P.S[g][s.gen_index])
+        full.append(row)
+    return Stratum(pattern=pattern, stratum_id=stratum_id,
+                   killed_labels=killed_labels, survivors=survivors,
+                   skew=skew, torus=torus_mod.torus_structure(skew, full, r.l),
+                   derived=list(derived))
 
 
 def survivor_cocycle(skew, u, v):
@@ -335,16 +352,6 @@ def monomial_value(stratum, character, r, u):
     for s_item, e in zip(stratum.survivors, u):
         if e:
             val = val * character.witness(s_item.label) ** e
-    return val
-
-
-def monomial_l_value(stratum, ctx, character, u):
-    """Value of mono(u)^l, computable without witnesses."""
-    r = ctx.root
-    val = r.one()
-    for s_item, e in zip(stratum.survivors, u):
-        if e:
-            val = val * ctx.lcenter_value(s_item.label, character) ** e
     return val
 
 

@@ -23,6 +23,22 @@ def make_character(r, values, witnesses=None):
     return strata.Character(vv, ww)
 
 
+def monomial_l_value(stratum, ctx, character, u):
+    """Value of mono(u)^l, computable without witnesses."""
+    val = ctx.root.one()
+    for s_item, e in zip(stratum.survivors, u):
+        if e:
+            val = val * ctx.lcenter_value(s_item.label, character) ** e
+    return val
+
+
+def has_derived(model, stratum):
+    """Whether some generator of the model is neither killed nor a survivor
+    of the stratum, and so acts through the survivors."""
+    named = set(stratum.killed_labels) | {s.label for s in stratum.survivors}
+    return any(g not in named for g in model.presentation.gens)
+
+
 # Dense matrices over the cyclotomic field, the references that the sparse
 # and representation tests compare against.  A matrix is a list of rows.
 

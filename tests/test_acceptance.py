@@ -131,7 +131,8 @@ def run_sweep():
 
 
 def _check_kappa(model, r, stats):
-    names, exprs, kappa = models.twisted_z0_table(model, r)
+    names, exprs, kappa, chain = models.twisted_z0_table(model, r)
+    assert chain == {}
     N = model.N
     for i in range(N):
         for j in range(i + 1, N):
@@ -234,6 +235,49 @@ def test_criterion_4_poisson_constant():
           + "; ".join(lines))
 
 
+def weyl_table_shapes(model, r):
+    """The l-center shapes of a quantum Weyl model, read from its table.
+
+    Returns (notes, gammas, consts, kappa).  With f_0 = 1 and f_k the chain
+    expression of w_k^l, every f_i must be 1 + sum_(k <= i) gamma_k x_k y_k
+    (in the frame of l-th powers), every bracket must be kappa * S * product,
+    and the bracket of x_i, y_i must leave past that a nonzero multiple
+    consts[i-1] of f_(i-1); notes names each shape that fails.
+    """
+    names, exprs, kappa, chain = models.f_elements_and_z0_brackets(model, r)
+    P, n, N = model.presentation, model.n, len(names)
+
+    def key(*pos):
+        return tuple(int(t in pos) for t in range(N))
+
+    f = [{key(): r.one()}] + [chain["w%d" % k] for k in range(1, n + 1)]
+    gammas = [f[k].get(key(k - 1, n + k - 1), r.zero())
+              for k in range(1, n + 1)]
+    notes = ["f_%d has terms outside 1 + sum gamma_k x_k y_k" % i
+             for i in range(1, n + 1)
+             if not set(f[i]) <= {key(k - 1, n + k - 1)
+                                  for k in range(i + 1)} | {key()}]
+    consts = []
+    for p in range(N):
+        for q in range(p + 1, N):
+            pair = (names[p], names[q])
+            rest = dict(exprs[pair])
+            s = P.S[P.gens.index(pair[0])][P.gens.index(pair[1])]
+            if rest.pop(key(p, q), r.zero()) != kappa * r.scalar(s):
+                notes.append("bracket %s is not kappa * %d * product"
+                             % (pair, s))
+            if q != p + n:
+                if rest:
+                    notes.append("bracket %s has other terms" % (pair,))
+                continue
+            c = rest.get(key(), r.zero())
+            consts.append(c)
+            if c.is_zero() or rest != {m: v * c for m, v in f[p].items()}:
+                notes.append("bracket %s - kappa s x y is not a nonzero "
+                             "multiple of f_%d" % (pair, p))
+    return notes, gammas, consts, kappa
+
+
 def test_criterion_5_weyl_structure(r3):
     checked = []
     for S, exps in (([[0]], [1]), ([[0]], [2]), ([[0, 1], [-1, 0]], [1, 1]),
@@ -247,14 +291,14 @@ def test_criterion_5_weyl_structure(r3):
                         Element.gen(P.N, model.ypos(i), 3),
                         engine.power(P, model.w[i], 3)):
                 assert engine.is_central_at_root(gen, P, r3)
-        rep = models.f_elements_and_z0_brackets(model, r3)
-        assert rep.shapes_ok, rep.shape_notes
-        assert all(not g.is_zero() for g in rep.gammas)
-        assert not rep.kappa.is_zero()
-        assert all(not c.is_zero() for c in rep.f_consts)
-        checked.append((S, exps, rep.gamma_bound))
+        notes, gammas, consts, kappa = weyl_table_shapes(model, r3)
+        assert notes == []
+        assert len(consts) == model.n
+        # every gamma_k is nonzero: the sum bound is k <= i
+        assert all(not g.is_zero() for g in gammas)
+        assert not kappa.is_zero()
+        checked.append((S, exps))
     assert checked
-    assert all(bound == "k<=i" for (_, _, bound) in checked)
     print("CRITERION 5: PASS - centrality, f-expressibility, and bracket "
           "shapes on %d quantum Weyl models (derived sum bound k<=i)"
           % len(checked))

@@ -281,7 +281,7 @@ def test_monomial_bracket_scalar_matches_engine(r3, r5):
     P = AlgebraPresentation(["x1", "x2", "x3"], 3, S)
     model = models.build_twisted(S, 3)
     for r in (r3, r5):
-        names, exprs, _ = models.twisted_z0_table(model, r)
+        names, exprs = models.twisted_z0_table(model, r)[:2]
         chart = _Chart(names, exprs, [r.one()] * 3, r)
         for _ in range(40):
             a = tuple(rng.randint(0, 2) for _ in range(3))

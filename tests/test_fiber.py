@@ -8,9 +8,9 @@ import pytest
 
 from qorder.exactnum import CycloNum, cyclotomic_build
 from qorder import cli, engine, fiber, models, strata, zlattice
-from conftest import (make_character, mat_add_c, mat_eq_c, mat_eye,
-                      mat_inv_c, mat_is_zero, mat_pow_c, mat_scale_c,
-                      sp_from_dense, sp_to_dense)
+from conftest import (has_derived, make_character, mat_add_c, mat_eq_c,
+                      mat_eye, mat_inv_c, mat_is_zero, mat_pow_c,
+                      mat_scale_c, sp_from_dense, sp_to_dense)
 from test_cli import CUSTOM_WEYL
 
 
@@ -157,7 +157,7 @@ def _per_choice_irreps(ctx, loc, chi):
                 if c:
                     M = fiber.sp_mul(M, fiber.sp_pow(Mr, c, r))
             mats[item.label] = fiber.sp_scale(M, r.eps_power(-gamma))
-        if st.kind == "A2":
+        if has_derived(ctx.model, st):
             W = ctx.model
             w = [mat_eye(dim, r)] + [sp_to_dense(mats["w%d" % i], r)
                                      for i in range(1, W.n + 1)]
@@ -224,14 +224,11 @@ def test_clock_shift_matches_the_per_choice_build(r3, r5):
             assert rep.z_scalars == z_vals
             for j in range(ts.t, ts.p):
                 assert rep.z_scalars[j] == loc.z_ext[j]
-        derived = st.kind == "A2" and any(
-            g not in st.killed_labels + [s.label for s in st.survivors]
-            for g in model.presentation.gens)
-        shapes.add((st.kind, ts.t > 0, ts.p > ts.t, derived))
-    # (kind, t >= 1, extending z's, derived Weyl x)
-    assert shapes == {("A1", False, False, False), ("A1", True, False, False),
-                      ("A1", False, True, False), ("A1", True, True, False),
-                      ("A2", True, False, True)}
+        shapes.add((has_derived(model, st), ts.t > 0, ts.p > ts.t))
+    # (derived Weyl x, t >= 1, extending z's)
+    assert shapes == {(False, False, False), (False, True, False),
+                      (False, False, True), (False, True, True),
+                      (True, True, False)}
 
 
 def test_census_examples(r3):
@@ -693,8 +690,9 @@ def _dense_relations_hold(model, rep, character, r):
 
 
 def _built_representations(r3):
-    """(model, character, stratum kind, representation) for every
-    representation the tests of this suite build."""
+    """(model, character, whether the stratum derives generators,
+    representation) for every representation the tests of this suite
+    build."""
     out = []
 
     def add(model, ctx, chi):
@@ -703,7 +701,8 @@ def _built_representations(r3):
             reps = fiber.clock_shift_irreps(ctx, loc, chi)
         except strata.MissingWitness:
             return  # `verify` reports this and builds nothing
-        out.extend((model, chi, loc.stratum.kind, rep) for rep in reps)
+        derived = has_derived(model, loc.stratum)
+        out.extend((model, chi, derived, rep) for rep in reps)
 
     m, ctx = plane_ctx(r3)
     add(m, ctx, make_character(r3, {"x1": 1, "x2": 1},
@@ -771,7 +770,7 @@ def test_sparse_representations_match_dense(r3):
     kinds = set()
     permuted = 0
     permutations = set()
-    for model, chi, kind, rep in built:
+    for model, chi, derived, rep in built:
         assert rep.verified
         assert _dense_relations_hold(model, rep, chi, r3)
         mats = [sp_to_dense(rep.rows[g], r3)
@@ -783,9 +782,9 @@ def test_sparse_representations_match_dense(r3):
         for A in mats:
             for B in mats:
                 permutations.add(_sparse_matches_dense(A, B, r3))
-        kinds.add((kind, rep.dim))
-    # the Weyl stratum goes through _fill_weyl_generators
-    assert kinds == {("A1", 1), ("A1", 3), ("A2", 3)}
+        kinds.add((derived, rep.dim))
+    # the Weyl stratum derives its x's from the survivors
+    assert kinds == {(False, 1), (False, 3), (True, 3)}
     assert permuted > 0
     # killed generators act by zero, which has no inverse
     assert permutations == {True, False}

@@ -1,9 +1,10 @@
 import pytest
 
 from qorder.exactnum import QLaurent, cyclotomic_build
-from qorder import engine, models
+from qorder import engine, models, strata, torus
 from qorder.engine import Element
 from qorder.zlattice import NotSkew, is_skew
+from test_acceptance import weyl_table_shapes
 
 
 def test_build_twisted_presets():
@@ -94,91 +95,107 @@ def test_weyl_exponent_roundtrip():
 
 def test_f_elements_n1(r3):
     W = models.build_weyl([[0]], [1])
-    rep = models.f_elements_and_z0_brackets(W, r3)
-    assert rep.f_exprs[0] == {(0, 0): r3.one()}
-    # frozen: gamma_1 = -(1 - eps)^3 = 3 + 6 eps, and the sum bound is k <= i
-    gamma = rep.gammas[0]
+    names, _, kappa, chain = models.f_elements_and_z0_brackets(W, r3)
+    assert names == ["x1", "y1"] and list(chain) == ["w1"]
+    notes, gammas, consts, _ = weyl_table_shapes(W, r3)
+    assert notes == []
+    # frozen: gamma_1 = -(1 - eps)^3 = 3 + 6 eps
+    gamma = gammas[0]
     e = r3.eps()
+    assert gamma == chain["w1"][(1, 1)]
     assert gamma == -((r3.one() - e) ** 3)
     assert gamma == r3.scalar(3) + e * 6
-    assert rep.gamma_bound == "k<=i"
-    assert rep.shapes_ok
-    assert rep.kappa == r3.scalar(9) * e.inverse()
+    assert kappa == r3.scalar(9) * e.inverse()
     # diagonal additive constant times gamma equals kappa * s_1
-    assert rep.f_consts[0] * gamma == rep.kappa
+    assert consts[0] * gamma == kappa
 
 
 def test_f_elements_n1_l2():
     r2 = cyclotomic_build(2)
     W = models.build_weyl([[0]], [1])
-    rep = models.f_elements_and_z0_brackets(W, r2)
-    # at l = 2: f_1 = 1 - 4 a b (hand expansion of (1 + (eps-1) y x)^2)
-    assert rep.gammas[0] == r2.scalar(-4)
-    assert rep.shapes_ok
+    notes, gammas, _, _ = weyl_table_shapes(W, r2)
+    # at l = 2: f_1 = 1 - 4 x^2 y^2 (hand expansion of (1 + (eps-1) y x)^2)
+    assert gammas[0] == r2.scalar(-4)
+    assert notes == []
 
 
 def test_f_elements_n2(r3):
     W = models.build_weyl([[0, 1], [-1, 0]], [1, 1])
-    rep = models.f_elements_and_z0_brackets(W, r3)
-    assert rep.shapes_ok, rep.shape_notes
-    assert all(not g.is_zero() for g in rep.gammas)
-    assert rep.gamma_bound == "k<=i"
-    # f_2 - f_1 lies in the ideal of a_2 b_2
-    f2 = dict(rep.f_exprs[2])
-    for key, c in rep.f_exprs[1].items():
+    notes, gammas, _, _ = weyl_table_shapes(W, r3)
+    assert notes == []
+    assert all(not g.is_zero() for g in gammas)
+    # f_2 - f_1 lies in the ideal of x2^l y2^l
+    chain = models.f_elements_and_z0_brackets(W, r3)[3]
+    f2 = dict(chain["w2"])
+    for key, c in chain["w1"].items():
         cur = f2.get(key, r3.zero()) - c
         if cur:
             f2[key] = cur
         else:
             f2.pop(key, None)
     for key in f2:
-        assert key[1] >= 1 and key[3] >= 1  # a2, b2 exponents
+        assert key[1] >= 1 and key[3] >= 1  # x2, y2 exponents
 
 
 def test_bracket_table_shapes_n2(r3):
     W = models.build_weyl([[0, 1], [-1, 0]], [1, 1])
-    rep = models.f_elements_and_z0_brackets(W, r3)
+    names, exprs, kappa, _ = models.f_elements_and_z0_brackets(W, r3)
     n = 2
+    assert names == ["x1", "x2", "y1", "y2"]
     mats = W.matrices
     # off-diagonal brackets are kappa * exponent * product
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i < j:
-                expr = rep.brackets[("a%d" % i, "a%d" % j)]
+                expr = exprs[("x%d" % i, "x%d" % j)]
                 key = tuple(1 if t in (i - 1, j - 1) else 0
                             for t in range(2 * n))
                 assert set(expr) <= {key}
                 got = expr.get(key, r3.zero())
-                assert got == rep.kappa * r3.scalar(mats.texp[i - 1][j - 1])
+                assert got == kappa * r3.scalar(mats.texp[i - 1][j - 1])
             if i != j:
-                expr = rep.brackets[("a%d" % i, "b%d" % j)]
+                expr = exprs[("x%d" % i, "y%d" % j)]
                 key = tuple(1 if t in (i - 1, n + j - 1) else 0
                             for t in range(2 * n))
                 assert set(expr) <= {key}
                 got = expr.get(key, r3.zero())
-                assert got == rep.kappa * r3.scalar(mats.uexp[i - 1][j - 1])
+                assert got == kappa * r3.scalar(mats.uexp[i - 1][j - 1])
 
 
 def test_twisted_z0_table(r3, r5):
     m = models.build_twisted([[0, 1], [-1, 0]], 2)
     for r in (r3, r5):
-        names, exprs, kappa = models.twisted_z0_table(m, r)
-        assert names == ["a1", "a2"]
+        names, exprs, kappa, chain = models.twisted_z0_table(m, r)
+        assert names == ["x1", "x2"] and chain == {}
         e = r.eps()
         assert kappa == r.scalar(r.l * r.l) * e.inverse()
-        assert exprs[("a1", "a2")] == {(1, 1): kappa}
+        assert exprs[("x1", "x2")] == {(1, 1): kappa}
     m0 = models.build_twisted([[0, 0], [0, 0]], 2)
-    names, exprs, kappa = models.twisted_z0_table(m0, r3)
+    names, exprs, kappa, _ = models.twisted_z0_table(m0, r3)
     assert kappa is None
     assert all(not e for e in exprs.values())
 
 
-def test_pair_exponent_table():
+def test_pair_exponent_table(r5, monkeypatch):
+    # measured on the stratum where every y and w survives, so both x's
+    # are derived: x_i w_j = q^(s_i) w_j x_i for i <= j, commute for i > j
+    rows = []
+    real = torus.torus_structure
+
+    def recorded(skew, full, l):
+        rows.append(full)
+        return real(skew, full, l)
+
+    monkeypatch.setattr(torus, "torus_structure", recorded)
     W = models.build_weyl([[0, 1], [-1, 0]], [1, 2])
-    # x_i w_j = q^(s_i) w_j x_i for i <= j, commute for i > j
-    assert models.weyl_pair_exponent(W, ("x", 1), ("w", 2)) == 1
-    assert models.weyl_pair_exponent(W, ("x", 2), ("w", 2)) == 2
-    assert models.weyl_pair_exponent(W, ("x", 2), ("w", 1)) == 0
-    assert models.weyl_pair_exponent(W, ("y", 1), ("w", 1)) == -1
-    assert models.weyl_pair_exponent(W, ("w", 1), ("y", 1)) == 1
-    assert models.weyl_pair_exponent(W, ("w", 1), ("w", 2)) == 0
+    st = strata.enumerate_strata(W, r5).strata[0]
+    assert st.stratum_id == "T1=[];T2=[];T3=[]"
+    pos = {s.label: a for a, s in enumerate(st.survivors)}
+    assert set(pos) == {"y1", "y2", "w1", "w2"}
+    full = dict(zip(W.gens, rows[0]))
+    assert full["x1"][pos["w2"]] == 1
+    assert full["x2"][pos["w2"]] == 2
+    assert full["x2"][pos["w1"]] == 0
+    assert st.skew[pos["y1"]][pos["w1"]] == full["y1"][pos["w1"]] == -1
+    assert st.skew[pos["w1"]][pos["y1"]] == 1
+    assert st.skew[pos["w1"]][pos["w2"]] == 0

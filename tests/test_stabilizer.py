@@ -17,7 +17,7 @@ from qorder.stabilizer import (
     rank_and_checks,
     stabilizer_from_stratum,
 )
-from conftest import make_character, mat_eye, mat_inv_c
+from conftest import make_character, mat_eye, mat_inv_c, monomial_l_value
 from test_acceptance import _sweep_plan
 
 
@@ -139,23 +139,23 @@ def test_jacobi_detection(r3):
 
 def test_linearized_weyl_edge(r3):
     W = models.build_weyl([[0]], [1])
-    center = models.f_elements_and_z0_brackets(W, r3)
+    names, exprs = models.f_elements_and_z0_brackets(W, r3)[:2]
     values = [r3.zero(), r3.zero()]
-    g = linearized_stabilizer(center.frame_names, center.brackets, values, r3)
+    g = linearized_stabilizer(names, exprs, values, r3)
     assert g.dim == 0
     assert rank_and_checks(g).rank == 0
 
 
 def test_linearized_plane_fallback(r3):
     m, _ = plane(r3)
-    names, exprs, _ = models.twisted_z0_table(m, r3)
+    names, exprs = models.twisted_z0_table(m, r3)[:2]
     g = linearized_stabilizer(names, exprs, [r3.zero(), r3.one()], r3)
     assert g.dim == 2
     res = rank_and_checks(g)
     assert res.rank == 1
     # commutative table: abelian, rank 0
     m0 = models.build_twisted([[0, 0], [0, 0]], 2)
-    names0, exprs0, _ = models.twisted_z0_table(m0, r3)
+    names0, exprs0 = models.twisted_z0_table(m0, r3)[:2]
     g0 = linearized_stabilizer(names0, exprs0, [r3.one(), r3.one()], r3)
     assert g0.dim == 2 and rank_and_checks(g0).rank == 0
 
@@ -163,8 +163,7 @@ def test_linearized_plane_fallback(r3):
 def test_weyl_stratum_stabilizer(r3):
     W = models.build_weyl([[0]], [1])
     ctx = strata.enumerate_strata(W, r3)
-    center = models.f_elements_and_z0_brackets(W, r3)
-    gamma = center.gammas[0]
+    gamma = models.f_elements_and_z0_brackets(W, r3)[3]["w1"][(1, 1)]
     # the killed-w stratum: t = 1, toral bracket acts nontrivially
     aval = -(gamma.inverse())
     u = (r3.one() - r3.eps()).inverse()
@@ -230,7 +229,7 @@ def test_main_theorem_witnessless_extension(r3):
 
 def test_monomial_bracket_antisymmetry(r3):
     m = models.build_twisted([[0, 1], [-1, 0]], 2)
-    names, exprs, _ = models.twisted_z0_table(m, r3)
+    names, exprs = models.twisted_z0_table(m, r3)[:2]
     chart = stabilizer._Chart(names, exprs, [r3.one(), r3.one()], r3)
     for a, b in (((1, 0), (0, 1)), ((2, 1), (-1, 3))):
         f, g = {a: r3.one()}, {b: r3.eps()}
@@ -271,7 +270,7 @@ def _engine_stabilizer_twisted(model, ctx, loc, chi, r, level):
         if level == "l0" or j < ts.t:
             lift = power(P2, x, r.l)
             (coeff,) = lift.terms.values()
-            value = r.eval(coeff) * strata.monomial_l_value(st, ctx, chi, row)
+            value = r.eval(coeff) * monomial_l_value(st, ctx, chi, row)
             gens.append(("z%d^l" % (j + 1), lift, value, True))
         else:
             gens.append(("z%d" % (j + 1), x, loc.z_ext[j], True))

@@ -4,9 +4,11 @@ from itertools import combinations, product as iproduct
 import pytest
 
 from qorder.exactnum import cyclotomic_build
-from qorder import engine, models, strata
+from qorder import engine, models, strata, torus
+from qorder.engine import Element
+from qorder.exactnum import QLaurent
 from qorder.zlattice import identity, mat_mul, solve_int, transpose
-from conftest import make_character
+from conftest import has_derived, make_character, monomial_l_value
 from test_acceptance import _sweep_plan
 
 
@@ -94,8 +96,7 @@ def test_locate_weyl(r3):
 def test_locate_weyl_f_zero(r3):
     W = models.build_weyl([[0]], [1])
     ctx = strata.enumerate_strata(W, r3)
-    rep = models.f_elements_and_z0_brackets(W, r3)
-    gamma = rep.gammas[0]
+    gamma = models.f_elements_and_z0_brackets(W, r3)[3]["w1"][(1, 1)]
     aval = -(gamma.inverse())
     chi = strata.Character({"x1": aval, "y1": r3.one()},
                            {"y1": r3.one()}).check(W, r3)
@@ -135,24 +136,6 @@ def test_a1_locate_never_uncovered_exhaustive():
             assert loc.stratum.pattern == expect
 
 
-def test_survivors_q_commute_exactly(r3):
-    # engine-verified for the Weyl strata during enumeration; here a direct
-    # probe on every stratum of an admissible two-pair model
-    W = models.build_weyl([[0, 1], [-1, 0]], [1, 1])
-    ctx = strata.enumerate_strata(W, r3)
-    for st in ctx.strata:
-        for a in range(len(st.survivors)):
-            for b in range(len(st.survivors)):
-                if a == b:
-                    continue
-                lhs = engine.mul(W.presentation, st.survivors[a].lift,
-                                 st.survivors[b].lift)
-                rhs = engine.mul(W.presentation, st.survivors[b].lift,
-                                 st.survivors[a].lift)
-                from qorder.exactnum import QLaurent
-                assert lhs == rhs.scale(QLaurent.q_power(st.skew[a][b]))
-
-
 def test_multiple_strata_is_reported(r3):
     # a corrupted stratum family with a duplicated stratum must surface the
     # ambiguity instead of picking one silently
@@ -185,7 +168,7 @@ def test_monomial_value_consistency(r3):
                          {"x1": 1, "x2": 1}).check(m, r3)
     for u in ([1, 0], [0, 1], [1, 1], [2, 1]):
         val = strata.monomial_value(st, chi, r3, u)
-        assert val ** 3 == strata.monomial_l_value(st, ctx, chi, u)
+        assert val ** 3 == monomial_l_value(st, ctx, chi, u)
 
 
 def test_bracket_table_built_once_per_context(r3, monkeypatch):
@@ -240,9 +223,75 @@ def test_frame_inverse_matches_the_integer_solve():
             for s in range(m):
                 e_s = [int(t == s) for t in range(m)]
                 assert ts.inverse[s] == solve_int(transpose(ts.basis), e_s)
-            kinds.add((st.kind, m > 0, ts.k > 0, ts.p > ts.t))
-    # (kind, m > 0, pairs, extending z's): every shape the families have
-    assert kinds == {("A1", False, False, False), ("A1", True, False, False),
-                     ("A1", True, False, True), ("A1", True, True, False),
-                     ("A1", True, True, True), ("A2", True, False, False),
-                     ("A2", True, True, False)}
+            kinds.add((has_derived(model, st), m > 0, ts.k > 0, ts.p > ts.t))
+    # (derived generators, m > 0, pairs, extending z's): every shape the
+    # families have; only the Weyl strata derive generators
+    assert kinds == {(False, False, False, False), (False, True, False, False),
+                     (False, True, False, True), (False, True, True, False),
+                     (False, True, True, True), (True, True, False, False),
+                     (True, True, True, False)}
+
+
+def _engine_exponent(P, a, b):
+    """c with a b = q^c b a, found by search, or None when a and b do not
+    q-commute."""
+    ab, ba = engine.mul(P, a, b), engine.mul(P, b, a)
+    for c in range(-12, 13):
+        if ab == ba.scale(QLaurent.q_power(c)):
+            return c
+    return None
+
+
+def test_survivors_q_commute_exactly(monkeypatch):
+    # every survivor pair and every generator-survivor pair of Weyl and
+    # twisted strata: the exponent the stratum tail reads or measures is the
+    # one the engine finds by search; a pair that does not q-commute is a
+    # generator outside the survivors with a delta rule, which reads P.S
+    rows = []
+    real = torus.torus_structure
+
+    def recorded(skew, full, l):
+        rows.append(full)
+        return real(skew, full, l)
+
+    monkeypatch.setattr(torus, "torus_structure", recorded)
+    models_ = [models.build_weyl([[0]], [1]),
+               models.build_weyl([[0, 1], [-1, 0]], [1, 1]),
+               models.build_weyl([[0, 0], [0, 0]], [1, 2]),
+               models.build_twisted([[0, 1, 2], [-1, 0, 1], [-2, -1, 0]], 2)]
+    delta_pairs = 0
+    for model, l in iproduct(models_, (3, 5)):
+        if not model.admissibility(l):
+            continue
+        P = model.presentation
+        del rows[:]
+        ctx = strata.enumerate_strata(model, cyclotomic_build(l))
+        assert len(rows) == len(ctx.strata)
+        for st, full in zip(ctx.strata, rows):
+            for a, sa in enumerate(st.survivors):
+                for b, sb in enumerate(st.survivors):
+                    assert st.skew[a][b] == \
+                        _engine_exponent(P, sa.lift, sb.lift)
+            for g, row in enumerate(full):
+                gen = Element.gen(P.N, g)
+                for s, c in zip(st.survivors, row):
+                    found = _engine_exponent(P, gen, s.lift)
+                    if found is None:
+                        assert (g, s.gen_index) in P.delta or \
+                            (s.gen_index, g) in P.delta
+                        assert c == P.S[g][s.gen_index]
+                        delta_pairs += 1
+                    else:
+                        assert c == found
+    assert delta_pairs
+
+
+def test_survivors_with_a_delta_rule_raise(r3):
+    # x1 and y1 of the Weyl pair do not q-commute: a stratum keeping both
+    # is refused by the measurement
+    W = models.build_weyl([[0]], [1])
+    P = W.presentation
+    survivors = [strata.SurvivorItem(g, Element.gen(P.N, i), i)
+                 for i, g in enumerate(P.gens)]
+    with pytest.raises(engine.ValidationFailed, match="do not q-commute"):
+        strata._stratum(P, r3, None, "x1,y1", [], survivors)

@@ -81,8 +81,7 @@ def test_weyl_n2_killed_w_stratum_full_pipeline(r3):
     assert res_eps.rank == res_l0.rank == 1
     assert stabilizer.psi_check(g_l0, g_eps, r)
     assert res.count == r.l ** res_eps.rank == r.l ** loc.stratum.torus.t
-    center = models.f_elements_and_z0_brackets(W, r)
-    g_lin = stabilizer.linearized_stabilizer(center.frame_names,
-                                             center.brackets,
+    names, exprs = models.f_elements_and_z0_brackets(W, r)[:2]
+    g_lin = stabilizer.linearized_stabilizer(names, exprs,
                                              ctx.frame_values(chi), r)
     assert stabilizer.rank_and_checks(g_lin).rank == 1
