@@ -223,18 +223,6 @@ def _verify_weyl_relations(model):
                     "x_%d w_%d commutation fails" % (i, j))
 
 
-def frame_brackets(P, r, frame):
-    """Poisson brackets of the frame factors written in the frame: maps
-    (f_p.name, f_q.name), for p < q in frame order, to a frame polynomial."""
-    out = {}
-    for p, fp in enumerate(frame):
-        for fq in frame[p + 1:]:
-            br = engine.poisson_bracket(P, r, fp.lift, fq.lift)
-            out[(fp.name, fq.name)] = (
-                engine.express_in_frame(P, r, br, frame) if br else {})
-    return out
-
-
 def _frame_table(P, r, order, chain):
     """The l-center bracket table over the l-th powers of the generators at
     positions order, each frame coordinate named by its generator.
@@ -248,7 +236,12 @@ def _frame_table(P, r, order, chain):
     names = [P.gens[i] for i in order]
     frame = [FrameFactor(P.gens[i], Element.gen(P.N, i, r.l),
                          invertible=P.is_invertible(i)) for i in order]
-    exprs = frame_brackets(P, r, frame)
+    exprs = {}
+    for p, fp in enumerate(frame):
+        for fq in frame[p + 1:]:
+            br = engine.poisson_bracket(P, r, fp.lift, fq.lift)
+            exprs[(fp.name, fq.name)] = (
+                engine.express_in_frame(P, r, br, frame) if br else {})
     kappa = None
     for p, i in enumerate(order):
         for q in range(p + 1, len(order)):

@@ -1,7 +1,7 @@
 import pytest
 
 from qorder.exactnum import cyclotomic_build
-from qorder import fiber, strata
+from qorder import fiber, strata, torus
 
 
 @pytest.fixture
@@ -12,6 +12,22 @@ def r3():
 @pytest.fixture
 def r5():
     return cyclotomic_build(5)
+
+
+@pytest.fixture
+def full_rows(monkeypatch):
+    """The ambient rows of each stratum enumerated while the fixture is
+    active, in order: every generator's q-exponents against the survivors,
+    recorded as the stratum tail hands them to torus_structure."""
+    rows = []
+    real = torus.torus_structure
+
+    def recorded(skew, full, l):
+        rows.append(full)
+        return real(skew, full, l)
+
+    monkeypatch.setattr(torus, "torus_structure", recorded)
+    return rows
 
 
 def make_character(r, values, witnesses=None):

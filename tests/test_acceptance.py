@@ -256,7 +256,7 @@ def weyl_table_shapes(model, r):
     notes = ["f_%d has terms outside 1 + sum gamma_k x_k y_k" % i
              for i in range(1, n + 1)
              if not set(f[i]) <= {key(k - 1, n + k - 1)
-                                  for k in range(i + 1)} | {key()}]
+                                  for k in range(1, i + 1)} | {key()}]
     consts = []
     for p in range(N):
         for q in range(p + 1, N):

@@ -1,7 +1,7 @@
 import pytest
 
 from qorder.exactnum import QLaurent, cyclotomic_build
-from qorder import engine, models, strata, torus
+from qorder import engine, models, strata
 from qorder.engine import Element
 from qorder.zlattice import NotSkew, is_skew
 from test_acceptance import weyl_table_shapes
@@ -119,6 +119,29 @@ def test_f_elements_n1_l2():
     assert notes == []
 
 
+@pytest.mark.parametrize("build, stray", [
+    # a lone x_n^l term, n = 1 and n = 2
+    ((([[0]], [1])), (1, 0)),
+    ((([[0, 1], [-1, 0]], [1, 1])), (0, 1, 0, 0)),
+    # the x_2^l y_2^l term, past the bound k <= 1
+    ((([[0, 1], [-1, 0]], [1, 1])), (0, 1, 0, 1)),
+])
+def test_table_shapes_flag_a_stray_f1_term(r3, monkeypatch, build, stray):
+    W = models.build_weyl(*build)
+    real = models.f_elements_and_z0_brackets
+
+    def with_stray(model, r):
+        names, exprs, kappa, chain = real(model, r)
+        chain = dict(chain, w1=dict(chain["w1"]))
+        chain["w1"][stray] = r.one()
+        return names, exprs, kappa, chain
+
+    assert weyl_table_shapes(W, r3)[0] == []
+    monkeypatch.setattr(models, "f_elements_and_z0_brackets", with_stray)
+    notes = weyl_table_shapes(W, r3)[0]
+    assert "f_1 has terms outside 1 + sum gamma_k x_k y_k" in notes
+
+
 def test_f_elements_n2(r3):
     W = models.build_weyl([[0, 1], [-1, 0]], [1, 1])
     notes, gammas, _, _ = weyl_table_shapes(W, r3)
@@ -176,23 +199,15 @@ def test_twisted_z0_table(r3, r5):
     assert all(not e for e in exprs.values())
 
 
-def test_pair_exponent_table(r5, monkeypatch):
+def test_pair_exponent_table(r5, full_rows):
     # measured on the stratum where every y and w survives, so both x's
     # are derived: x_i w_j = q^(s_i) w_j x_i for i <= j, commute for i > j
-    rows = []
-    real = torus.torus_structure
-
-    def recorded(skew, full, l):
-        rows.append(full)
-        return real(skew, full, l)
-
-    monkeypatch.setattr(torus, "torus_structure", recorded)
     W = models.build_weyl([[0, 1], [-1, 0]], [1, 2])
     st = strata.enumerate_strata(W, r5).strata[0]
     assert st.stratum_id == "T1=[];T2=[];T3=[]"
     pos = {s.label: a for a, s in enumerate(st.survivors)}
     assert set(pos) == {"y1", "y2", "w1", "w2"}
-    full = dict(zip(W.gens, rows[0]))
+    full = dict(zip(W.gens, full_rows[0]))
     assert full["x1"][pos["w2"]] == 1
     assert full["x2"][pos["w2"]] == 2
     assert full["x2"][pos["w1"]] == 0

@@ -4,7 +4,7 @@ from itertools import combinations, product as iproduct
 import pytest
 
 from qorder.exactnum import cyclotomic_build
-from qorder import engine, models, strata, torus
+from qorder import engine, models, strata
 from qorder.engine import Element
 from qorder.exactnum import QLaurent
 from qorder.zlattice import identity, mat_mul, solve_int, transpose
@@ -242,19 +242,11 @@ def _engine_exponent(P, a, b):
     return None
 
 
-def test_survivors_q_commute_exactly(monkeypatch):
+def test_survivors_q_commute_exactly(full_rows):
     # every survivor pair and every generator-survivor pair of Weyl and
     # twisted strata: the exponent the stratum tail reads or measures is the
     # one the engine finds by search; a pair that does not q-commute is a
     # generator outside the survivors with a delta rule, which reads P.S
-    rows = []
-    real = torus.torus_structure
-
-    def recorded(skew, full, l):
-        rows.append(full)
-        return real(skew, full, l)
-
-    monkeypatch.setattr(torus, "torus_structure", recorded)
     models_ = [models.build_weyl([[0]], [1]),
                models.build_weyl([[0, 1], [-1, 0]], [1, 1]),
                models.build_weyl([[0, 0], [0, 0]], [1, 2]),
@@ -264,10 +256,10 @@ def test_survivors_q_commute_exactly(monkeypatch):
         if not model.admissibility(l):
             continue
         P = model.presentation
-        del rows[:]
+        del full_rows[:]
         ctx = strata.enumerate_strata(model, cyclotomic_build(l))
-        assert len(rows) == len(ctx.strata)
-        for st, full in zip(ctx.strata, rows):
+        assert len(full_rows) == len(ctx.strata)
+        for st, full in zip(ctx.strata, full_rows):
             for a, sa in enumerate(st.survivors):
                 for b, sb in enumerate(st.survivors):
                     assert st.skew[a][b] == \
