@@ -234,6 +234,40 @@ def _canonical(root, num, den):
     return _make(root, num, den)
 
 
+def _convolve(root, a, b):
+    """Numerators of a * b: convolve, then fold q^deg, ..., q^(2 deg - 2)
+    back through the integer rows of q^k mod Phi_l."""
+    deg = root.deg
+    prod = [0] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+    out = prod[:deg]
+    for c, high in zip(prod[deg:], root._high):
+        if c:
+            for i, v in high:
+                out[i] += c * v
+    return tuple(out)
+
+
+def _times_power(root, a, k, sign):
+    """Numerators of a * sign * q^k: rotate a by k in Z[q]/(q^l - 1), which
+    Phi_l divides, then fold q^deg, ..., q^(l - 1) back through the integer
+    rows of q^k mod Phi_l."""
+    l = root.l
+    deg = root.deg
+    padded = list(a) + [0] * (l - deg) if sign > 0 else \
+        [-c for c in a] + [0] * (l - deg)
+    rotated = padded[l - k:] + padded[:l - k]
+    out = rotated[:deg]
+    for c, tail in zip(rotated[deg:], root._tail):
+        if c:
+            for i, v in tail:
+                out[i] += c * v
+    return tuple(out)
+
+
 class CycloNum:
     """Element of Q[q]/(Phi_l): a polynomial of degree < deg Phi_l in eps.
 
@@ -360,20 +394,23 @@ class CycloNum:
                     _make(root, b, other.den)
             if a == root._minus_one_num:
                 return _make(root, tuple([-c for c in b]), other.den)
-        # Convolve, then fold q^deg, ..., q^(2 deg - 2) back through the
-        # integer rows of q^k mod Phi_l.
-        deg = root.deg
-        prod = [0] * (2 * deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    prod[j] += x * y
-        out = prod[:deg]
-        for c, high in zip(prod[deg:], root._high):
-            if c:
-                for i, v in high:
-                    out[i] += c * v
-        return _canonical(root, tuple(out), self.den * other.den)
+        # A factor +-eps^k is a unit of Z[eps]: the product keeps the other
+        # factor's content, so it needs no gcd.  Two such factors multiply
+        # to a third, read from root.
+        if other.den == 1:
+            hit = root._power_index.get(b)
+            if hit is not None:
+                if self.den == 1:
+                    mine = root._power_index.get(a)
+                    if mine is not None:
+                        return root._units[(mine[0] + hit[0]) % root.l][
+                            mine[1] * hit[1]]
+                return _make(root, _times_power(root, a, *hit), self.den)
+        if self.den == 1:
+            hit = root._power_index.get(a)
+            if hit is not None:
+                return _make(root, _times_power(root, b, *hit), other.den)
+        return _canonical(root, _convolve(root, a, b), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -496,8 +533,9 @@ class RootData:
     """
 
     __slots__ = ("l", "phi", "primitive_index", "deg", "_pow", "_high",
-                 "_powers", "_power_index", "_zero", "_one", "_zero_num",
-                 "_one_num", "_minus_one_num", "_phi_prime")
+                 "_tail", "_powers", "_units", "_power_index", "_zero",
+                 "_one", "_zero_num", "_one_num", "_minus_one_num",
+                 "_phi_prime")
 
     def __init__(self, l, primitive_index=1):
         if l < 2:
@@ -521,7 +559,12 @@ class RootData:
         # coefficients of q^deg and up reduce through these sparse rows.
         self._high = tuple(tuple((i, v) for i, v in enumerate(pw[k % l]) if v)
                            for k in range(deg, 2 * deg - 1))
+        # A rotation of a reduced vector by +-q^k has degree <= l - 1.
+        self._tail = tuple(tuple((i, v) for i, v in enumerate(pw[k]) if v)
+                           for k in range(deg, l))
         self._powers = tuple(_make(self, v, 1) for v in pw)
+        # _units[k][sign] is sign * q^k
+        self._units = tuple({1: p, -1: -p} for p in self._powers)
         # numerators of +-q^k -> (k, sign); at even l, -q^k is q^(k + l/2)
         self._power_index = {tuple([-c for c in v]): (k, -1)
                              for k, v in enumerate(pw)}

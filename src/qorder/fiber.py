@@ -18,9 +18,10 @@ from the full left operators of half-monomials, and the gram blocks are
 filled row by row from the traces.  The census never assumes the count it
 is asked to confirm.
 
-Clock/shift representations are built and verified on sparse monomial rows
-(one {column: nonzero} dict per row), so products cost O(nnz) and l-th
-powers O(nnz log l).
+Clock/shift representations are built and verified as scaled partial
+permutations (per row, one column and one nonzero value, or nothing), so a
+product, scale or inverse costs one pass over the rows, and an l-th power is
+checked on the cycles of the permutation, with no power taken.
 """
 
 from __future__ import annotations
@@ -471,17 +472,12 @@ def _check_central_powers(P, r, unit_vectors):
 
 # ---------------------------------------------------------------------------
 # Sparse matrices over the cyclotomic field: one {column: nonzero} dict per
-# row.  Clock and shift matrices and their scaled products have one entry per
-# row, so a product costs O(nnz) and a k-th power O(nnz log k).  Zeros are
-# never stored, so two sparse matrices are equal exactly when their rows are.
+# row, for the left operators of table fibers.  Zeros are never stored, so two
+# sparse matrices are equal exactly when their rows are.
 
 def sp_eye(n, r):
     one = r.one()
     return [{i: one} for i in range(n)]
-
-
-def sp_zero(n):
-    return [{} for _ in range(n)]
 
 
 def sp_mul(A, B):
@@ -496,49 +492,135 @@ def sp_mul(A, B):
     return out
 
 
-def sp_add(A, B):
-    out = []
-    for ra, rb in zip(A, B):
-        row = dict(ra)
-        for j, b in rb.items():
-            _accumulate(row, j, b)
-        out.append(row)
-    return out
+# ---------------------------------------------------------------------------
+# Scaled partial permutations: a pair (cols, vals) of tuples, row i holding
+# vals[i] in column cols[i], or nothing when cols[i] is None (and vals[i] is
+# None).  Clock and shift matrices, their scaled products and every sum a
+# representation takes have at most one entry per row, so a product, scale
+# or inverse costs one pass over the rows.  Zeros are never stored, so two
+# such matrices are equal exactly when their pairs are.
+
+def pp_eye(n, r):
+    return tuple(range(n)), (r.one(),) * n
 
 
-def sp_scale(A, c):
+def pp_zero(n):
+    return (None,) * n, (None,) * n
+
+
+def pp_mul(A, B):
+    cols_a, vals_a = A
+    cols_b, vals_b = B
+    cols = tuple([None if j is None else cols_b[j] for j in cols_a])
+    return cols, tuple([None if k is None else a * vals_b[j]
+                        for j, k, a in zip(cols_a, cols, vals_a)])
+
+
+def pp_scale(A, c):
+    cols, vals = A
     if not c:
-        return sp_zero(len(A))
-    return [{j: a * c for j, a in row.items()} for row in A]
+        return pp_zero(len(cols))
+    return cols, tuple([None if a is None else a * c for a in vals])
 
 
-def sp_inv(A, name="matrix"):
-    """Inverse of a scaled permutation (one entry per row, in distinct
-    columns), inverted entrywise.  Every matrix the program inverts is a
-    product of scaled clock and shift matrices; any other raises
-    ArithmeticError, naming it."""
-    entries = [next(iter(row.items())) for row in A if len(row) == 1]
-    if len(entries) != len(A) or len({j for j, _ in entries}) != len(A):
+def pp_add(A, B, name):
+    """A + B.  Terms that meet in one row must share its column; otherwise
+    the sum is not a scaled partial permutation, and ArithmeticError names
+    what it was computing."""
+    cols, vals = list(A[0]), list(A[1])
+    for i, (j, b) in enumerate(zip(*B)):
+        if j is None:
+            continue
+        if cols[i] is None:
+            cols[i], vals[i] = j, b
+        elif cols[i] != j:
+            raise ArithmeticError(
+                "%s is not a scaled partial permutation: two terms meet row "
+                "%d in columns %d and %d" % (name, i, cols[i], j))
+        else:
+            vals[i] = vals[i] + b
+            if not vals[i]:
+                cols[i] = vals[i] = None
+    return tuple(cols), tuple(vals)
+
+
+def pp_inv(A, name="matrix"):
+    """Inverse of a scaled permutation (an entry in every row, in distinct
+    columns), inverted entrywise; any other matrix raises ArithmeticError,
+    naming it."""
+    cols, vals = A
+    n = len(cols)
+    if None in cols or len(set(cols)) != n:
         raise ArithmeticError("%s is not a scaled permutation matrix, so it "
                               "has no sparse inverse" % name)
-    out = [None] * len(A)
-    for i, (j, a) in enumerate(entries):
-        out[j] = {i: a.inverse()}
-    return out
+    out_cols = [0] * n
+    out_vals = [None] * n
+    for i, (j, a) in enumerate(zip(cols, vals)):
+        out_cols[j] = i
+        out_vals[j] = a.inverse()
+    return tuple(out_cols), tuple(out_vals)
 
 
-def sp_pow(A, k, r):
+def pp_pow(A, k, r):
     """A^k by binary powering; negative k powers the inverse."""
     if k < 0:
-        A, k = sp_inv(A), -k
-    out = sp_eye(len(A), r)
+        A, k = pp_inv(A), -k
+    out = None
     while k:
         if k & 1:
-            out = sp_mul(out, A)
+            out = A if out is None else pp_mul(out, A)
         k >>= 1
         if k:
-            A = sp_mul(A, A)
-    return out
+            A = pp_mul(A, A)
+    return pp_eye(len(A[0]), r) if out is None else out
+
+
+def pp_power_is_scalar(A, k, value):
+    """Whether A^k == value * I for k >= 1, with no matrix product taken.
+    Row i of A^k follows i -> cols[i] -> ... for k steps.  At value 0 every
+    row must reach an empty row within k steps.  Otherwise every row must
+    lie on a cycle whose length c divides k and whose entry product P has
+    P^(k/c) == value."""
+    cols, vals = A
+    n = len(cols)
+    if not value:
+        # the columns of A^k, k steps of integer indices
+        reach = range(n)
+        for _ in range(k):
+            reach = [None if j is None else cols[j] for j in reach]
+        return all(j is None for j in reach)
+    if None in cols:
+        return False
+    seen = [False] * n
+    for i in range(n):
+        if seen[i]:
+            continue
+        seen[i] = True
+        product, j, c = vals[i], cols[i], 1
+        while j != i:
+            if c == k:
+                return False
+            seen[j] = True
+            product = product * vals[j]
+            j = cols[j]
+            c += 1
+        if k % c or product ** (k // c) != value:
+            return False
+    return True
+
+
+def pp_sum(terms, dim, r, name):
+    """sum c * M_1^e_1 M_2^e_2 ... over terms (c, [(M, e), ...])."""
+    out = None
+    for c, factors in terms:
+        T = None
+        for M, e in factors:
+            if e:
+                F = pp_pow(M, e, r)
+                T = F if T is None else pp_mul(T, F)
+        T = pp_scale(pp_eye(dim, r) if T is None else T, c)
+        out = T if out is None else pp_add(out, T, name)
+    return pp_zero(dim) if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -546,46 +628,42 @@ def sp_pow(A, k, r):
 
 @dataclass
 class Representation:
-    """rows maps each generator label to its sparse matrix."""
+    """rows maps each generator label to its scaled partial permutation."""
 
     rows: dict
     dim: int
     z_scalars: tuple
     verified: bool = False
 
-    def sparse_of_element(self, model, elem, r):
-        """Evaluate a PBW element under the representation, as sparse rows."""
-        P = model.presentation
-        out = sp_zero(self.dim)
-        for vec, c in elem.terms.items():
-            coeff = c if isinstance(c, CycloNum) else r.eval(c)
-            term = sp_eye(self.dim, r)
-            for i, e in enumerate(vec):
-                if e:
-                    term = sp_mul(term, sp_pow(self.rows[P.gens[i]], e, r))
-            out = sp_add(out, sp_scale(term, coeff))
-        return out
+    def sparse_of_element(self, model, elem, r, name="element"):
+        """Evaluate a PBW element under the representation, as a scaled
+        partial permutation; ArithmeticError, naming it, when it is none."""
+        gens = model.presentation.gens
+        return pp_sum(((c if isinstance(c, CycloNum) else r.eval(c),
+                        [(self.rows[g], e) for g, e in zip(gens, vec)])
+                       for vec, c in elem.terms.items()), self.dim, r, name)
 
 
 def _clock(l, omega_pow, r, k_index, k_total, scalar):
     """Diagonal matrix scalar * eps^(omega_pow * digit) acting on tensor
     slot k_index of k_total clock registers."""
     base = l ** k_index
-    return [{idx: scalar * r.eps_power(omega_pow * ((idx // base) % l))}
-            for idx in range(l ** k_total)]
+    dim = l ** k_total
+    by_digit = [scalar * r.eps_power(omega_pow * d) for d in range(l)]
+    return tuple(range(dim)), tuple([by_digit[(idx // base) % l]
+                                     for idx in range(dim)])
 
 
 def _shift(l, k_index, k_total, scalar):
     """Cyclic shift, scaled by scalar, of tensor slot k_index of k_total
-    registers."""
+    registers: row idx + base holds scalar in column idx."""
     dim = l ** k_total
-    M = sp_zero(dim)
     base = l ** k_index
+    cols = [None] * dim
     for idx in range(dim):
         digit = (idx // base) % l
-        jdx = idx + base if digit < l - 1 else idx - (l - 1) * base
-        M[jdx] = {idx: scalar}
-    return M
+        cols[idx + base if digit < l - 1 else idx - (l - 1) * base] = idx
+    return tuple(cols), (scalar,) * dim
 
 
 def clock_shift_irreps(ctx, located, character):
@@ -596,8 +674,8 @@ def clock_shift_irreps(ctx, located, character):
     their sums of survivor monomials.  Each survivor's matrix is its ordered
     product over the frame, read from the frame inverse and built once; a
     choice of roots for the t non-extending z's rescales it by
-    eps^(choice . c), c its z coordinates.  Every defining relation is then
-    verified exactly, on sparse rows.
+    eps^(choice . c), c its z coordinates.  Every matrix is a scaled partial
+    permutation, and every defining relation is then verified exactly.
     """
     model = ctx.model
     r = ctx.root
@@ -623,25 +701,18 @@ def clock_shift_irreps(ctx, located, character):
         c = r.eps_power(-gamma)
         for z, e in zip(z_scalars, coeffs[2 * k:]):
             c = c * z ** e
-        M = sp_eye(dim, r)
-        for Mr, e in zip(frame_mats, coeffs):
-            if e:
-                M = sp_mul(M, sp_pow(Mr, e, r))
-        survivors.append((item.label, sp_scale(M, c), coeffs[2 * k:]))
+        M = pp_sum([(c, list(zip(frame_mats, coeffs)))], dim, r, item.label)
+        survivors.append((item.label, M, coeffs[2 * k:]))
     out = []
     for choice in iproduct(range(l), repeat=ts.t):
-        mats = {label: sp_zero(dim) for label in st.killed_labels}
+        mats = {label: pp_zero(dim) for label in st.killed_labels}
         for label, M, zc in survivors:
             e = sum(a * b for a, b in zip(choice, zc)) % l
-            mats[label] = sp_scale(M, r.eps_power(e)) if e else M
+            mats[label] = pp_scale(M, r.eps_power(e)) if e else M
         for label, terms in st.derived:
-            M = sp_zero(dim)
-            for c, factors in terms:
-                T = sp_eye(dim, r)
-                for name, e in factors:
-                    T = sp_mul(T, sp_pow(mats[name], e, r))
-                M = sp_add(M, sp_scale(T, c))
-            mats[label] = M
+            mats[label] = pp_sum(
+                ((c, [(mats[name], e) for name, e in factors])
+                 for c, factors in terms), dim, r, label)
         zs = [z * r.eps_power(a) for z, a in zip(z_scalars, choice)]
         rep = Representation(
             rows={g: mats[g] for g in model.presentation.gens}, dim=dim,
@@ -653,25 +724,26 @@ def clock_shift_irreps(ctx, located, character):
 
 
 def _verify_representation(model, rep, character, r):
-    """Every defining relation and every central value must hold exactly."""
+    """Every defining relation and every central value must hold exactly.
+    The l-th powers are read off the cycles of each generator's matrix."""
     P = model.presentation
     N = P.N
     gm = [rep.rows[P.gens[i]] for i in range(N)]
     for u in range(N):
         for v in range(u + 1, N):
-            lhs = sp_mul(gm[u], gm[v])
-            rhs = sp_scale(sp_mul(gm[v], gm[u]), r.eps_power(P.S[u][v]))
+            lhs = pp_mul(gm[u], gm[v])
+            rhs = pp_scale(pp_mul(gm[v], gm[u]), r.eps_power(P.S[u][v]))
             rule = P.delta.get((u, v))
             if rule is not None:
-                rhs = sp_add(rhs, rep.sparse_of_element(model, rule, r))
+                name = "the relation (%s, %s)" % (P.gens[u], P.gens[v])
+                rhs = pp_add(rhs, rep.sparse_of_element(model, rule, r, name),
+                             name)
             if lhs != rhs:
                 raise ArithmeticError(
                     "relation (%s, %s) fails in the representation"
                     % (P.gens[u], P.gens[v]))
     for i in range(N):
-        Ml = sp_pow(gm[i], r.l, r)
-        expect = sp_scale(sp_eye(rep.dim, r), character.value(P.gens[i]))
-        if Ml != expect:
+        if not pp_power_is_scalar(gm[i], r.l, character.value(P.gens[i])):
             raise ArithmeticError(
                 "central value of %s^l fails in the representation"
                 % P.gens[i])

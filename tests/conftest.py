@@ -55,8 +55,8 @@ def has_derived(model, stratum):
     return any(g not in named for g in model.presentation.gens)
 
 
-# Dense matrices over the cyclotomic field, the references that the sparse
-# and representation tests compare against.  A matrix is a list of rows.
+# Dense matrices over the cyclotomic field, the references that the scaled
+# partial permutation and representation tests compare against.  A matrix is a list of rows.
 
 def mat_eye(n, r):
     return [[r.one() if i == j else r.zero() for j in range(n)]
@@ -97,16 +97,25 @@ def mat_pow_c(A, k, r):
     return out
 
 
-def sp_from_dense(A):
-    return [{j: a for j, a in enumerate(row) if a} for row in A]
+def pp_from_dense(A):
+    """The scaled partial permutation (cols, vals) of a dense matrix with at
+    most one nonzero entry per row."""
+    cols, vals = [], []
+    for row in A:
+        hits = [(j, a) for j, a in enumerate(row) if a]
+        assert len(hits) <= 1, "two entries in one row"
+        j, a = hits[0] if hits else (None, None)
+        cols.append(j)
+        vals.append(a)
+    return tuple(cols), tuple(vals)
 
 
-def sp_to_dense(A, r):
+def pp_to_dense(A, r):
     zero = r.zero()
     out = []
-    for row in A:
-        dense = [zero] * len(A)
-        for j, a in row.items():
+    for j, a in zip(*A):
+        dense = [zero] * len(A[0])
+        if j is not None:
             dense[j] = a
         out.append(dense)
     return out

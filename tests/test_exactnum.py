@@ -8,6 +8,8 @@ from qorder.exactnum import (
     CycloNum,
     QLaurent,
     NotDivisible,
+    _canonical,
+    _convolve,
     cyclotomic_build,
     divide_by_cyclotomic,
     poly_divmod,
@@ -300,6 +302,35 @@ def test_trivial_factor_products_match_fraction_reference():
                     assert got.vec == want, (l, a, b)
                     assert got == ref and hash(got) == hash(ref)
                     assert got.root is a.root
+
+
+def test_unit_power_products_match_the_convolution():
+    """A factor +-eps^k with den 1 is folded through the rows of q^(i + k)
+    mod Phi_l instead of convolved.  For every l in 2..12, every k, both
+    signs and both factor orders, the product equals the convolution
+    product, is in canonical form and lives on its left factor's root."""
+    rng = random.Random(2017)
+    for l in range(2, 13):
+        for j in (1, max(m for m in range(1, l) if math.gcd(m, l) == 1)):
+            r = cyclotomic_build(l, j)
+            others = [rand_cyclo(rng, r) for _ in range(6)] + [
+                r.scalar(Fraction(-2, 3)), r.eps_power(1) / 4,
+                (r.one() + r.eps_power(l - 1)) * Fraction(6, 5),
+                -r.eps_power(2)]
+            assert sum(x.den != 1 for x in others) >= 4
+            for k in range(l):
+                for sign in (1, -1):
+                    unit = r.eps_power(k) * sign
+                    assert unit.den == 1 and unit.num in r._power_index
+                    for x in others:
+                        for a, b in ((unit, x), (x, unit)):
+                            got = a * b
+                            want = _canonical(r, _convolve(r, a.num, b.num),
+                                              a.den * b.den)
+                            assert (got.num, got.den) == (want.num, want.den)
+                            assert got.den > 0
+                            assert math.gcd(got.den, *got.num) == 1
+                            assert got.root is a.root
 
 
 def test_canonical_form():

@@ -10,7 +10,7 @@ from qorder.exactnum import CycloNum, cyclotomic_build
 from qorder import cli, engine, fiber, models, strata, zlattice
 from conftest import (has_derived, make_character, mat_add_c, mat_eq_c,
                       mat_eye, mat_inv_c, mat_is_zero, mat_pow_c,
-                      mat_scale_c, sp_from_dense, sp_to_dense)
+                      mat_scale_c, pp_from_dense, pp_to_dense)
 from test_cli import CUSTOM_WEYL
 
 
@@ -76,8 +76,8 @@ def test_clock_shift_quantum_plane(r3):
     reps = fiber.clock_shift_irreps(ctx, loc, chi)
     assert len(reps) == 1 and reps[0].dim == 3 and reps[0].verified
     # h g = eps g h on the representing matrices of the generators
-    X1 = sp_to_dense(reps[0].rows["x1"], r3)
-    X2 = sp_to_dense(reps[0].rows["x2"], r3)
+    X1 = pp_to_dense(reps[0].rows["x1"], r3)
+    X2 = pp_to_dense(reps[0].rows["x2"], r3)
     lhs = fiber.mat_mul_c(X1, X2, r3)
     rhs = mat_scale_c(fiber.mat_mul_c(X2, X1, r3), r3.eps())
     assert mat_eq_c(lhs, rhs)
@@ -92,8 +92,9 @@ def test_clock_shift_killed_stratum(r3):
     # killed generator acts by zero; the other by the three cube roots
     seen = set()
     for p in reps:
-        assert p.rows["x1"] == [{}]
-        v = p.rows["x2"][0][0]
+        assert p.rows["x1"] == fiber.pp_zero(1)
+        cols, (v,) = p.rows["x2"]
+        assert cols == (0,)
         assert v ** 3 == r3.one()
         seen.add(tuple(v.vec))
     assert len(seen) == 3
@@ -126,48 +127,50 @@ def test_clock_shift_commutative(r3):
 
 
 def _per_choice_irreps(ctx, loc, chi):
-    """(matrices, z scalars) of each root choice, built one choice at a
-    time: the z's act as scalar matrices in the frame product, every
-    survivor's frame coordinates come from an integer solve, extending z's
-    take the located extension values, and a derived Weyl x is read off
-    dense matrices."""
+    """(dense matrices, z scalars) of each root choice, built one choice at
+    a time with dense products: the z's act as scalar matrices in the frame
+    product, every survivor's frame coordinates come from an integer solve,
+    extending z's take the located extension values, and a derived Weyl x is
+    read off the dense matrices."""
     r, st = ctx.root, loc.stratum
     ts, l = st.torus, r.l
     k, dim = ts.k, l ** ts.k
     scalars = [strata.monomial_value(st, chi, r, row) for row in ts.basis]
     frame = []
     for i in range(k):
-        frame.append(fiber._clock(l, ts.ds[i], r, i, k, scalars[2 * i]))
-        frame.append(fiber._shift(l, i, k, scalars[2 * i + 1]))
+        frame.append(pp_to_dense(
+            fiber._clock(l, ts.ds[i], r, i, k, scalars[2 * i]), r))
+        frame.append(pp_to_dense(
+            fiber._shift(l, i, k, scalars[2 * i + 1]), r))
     out = []
     for choice in iproduct(range(l), repeat=ts.t):
         z_vals = [scalars[2 * k + j] * r.eps_power(choice[j]) if j < ts.t
                   else loc.z_ext[j] for j in range(ts.p)]
-        all_mats = frame + [fiber.sp_scale(fiber.sp_eye(dim, r), z)
-                            for z in z_vals]
-        mats = {label: fiber.sp_zero(dim) for label in st.killed_labels}
+        all_mats = frame + [mat_scale_c(mat_eye(dim, r), z) for z in z_vals]
+        mats = {label: [[r.zero()] * dim for _ in range(dim)]
+                for label in st.killed_labels}
         for s, item in enumerate(st.survivors):
             e_s = [int(t == s) for t in range(ts.m)]
             coeffs = zlattice.solve_int(zlattice.transpose(ts.basis), e_s)
             gamma, acc = strata.ordered_product_data(st.skew, ts.basis,
                                                      coeffs)
             assert acc == e_s
-            M = fiber.sp_eye(dim, r)
+            M = mat_eye(dim, r)
             for Mr, c in zip(all_mats, coeffs):
                 if c:
-                    M = fiber.sp_mul(M, fiber.sp_pow(Mr, c, r))
-            mats[item.label] = fiber.sp_scale(M, r.eps_power(-gamma))
+                    M = fiber.mat_mul_c(M, mat_pow_c(Mr, c, r), r)
+            mats[item.label] = mat_scale_c(M, r.eps_power(-gamma))
         if has_derived(ctx.model, st):
             W = ctx.model
-            w = [mat_eye(dim, r)] + [sp_to_dense(mats["w%d" % i], r)
+            w = [mat_eye(dim, r)] + [mats["w%d" % i]
                                      for i in range(1, W.n + 1)]
             for i in range(1, W.n + 1):
                 if "x%d" % i not in mats:
                     coef = (r.eps_power(W.exps[i - 1]) - r.one()).inverse()
-                    yinv = mat_inv_c(sp_to_dense(mats["y%d" % i], r), r)
+                    yinv = mat_inv_c(mats["y%d" % i], r)
                     diff = mat_add_c(w[i], mat_scale_c(w[i - 1], -r.one()))
-                    mats["x%d" % i] = sp_from_dense(mat_scale_c(
-                        fiber.mat_mul_c(yinv, diff, r), coef))
+                    mats["x%d" % i] = mat_scale_c(
+                        fiber.mat_mul_c(yinv, diff, r), coef)
         out.append((mats, tuple(z_vals)))
     return out
 
@@ -220,7 +223,8 @@ def test_clock_shift_matches_the_per_choice_build(r3, r5):
         for rep, (mats, z_vals) in zip(reps, expect):
             assert rep.verified
             for g in model.presentation.gens:
-                assert rep.rows[g] == mats[g], (st.stratum_id, g)
+                assert pp_to_dense(rep.rows[g], ctx.root) == mats[g], \
+                    (st.stratum_id, g)
             assert rep.z_scalars == z_vals
             for j in range(ts.t, ts.p):
                 assert rep.z_scalars[j] == loc.z_ext[j]
@@ -522,7 +526,7 @@ def test_representation_element_evaluation(r3):
     rep = fiber.clock_shift_irreps(ctx, loc, chi)[0]
     elem = engine.Element(2, {(3, 0): 1})
     M = rep.sparse_of_element(m, elem, r3)
-    assert M == fiber.sp_eye(3, r3)
+    assert M == fiber.pp_eye(3, r3)
 
 
 # ---------------------------------------------------------------------------
@@ -665,13 +669,14 @@ def test_mat_mul_matches_triple_loop():
 
 
 # ---------------------------------------------------------------------------
-# Sparse representations against the dense matrix helpers.
+# Scaled partial permutations and representations against the dense matrix
+# helpers.
 
 def _dense_relations_hold(model, rep, character, r):
     """Every defining relation and l-th power, checked with dense products
     on the representation's matrices."""
     P = model.presentation
-    gm = [sp_to_dense(rep.rows[g], r) for g in P.gens]
+    gm = [pp_to_dense(rep.rows[g], r) for g in P.gens]
     for u in range(P.N):
         for v in range(u + 1, P.N):
             lhs = fiber.mat_mul_c(gm[u], gm[v], r)
@@ -679,7 +684,7 @@ def _dense_relations_hold(model, rep, character, r):
                                     r.eps_power(P.S[u][v]))
             rule = P.delta.get((u, v))
             if rule is not None:
-                rhs = mat_add_c(rhs, sp_to_dense(
+                rhs = mat_add_c(rhs, pp_to_dense(
                     rep.sparse_of_element(model, rule, r), r))
             if not mat_eq_c(lhs, rhs):
                 return False
@@ -740,29 +745,52 @@ def _built_representations(r3):
 
 
 def _sparse_matches_dense(A, B, r):
-    """The sparse product and powers equal the dense ones.  A scaled
+    """The product, scale, sum and powers of the scaled partial permutations
+    of A and B equal the dense ones, and the cycle walk of the power check
+    agrees with binary powering and with the dense power.  A scaled
     permutation has the dense inverse; any other matrix has no sparse
-    inverse.  Returns whether A is a scaled permutation."""
-    sA, sB = sp_from_dense(A), sp_from_dense(B)
-    assert sp_to_dense(sA, r) == A
-    assert fiber.sp_mul(sA, sB) == sp_from_dense(
-        fiber.mat_mul_c(A, B, r))
-    for k in (2, r.l):
-        assert fiber.sp_pow(sA, k, r) == sp_from_dense(
-            mat_pow_c(A, k, r))
-    columns = [j for row in sA for j in row]
-    permutation = (all(len(row) == 1 for row in sA)
-                   and len(set(columns)) == len(sA))
-    if permutation:
-        inverse = sp_from_dense(mat_inv_c(A, r))
-        assert fiber.sp_inv(sA) == inverse
-        assert fiber.sp_pow(sA, -1, r) == inverse
+    inverse.  Returns whether A is a scaled permutation, and the (value is
+    nonzero, A^k is value * I) outcomes of the power check."""
+    n = len(A)
+    pA, pB = pp_from_dense(A), pp_from_dense(B)
+    assert pp_to_dense(pA, r) == A
+    assert fiber.pp_mul(pA, pB) == pp_from_dense(fiber.mat_mul_c(A, B, r))
+    for c in (r.zero(), -r.one(), r.eps() * 3):
+        assert fiber.pp_scale(pA, c) == pp_from_dense(mat_scale_c(A, c))
+    assert fiber.pp_add(pA, fiber.pp_scale(pA, -r.one()), "A - A") == \
+        fiber.pp_zero(n)
+    if all(i is None or j is None or i == j for i, j in zip(pA[0], pB[0])):
+        assert fiber.pp_add(pA, pB, "A + B") == pp_from_dense(
+            mat_add_c(A, B))
     else:
+        with pytest.raises(ArithmeticError,
+                           match=r"A \+ B is not a scaled partial perm"):
+            fiber.pp_add(pA, pB, "A + B")
+    outcomes = set()
+    for k in (1, 2, r.l):
+        power = mat_pow_c(A, k, r)
+        pk = fiber.pp_pow(pA, k, r)
+        assert pk == pp_from_dense(power)
+        for value in {power[i][i] for i in range(n)} | {r.zero(), r.one()}:
+            scalar = pk == fiber.pp_scale(fiber.pp_eye(n, r), value)
+            assert scalar == mat_eq_c(power,
+                                      mat_scale_c(mat_eye(n, r), value))
+            assert fiber.pp_power_is_scalar(pA, k, value) == scalar
+            outcomes.add((bool(value), scalar))
+    permutation = None not in pA[0] and len(set(pA[0])) == n
+    if permutation:
+        inverse = pp_from_dense(mat_inv_c(A, r))
+        assert fiber.pp_inv(pA) == inverse
+        assert fiber.pp_pow(pA, -1, r) == inverse
+        assert fiber.pp_pow(pA, -2, r) == pp_from_dense(mat_pow_c(A, -2, r))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            mat_inv_c(A, r)
         with pytest.raises(ArithmeticError, match="A is not a scaled perm"):
-            fiber.sp_inv(sA, "A")
+            fiber.pp_inv(pA, "A")
         with pytest.raises(ArithmeticError, match="not a scaled permutation"):
-            fiber.sp_pow(sA, -1, r)
-    return permutation
+            fiber.pp_pow(pA, -1, r)
+    return permutation, outcomes
 
 
 def test_sparse_representations_match_dense(r3):
@@ -773,15 +801,15 @@ def test_sparse_representations_match_dense(r3):
     for model, chi, derived, rep in built:
         assert rep.verified
         assert _dense_relations_hold(model, rep, chi, r3)
-        mats = [sp_to_dense(rep.rows[g], r3)
+        mats = [pp_to_dense(rep.rows[g], r3)
                 for g in model.presentation.gens]
         for g, M in zip(model.presentation.gens, mats):
-            assert rep.rows[g] == sp_from_dense(M)
-            permuted += any(j != i for i, row in enumerate(rep.rows[g])
-                            for j in row)
+            assert rep.rows[g] == pp_from_dense(M)
+            permuted += any(j is not None and j != i
+                            for i, j in enumerate(rep.rows[g][0]))
         for A in mats:
             for B in mats:
-                permutations.add(_sparse_matches_dense(A, B, r3))
+                permutations.add(_sparse_matches_dense(A, B, r3)[0])
         kinds.add((derived, rep.dim))
     # the Weyl stratum derives its x's from the survivors
     assert kinds == {(False, 1), (False, 3), (True, 3)}
@@ -790,18 +818,104 @@ def test_sparse_representations_match_dense(r3):
     assert permutations == {True, False}
 
 
+def _nonzero(rng, r):
+    """+-eps^k, the unit factor of the cyclotomic fast path, or a general
+    nonzero scalar."""
+    if rng.random() < 0.5:
+        return r.eps_power(rng.randrange(r.l)) * rng.choice((1, -1))
+    while True:
+        x = _rand_scalar(rng, r)
+        if x:
+            return x
+
+
+def _partial_permutations(rng, r, n):
+    """Dense n x n matrices with at most one nonzero entry per row: a
+    scaled permutation, the same with killed (zero) rows, a partial map with
+    repeated columns, a chain of rows that dies after n steps, and a scaled
+    permutation whose cycles have lengths 1 or l and whose l-th power is one
+    scalar."""
+    l = r.l
+
+    def dense(cols, vals):
+        return pp_to_dense((tuple(cols), tuple(vals)), r)
+
+    perm = rng.sample(range(n), n)
+    vals = [_nonzero(rng, r) for _ in range(n)]
+    killed = [None if rng.random() < 0.4 else j for j in perm]
+    partial = [rng.choice([None] + list(range(n))) for _ in range(n)]
+    chain = [i + 1 if i + 1 < n else None for i in range(n)]
+    # cycles of lengths 1 and l; a fixed point holds w eps^j and an l-cycle
+    # has entry product w^l, so the l-th power is w^l everywhere
+    w = _nonzero(rng, r)
+    order = rng.sample(range(n), n)
+    central_cols, central_vals = [None] * n, [None] * n
+    while order:
+        c = l if len(order) >= l and rng.random() < 0.7 else 1
+        cycle, order = order[:c], order[c:]
+        product = r.one()
+        for t, i in enumerate(cycle):
+            central_cols[i] = cycle[(t + 1) % c]
+            if c == 1:
+                central_vals[i] = w * r.eps_power(rng.randrange(l))
+            elif t < c - 1:
+                central_vals[i] = _nonzero(rng, r)
+                product = product * central_vals[i]
+            else:
+                central_vals[i] = w ** l / product
+    return [dense(perm, vals),
+            dense(killed, [None if j is None else a
+                           for j, a in zip(killed, vals)]),
+            dense(partial, [None if j is None else a
+                            for j, a in zip(partial, vals)]),
+            dense(chain, [None if j is None else a
+                          for j, a in zip(chain, vals)]),
+            dense(central_cols, central_vals)]
+
+
 def test_sparse_core_matches_dense_on_random_matrices():
     permutations = set()
-    for rng, r, A, _, m, n, k in _systems():
-        if m == n:
-            B = [[_rand_scalar(rng, r) for _ in range(n)] for _ in range(n)]
-            perm = rng.sample(range(n), n)
-            C = [[r.eps_power(rng.randrange(r.l)) * rng.choice((-2, 1, 3))
-                  if j == perm[i] else r.zero() for j in range(n)]
-                 for i in range(n)]
-            for X, Y in ((A, B), (B, A), (C, A)):
-                permutations.add(_sparse_matches_dense(X, Y, r))
+    outcomes = set()
+    for rng, r, *_, n, _ in _systems():
+        mats = _partial_permutations(rng, r, n)
+        for X in mats:
+            for Y in rng.sample(mats, 2):
+                perm, seen = _sparse_matches_dense(X, Y, r)
+                permutations.add(perm)
+                outcomes |= seen
     assert permutations == {True, False}
+    # every outcome of the l-th power check, at value 0 and at value != 0
+    assert outcomes == {(False, False), (False, True), (True, False),
+                        (True, True)}
+
+
+def test_power_check_reads_cycles(r3):
+    zero, one, two, e = r3.zero(), r3.one(), r3.scalar(2), r3.eps()
+    cases = [
+        # a 3-cycle with entry product 2: A^3 = 2
+        ((1, 2, 0), (one, one, two), two, True),
+        ((1, 2, 0), (one, one, two), one, False),
+        # a fixed point eps: A^3 = 1
+        ((0,), (e,), one, True),
+        # a 2-cycle with entry product 1: A^2 = 1, but A^3 = A
+        ((1, 0), (one, one), one, False),
+        ((0, 2, 1), (one, one, one), one, False),
+        # a zero row: A^3 is never invertible
+        ((0, None), (one, None), one, False),
+        ((None, 0), (None, one), zero, True),
+        # chains of 3 and 4 rows, dying at the end
+        ((1, 2, None), (one, one, None), zero, True),
+        ((1, 2, 3, None), (one, one, one, None), zero, False),
+        # a row that runs into a cycle it is not on
+        ((1, 2, 1), (one, one, one), zero, False),
+        ((1, 2, 1), (one, one, one), one, False),
+    ]
+    for cols, vals, value, expect in cases:
+        A = (cols, vals)
+        powered = fiber.pp_pow(A, 3, r3) == fiber.pp_scale(
+            fiber.pp_eye(len(cols), r3), value)
+        assert fiber.pp_power_is_scalar(A, 3, value) == powered == expect, \
+            (cols, value)
 
 
 def test_verify_representation_rejects_broken_matrices(r3):
@@ -811,18 +925,56 @@ def test_verify_representation_rejects_broken_matrices(r3):
     rep = fiber.clock_shift_irreps(ctx, strata.locate(chi, ctx), chi)[0]
     X1, X2 = rep.rows["x1"], rep.rows["x2"]
 
-    def check(rows):
-        broken = fiber.Representation(rows=rows, dim=rep.dim,
+    def check(model, rows, character):
+        broken = fiber.Representation(rows=rows, dim=len(X1[0]),
                                       z_scalars=rep.z_scalars)
-        fiber._verify_representation(m, broken, chi, r3)
+        fiber._verify_representation(model, broken, character, r3)
 
-    check({"x1": X1, "x2": X2})
+    check(m, {"x1": X1, "x2": X2}, chi)
     # swapped, x1 x2 = eps^-1 x2 x1; every l-th power is still 1
     with pytest.raises(ArithmeticError, match="relation"):
-        check({"x1": X2, "x2": X1})
+        check(m, {"x1": X2, "x2": X1}, chi)
     # scaled by 2, every relation holds and x1^3 = 8
     with pytest.raises(ArithmeticError, match="central value of x1"):
-        check({"x1": fiber.sp_scale(X1, 2), "x2": X2})
+        check(m, {"x1": fiber.pp_scale(X1, r3.scalar(2)), "x2": X2}, chi)
+    # one generator and no relation: a 2-cycle with entry product 1 and a
+    # fixed point 1 square to 1, but their cube is not 1
+    mc = models.build_twisted([[0]], 1)
+    one = r3.one()
+    with pytest.raises(ArithmeticError, match="central value of x1"):
+        check(mc, {"x1": ((1, 0, 2), (one, one, one))},
+              make_character(r3, {"x1": 1}, {"x1": 1}).check(mc, r3))
+    # y1 x1 = q x1 y1 - q^-1 on two shifts: x1 y1 moves every row, the
+    # constant term does not, so the right-hand side has two entries a row
+    W = models.build_weyl([[0]], [1])
+    shift = ((2, 0, 1), (one, one, one))
+    chiw = make_character(r3, {"y1": 1, "x1": 1}).check(W, r3)
+    with pytest.raises(ArithmeticError, match=r"the relation \(y1, x1\) is "
+                       "not a scaled partial permutation"):
+        check(W, {"y1": shift, "x1": shift}, chiw)
+
+
+def test_derived_sum_in_two_columns_raises(r3):
+    # x2 derived as y1 + y2 on the killed-w Weyl n=2 stratum: y1 is
+    # diagonal and y2 a shift, so the two terms meet each row in two columns
+    W = models.build_weyl([[0, 1], [-1, 0]], [1, 1])
+    e, one = r3.eps(), r3.one()
+    u = (one - e).inverse()
+    ctx = strata.enumerate_strata(W, r3)
+    chi = strata.Character(
+        {"x1": u ** 3, "x2": one, "y1": one, "y2": one},
+        {"x1": u, "x2": one, "y1": one, "y2": one,
+         "w2": e - one}).check(W, r3)
+    loc = strata.locate(chi, ctx)
+    assert fiber.clock_shift_irreps(ctx, loc, chi)
+    derived = [(label, terms) for label, terms in loc.stratum.derived
+               if label != "x2"]
+    derived.append(("x2", [(one, [("y1", 1)]), (one, [("y2", 1)])]))
+    broken = dataclasses.replace(
+        loc, stratum=dataclasses.replace(loc.stratum, derived=derived))
+    with pytest.raises(ArithmeticError,
+                       match="x2 is not a scaled partial permutation"):
+        fiber.clock_shift_irreps(ctx, broken, chi)
 
 
 # ---------------------------------------------------------------------------
