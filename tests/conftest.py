@@ -55,8 +55,9 @@ def has_derived(model, stratum):
     return any(g not in named for g in model.presentation.gens)
 
 
-# Dense matrices over the cyclotomic field, the references that the scaled
-# partial permutation and representation tests compare against.  A matrix is a list of rows.
+# Dense matrices over the cyclotomic field, the references that the row
+# dict, scaled partial permutation and representation tests compare against.
+# A matrix is a list of rows.
 
 def mat_eye(n, r):
     return [[r.one() if i == j else r.zero() for j in range(n)]
@@ -119,3 +120,23 @@ def pp_to_dense(A, r):
             dense[j] = a
         out.append(dense)
     return out
+
+
+def sp_from_dense(A):
+    return [{j: a for j, a in enumerate(row) if a} for row in A]
+
+
+def sp_to_dense(A, r):
+    zero = r.zero()
+    out = []
+    for row in A:
+        dense = [zero] * len(A)
+        for j, a in row.items():
+            dense[j] = a
+        out.append(dense)
+    return out
+
+
+def to_dense(M, r):
+    """The dense matrix of a representation's matrix of either kind."""
+    return pp_to_dense(M, r) if isinstance(M, tuple) else sp_to_dense(M, r)

@@ -138,6 +138,21 @@ def test_verify_weyl_flags_uncovered(tmp_path):
     assert "2 flagged uncovered" in text and "0 fail" in text
 
 
+def test_verify_weyl_where_y1_and_w1_survive(tmp_path):
+    # x1 = c y1^-1 (w1 - 1) has two entries in every row of its matrix; the
+    # representation is built and verified on row dicts
+    job = WEYL + """
+character.x1 = -7/72, -7/36
+character.y1 = 8
+character.witness.y1 = 2
+character.witness.w1 = 2
+"""
+    code, text = run_cli(tmp_path, job, "verify")
+    assert code == 0
+    assert ("x1=-7/72 + -7/36*e;y1=8 -> PASS (predicted=1 oracle=1 "
+            "stratum=T1=[];T2=[];T3=[])") in text
+
+
 def test_verify_marks_oversized_fibers_unchecked(tmp_path, monkeypatch):
     # the plane's fibers have dimension 9; a cap of 8 refuses every census,
     # and the sweep still reports every character with its prediction

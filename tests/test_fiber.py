@@ -10,7 +10,8 @@ from qorder.exactnum import CycloNum, cyclotomic_build
 from qorder import cli, engine, fiber, models, strata, zlattice
 from conftest import (has_derived, make_character, mat_add_c, mat_eq_c,
                       mat_eye, mat_inv_c, mat_is_zero, mat_pow_c,
-                      mat_scale_c, pp_from_dense, pp_to_dense)
+                      mat_scale_c, pp_from_dense, pp_to_dense, sp_from_dense,
+                      sp_to_dense, to_dense)
 from test_cli import CUSTOM_WEYL
 
 
@@ -126,6 +127,28 @@ def test_clock_shift_commutative(r3):
     assert [p.dim for p in reps] == [1]
 
 
+def _stratum_character(ctx, st, witnesses, monkeypatch):
+    """The character on stratum st whose survivors have the given l-th
+    roots: killed generators take 0, survivors the l-th powers of their
+    roots, and a derived generator the value its matrix's l-th power has
+    in the representation built unverified."""
+    r = ctx.root
+    gens = ctx.model.presentation.gens
+    values = {g: witnesses[g] ** r.l if g in witnesses else r.zero()
+              for g in gens}
+    chi = strata.Character(values, witnesses)
+    with monkeypatch.context() as patch:
+        patch.setattr(fiber, "_verify_representation", lambda *args: None)
+        rep = fiber.clock_shift_irreps(
+            ctx, strata.Located(stratum=st, z_ext={}), chi)[0]
+    for label, _ in st.derived:
+        M = rep.rows[label]
+        if rep.kind is fiber.PartialPermutations:
+            M = fiber.RowDicts.of_partial_permutation(M)
+        values[label] = fiber.sp_pow(M, r.l, r)[0].get(0, r.zero())
+    return strata.Character(values, witnesses)
+
+
 def _per_choice_irreps(ctx, loc, chi):
     """(dense matrices, z scalars) of each root choice, built one choice at
     a time with dense products: the z's act as scalar matrices in the frame
@@ -175,7 +198,7 @@ def _per_choice_irreps(ctx, loc, chi):
     return out
 
 
-def test_clock_shift_matches_the_per_choice_build(r3, r5):
+def test_clock_shift_matches_the_per_choice_build(r3, r5, monkeypatch):
     cases = []
     for r in (r3, r5):
         for S, n_poly in [([[0, 1], [-1, 0]], 2), ([[0, 0], [0, 0]], 2),
@@ -207,6 +230,14 @@ def test_clock_shift_matches_the_per_choice_build(r3, r5):
     cases.append((W, strata.enumerate_strata(W, r3), strata.Character(
         {"x1": u ** 3, "x2": one, "y1": one, "y2": one},
         {"x1": u, "x2": one, "y1": one, "y2": one, "w2": e - one})))
+    # the Weyl pair where y1 and w1 survive: x1 = c y1^-1 (w1 - 1), and the
+    # frame makes y1 diagonal, so x1 has two entries in every row
+    W = models.build_weyl([[0]], [1])
+    ctx = strata.enumerate_strata(W, r3)
+    generic = next(st for st in ctx.strata
+                   if st.stratum_id == "T1=[];T2=[];T3=[]")
+    cases.append((W, ctx, _stratum_character(
+        ctx, generic, {"y1": r3.scalar(2), "w1": e}, monkeypatch)))
     shapes = set()
     for model, ctx, chi in cases:
         chi.check(model, ctx.root)
@@ -223,16 +254,57 @@ def test_clock_shift_matches_the_per_choice_build(r3, r5):
         for rep, (mats, z_vals) in zip(reps, expect):
             assert rep.verified
             for g in model.presentation.gens:
-                assert pp_to_dense(rep.rows[g], ctx.root) == mats[g], \
+                assert to_dense(rep.rows[g], ctx.root) == mats[g], \
                     (st.stratum_id, g)
             assert rep.z_scalars == z_vals
             for j in range(ts.t, ts.p):
                 assert rep.z_scalars[j] == loc.z_ext[j]
-        shapes.add((has_derived(model, st), ts.t > 0, ts.p > ts.t))
-    # (derived Weyl x, t >= 1, extending z's)
-    assert shapes == {(False, False, False), (False, True, False),
-                      (False, False, True), (False, True, True),
-                      (True, True, False)}
+        shapes.add((has_derived(model, st), ts.t > 0, ts.p > ts.t,
+                    reps[0].kind.__name__))
+    # (derived Weyl x, t >= 1, extending z's, matrix kind)
+    pp = "PartialPermutations"
+    assert shapes == {(False, False, False, pp), (False, True, False, pp),
+                      (False, False, True, pp), (False, True, True, pp),
+                      (True, True, False, pp),
+                      (True, False, False, "RowDicts")}
+
+
+def test_weyl_strata_build_and_verify(monkeypatch):
+    """Every stratum of every quantum Weyl model with n <= 2, S entries in
+    {-1, 0, 1} and exponents 1..3, at l = 2..5 (and l = 7 for n = 1), takes
+    a located character and builds verified irreducibles over it.  Where
+    the frame does not make w_(i-1)^-1 w_i diagonal, a derived x has two
+    entries in a row and the build runs on row dicts."""
+    rng = random.Random(20101095)
+    kinds = Counter()
+    for S, exps in ([([[0]], [a]) for a in (1, 2, 3)]
+                    + [([[0, s], [-s, 0]], [a, b]) for s in (-1, 0, 1)
+                       for a in (1, 2, 3) for b in (1, 2, 3)]):
+        W = models.build_weyl(S, exps)
+        for l in (2, 3, 4, 5) + ((7,) if len(S) == 1 else ()):
+            if not W.admissibility(l):
+                continue
+            r = cyclotomic_build(l)
+            ctx = strata.enumerate_strata(W, r)
+            for st in ctx.strata:
+                roots = [r.one(), r.scalar(2), r.scalar(-3)] + \
+                    [r.eps(), r.one() + r.eps()] * (l > 2)
+                wits = {s.label: rng.choice(roots) for s in st.survivors}
+                try:
+                    chi = _stratum_character(ctx, st, wits, monkeypatch)
+                except strata.MissingWitness:
+                    # a monomial at even l with no canonical root
+                    assert l % 2 == 0
+                    kinds["missing"] += 1
+                    continue
+                loc = strata.locate(chi.check(W, r), ctx)
+                assert loc.stratum is st
+                reps = fiber.clock_shift_irreps(ctx, loc, chi)
+                assert reps and all(rep.verified for rep in reps)
+                kinds[reps[0].kind.__name__] += 1
+    assert kinds["PartialPermutations"] > 0 and kinds["RowDicts"] > 0
+    # the strata left unbuilt for want of a canonical root are few
+    assert kinds["missing"] * 10 < sum(kinds.values())
 
 
 def test_census_examples(r3):
@@ -525,7 +597,7 @@ def test_representation_element_evaluation(r3):
     loc = strata.locate(chi, ctx)
     rep = fiber.clock_shift_irreps(ctx, loc, chi)[0]
     elem = engine.Element(2, {(3, 0): 1})
-    M = rep.sparse_of_element(m, elem, r3)
+    M = rep.sparse_of_element(m, elem, r3, "x1^3")
     assert M == fiber.pp_eye(3, r3)
 
 
@@ -676,7 +748,7 @@ def _dense_relations_hold(model, rep, character, r):
     """Every defining relation and l-th power, checked with dense products
     on the representation's matrices."""
     P = model.presentation
-    gm = [pp_to_dense(rep.rows[g], r) for g in P.gens]
+    gm = [to_dense(rep.rows[g], r) for g in P.gens]
     for u in range(P.N):
         for v in range(u + 1, P.N):
             lhs = fiber.mat_mul_c(gm[u], gm[v], r)
@@ -684,8 +756,8 @@ def _dense_relations_hold(model, rep, character, r):
                                     r.eps_power(P.S[u][v]))
             rule = P.delta.get((u, v))
             if rule is not None:
-                rhs = mat_add_c(rhs, pp_to_dense(
-                    rep.sparse_of_element(model, rule, r), r))
+                rhs = mat_add_c(rhs, to_dense(
+                    rep.sparse_of_element(model, rule, r, "rule"), r))
             if not mat_eq_c(lhs, rhs):
                 return False
     eye = mat_eye(rep.dim, r)
@@ -889,6 +961,54 @@ def test_sparse_core_matches_dense_on_random_matrices():
                         (True, True)}
 
 
+def _row_dicts_match_dense(A, B, r):
+    """The row dict product, scale, sum and powers of A and B equal the
+    dense ones, and so does the l-th power check of RowDicts.  A scaled
+    permutation has the dense inverse; any other matrix has no sparse
+    inverse.  Returns whether A is a scaled permutation."""
+    n = len(A)
+    sA, sB = sp_from_dense(A), sp_from_dense(B)
+    assert sp_to_dense(sA, r) == A
+    assert fiber.sp_mul(sA, sB) == sp_from_dense(fiber.mat_mul_c(A, B, r))
+    assert fiber.sp_mul(fiber.sp_eye(n, r), sA) == sA
+    assert fiber.sp_add(sA, sB) == sp_from_dense(mat_add_c(A, B))
+    for c in (r.zero(), -r.one(), r.eps() * 3):
+        assert fiber.sp_scale(sA, c) == sp_from_dense(mat_scale_c(A, c))
+    for k in (2, r.l):
+        power = mat_pow_c(A, k, r)
+        assert fiber.sp_pow(sA, k, r) == sp_from_dense(power)
+        for value in (r.zero(), r.one(), power[0][0]):
+            assert fiber.RowDicts.power_is_scalar(sA, k, value, r) == \
+                mat_eq_c(power, mat_scale_c(mat_eye(n, r), value))
+    columns = [j for row in sA for j in row]
+    permutation = (all(len(row) == 1 for row in sA)
+                   and len(set(columns)) == n)
+    if permutation:
+        inverse = sp_from_dense(mat_inv_c(A, r))
+        assert fiber.sp_inv(sA) == inverse
+        assert fiber.sp_pow(sA, -1, r) == inverse
+    else:
+        with pytest.raises(ArithmeticError, match="A is not a scaled perm"):
+            fiber.sp_inv(sA, "A")
+        with pytest.raises(ArithmeticError, match="not a scaled permutation"):
+            fiber.sp_pow(sA, -1, r)
+    return permutation
+
+
+def test_row_dicts_match_dense_on_random_matrices():
+    # general square matrices with several entries a row, against each
+    # other and against scaled partial permutations
+    permutations = set()
+    for rng, r, A, _, m, n, _ in _systems():
+        if m != n:
+            continue
+        B = [[_rand_scalar(rng, r) for _ in range(n)] for _ in range(n)]
+        C = rng.choice(_partial_permutations(rng, r, n))
+        for X, Y in ((A, B), (B, A), (C, A), (A, C)):
+            permutations.add(_row_dicts_match_dense(X, Y, r))
+    assert permutations == {True, False}
+
+
 def test_power_check_reads_cycles(r3):
     zero, one, two, e = r3.zero(), r3.one(), r3.scalar(2), r3.eps()
     cases = [
@@ -954,7 +1074,7 @@ def test_verify_representation_rejects_broken_matrices(r3):
         check(W, {"y1": shift, "x1": shift}, chiw)
 
 
-def test_derived_sum_in_two_columns_raises(r3):
+def test_derived_sum_in_two_columns_falls_back_to_row_dicts(r3):
     # x2 derived as y1 + y2 on the killed-w Weyl n=2 stratum: y1 is
     # diagonal and y2 a shift, so the two terms meet each row in two columns
     W = models.build_weyl([[0, 1], [-1, 0]], [1, 1])
@@ -966,15 +1086,24 @@ def test_derived_sum_in_two_columns_raises(r3):
         {"x1": u, "x2": one, "y1": one, "y2": one,
          "w2": e - one}).check(W, r3)
     loc = strata.locate(chi, ctx)
-    assert fiber.clock_shift_irreps(ctx, loc, chi)
+    reps = fiber.clock_shift_irreps(ctx, loc, chi)
+    assert reps[0].kind is fiber.PartialPermutations
+    Y1, Y2 = reps[0].rows["y1"], reps[0].rows["y2"]
+    with pytest.raises(fiber.NotPartialPermutation,
+                       match="x2 is not a scaled partial permutation"):
+        fiber._sum(fiber.PartialPermutations,
+                   [(one, [(Y1, 1)]), (one, [(Y2, 1)])], reps[0].dim, r3,
+                   "x2")
+    # the build falls back to row dicts, where the relations fail
     derived = [(label, terms) for label, terms in loc.stratum.derived
                if label != "x2"]
     derived.append(("x2", [(one, [("y1", 1)]), (one, [("y2", 1)])]))
     broken = dataclasses.replace(
         loc, stratum=dataclasses.replace(loc.stratum, derived=derived))
     with pytest.raises(ArithmeticError,
-                       match="x2 is not a scaled partial permutation"):
+                       match="fails in the representation") as failed:
         fiber.clock_shift_irreps(ctx, broken, chi)
+    assert not isinstance(failed.value, fiber.NotPartialPermutation)
 
 
 # ---------------------------------------------------------------------------
