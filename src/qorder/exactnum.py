@@ -9,7 +9,8 @@ FLINT's fmpq_poly: Phi_l is monic with integer coefficients, so reduction
 never leaves the integers, and an inverse is the product of the other Galois
 conjugates over the rational norm.  A cyclotomic number meets Fractions only
 where values come in (constructor, scalars, Laurent coefficients) and go out
-(CycloNum.vec).
+(CycloNum.vec).  residue_map reduces p-integral cyclotomic numbers into F_p,
+for a prime p that splits Phi_l, so that ranks mod p can certify exact ones.
 """
 
 from __future__ import annotations
@@ -647,3 +648,74 @@ def divide_by_cyclotomic(f, r):
     out = QLaurent()
     out.coeffs = {i + shift: Fraction(c, den) for i, c in enumerate(quo) if c}
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reduction modulo a prime that splits Phi_l.
+
+class NotPIntegral(ArithmeticError):
+    """A denominator divisible by the residue prime."""
+
+
+def _is_prime(n):
+    """Miller-Rabin on bases 2, 3, 5 and 7, deterministic for n below
+    3,215,031,751."""
+    if n < 2:
+        return False
+    for a in (2, 3, 5, 7):
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def residue_prime(l, _cache={}):
+    """(p, w): the largest prime p below 2^31 with p = 1 (mod l), and an
+    element w of exact order l in F_p.  Phi_l splits into linear factors
+    mod p and w is one of its roots, so q -> w is a ring homomorphism from
+    the p-integral elements of Q(eps) = Q[q]/(Phi_l) onto F_p."""
+    if l not in _cache:
+        p = (2 ** 31 - 2) // l * l + 1
+        while not _is_prime(p):
+            p -= l
+        primes = [t for t in range(2, l + 1) if l % t == 0 and _is_prime(t)]
+        a = 2
+        while True:
+            w = pow(a, (p - 1) // l, p)
+            if all(pow(w, l // t, p) != 1 for t in primes):
+                break
+            a += 1
+        _cache[l] = (p, w)
+    return _cache[l]
+
+
+def residue_map(root):
+    """(p, image): the residue prime of root.l and the reduction q -> w of
+    its p-integral CycloNums, image(x) an int in [0, p).  A CycloNum is in
+    canonical form, so it is p-integral exactly when p does not divide its
+    den; image raises NotPIntegral otherwise."""
+    p, w = residue_prime(root.l)
+    powers = [pow(w, i, p) for i in range(root.deg)]
+
+    def image(x):
+        den = x.den
+        if den % p == 0:
+            raise NotPIntegral("denominator %d is divisible by the residue "
+                               "prime %d" % (den, p))
+        t = sum([c * v for c, v in zip(x.num, powers)])
+        return (t if den == 1 else t * pow(den, -1, p)) % p
+
+    return p, image

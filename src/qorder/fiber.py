@@ -15,8 +15,10 @@ algebra's generators with its basis.  A table fiber is counted one degree
 of its grading at a time from those operators alone: the right operators
 follow from them, homogeneity is checked on both, the degree-0 traces come
 from the full left operators of half-monomials, and the gram blocks are
-filled row by row from the traces.  The census never assumes the count it
-is asked to confirm.
+filled row by row from the traces.  That arithmetic runs first on the
+fiber's image in F_p, for a prime p that splits Phi_l, where full ranks
+certify the exact ones, and over Q(eps) only where they do not.  The census
+never assumes the count it is asked to confirm.
 
 Clock/shift representations are built and verified as scaled partial
 permutations (per row, one column and one nonzero value, or nothing), so a
@@ -33,7 +35,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, product as iproduct
 
-from .exactnum import CycloNum
+from .exactnum import CycloNum, NotPIntegral, residue_map
 from . import engine
 from . import strata as strata_mod
 from . import zlattice
@@ -114,6 +116,26 @@ def rref_c(vectors, limit=None):
         pivots.append(lead)
     order = sorted(range(len(pivots)), key=pivots.__getitem__)
     return [rows[t] for t in order], [pivots[t] for t in order]
+
+
+def rank_mod_p(vectors, p, limit=None):
+    """Rank over F_p of integer vectors, read like rref_c: with limit, stops
+    once the span has that many rows.  Each kept row has a leading 1 and
+    zeros in the leading columns of the rows kept before it."""
+    rows = []
+    for vec in vectors:
+        if len(rows) == limit:
+            break
+        cur = [x % p for x in vec]
+        for lead, row in rows:
+            f = cur[lead]
+            if f:
+                cur = [(a - f * b) % p for a, b in zip(cur, row)]
+        lead = next((j for j, x in enumerate(cur) if x), None)
+        if lead is not None:
+            inv = pow(cur[lead], -1, p)
+            rows.append((lead, [x * inv % p for x in cur]))
+    return len(rows)
 
 
 def kernel_c(rows, ncols, r):
@@ -488,7 +510,9 @@ def sp_zero(n):
     return [{} for _ in range(n)]
 
 
-def sp_mul(A, B):
+def sp_mul(A, B, norm=None):
+    """A B; norm, when given, maps each entry to its canonical form first
+    (x mod p, for the int images of a table census)."""
     out = []
     for row in A:
         acc = {}
@@ -496,6 +520,8 @@ def sp_mul(A, B):
             for j, b in B[k].items():
                 c = acc.get(j)
                 acc[j] = a * b if c is None else c + a * b
+        if norm is not None:
+            acc = dict(zip(acc, map(norm, acc.values())))
         out.append({j: c for j, c in acc.items() if c})
     return out
 
@@ -893,10 +919,16 @@ def census(A, constructed_dims=None):
     The count is dim A/([A, A] + J), which equals the dimension of the
     center of the semisimple quotient A/J; [A, A] is spanned by the
     commutators [g, b] of the generators g with the basis elements b, since
-    [xy, c] = [x, yc] + [y, cx].  Block dimensions are certified against
-    constructed representations when given, or inferred in the
-    commutative/uniform cases; anything else raises NonSplit rather than
-    guessing.
+    [xy, c] = [x, yc] + [y, cx].  A table fiber is first counted on its
+    image mod a prime p that splits Phi_l (q -> w, a ring homomorphism on
+    the p-integral elements of Q(eps)): a reduced matrix never has a larger
+    rank than the exact one, so full ranks mod p are full ranks over
+    Q(eps), and only what they leave open is eliminated exactly; a fiber
+    with a radical, a gram block that loses rank mod p or an entry that is
+    not p-integral is counted by the exact census (_census_table).  Block
+    dimensions are certified against constructed representations when
+    given, or inferred in the commutative/uniform cases; anything else
+    raises NonSplit rather than guessing.
     """
     cap = MONOMIAL_DIM_LIMIT if A.monomial else FIBER_DIM_LIMIT
     if A.dim > cap:
@@ -934,128 +966,230 @@ def _census_monomial(A):
 
 def _census_table(A):
     """The census of a table fiber, one degree of its grading at a time:
-    (rad_dim, count, dim A/J) from the blocks of _table_components."""
+    (rad_dim, count, dim A/J).
+
+    It runs first on a certificate, the image of the fiber in F_p under
+    q -> w, with (p, w) = exactnum.residue_prime(l).  That map is a ring
+    homomorphism on the p-integral elements of Q(eps), so the traces, gram
+    blocks and commutators computed from the reduced operators are the
+    images of the exact ones, and a reduced matrix never has a larger rank
+    than the exact one: a full rank mod p is a full rank over Q(eps).  When
+    every gram block has full rank mod p, J = 0 exactly; a component whose
+    commutators have full rank mod p is then full, and each other component
+    is eliminated over Q(eps) on its exact commutators.  The exact census of
+    _census_exact runs instead when an operator entry has a denominator
+    divisible by p, or when some gram block is rank-deficient mod p, as it
+    is on every fiber with a radical.  The grading, the right operators and
+    the homogeneity check are exact and built once for both."""
+    shape = _TableShape(A)
+    counted = _census_certified(A, shape)
+    return counted if counted is not None else _census_exact(A, shape)
+
+
+def _census_certified(A, shape):
+    """(0, count, dim A) when the gram blocks have full rank mod p, else
+    None."""
+    try:
+        images = _residue_scalars(A, shape)
+    except NotPIntegral:
+        return None
+    p = images.p
+    for comp, block in zip(shape.comps, _gram_blocks(A, shape, images)):
+        if rank_mod_p(block, p) < len(comp):
+            return None
+    exact = _exact_scalars(A, shape)
+    rank = 0
+    for d, comp in enumerate(shape.comps):
+        size = len(comp)
+        got = rank_mod_p(_commutators(shape, images, d), p, limit=size)
+        if got < size:
+            got = len(rref_c(_commutators(shape, exact, d), limit=size)[1])
+        rank += got
+    return 0, A.dim - rank, A.dim
+
+
+def _census_exact(A, shape):
+    """The census over Q(eps): per component, the kernel of its gram block
+    is its part of J, and the span of that kernel and its commutators is
+    its part of [A, A] + J."""
     r = A.root
+    exact = _exact_scalars(A, shape)
     rad_dim = 0
     rank = 0
-    for comp, _, block, commutators in _table_components(A):
+    for d, (comp, block) in enumerate(zip(shape.comps,
+                                          _gram_blocks(A, shape, exact))):
         rad = kernel_c(block, len(comp), r)
         rad_dim += len(rad)
-        rank += len(rref_c(chain(rad, commutators), limit=len(comp))[1])
+        rank += len(rref_c(chain(rad, _commutators(shape, exact, d)),
+                           limit=len(comp))[1])
     return rad_dim, A.dim - rank, A.dim - rad_dim
 
 
-def _table_components(A):
-    """Per degree d of the grading of a table fiber: (comp, partners, block,
-    commutators), read from the generators' left operators only.
+class _TableShape:
+    """The exact frame of a table census, read from the generators' left
+    operators only and built once per fiber.
 
-    comp lists the basis elements of degree d and partners those of degree
-    -d.  The trace form of an associative algebra is tr(L_i L_j) =
-    tau(b_i b_j) with tau(b) = tr(L_b).  L_b shifts degree by deg b, so only
-    degree-0 elements have a nonzero trace, the form pairs degree d only
-    with -d, and J is the direct sum over d of the kernels of the blocks
-    block[s][t] = tau(b_partners[s] b_comp[t]).  Each commutator [g, b]
-    lies in degree deg g + deg b; commutators yields those of degree d, in
-    the coordinates of comp, lazily, so the caller can stop once they fill
-    it.  All of this rests on every product being homogeneous, which is
-    checked on the generators' left and right operators first (every
-    product is a composition of them); with the trivial grading there is
-    one component, the whole algebra.
-
-    The right operators come from the left ones: b_a = x_v b_a' gives
-    b_a x_u = x_v (b_a' x_u).  The degree-0 traces come from _traces, and
-    the gram rows follow from them by tau(xy) = tau(yx): tau(b_a b_j) =
-    tau(b_a' b_j x_v).
+    comps[d] lists the basis elements of degree d (pos[i] is the place of i
+    in its component), partners[d] those of degree -d, and sources[d] the
+    pairs (u, b) whose commutator [x_u, b] lies in degree d.  steps[i] is
+    (v, p) with b_i = x_v b_p and p earlier in the basis (None for the
+    unit), and right[u] is the right operator b -> b x_u, from the left ones
+    by b_a x_u = x_v (b_a' x_u).  L_b shifts degree by deg b, so only
+    degree-0 elements have a nonzero trace, the trace form pairs degree d
+    only with -d, and J is the direct sum over d of the kernels of the gram
+    blocks.  All of this rests on every product being homogeneous, which is
+    checked on the generators' left and right operators here (every product
+    is a composition of them); with the trivial grading there is one
+    component, the whole algebra.
     """
-    n = A.dim
+
+    def __init__(self, A):
+        n = A.dim
+        l = A.root.l
+        basis = A.basis_labels
+        labels = A.degrees or [()] * n
+        names = sorted(set(labels))
+        code = {d: t for t, d in enumerate(names)}
+        deg = [code[d] for d in labels]
+        plus = [[code.get(tuple((x + y) % l for x, y in zip(d, e)))
+                 for e in names] for d in names]
+        minus = [code.get(tuple(-x % l for x in d)) for d in names]
+        comps = [[] for _ in names]
+        for i, d in enumerate(deg):
+            comps[d].append(i)
+        pos = [0] * n
+        for comp in comps:
+            for t, i in enumerate(comp):
+                pos[i] = t
+        self.deg, self.comps, self.pos = deg, comps, pos
+        self.partners = [comps[m] if m is not None else [] for m in minus]
+        self.degree_zero = code[tuple(0 for _ in names[0])]
+        self.sources = [[(u, b) for u, g in enumerate(A.gens)
+                         for e, other in enumerate(comps)
+                         if plus[deg[g]][e] == d for b in other]
+                        for d in range(len(names))]
+
+        self.index = index = {a: i for i, a in enumerate(basis)}
+        self.steps = steps = [None] * n
+        for i, a in enumerate(basis):
+            if i != A.unit_index:
+                v = next(t for t, e in enumerate(a) if e)
+                steps[i] = (v, index[a[:v] + (a[v] - 1,) + a[v + 1:]])
+        self.right = []
+        for g in A.gens:
+            rows = [None] * n
+            rows[A.unit_index] = {g: A.root.one()}
+            for i, step in enumerate(steps):
+                if step is not None:
+                    rows[i] = sp_mul([rows[step[1]]], A.left[step[0]])[0]
+            self.right.append(rows)
+        for left, rt, g in zip(A.left, self.right, A.gens):
+            for j in range(n):
+                d = plus[deg[g]][deg[j]]
+                for i, k, entry in ((g, j, left[j]), (j, g, rt[j])):
+                    if any(deg[m] != d for m in entry):
+                        raise engine.ValidationFailed(
+                            "the product of basis elements %d and %d is not "
+                            "homogeneous" % (i, k))
+
+
+@dataclass
+class _TableScalars:
+    """The scalars of one pass of the table census and the generators' left
+    and right operators over them: the exact CycloNums (p and norm None),
+    or their images in F_p as ints, which norm maps to x mod p.  The
+    traces, gram rows and commutators use only +, -, * and norm, so one
+    code serves both."""
+
+    zero: object
+    one: object
+    norm: object
+    left: list
+    right: list
+    p: int = None
+
+
+def _exact_scalars(A, shape):
     r = A.root
-    l = r.l
-    zero_s = r.zero()
-    basis = A.basis_labels
-    labels = A.degrees or [()] * n
-    names = sorted(set(labels))
-    code = {d: t for t, d in enumerate(names)}
-    deg = [code[d] for d in labels]
-    plus = [[code.get(tuple((x + y) % l for x, y in zip(d, e)))
-             for e in names] for d in names]
-    minus = [code.get(tuple(-x % l for x in d)) for d in names]
-    comps = [[] for _ in names]
-    for i, d in enumerate(deg):
-        comps[d].append(i)
-    pos = [0] * n
-    for comp in comps:
-        for t, i in enumerate(comp):
-            pos[i] = t
+    return _TableScalars(r.zero(), r.one(), None, A.left, shape.right)
 
-    # b_i = x_v b_p for every i but the unit, with p earlier in the basis
-    index = {a: i for i, a in enumerate(basis)}
-    steps = [None] * n
-    for i, a in enumerate(basis):
-        if i != A.unit_index:
-            v = next(t for t, e in enumerate(a) if e)
-            steps[i] = (v, index[a[:v] + (a[v] - 1,) + a[v + 1:]])
-    right = []
-    for g in A.gens:
-        rows = [None] * n
-        rows[A.unit_index] = {g: r.one()}
-        for i, step in enumerate(steps):
-            if step is not None:
-                rows[i] = sp_mul([rows[step[1]]], A.left[step[0]])[0]
-        right.append(rows)
-    for left, rt, g in zip(A.left, right, A.gens):
-        for j in range(n):
-            d = plus[deg[g]][deg[j]]
-            for i, k, entry in ((g, j, left[j]), (j, g, rt[j])):
-                if any(deg[m] != d for m in entry):
-                    raise engine.ValidationFailed(
-                        "the product of basis elements %d and %d is not "
-                        "homogeneous" % (i, k))
 
-    zero = code[tuple(0 for _ in names[0])]
-    traces = _traces(A, steps, index, comps[zero])
+def _residue_scalars(A, shape):
+    """The images in F_p of the operators; NotPIntegral when an entry is not
+    p-integral."""
+    p, image = residue_map(A.root)
+    seen = {}
 
+    def reduced(op):
+        out = []
+        for row in op:
+            red = {}
+            for k, c in row.items():
+                v = seen.get(c)
+                if v is None:
+                    v = seen[c] = image(c)
+                if v:
+                    red[k] = v
+            out.append(red)
+        return out
+
+    # p.__rmod__(x) is x % p, without a Python frame per entry
+    return _TableScalars(0, 1, p.__rmod__, [reduced(L) for L in A.left],
+                         [reduced(R) for R in shape.right], p)
+
+
+def _gram_blocks(A, shape, scalars):
+    """Per degree d, the gram block [tau(b_s b_t)] with s in partners[d]
+    and t in comps[d], tau(b) = tr(L_b).  The degree-0 traces come from
+    _traces, and the gram rows follow from them by tau(xy) = tau(yx):
+    tau(b_a b_j) = tau(b_a' b_j x_v)."""
+    zero, norm = scalars.zero, scalars.norm
+    deg, pos = shape.deg, shape.pos
+    traces = _traces(A, shape, scalars)
     # gram[i] lists tau(b_i b_j) for j of degree -deg i, in the order of
     # that component
-    gram = [None] * n
-    gram[A.unit_index] = [traces.get(j, zero_s) for j in comps[zero]]
-    for i, step in enumerate(steps):
+    gram = [None] * A.dim
+    gram[A.unit_index] = [traces.get(j, zero)
+                          for j in shape.comps[shape.degree_zero]]
+    for i, step in enumerate(shape.steps):
         if step is None:
             continue
         v, p = step
         prev = gram[p]
+        rv = scalars.right[v]
         row = []
-        for j in (comps[minus[deg[i]]] if minus[deg[i]] is not None else ()):
-            t = zero_s
-            for m, c in right[v][j].items():
+        for j in shape.partners[deg[i]]:
+            t = zero
+            for m, c in rv[j].items():
                 t = t + c * prev[pos[m]]
-            row.append(t)
+            row.append(t if norm is None else norm(t))
         gram[i] = row
+    return [[gram[i] for i in partners] for partners in shape.partners]
 
-    def commutator(u, b, size):
-        vec = [zero_s] * size
-        for k, c in A.left[u][b].items():
+
+def _commutators(shape, scalars, d):
+    """The commutators [x_u, b] = x_u b - b x_u of degree d, in the
+    coordinates of comps[d], lazily, so the caller can stop once they fill
+    it."""
+    zero, pos = scalars.zero, shape.pos
+    size = len(shape.comps[d])
+    for u, b in shape.sources[d]:
+        vec = [zero] * size
+        for k, c in scalars.left[u][b].items():
             vec[pos[k]] = vec[pos[k]] + c
-        for k, c in right[u][b].items():
+        for k, c in scalars.right[u][b].items():
             vec[pos[k]] = vec[pos[k]] - c
-        return vec
-
-    for d, comp in enumerate(comps):
-        partners = comps[minus[d]] if minus[d] is not None else []
-        sources = [(u, b) for u, g in enumerate(A.gens)
-                   for e, other in enumerate(comps) if plus[deg[g]][e] == d
-                   for b in other]
-        yield (comp, partners, [gram[i] for i in partners],
-               (commutator(u, b, len(comp)) for u, b in sources))
+        yield vec
 
 
-def _traces(A, steps, index, elements):
-    """{k: tr(L_{b_k})} for the basis elements k of a table fiber listed in
-    elements, zeros left out.  x^a = x^p x^q for a = (p | q) split at
-    position N // 2, so tr(L_{x^a}) = sum_j sum_m (x^q b_j)_m (x^p b_m)_j
-    needs the full left operators of those half-monomials only, each one
-    operator product from its predecessor along steps."""
-    r = A.root
-    full = {A.unit_index: sp_eye(A.dim, r)}
+def _traces(A, shape, scalars):
+    """{k: tr(L_{b_k})} for the degree-0 basis elements k of a table fiber,
+    zeros left out.  x^a = x^p x^q for a = (p | q) split at position N // 2,
+    so tr(L_{x^a}) = sum_j sum_m (x^q b_j)_m (x^p b_m)_j needs the full left
+    operators of those half-monomials only, each one operator product from
+    its predecessor along steps."""
+    steps, index, norm = shape.steps, shape.index, scalars.norm
+    full = {A.unit_index: [{i: scalars.one} for i in range(A.dim)]}
 
     def full_left(i):
         """Rows b_m -> b_i b_m of the left operator of b_i."""
@@ -1066,21 +1200,23 @@ def _traces(A, steps, index, elements):
             k = steps[k][1]
         for k in reversed(path):
             v, p = steps[k]
-            full[k] = sp_mul(full[p], A.left[v])
+            full[k] = sp_mul(full[p], scalars.left[v], norm)
         return full[i]
 
     traces = {}
-    for k in elements:
+    for k in shape.comps[shape.degree_zero]:
         a = A.basis_labels[k]
         half = len(a) // 2
         head = full_left(index[a[:half] + (0,) * (len(a) - half)])
         tail = full_left(index[(0,) * half + a[half:]])
-        t = r.zero()
+        t = scalars.zero
         for j, row in enumerate(tail):
             for m, c in row.items():
                 d = head[m].get(j)
                 if d is not None:
                     t = t + c * d
+        if norm is not None:
+            t = norm(t)
         if t:
             traces[k] = t
     return traces

@@ -8,12 +8,15 @@ from qorder.exactnum import (
     CycloNum,
     QLaurent,
     NotDivisible,
+    NotPIntegral,
     _canonical,
     _convolve,
     cyclotomic_build,
     divide_by_cyclotomic,
     poly_divmod,
     poly_trim,
+    residue_map,
+    residue_prime,
 )
 
 
@@ -395,3 +398,60 @@ def test_poly_divmod_over_q_matches_long_division():
         want_quo, want_rem = poly_long_division(num, den)
         assert poly_trim(quo) == poly_trim(want_quo)
         assert rem == poly_trim(want_rem)
+
+
+# The residue prime and the reduction that certify table censuses.
+
+def _trial_prime(n):
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_residue_prime_is_the_largest_split_prime():
+    for l in range(2, 13):
+        p, w = residue_prime(l)
+        assert p < 2 ** 31 and p % l == 1 and _trial_prime(p)
+        # no larger prime below 2^31 is 1 mod l
+        assert not any(_trial_prime(c) for c in range(p + l, 2 ** 31, l))
+        # w has exact order l
+        assert pow(w, l, p) == 1
+        assert all(pow(w, d, p) != 1 for d in range(1, l))
+        assert residue_prime(l) == (p, w)
+
+
+def _random_cyclo(rng, r):
+    return CycloNum(r, [Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+                        for _ in range(r.deg)])
+
+
+def test_residue_map_is_a_ring_homomorphism():
+    rng = random.Random(2031)
+    for l in range(2, 13):
+        for j in sorted({1, l - 1, *(k for k in (2, 5, 7) if k < l)}):
+            if math.gcd(j, l) != 1:
+                continue
+            r = cyclotomic_build(l, j)
+            p, image = residue_map(r)
+            w = residue_prime(l)[1]
+            # q itself, whatever root primitive_index selects
+            assert image(r.eps()) == pow(w, j, p)
+            assert image(r.one()) == 1 and image(r.zero()) == 0
+            for _ in range(25):
+                a, b = _random_cyclo(rng, r), _random_cyclo(rng, r)
+                assert image(a + b) == (image(a) + image(b)) % p
+                assert image(a - b) == (image(a) - image(b)) % p
+                assert image(a * b) == image(a) * image(b) % p
+                if a:
+                    inv = a.inverse()
+                    # a unit mod p unless p divides the norm of a
+                    if image(a):
+                        assert image(inv) == pow(image(a), -1, p)
+                    assert image(a * inv) == 1
+
+
+def test_residue_map_refuses_a_denominator_divisible_by_p():
+    r = cyclotomic_build(3)
+    p, image = residue_map(r)
+    assert image(r.scalar(Fraction(2, p + 1))) == 2 * pow(p + 1, -1, p) % p
+    for x in (r.scalar(Fraction(1, p)), r.eps() * Fraction(3, 2 * p)):
+        with pytest.raises(NotPIntegral):
+            image(x)

@@ -1,13 +1,15 @@
 import dataclasses
+import pathlib
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import product as iproduct
 from types import SimpleNamespace
 
 import pytest
 
-from qorder.exactnum import CycloNum, cyclotomic_build
-from qorder import cli, engine, fiber, models, strata, zlattice
+from qorder.exactnum import CycloNum, cyclotomic_build, residue_map
+from qorder import cli, engine, exactnum, fiber, models, strata, zlattice
 from conftest import (has_derived, make_character, mat_add_c, mat_eq_c,
                       mat_eye, mat_inv_c, mat_is_zero, mat_pow_c,
                       mat_scale_c, pp_from_dense, pp_to_dense, sp_from_dense,
@@ -571,15 +573,31 @@ def test_table_from_left_operators_matches_pairwise_products(r3, r5):
             vec = {k: c for k, c in vec.items() if c}
             if vec:
                 commutators.append(vec)
+        shape = fiber._TableShape(A)
+        exact = fiber._exact_scalars(A, shape)
+        blocks = fiber._gram_blocks(A, shape, exact)
         covered = 0
-        for comp, partners, block, comms in fiber._table_components(A):
+        for d, (comp, partners, block) in enumerate(
+                zip(shape.comps, shape.partners, blocks)):
             assert block == [[tau(i, j) for j in comp] for i in partners]
             mine = [[vec.get(k, r.zero()) for k in comp]
                     for vec in commutators if set(vec) <= set(comp)]
             covered += len(mine)
-            assert fiber.rref_c(list(comms)) == fiber.rref_c(mine)
+            comms = list(fiber._commutators(shape, exact, d))
+            assert fiber.rref_c(comms) == fiber.rref_c(mine)
         # every nonzero commutator is homogeneous
         assert covered == len(commutators)
+        # the residue pass computes the images of the exact blocks and
+        # commutators
+        p, image = residue_map(r)
+        images = fiber._residue_scalars(A, shape)
+        assert fiber._gram_blocks(A, shape, images) == [
+            [[image(x) for x in row] for row in block] for block in blocks]
+        for d in range(len(shape.comps)):
+            assert [[x % p for x in vec]
+                    for vec in fiber._commutators(shape, images, d)] == [
+                [image(x) for x in vec]
+                for vec in fiber._commutators(shape, exact, d)]
 
 
 def test_table_fiber_refuses_extending_z(r3):
@@ -1393,3 +1411,111 @@ def test_census_rejects_a_wrong_degree_label(r3):
         broken = dataclasses.replace(A, degrees=degrees)
         with pytest.raises(engine.ValidationFailed, match="homogeneous"):
             fiber.census(broken)
+
+
+# The table census certified mod p against the exact census.
+
+QUANTUM_MATRICES = """
+algebra.kind = custom
+algebra.gens = a b c d
+algebra.n_poly = 4
+algebra.S = 0 1 1 0 / -1 0 0 1 / -1 0 0 1 / 0 -1 -1 0
+algebra.exponents = 2 0 0 0
+algebra.delta.a.d = q * b * c - q^-1 * b * c
+root.l = 3
+"""
+
+
+def _killed_w_character(W, r):
+    """x1 = u^l with root u = (1 - eps)^-1 and every other value 1, which
+    kills w1: a fiber with a radical."""
+    one = r.one()
+    u = (one - r.eps()).inverse()
+    vals = {g: one for g in W.presentation.gens}
+    wits = dict(vals)
+    vals["x1"], wits["x1"] = u ** r.l, u
+    return strata.Character(vals, wits).check(W, r)
+
+
+def _certificate_fibers():
+    """Every {0, 1} character of the Weyl models with n <= 2 at l = 2..5 and
+    their killed-w characters, the golden custom Weyl job, and the 16
+    {0, 1} characters of quantum 2x2 matrices at l = 3."""
+    for S, exps in (([[0]], [1]), WEYL_N2):
+        W = models.build_weyl(S, exps)
+        for l in (2, 3, 4, 5):
+            if not W.admissibility(l):
+                continue
+            r = cyclotomic_build(l)
+            for chi in cli.default_characters(W, r):
+                yield fiber.fiber_algebra(W, chi, r)
+            yield fiber.fiber_algebra(W, _killed_w_character(W, r), r)
+    golden = pathlib.Path(__file__).parent / "golden" / "custom-weyl-l3.job"
+    spec = cli.parse_jobspec(golden.read_text())
+    mc = cli.build_model(spec)
+    r3 = cyclotomic_build(3)
+    yield fiber.fiber_algebra(mc, cli.character_from_spec(spec, mc, r3), r3)
+    spec = cli.parse_jobspec(QUANTUM_MATRICES)
+    mq = cli.build_model(spec)
+    for chi in cli.default_characters(mq, r3):
+        yield fiber.fiber_algebra(mq, chi, r3)
+
+
+def _census_both_ways(A):
+    """The certified census (None where it defers) and the exact census of
+    a table fiber, on one shape."""
+    shape = fiber._TableShape(A)
+    return fiber._census_certified(A, shape), fiber._census_exact(A, shape)
+
+
+def test_certified_census_matches_exact_census():
+    deferred = []
+    for A in _certificate_fibers():
+        certified, exact = _census_both_ways(A)
+        assert certified in (None, exact)
+        assert fiber._census_table(A) == exact
+        deferred.append((certified is None, exact[0] > 0))
+    # both branches are taken, and the fibers with a radical, and only
+    # those, defer to the exact census
+    assert {d for d, _ in deferred} == {True, False}
+    assert all(d == radical for d, radical in deferred)
+
+
+def test_unlucky_prime_keeps_the_census_exact(monkeypatch):
+    # small primes that split Phi_l, with w of order l: 2^3 = 1 mod 7 and
+    # 3^5 = 1 mod 11.  The Weyl pair is a full matrix algebra at every
+    # character below, but mod 7 its y = 2, x = 3 fiber (and mod 11 its
+    # all-ones fiber) has a radical.
+    small = {3: (7, 2), 5: (11, 3)}
+    monkeypatch.setattr(exactnum, "residue_prime", small.__getitem__)
+    W = models.build_weyl([[0]], [1])
+    for l, values in ((3, (0, 1, 2, 3)), (5, (0, 1, 2))):
+        r = cyclotomic_build(l)
+        fallbacks = 0
+        for y, x in iproduct(values, repeat=2):
+            chi = make_character(r, {"y1": y, "x1": x}).check(W, r)
+            A = fiber.fiber_algebra(W, chi, r)
+            certified, exact = _census_both_ways(A)
+            assert exact == (0, 1, l * l)
+            assert fiber._census_table(A) == exact
+            if certified is None:
+                fallbacks += 1
+            else:
+                assert certified == exact
+        assert fallbacks
+
+
+def test_denominator_divisible_by_p_takes_the_exact_path(monkeypatch):
+    r = cyclotomic_build(3)
+    p = exactnum.residue_prime(3)[0]
+    W = models.build_weyl([[0]], [1])
+    chi = make_character(r, {"y1": Fraction(1, p), "x1": 1}).check(W, r)
+    A = fiber.fiber_algebra(W, chi, r)
+    assert any(c.den % p == 0 for L in A.left for row in L
+               for c in row.values())
+    certified, exact = _census_both_ways(A)
+    assert certified is None
+    assert fiber._census_table(A) == exact == (0, 1, 9)
+    # the same values with p out of the way are certified
+    monkeypatch.setattr(exactnum, "residue_prime", lambda l: (7, 2))
+    assert _census_both_ways(A)[0] == exact
