@@ -8,17 +8,20 @@ keeps the census combinatorial: it reads integer rows of products and
 cocycle differences, built by exponent arithmetic on basis positions, and
 does no cyclotomic arithmetic.  Models with lower-order terms give table
 fibers: no product table is stored, only the left operators of the
-generators on the PBW basis, graded by the presentation's own
-(Z/l)-weights.  The census computes the radical J of the trace form and
-counts dim A/([A, A] + J), with [A, A] spanned by the commutators of the
+generators on the PBW basis, built by a recurrence on that basis from the
+defining relations and graded by the presentation's own (Z/l)-weights.
+The census computes the radical J of the trace form and counts
+dim A/([A, A] + J), with [A, A] spanned by the commutators of the
 algebra's generators with its basis.  A table fiber is counted one degree
-of its grading at a time from those operators alone: the right operators
-follow from them, homogeneity is checked on both, the degree-0 traces come
-from the full left operators of half-monomials, and the gram blocks are
-filled row by row from the traces.  That arithmetic runs first on the
-fiber's image in F_p, for a prime p that splits Phi_l, where full ranks
-certify the exact ones, and over Q(eps) only where they do not.  The census
-never assumes the count it is asked to confirm.
+of its grading at a time from those operators alone: homogeneity is
+checked on them (every left and right operator is a composition of them),
+the right operators follow from them, the degree-0 traces come from the
+full left operators of half-monomials, and the gram blocks are filled row
+by row from the traces.  That arithmetic runs first on the fiber's image
+in F_p, for a prime p that splits Phi_l, where full ranks certify the exact
+ones (the unit's component needs one less, by the trace), and over Q(eps)
+only where they do not.  The census never assumes the count it is asked to
+confirm.
 
 Clock/shift representations are built and verified as scaled partial
 permutations (per row, one column and one nonzero value, or nothing), so a
@@ -188,14 +191,15 @@ class FDAlgebra:
     the unit is the zero vector.  Every other a has a' = a - e_v in the
     basis before it, v its first nonzero position, and b_a = x_v b_a'.
     left[u] is the left operator of generator u as sparse rows: left[u][j]
-    is x_u b_j, a dict index -> scalar.  Every product is a composition of
-    these operators (product(i, j) composes them, for tests).
+    is x_u b_j, a dict index -> scalar (fiber_algebra builds them by a
+    recurrence on b_a = x_v b_a').  Every product is a composition of these
+    operators (product(i, j) composes them, for tests).
     degrees labels the basis elements of a table fiber by their degree in a
     (Z/l)^K grading: degrees[i] is a tuple of K residues mod l, and every
     product b_i b_j must lie in degree degrees[i] + degrees[j] (the census
-    checks this on the generators' operators and raises
-    engine.ValidationFailed otherwise).  None means the trivial grading,
-    with every element in degree 0.
+    checks this on the left operators, of which every product is a
+    composition, and raises engine.ValidationFailed otherwise).  None means
+    the trivial grading, with every element in degree 0.
     """
 
     dim: int
@@ -295,11 +299,13 @@ def fiber_algebra(model, character, r, located=None):
     is further divided by their character values, which requires witnesses.
 
     Models with lower-order terms keep the generators' left operators on
-    the basis (N * l^N engine products) and no product table, graded by
-    presentation_weights.  They need every generator's l-th power central
-    at eps (engine.ValidationFailed otherwise), and a located stratum with
-    extending z's raises Unsupported, since the table build has no
-    extension quotient.
+    the basis and no product table, graded by presentation_weights.  The
+    operators come from the recurrence of _table_left on the defining
+    relations, with no engine product.  They need every generator's l-th
+    power central at eps (engine.ValidationFailed otherwise; 2 N^2 engine
+    products), which makes the reduction by chi a homomorphism, and a
+    located stratum with extending z's raises Unsupported, since the table
+    build has no extension quotient.
     """
     P = model.presentation
     N = P.N
@@ -323,22 +329,8 @@ def fiber_algebra(model, character, r, located=None):
     index = {v: i for i, v in enumerate(basis)}
     # Reducing exponents is a homomorphism exactly when the l-th powers are
     # central.
-    one = r.one()
     _check_central_powers(P, r, unit_vectors)
-
-    def reduced(prod):
-        entry = {}
-        for vec, c in prod.terms.items():
-            red = _reduce_exponent(vec, l, chi_list)
-            if red is None:
-                continue
-            vec2, scal = red
-            _accumulate(entry, index[vec2], c if scal is None else c * scal)
-        return entry
-
-    gen_elems = [engine.Element(N, {e: one}) for e in unit_vectors]
-    left = [[reduced(engine.mul_at_root(P, r, g, engine.Element(N, {b: one})))
-             for b in basis] for g in gen_elems]
+    left = _table_left(P, r, chi_list, basis, index)
     weights = presentation_weights(P, l)
     degrees = [tuple(sum(w * e for w, e in zip(wt, a)) % l for wt in weights)
                for a in basis]
@@ -346,6 +338,75 @@ def fiber_algebra(model, character, r, located=None):
                      monomial=False, unit_index=index[(0,) * N],
                      gens=[index[e] for e in unit_vectors], left=left,
                      degrees=degrees)
+
+
+def _table_left(P, r, chi_list, basis, index):
+    """The generators' left operators on the PBW basis of a table fiber,
+    left[u][j] = x_u b_j, by a memoized recurrence.  Write b_a = x_v b_a',
+    v the first nonzero position of a (the unit has none):
+
+    - for u <= v, x_u b_a = b_(a + e_u), reduced by chi(x_u) when the
+      exponent reaches l, and 0 when chi vanishes there;
+    - otherwise x_u b_a = q^S[u][v] (x_v (x_u b_a') - delta_(v, u) b_a'),
+      from the relation x_v x_u = q^S[v][u] x_u x_v + delta_(v, u).
+
+    A row reached again while it is being built means the rewriting does
+    not terminate, as the engine's depth guard does."""
+    N, l = P.N, r.l
+    delta = engine._rewriter(P, r).delta
+    one = r.one()
+    first = [next((t for t, e in enumerate(a) if e), N) for a in basis]
+    rows = [[None] * len(basis) for _ in range(N)]
+    building = object()
+
+    def apply(u, vec):
+        """x_u times a sparse vector."""
+        out = {}
+        for k, c in vec.items():
+            for m, d in row(u, k).items():
+                _accumulate(out, m, c * d)
+        return out
+
+    def row(u, j):
+        got = rows[u][j]
+        if got is building:
+            raise engine.ValidationFailed(
+                "rewriting did not terminate; presentation is not a valid "
+                "Ore tower")
+        if got is not None:
+            return got
+        a, v = basis[j], first[j]
+        if u <= v:
+            if a[u] + 1 < l:
+                got = {index[a[:u] + (a[u] + 1,) + a[u + 1:]]: one}
+            elif chi_list[u].is_zero():
+                got = {}
+            else:
+                got = {index[a[:u] + (0,) + a[u + 1:]]: chi_list[u]}
+        else:
+            rows[u][j] = building
+            p = index[a[:v] + (a[v] - 1,) + a[v + 1:]]
+            got = apply(v, row(u, p))
+            for m, c in delta.get((v, u), {}).items():
+                red = _reduce_exponent(m, l, chi_list)
+                if red is None:
+                    continue
+                m, scal = red
+                vec = {p: -c if scal is None else -(c * scal)}
+                for w in range(N - 1, -1, -1):
+                    for _ in range(m[w]):
+                        vec = apply(w, vec)
+                for k, d in vec.items():
+                    _accumulate(got, k, d)
+            s = r.eps_power(P.S[u][v])
+            got = {k: c * s for k, c in got.items()}
+        rows[u][j] = got
+        return got
+
+    for u in range(N):
+        for j in range(len(basis)):
+            row(u, j)
+    return rows
 
 
 def _monomial_fiber(P, r, chi_list, basis, unit_vectors, located):
@@ -975,12 +1036,14 @@ def _census_table(A):
     images of the exact ones, and a reduced matrix never has a larger rank
     than the exact one: a full rank mod p is a full rank over Q(eps).  When
     every gram block has full rank mod p, J = 0 exactly; a component whose
-    commutators have full rank mod p is then full, and each other component
-    is eliminated over Q(eps) on its exact commutators.  The exact census of
-    _census_exact runs instead when an operator entry has a denominator
-    divisible by p, or when some gram block is rank-deficient mod p, as it
-    is on every fiber with a radical.  The grading, the right operators and
-    the homogeneity check are exact and built once for both."""
+    commutators have full rank mod p (size - 1 for the unit's, which the
+    trace bounds) is then closed, and each other component is eliminated
+    over Q(eps) on its exact commutators.  The exact census of _census_exact
+    runs instead when an operator entry has a denominator divisible by p,
+    or when some gram block is rank-deficient mod p, as it is on every
+    fiber with a radical.  The grading, the steps and the homogeneity check
+    of the left operators are exact and built once for both; each pass
+    builds its right operators from its own left ones."""
     shape = _TableShape(A)
     counted = _census_certified(A, shape)
     return counted if counted is not None else _census_exact(A, shape)
@@ -988,7 +1051,11 @@ def _census_table(A):
 
 def _census_certified(A, shape):
     """(0, count, dim A) when the gram blocks have full rank mod p, else
-    None."""
+    None.  tau vanishes on [A, A] and tau(1) = dim A != 0, so the
+    commutators of the unit's component span at most its size - 1, and a
+    rank of size - 1 mod p closes it as a full rank closes the others.
+    Only the components left open are eliminated over Q(eps), on exact
+    operators built when the first of them is reached."""
     try:
         images = _residue_scalars(A, shape)
     except NotPIntegral:
@@ -997,13 +1064,15 @@ def _census_certified(A, shape):
     for comp, block in zip(shape.comps, _gram_blocks(A, shape, images)):
         if rank_mod_p(block, p) < len(comp):
             return None
-    exact = _exact_scalars(A, shape)
+    exact = None
     rank = 0
     for d, comp in enumerate(shape.comps):
-        size = len(comp)
-        got = rank_mod_p(_commutators(shape, images, d), p, limit=size)
-        if got < size:
-            got = len(rref_c(_commutators(shape, exact, d), limit=size)[1])
+        bound = len(comp) - (d == shape.degree_zero)
+        got = rank_mod_p(_commutators(shape, images, d), p, limit=bound)
+        if got < bound:
+            if exact is None:
+                exact = _exact_scalars(A, shape)
+            got = len(rref_c(_commutators(shape, exact, d), limit=bound)[1])
         rank += got
     return 0, A.dim - rank, A.dim
 
@@ -1033,14 +1102,13 @@ class _TableShape:
     in its component), partners[d] those of degree -d, and sources[d] the
     pairs (u, b) whose commutator [x_u, b] lies in degree d.  steps[i] is
     (v, p) with b_i = x_v b_p and p earlier in the basis (None for the
-    unit), and right[u] is the right operator b -> b x_u, from the left ones
-    by b_a x_u = x_v (b_a' x_u).  L_b shifts degree by deg b, so only
-    degree-0 elements have a nonzero trace, the trace form pairs degree d
-    only with -d, and J is the direct sum over d of the kernels of the gram
-    blocks.  All of this rests on every product being homogeneous, which is
-    checked on the generators' left and right operators here (every product
-    is a composition of them); with the trivial grading there is one
-    component, the whole algebra.
+    unit).  L_b shifts degree by deg b, so only degree-0 elements have a
+    nonzero trace, the trace form pairs degree d only with -d, and J is the
+    direct sum over d of the kernels of the gram blocks.  All of this rests
+    on every product being homogeneous, which is checked on the generators'
+    left operators here: every left operator L_b is a composition of them
+    along steps, and so is every right operator, by b_a x_u = x_v (b_a' x_u).
+    With the trivial grading there is one component, the whole algebra.
     """
 
     def __init__(self, A):
@@ -1075,22 +1143,13 @@ class _TableShape:
             if i != A.unit_index:
                 v = next(t for t, e in enumerate(a) if e)
                 steps[i] = (v, index[a[:v] + (a[v] - 1,) + a[v + 1:]])
-        self.right = []
-        for g in A.gens:
-            rows = [None] * n
-            rows[A.unit_index] = {g: A.root.one()}
-            for i, step in enumerate(steps):
-                if step is not None:
-                    rows[i] = sp_mul([rows[step[1]]], A.left[step[0]])[0]
-            self.right.append(rows)
-        for left, rt, g in zip(A.left, self.right, A.gens):
+        for left, g in zip(A.left, A.gens):
             for j in range(n):
                 d = plus[deg[g]][deg[j]]
-                for i, k, entry in ((g, j, left[j]), (j, g, rt[j])):
-                    if any(deg[m] != d for m in entry):
-                        raise engine.ValidationFailed(
-                            "the product of basis elements %d and %d is not "
-                            "homogeneous" % (i, k))
+                if any(deg[m] != d for m in left[j]):
+                    raise engine.ValidationFailed(
+                        "the product of basis elements %d and %d is not "
+                        "homogeneous" % (g, j))
 
 
 @dataclass
@@ -1109,9 +1168,23 @@ class _TableScalars:
     p: int = None
 
 
+def _scalars(A, shape, zero, one, norm, left, p=None):
+    """One pass's scalars, with the right operators b -> b x_u built from
+    its left operators by b_a x_u = x_v (b_a' x_u)."""
+    right = []
+    for g in A.gens:
+        rows = [None] * A.dim
+        rows[A.unit_index] = {g: one}
+        for i, step in enumerate(shape.steps):
+            if step is not None:
+                rows[i] = sp_mul([rows[step[1]]], left[step[0]], norm)[0]
+        right.append(rows)
+    return _TableScalars(zero, one, norm, left, right, p)
+
+
 def _exact_scalars(A, shape):
     r = A.root
-    return _TableScalars(r.zero(), r.one(), None, A.left, shape.right)
+    return _scalars(A, shape, r.zero(), r.one(), None, A.left)
 
 
 def _residue_scalars(A, shape):
@@ -1134,8 +1207,8 @@ def _residue_scalars(A, shape):
         return out
 
     # p.__rmod__(x) is x % p, without a Python frame per entry
-    return _TableScalars(0, 1, p.__rmod__, [reduced(L) for L in A.left],
-                         [reduced(R) for R in shape.right], p)
+    return _scalars(A, shape, 0, 1, p.__rmod__,
+                    [reduced(L) for L in A.left], p)
 
 
 def _gram_blocks(A, shape, scalars):

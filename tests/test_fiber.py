@@ -1437,10 +1437,17 @@ def _killed_w_character(W, r):
     return strata.Character(vals, wits).check(W, r)
 
 
-def _certificate_fibers():
-    """Every {0, 1} character of the Weyl models with n <= 2 at l = 2..5 and
-    their killed-w characters, the golden custom Weyl job, and the 16
-    {0, 1} characters of quantum 2x2 matrices at l = 3."""
+def _quantum_matrices(l):
+    spec = cli.parse_jobspec(QUANTUM_MATRICES.replace("root.l = 3",
+                                                      "root.l = %d" % l))
+    return cli.build_model(spec), cyclotomic_build(l)
+
+
+def _certificate_cases():
+    """(model, character, root) for every {0, 1} character of the Weyl
+    models with n <= 2 at l = 2..5 and their killed-w characters, the golden
+    custom Weyl job, and the 16 {0, 1} characters of quantum 2x2 matrices at
+    l = 3."""
     for S, exps in (([[0]], [1]), WEYL_N2):
         W = models.build_weyl(S, exps)
         for l in (2, 3, 4, 5):
@@ -1448,17 +1455,21 @@ def _certificate_fibers():
                 continue
             r = cyclotomic_build(l)
             for chi in cli.default_characters(W, r):
-                yield fiber.fiber_algebra(W, chi, r)
-            yield fiber.fiber_algebra(W, _killed_w_character(W, r), r)
+                yield W, chi, r
+            yield W, _killed_w_character(W, r), r
     golden = pathlib.Path(__file__).parent / "golden" / "custom-weyl-l3.job"
     spec = cli.parse_jobspec(golden.read_text())
     mc = cli.build_model(spec)
     r3 = cyclotomic_build(3)
-    yield fiber.fiber_algebra(mc, cli.character_from_spec(spec, mc, r3), r3)
-    spec = cli.parse_jobspec(QUANTUM_MATRICES)
-    mq = cli.build_model(spec)
+    yield mc, cli.character_from_spec(spec, mc, r3), r3
+    mq, r3 = _quantum_matrices(3)
     for chi in cli.default_characters(mq, r3):
-        yield fiber.fiber_algebra(mq, chi, r3)
+        yield mq, chi, r3
+
+
+def _certificate_fibers():
+    for model, chi, r in _certificate_cases():
+        yield fiber.fiber_algebra(model, chi, r)
 
 
 def _census_both_ways(A):
@@ -1519,3 +1530,146 @@ def test_denominator_divisible_by_p_takes_the_exact_path(monkeypatch):
     # the same values with p out of the way are certified
     monkeypatch.setattr(exactnum, "residue_prime", lambda l: (7, 2))
     assert _census_both_ways(A)[0] == exact
+
+
+# ---------------------------------------------------------------------------
+# The left operators from the PBW-basis recurrence against the engine, and
+# the census bounds that need no exact elimination.
+
+def _engine_left(model, character, r):
+    """left[u][j] = x_u b_j from one engine product per generator and basis
+    element, reduced by the character: the construction the recurrence
+    replaced."""
+    P = model.presentation
+    chi = [character.value(g) for g in P.gens]
+    basis = [tuple(v) for v in iproduct(range(r.l), repeat=P.N)]
+    index = {v: i for i, v in enumerate(basis)}
+    one = r.one()
+    left = []
+    for u in range(P.N):
+        g = engine.Element.monomial(P.N, [int(i == u) for i in range(P.N)],
+                                    one)
+        rows = []
+        for b in basis:
+            entry = {}
+            prod = engine.mul_at_root(P, r, g, engine.Element(P.N, {b: one}))
+            for vec, c in prod.terms.items():
+                red = fiber._reduce_exponent(vec, r.l, chi)
+                if red is not None:
+                    fiber._accumulate(entry, index[red[0]],
+                                      c if red[1] is None else c * red[1])
+            rows.append(entry)
+        left.append(rows)
+    return left
+
+
+def test_left_operators_match_the_engine(monkeypatch):
+    # the certificate fibers, all ones on quantum 2x2 matrices at l = 5, and
+    # a Weyl pair whose values put chi scalars into the reductions
+    mq, r5 = _quantum_matrices(5)
+    ones = {g: 1 for g in mq.presentation.gens}
+    W = models.build_weyl([[0]], [1])
+    r3 = cyclotomic_build(3)
+    cases = list(_certificate_cases()) + [
+        (mq, make_character(r5, ones, ones).check(mq, r5), r5),
+        (W, make_character(r3, {"y1": 2, "x1": -1}).check(W, r3), r3)]
+    real = engine.mul_at_root
+    products = Counter()
+
+    def counted(*args):
+        products["engine"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(engine, "mul_at_root", counted)
+    dims = Counter()
+    for model, chi, r in cases:
+        products.clear()
+        A = fiber.fiber_algebra(model, chi, r)
+        # the only engine products are those of _check_central_powers
+        assert products["engine"] == 2 * model.presentation.N ** 2
+        assert A.left == _engine_left(model, chi, r)
+        dims[A.dim] += 1
+    assert dims == {4: 5, 9: 7, 16: 5, 25: 5, 81: 33, 625: 18}
+
+
+def test_left_operator_recurrence_stops_on_a_loop(r3):
+    # delta_(a, b) = a^2 b^2 does not live on the later generator, which a
+    # presentation refuses; set past that check, it sends the recurrence
+    # back to a row it is still building
+    P = engine.AlgebraPresentation(["a", "b"], 2, [[0, 0], [0, 0]])
+    P.delta = {(0, 1): engine.Element(2, {(2, 2): 1})}
+    basis = [tuple(v) for v in iproduct(range(3), repeat=2)]
+    index = {v: i for i, v in enumerate(basis)}
+    with pytest.raises(engine.ValidationFailed, match="did not terminate"):
+        fiber._table_left(P, r3, [r3.one()] * 2, basis, index)
+
+
+def test_weyl_table_characters_count_without_exact_elimination(
+        r3, monkeypatch):
+    # the covered and uncovered characters of the `weyl-table` benchmark:
+    # every non-unit component is full mod p and the unit's has rank
+    # size - 1, so nothing is eliminated over Q(eps) and no exact right
+    # operator is built
+    fibers = list(_weyl_n2_table_fibers(r3))[:2]
+    expected = [fiber.census(A) for A in fibers]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact work in a certified census")
+
+    monkeypatch.setattr(fiber, "rref_c", refuse)
+    monkeypatch.setattr(fiber, "_exact_scalars", refuse)
+    assert [fiber.census(A) for A in fibers] == expected
+    assert [(res.rad_dim, res.count) for res in expected] == [(0, 1), (0, 1)]
+
+
+def _cyclic_group_algebra(r, graded):
+    """The group algebra of Z/l on the powers 1, x, ..., x^(l-1) of its
+    generator x, whose left operator is the cyclic shift: commutative and
+    semisimple, with l blocks of size 1."""
+    l, one = r.l, r.one()
+    return fiber.FDAlgebra(
+        dim=l, root=r, basis_labels=[(k,) for k in range(l)],
+        monomial=False, unit_index=0, gens=[1],
+        left=[[{(k + 1) % l: one} for k in range(l)]],
+        degrees=[(k,) for k in range(l)] if graded else None)
+
+
+def test_trace_bound_closes_the_unit_component(monkeypatch):
+    # J = 0 and [A, A] = 0.  Graded by Z/l, every component has size 1; the
+    # bound closes the unit's, and the l - 1 others are eliminated exactly
+    # at rank 0.  Ungraded, the one component has size l and rank
+    # 0 < l - 1, so it is still eliminated exactly.
+    real = fiber.rref_c
+    limits = []
+
+    def spy(vectors, limit=None):
+        limits.append(limit)
+        return real(vectors, limit)
+
+    monkeypatch.setattr(fiber, "rref_c", spy)
+    for l in (3, 5):
+        r = cyclotomic_build(l)
+        for graded, calls in ((True, [1] * (l - 1)), (False, [l - 1])):
+            limits.clear()
+            res = fiber.census(_cyclic_group_algebra(r, graded))
+            assert (res.rad_dim, res.count, res.blocks) == (0, l, [1] * l)
+            assert limits == calls
+
+
+def test_census_rejects_a_product_in_the_wrong_degree(r3):
+    # one entry of one left-operator row moved to a basis element of another
+    # degree, every label intact
+    W, chi = next(_weyl_n1_characters(r3))
+    A = fiber.fiber_algebra(W, chi, r3)
+    fiber.census(A)
+    left = [list(L) for L in A.left]
+    j, row = next((j, row) for j, row in enumerate(left[1]) if row)
+    k, c = next(iter(row.items()))
+    m = next(m for m in range(A.dim) if A.degrees[m] != A.degrees[k])
+    moved = dict(row)
+    del moved[k]
+    moved[m] = c
+    left[1][j] = moved
+    broken = dataclasses.replace(A, left=left)
+    with pytest.raises(engine.ValidationFailed, match="homogeneous"):
+        fiber.census(broken)
