@@ -1563,16 +1563,32 @@ def _engine_left(model, character, r):
     return left
 
 
+# the quantum Weyl pair over a central invertible t, with negative powers
+# of t in its delta rule
+WEYL_OVER_T = """
+algebra.kind = custom
+algebra.gens = y x t
+algebra.n_poly = 2
+algebra.S = 0 -1 0 / 1 0 0 / 0 0 0
+algebra.exponents = 1 0 0
+algebra.delta.y.x = q * t^-2 - t^-1
+root.l = 3
+"""
+
+
 def test_left_operators_match_the_engine(monkeypatch):
-    # the certificate fibers, all ones on quantum 2x2 matrices at l = 5, and
-    # a Weyl pair whose values put chi scalars into the reductions
+    # the certificate fibers, all ones on quantum 2x2 matrices at l = 5, a
+    # Weyl pair whose values put chi scalars into the reductions, and a
+    # delta rule whose t^-1 and t^-2 are reduced by chi(t)^-1
     mq, r5 = _quantum_matrices(5)
     ones = {g: 1 for g in mq.presentation.gens}
     W = models.build_weyl([[0]], [1])
     r3 = cyclotomic_build(3)
+    mt = cli.build_model(cli.parse_jobspec(WEYL_OVER_T))
     cases = list(_certificate_cases()) + [
         (mq, make_character(r5, ones, ones).check(mq, r5), r5),
-        (W, make_character(r3, {"y1": 2, "x1": -1}).check(W, r3), r3)]
+        (W, make_character(r3, {"y1": 2, "x1": -1}).check(W, r3), r3),
+        (mt, make_character(r3, {"y": 1, "x": 2, "t": 3}).check(mt, r3), r3)]
     real = engine.mul_at_root
     products = Counter()
 
@@ -1589,7 +1605,7 @@ def test_left_operators_match_the_engine(monkeypatch):
         assert products["engine"] == 2 * model.presentation.N ** 2
         assert A.left == _engine_left(model, chi, r)
         dims[A.dim] += 1
-    assert dims == {4: 5, 9: 7, 16: 5, 25: 5, 81: 33, 625: 18}
+    assert dims == {4: 5, 9: 7, 16: 5, 25: 5, 27: 1, 81: 33, 625: 18}
 
 
 def test_left_operator_recurrence_stops_on_a_loop(r3):
