@@ -599,8 +599,13 @@ def run(command, spec, jobs=1):
     return COMMANDS[command](model, r, spec)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ParseError(0, "command line", message)
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qorder",
         description="exact structure and representation counts for quantum "
                     "solvable algebras at roots of unity")
@@ -610,12 +615,18 @@ def main(argv=None):
     parser.add_argument("--out", help="write the report here")
     parser.add_argument("--format", choices=["text", "data"], default="text")
     parser.add_argument("--jobs", type=int, default=1)
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
+        if args.jobs < 1:
+            parser.error("argument --jobs: expected a positive count, got %d"
+                         % args.jobs)
         with open(args.spec) as fh:
             blob = fh.read()
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except ParseError as exc:
+        print("parse error: %s" % exc, file=sys.stderr)
         return 1
     try:
         spec = parse_jobspec(blob)
@@ -634,8 +645,12 @@ def main(argv=None):
     else:
         payload = "\n".join(text) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(payload)
     return code

@@ -26,10 +26,10 @@ confirm.
 Clock/shift representations are built and verified as scaled partial
 permutations (per row, one column and one nonzero value, or nothing), so a
 product, scale or inverse costs one pass over the rows, and an l-th power is
-checked on the cycles of the permutation, with no power taken.  A
-representation with a sum whose terms meet one row in two columns (a derived
-Weyl x over two w's that the frame does not both make diagonal) is built and
-verified on row dicts instead.
+checked on the cycles of the permutation, with no power taken.  The torus
+frame makes the terms of every derived sum (a Weyl x over w_(i-1) and w_i)
+diagonal alike, so every sum stays a scaled partial permutation; a sum whose
+terms meet one row in two columns is a failed internal check.
 """
 
 from __future__ import annotations
@@ -558,18 +558,8 @@ def _check_central_powers(P, r, unit_vectors):
 
 # ---------------------------------------------------------------------------
 # Sparse matrices over the cyclotomic field: one {column: nonzero} dict per
-# row, for the left operators of table fibers and for the representations
-# whose sums leave scaled partial permutations.  Zeros are never stored, so
+# row, for the left operators of table fibers.  Zeros are never stored, so
 # two sparse matrices are equal exactly when their rows are.
-
-def sp_eye(n, r):
-    one = r.one()
-    return [{i: one} for i in range(n)]
-
-
-def sp_zero(n):
-    return [{} for _ in range(n)]
-
 
 def sp_mul(A, B, norm=None):
     """A B; norm, when given, maps each entry to its canonical form first
@@ -587,50 +577,6 @@ def sp_mul(A, B, norm=None):
     return out
 
 
-def sp_add(A, B):
-    out = []
-    for ra, rb in zip(A, B):
-        row = dict(ra)
-        for j, b in rb.items():
-            _accumulate(row, j, b)
-        out.append(row)
-    return out
-
-
-def sp_scale(A, c):
-    if not c:
-        return sp_zero(len(A))
-    return [{j: a * c for j, a in row.items()} for row in A]
-
-
-def sp_inv(A, name="matrix"):
-    """Inverse of a scaled permutation (one entry per row, in distinct
-    columns), inverted entrywise; any other matrix raises ArithmeticError,
-    naming it."""
-    entries = [next(iter(row.items())) for row in A if len(row) == 1]
-    if len(entries) != len(A) or len({j for j, _ in entries}) != len(A):
-        raise ArithmeticError("%s is not a scaled permutation matrix, so it "
-                              "has no sparse inverse" % name)
-    out = [None] * len(A)
-    for i, (j, a) in enumerate(entries):
-        out[j] = {i: a.inverse()}
-    return out
-
-
-def sp_pow(A, k, r):
-    """A^k by binary powering; negative k powers the inverse."""
-    if k < 0:
-        A, k = sp_inv(A), -k
-    out = sp_eye(len(A), r)
-    while k:
-        if k & 1:
-            out = sp_mul(out, A)
-        k >>= 1
-        if k:
-            A = sp_mul(A, A)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Scaled partial permutations: a pair (cols, vals) of tuples, row i holding
 # vals[i] in column cols[i], or nothing when cols[i] is None (and vals[i] is
@@ -638,10 +584,6 @@ def sp_pow(A, k, r):
 # entry per row, so a product, scale or inverse costs one pass over the
 # rows.  Zeros are never stored, so two such matrices are equal exactly when
 # their pairs are.
-
-
-class NotPartialPermutation(ArithmeticError):
-    """A sum whose terms meet one row in two columns."""
 
 
 def pp_eye(n, r):
@@ -669,8 +611,8 @@ def pp_scale(A, c):
 
 def pp_add(A, B, name):
     """A + B.  Terms that meet in one row must share its column; otherwise
-    the sum is not a scaled partial permutation, and NotPartialPermutation
-    names what it was computing."""
+    the sum is not a scaled partial permutation, and ArithmeticError names
+    what it was computing."""
     cols, vals = list(A[0]), list(A[1])
     for i, (j, b) in enumerate(zip(*B)):
         if j is None:
@@ -678,7 +620,7 @@ def pp_add(A, B, name):
         if cols[i] is None:
             cols[i], vals[i] = j, b
         elif cols[i] != j:
-            raise NotPartialPermutation(
+            raise ArithmeticError(
                 "%s is not a scaled partial permutation: two terms meet row "
                 "%d in columns %d and %d" % (name, i, cols[i], j))
         else:
@@ -753,62 +695,18 @@ def pp_power_is_scalar(A, k, value):
     return True
 
 
-class PartialPermutations:
-    """The matrix operations of a representation on scaled partial
-    permutations."""
-
-    zero = staticmethod(pp_zero)
-    eye = staticmethod(pp_eye)
-    mul = staticmethod(pp_mul)
-    scale = staticmethod(pp_scale)
-    add = staticmethod(pp_add)
-    pow = staticmethod(pp_pow)
-
-    @staticmethod
-    def of_partial_permutation(A):
-        return A
-
-    @staticmethod
-    def power_is_scalar(A, k, value, r):
-        return pp_power_is_scalar(A, k, value)
-
-
-class RowDicts:
-    """The matrix operations of a representation on row dicts, for sums
-    that meet one row in two columns."""
-
-    zero = staticmethod(sp_zero)
-    eye = staticmethod(sp_eye)
-    mul = staticmethod(sp_mul)
-    scale = staticmethod(sp_scale)
-    pow = staticmethod(sp_pow)
-
-    @staticmethod
-    def add(A, B, name):
-        return sp_add(A, B)
-
-    @staticmethod
-    def of_partial_permutation(A):
-        return [{} if j is None else {j: a} for j, a in zip(*A)]
-
-    @staticmethod
-    def power_is_scalar(A, k, value, r):
-        return sp_pow(A, k, r) == sp_scale(sp_eye(len(A), r), value)
-
-
-def _sum(kind, terms, dim, r, name):
-    """sum c * M_1^e_1 M_2^e_2 ... over terms (c, [(M, e), ...]), with the
-    operations of kind."""
+def _sum(terms, dim, r, name):
+    """sum c * M_1^e_1 M_2^e_2 ... over terms (c, [(M, e), ...])."""
     out = None
     for c, factors in terms:
         T = None
         for M, e in factors:
             if e:
-                F = kind.pow(M, e, r)
-                T = F if T is None else kind.mul(T, F)
-        T = kind.scale(kind.eye(dim, r) if T is None else T, c)
-        out = T if out is None else kind.add(out, T, name)
-    return kind.zero(dim) if out is None else out
+                F = pp_pow(M, e, r)
+                T = F if T is None else pp_mul(T, F)
+        T = pp_scale(pp_eye(dim, r) if T is None else T, c)
+        out = T if out is None else pp_add(out, T, name)
+    return pp_zero(dim) if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -816,62 +714,57 @@ def _sum(kind, terms, dim, r, name):
 
 @dataclass
 class Representation:
-    """rows maps each generator label to its matrix, of kind
-    PartialPermutations or RowDicts."""
+    """rows maps each generator label to its scaled partial permutation."""
 
     rows: dict
     dim: int
     z_scalars: tuple
     verified: bool = False
-    kind: type = PartialPermutations
 
     def sparse_of_element(self, model, elem, r, name):
-        """Evaluate a PBW element under the representation, as a matrix of
-        its kind; on partial permutations, NotPartialPermutation names it
-        when it is none."""
+        """Evaluate a PBW element under the representation; ArithmeticError
+        names it when its terms meet one row in two columns."""
         gens = model.presentation.gens
-        return _sum(self.kind,
-                    ((c if isinstance(c, CycloNum) else r.eval(c),
+        return _sum(((c if isinstance(c, CycloNum) else r.eval(c),
                       [(self.rows[g], e) for g, e in zip(gens, vec)])
                      for vec, c in elem.terms.items()), self.dim, r, name)
 
 
-def _clock(l, omega_pow, r, k_index, k_total, scalar):
-    """Diagonal matrix scalar * eps^(omega_pow * digit) acting on tensor
-    slot k_index of k_total clock registers."""
+def _clock(l, omega_pow, r, k_index, k_total):
+    """Diagonal matrix eps^(omega_pow * digit) acting on tensor slot k_index
+    of k_total clock registers."""
     base = l ** k_index
     dim = l ** k_total
-    by_digit = [scalar * r.eps_power(omega_pow * d) for d in range(l)]
+    by_digit = [r.eps_power(omega_pow * d) for d in range(l)]
     return tuple(range(dim)), tuple([by_digit[(idx // base) % l]
                                      for idx in range(dim)])
 
 
-def _shift(l, k_index, k_total, scalar):
-    """Cyclic shift, scaled by scalar, of tensor slot k_index of k_total
-    registers: row idx + base holds scalar in column idx."""
+def _shift(l, r, k_index, k_total):
+    """Cyclic shift of tensor slot k_index of k_total registers: row
+    idx + base holds 1 in column idx."""
     dim = l ** k_total
     base = l ** k_index
     cols = [None] * dim
     for idx in range(dim):
         digit = (idx // base) % l
         cols[idx + base if digit < l - 1 else idx - (l - 1) * base] = idx
-    return tuple(cols), (scalar,) * dim
+    return tuple(cols), (r.one(),) * dim
 
 
 def clock_shift_irreps(ctx, located, character):
     """Explicit irreducibles over a located character, one per root choice.
 
-    Paired torus generators act by scaled clock and shift matrices, central
+    Paired torus generators act by clock and shift matrices, central
     monomials by scalars, killed elements by zero, and derived generators by
-    their sums of survivor monomials.  Each survivor's matrix is its ordered
-    product over the frame, read from the frame inverse and built once; a
-    choice of roots for the t non-extending z's rescales it by
-    eps^(choice . c), c its z coordinates.  Every matrix is a scaled partial
-    permutation, and every defining relation is then verified exactly.  A
-    derived generator or a relation whose terms meet one row in two columns
-    (a Weyl x over two w's that the frame does not both make diagonal)
-    leaves that form; the representation is then built and verified on row
-    dicts.
+    their sums of survivor monomials, which the frame keeps scaled partial
+    permutations.  Survivor s acts by its ordered frame product, built once:
+    the unit clock and shift matrices (l-th power 1) to its frame
+    coordinates c_i mod l, scaled by eps^(sum_i c_i t_i - gamma_s)
+    W(e_s - sum_j c_j z_j) prod_j z_j^c_j, with eps^t_i the canonical roots
+    of the pair rows, gamma_s the cocycle of the product and W the witness
+    product.  A choice of roots for the t non-extending z's rescales it by
+    eps^(choice . c).  Every defining relation is then verified exactly.
     """
     model = ctx.model
     r = ctx.root
@@ -880,13 +773,21 @@ def clock_shift_irreps(ctx, located, character):
     l = r.l
     k = ts.k
     dim = l ** k
-    scalars = [strata_mod.monomial_value(st, character, r, row)
-               for row in ts.basis]
+    # missing roots are reported in the order of the frame before its rebase
+    z_rows = ts.z_rows()
+    for row in ts.normal_pairs + z_rows:
+        strata_mod.root_exponent(st, r, row)
+        for item, e in zip(st.survivors, row):
+            if e:
+                character.witness(item.label)
+    roots = [strata_mod.root_exponent(st, r, row) for row in ts.basis]
+    z_scalars = [r.eps_power(t) * strata_mod.witness_product(st, character,
+                                                             r, row)
+                 for t, row in zip(roots[2 * k:], z_rows)]
     frame_mats = []
     for i in range(k):
-        frame_mats.append(_clock(l, ts.ds[i], r, i, k, scalars[2 * i]))
-        frame_mats.append(_shift(l, i, k, scalars[2 * i + 1]))
-    z_scalars = scalars[2 * k:]
+        frame_mats.append(_clock(l, ts.ds[i], r, i, k))
+        frame_mats.append(_shift(l, r, i, k))
     survivors = []
     for s_idx, (item, coeffs) in enumerate(zip(st.survivors, ts.inverse)):
         gamma, acc = strata_mod.ordered_product_data(st.skew, ts.basis,
@@ -894,68 +795,64 @@ def clock_shift_irreps(ctx, located, character):
         if acc != [int(t == s_idx) for t in range(ts.m)]:
             raise ArithmeticError("the ordered frame product of %s has "
                                   "exponent %s" % (item.label, acc))
-        c = r.eps_power(-gamma)
-        for z, e in zip(z_scalars, coeffs[2 * k:]):
+        zc = coeffs[2 * k:]
+        rest = [int(t == s_idx) - sum(c * row[t] for c, row in zip(zc, z_rows))
+                for t in range(ts.m)]
+        c = (r.eps_power(sum(a * b for a, b in zip(coeffs, roots[:2 * k]))
+                         - gamma)
+             * strata_mod.witness_product(st, character, r, rest))
+        for z, e in zip(z_scalars, zc):
             c = c * z ** e
-        M = _sum(PartialPermutations, [(c, list(zip(frame_mats, coeffs)))],
+        M = _sum([(c, [(F, e % l) for F, e in zip(frame_mats, coeffs)])],
                  dim, r, item.label)
-        survivors.append((item.label, M, coeffs[2 * k:]))
+        survivors.append((item.label, M, zc))
     out = []
     for choice in iproduct(range(l), repeat=ts.t):
-        try:
-            rep = _representation(model, st, survivors, z_scalars, choice,
-                                  PartialPermutations, dim, r)
-            _verify_representation(model, rep, character, r)
-        except NotPartialPermutation:
-            rep = _representation(model, st, survivors, z_scalars, choice,
-                                  RowDicts, dim, r)
-            _verify_representation(model, rep, character, r)
+        rep = _representation(model, st, survivors, z_scalars, choice, dim,
+                              r)
+        _verify_representation(model, rep, character, r)
         rep.verified = True
         out.append(rep)
     return out
 
 
-def _representation(model, st, survivors, z_scalars, choice, kind, dim, r):
-    """The representation at one choice of roots for the non-extending z's,
-    on matrices of kind."""
-    mats = {label: kind.zero(dim) for label in st.killed_labels}
+def _representation(model, st, survivors, z_scalars, choice, dim, r):
+    """The representation at one choice of roots for the non-extending
+    z's."""
+    mats = {label: pp_zero(dim) for label in st.killed_labels}
     for label, M, zc in survivors:
         e = sum(a * b for a, b in zip(choice, zc)) % r.l
-        mats[label] = kind.of_partial_permutation(
-            pp_scale(M, r.eps_power(e)) if e else M)
+        mats[label] = pp_scale(M, r.eps_power(e)) if e else M
     for label, terms in st.derived:
-        mats[label] = _sum(kind, ((c, [(mats[name], e) for name, e in factors])
-                                  for c, factors in terms), dim, r, label)
+        mats[label] = _sum(((c, [(mats[name], e) for name, e in factors])
+                            for c, factors in terms), dim, r, label)
     zs = [z * r.eps_power(a) for z, a in zip(z_scalars, choice)]
     return Representation(
         rows={g: mats[g] for g in model.presentation.gens}, dim=dim,
-        z_scalars=tuple(zs + z_scalars[len(choice):]), kind=kind)
+        z_scalars=tuple(zs + z_scalars[len(choice):]))
 
 
 def _verify_representation(model, rep, character, r):
-    """Every defining relation and every central value must hold exactly.
-    On partial permutations the l-th powers are read off the cycles of each
-    generator's matrix."""
+    """Every defining relation and every central value must hold exactly;
+    the l-th powers are read off the cycles of each generator's matrix."""
     P = model.presentation
     N = P.N
-    kind = rep.kind
     gm = [rep.rows[P.gens[i]] for i in range(N)]
     for u in range(N):
         for v in range(u + 1, N):
-            lhs = kind.mul(gm[u], gm[v])
-            rhs = kind.scale(kind.mul(gm[v], gm[u]), r.eps_power(P.S[u][v]))
+            lhs = pp_mul(gm[u], gm[v])
+            rhs = pp_scale(pp_mul(gm[v], gm[u]), r.eps_power(P.S[u][v]))
             rule = P.delta.get((u, v))
             if rule is not None:
                 name = "the relation (%s, %s)" % (P.gens[u], P.gens[v])
-                rhs = kind.add(rhs, rep.sparse_of_element(model, rule, r,
-                                                          name), name)
+                rhs = pp_add(rhs, rep.sparse_of_element(model, rule, r, name),
+                             name)
             if lhs != rhs:
                 raise ArithmeticError(
                     "relation (%s, %s) fails in the representation"
                     % (P.gens[u], P.gens[v]))
     for i in range(N):
-        if not kind.power_is_scalar(gm[i], r.l, character.value(P.gens[i]),
-                                    r):
+        if not pp_power_is_scalar(gm[i], r.l, character.value(P.gens[i])):
             raise ArithmeticError(
                 "central value of %s^l fails in the representation"
                 % P.gens[i])

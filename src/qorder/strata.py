@@ -297,9 +297,20 @@ def _stratum(P, r, pattern, stratum_id, killed_labels, survivors,
             else:
                 row.append(P.S[g][s.gen_index])
         full.append(row)
+    index = {s.label: a for a, s in enumerate(survivors)}
+    targets = []
+    for _, terms in derived:
+        vecs = []
+        for _, factors in terms:
+            vec = [0] * m
+            for label, e in factors:
+                vec[index[label]] += e
+            vecs.append(vec)
+        targets += [[a - b for a, b in zip(vecs[0], vec)] for vec in vecs[1:]]
     return Stratum(pattern=pattern, stratum_id=stratum_id,
                    killed_labels=killed_labels, survivors=survivors,
-                   skew=skew, torus=torus_mod.torus_structure(skew, full, r.l),
+                   skew=skew,
+                   torus=torus_mod.torus_structure(skew, full, r.l, targets),
                    derived=list(derived))
 
 
@@ -334,25 +345,33 @@ def ordered_product_data(skew, rows, coeffs):
     return gamma, acc
 
 
-def monomial_value(stratum, character, r, u):
-    """Witness-based value of the survivor monomial with exponent u.
-
-    The value's l-th power always matches the value of the monomial's l-th
-    power in the l-center; l odd makes the root choice canonical.
-    """
+def root_exponent(stratum, r, u):
+    """The t with eps^t times the witness product the value of the survivor
+    monomial with exponent u; at even l an odd self-cocycle has none."""
     c = survivor_cocycle(stratum.skew, u, u)
-    total = c * (r.l - 1) // 2 if r.l % 2 == 1 else None
-    if total is None:
-        half = c * r.l * (r.l - 1) // 2
-        if half % r.l:
-            raise MissingWitness(
-                "no canonical root for the monomial at even order")
-        total = half // r.l
-    val = r.eps_power(total)
+    if r.l % 2 == 1:
+        return c * (r.l - 1) // 2
+    half = c * r.l * (r.l - 1) // 2
+    if half % r.l:
+        raise MissingWitness(
+            "no canonical root for the monomial at even order")
+    return half // r.l
+
+
+def witness_product(stratum, character, r, u):
+    """The product of the survivors' witnesses to the powers in u."""
+    val = r.one()
     for s_item, e in zip(stratum.survivors, u):
         if e:
             val = val * character.witness(s_item.label) ** e
     return val
+
+
+def monomial_value(stratum, character, r, u):
+    """Witness-based value of the survivor monomial with exponent u.  Its
+    l-th power is the value of the monomial's l-th power in the l-center."""
+    return (r.eps_power(root_exponent(stratum, r, u))
+            * witness_product(stratum, character, r, u))
 
 
 def locate(character, ctx):

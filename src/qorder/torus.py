@@ -4,7 +4,9 @@ From the skew pairing of the surviving torus generators this module derives
 the paired/central generator frame: k pairs (h_i, g_i) with pairing
 invariants d_i, p central monomials z_j, and the count t of those z_j whose
 centrality does not extend to the ambient algebra.  The basis is chosen so
-that the extending z's come last with exponent one.
+that the extending z's come last with exponent one, and its pairs are
+rebased until every monomial the representations must make diagonal has g
+coordinates divisible by l.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ class TorusStructure:
     vectors (in torus coordinates) of h_1, g_1, ..., h_k, g_k, z_1, ..., z_p;
     the non-extending z's are z_1..z_t, the extending ones come last.
     inverse is its integer inverse: row s holds the frame coordinates of
-    survivor s.
+    survivor s.  Every target the frame was built for has g coordinates
+    divisible by l.  normal_pairs are the pair rows of the skew normal form
+    before the rebase; missing roots are reported in their order.
     """
 
     k: int
@@ -36,6 +40,7 @@ class TorusStructure:
     ds: list
     basis: list
     inverse: list
+    normal_pairs: list
 
     @property
     def m(self):
@@ -45,13 +50,19 @@ class TorusStructure:
         return self.basis[2 * self.k:]
 
 
-def torus_structure(S_JJ, full_rows, l):
+def torus_structure(S_JJ, full_rows, l, targets=()):
     """Derive the h/g/z frame of a torus block inside an ambient algebra.
 
     S_JJ is the skew q-exponent pairing among the m surviving generators;
     full_rows has one row per ambient generator holding its pairing against
     the survivors.  A monomial z^a is central in the block when S_JJ a = 0
     and extends to the ambient center when full_rows a = 0.
+
+    The pairs of the skew normal form are rebased by integral symplectic
+    transvections x -> x + lam w(x, v) v, w = diag(d_i J) on frame
+    coordinates, until the survivor exponent vectors in targets have g
+    coordinates divisible by l; the pairing, the z rows and z coordinates
+    stay exact.  A target that cannot be placed raises ArithmeticError.
     """
     m = len(S_JJ)
     if not zlattice.is_skew(S_JJ):
@@ -75,11 +86,64 @@ def torus_structure(S_JJ, full_rows, l):
         z_rows = _compatible_z_basis(z_basis, ext)
     else:
         z_rows = []
-    basis = [list(form.U[i]) for i in range(2 * k)] + z_rows
+    normal_pairs = [list(form.U[i]) for i in range(2 * k)]
+    basis = normal_pairs + z_rows
+    inverse = _unimodular_inverse(basis, "torus frame")
+    if targets:
+        basis = _rebase_pairs(normal_pairs, form.ds, [
+            zlattice.mat_vec(zlattice.transpose(inverse), a)[:2 * k]
+            for a in targets], l) + z_rows
+        inverse = _unimodular_inverse(basis, "torus frame")
     ts = TorusStructure(k=k, p=p, t=t, ds=list(form.ds), basis=basis,
-                        inverse=_unimodular_inverse(basis, "torus frame"))
+                        inverse=inverse, normal_pairs=normal_pairs)
     _check_structure(S_JJ, full_rows, ts)
+    for a in targets:
+        coords = zlattice.mat_vec(zlattice.transpose(inverse), a)
+        if any(x % l for x in coords[1:2 * k:2]):
+            raise ArithmeticError("the torus frame cannot make the monomial "
+                                  "%s diagonal" % (list(a),))
     return ts
+
+
+def _rebase_pairs(pairs, ds, coords, l):
+    """The pair rows rebased so that each target, given by its pair
+    coordinates in coords, has g coordinates divisible by l.
+
+    A target a with a unit g_i coordinate mod l is sent to a clock vector
+    mod l by the transvection along v, the g coordinates of a minus t h_i,
+    with t the first that makes w(a, v) a unit and lam = -w(a, v)^-1 mod l.
+    A target already placed pairs to 0 mod l with a and every clock vector,
+    so it stays placed.  Residues lie in (-l/2, l/2], to keep rows small.
+    """
+    def residue(x):
+        return x % l - l if 2 * (x % l) > l else x % l
+
+    def dot(x, y):
+        return sum(a * b for a, b in zip(x, y))
+
+    for n in range(len(coords)):
+        a = coords[n]
+        unit = next((i for i in range(len(ds)) if gcd(a[2 * i + 1], l) == 1),
+                    None)
+        if unit is None:
+            continue
+        for t in range(l):
+            v = [residue(x) if i % 2 else -t * (i == 2 * unit)
+                 for i, x in enumerate(a)]
+            # w(e_j, v) for every j
+            wv = [d * x for i, d in enumerate(ds)
+                  for x in (v[2 * i + 1], -v[2 * i])]
+            if gcd(dot(a, wv), l) == 1:
+                break
+        lam = residue(-pow(dot(a, wv), -1, l))
+        # frame coordinates x -> x + lam w(x, v) v, rows b_j -> b_j -
+        # lam w(e_j, v) V, V the exponent vector of v
+        V = [dot(v, col) for col in zip(*pairs)]
+        pairs = [[x - lam * m * y for x, y in zip(row, V)]
+                 for row, m in zip(pairs, wv)]
+        coords = [[x + lam * dot(b, wv) * y for x, y in zip(b, v)]
+                  for b in coords]
+    return pairs
 
 
 def _compatible_z_basis(z_basis, ext):

@@ -22,9 +22,9 @@ def full_rows(monkeypatch):
     rows = []
     real = torus.torus_structure
 
-    def recorded(skew, full, l):
+    def recorded(skew, full, l, targets=()):
         rows.append(full)
-        return real(skew, full, l)
+        return real(skew, full, l, targets)
 
     monkeypatch.setattr(torus, "torus_structure", recorded)
     return rows
@@ -56,7 +56,8 @@ def has_derived(model, stratum):
 
 
 # Dense matrices over the cyclotomic field, the references that the row
-# dict, scaled partial permutation and representation tests compare against.
+# dict product, scaled partial permutation and representation tests compare
+# against.
 # A matrix is a list of rows.
 
 def mat_eye(n, r):
@@ -135,8 +136,3 @@ def sp_to_dense(A, r):
             dense[j] = a
         out.append(dense)
     return out
-
-
-def to_dense(M, r):
-    """The dense matrix of a representation's matrix of either kind."""
-    return pp_to_dense(M, r) if isinstance(M, tuple) else sp_to_dense(M, r)

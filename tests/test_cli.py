@@ -71,6 +71,24 @@ def test_parse_errors(tmp_path):
     assert cli.main(["verify", "--spec", str(job)]) == 1
 
 
+def test_usage_errors_exit_1(tmp_path, capsys):
+    job = tmp_path / "plane.txt"
+    job.write_text(PLANE)
+    spec = ["--spec", str(job)]
+    # non-positive --jobs only: a positive count would start workers
+    for argv in (["frobnicate"] + spec, ["verify"], ["check"] + spec +
+                 ["--jobs", "abc"], ["check"] + spec + ["--jobs", "0"],
+                 ["verify"] + spec + ["--jobs", "-3"],
+                 ["check"] + spec + ["--out", str(tmp_path / "no" / "x")]):
+        capsys.readouterr()
+        assert cli.main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1, argv
+        assert err.startswith(("parse error: line 0 (command line): ",
+                               "error: ")), argv
+    assert not (tmp_path / "no").exists()
+
+
 def test_validation_exit_code(tmp_path):
     code, _ = run_cli(tmp_path, "algebra.kind = twisted\nroot.l = 3\n"
                       "algebra.S = 0 1 / 1 0\n", "check")
@@ -139,8 +157,8 @@ def test_verify_weyl_flags_uncovered(tmp_path):
 
 
 def test_verify_weyl_where_y1_and_w1_survive(tmp_path):
-    # x1 = c y1^-1 (w1 - 1) has two entries in every row of its matrix; the
-    # representation is built and verified on row dicts
+    # x1 = c y1^-1 (w1 - 1): the frame is rebased so that w1 is diagonal
+    # like 1, and x1 is a scaled partial permutation
     job = WEYL + """
 character.x1 = -7/72, -7/36
 character.y1 = 8

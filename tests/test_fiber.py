@@ -13,7 +13,7 @@ from qorder import cli, engine, exactnum, fiber, models, strata, zlattice
 from conftest import (has_derived, make_character, mat_add_c, mat_eq_c,
                       mat_eye, mat_inv_c, mat_is_zero, mat_pow_c,
                       mat_scale_c, pp_from_dense, pp_to_dense, sp_from_dense,
-                      sp_to_dense, to_dense)
+                      sp_to_dense)
 from test_cli import CUSTOM_WEYL
 
 
@@ -144,34 +144,33 @@ def _stratum_character(ctx, st, witnesses, monkeypatch):
         rep = fiber.clock_shift_irreps(
             ctx, strata.Located(stratum=st, z_ext={}), chi)[0]
     for label, _ in st.derived:
-        M = rep.rows[label]
-        if rep.kind is fiber.PartialPermutations:
-            M = fiber.RowDicts.of_partial_permutation(M)
-        values[label] = fiber.sp_pow(M, r.l, r)[0].get(0, r.zero())
+        cols, vals = fiber.pp_pow(rep.rows[label], r.l, r)
+        values[label] = vals[0] if cols[0] == 0 else r.zero()
     return strata.Character(values, witnesses)
 
 
 def _per_choice_irreps(ctx, loc, chi):
     """(dense matrices, z scalars) of each root choice, built one choice at
-    a time with dense products: the z's act as scalar matrices in the frame
-    product, every survivor's frame coordinates come from an integer solve,
-    extending z's take the located extension values, and a derived Weyl x is
-    read off the dense matrices."""
+    a time with dense products: every frame row acts as its witness-based
+    monomial value times its clock, shift or identity matrix, every
+    survivor's frame coordinates come from an integer solve, extending z's
+    take the located extension values, and a derived Weyl x is read off the
+    dense matrices.  A clock or shift matrix is raised to its exponent mod
+    l, its l-th power being 1."""
     r, st = ctx.root, loc.stratum
     ts, l = st.torus, r.l
     k, dim = ts.k, l ** ts.k
     scalars = [strata.monomial_value(st, chi, r, row) for row in ts.basis]
     frame = []
     for i in range(k):
-        frame.append(pp_to_dense(
-            fiber._clock(l, ts.ds[i], r, i, k, scalars[2 * i]), r))
-        frame.append(pp_to_dense(
-            fiber._shift(l, i, k, scalars[2 * i + 1]), r))
+        frame.append(pp_to_dense(fiber._clock(l, ts.ds[i], r, i, k), r))
+        frame.append(pp_to_dense(fiber._shift(l, r, i, k), r))
     out = []
     for choice in iproduct(range(l), repeat=ts.t):
         z_vals = [scalars[2 * k + j] * r.eps_power(choice[j]) if j < ts.t
                   else loc.z_ext[j] for j in range(ts.p)]
-        all_mats = frame + [mat_scale_c(mat_eye(dim, r), z) for z in z_vals]
+        all_mats = (list(zip(frame, scalars))
+                    + [(mat_eye(dim, r), z) for z in z_vals])
         mats = {label: [[r.zero()] * dim for _ in range(dim)]
                 for label in st.killed_labels}
         for s, item in enumerate(st.survivors):
@@ -181,9 +180,10 @@ def _per_choice_irreps(ctx, loc, chi):
                                                      coeffs)
             assert acc == e_s
             M = mat_eye(dim, r)
-            for Mr, c in zip(all_mats, coeffs):
+            for (F, scalar), c in zip(all_mats, coeffs):
                 if c:
-                    M = fiber.mat_mul_c(M, mat_pow_c(Mr, c, r), r)
+                    M = mat_scale_c(fiber.mat_mul_c(
+                        M, mat_pow_c(F, c % l, r), r), scalar ** c)
             mats[item.label] = mat_scale_c(M, r.eps_power(-gamma))
         if has_derived(ctx.model, st):
             W = ctx.model
@@ -233,7 +233,7 @@ def test_clock_shift_matches_the_per_choice_build(r3, r5, monkeypatch):
         {"x1": u ** 3, "x2": one, "y1": one, "y2": one},
         {"x1": u, "x2": one, "y1": one, "y2": one, "w2": e - one})))
     # the Weyl pair where y1 and w1 survive: x1 = c y1^-1 (w1 - 1), and the
-    # frame makes y1 diagonal, so x1 has two entries in every row
+    # frame is rebased so that w1 is diagonal like 1
     W = models.build_weyl([[0]], [1])
     ctx = strata.enumerate_strata(W, r3)
     generic = next(st for st in ctx.strata
@@ -256,27 +256,25 @@ def test_clock_shift_matches_the_per_choice_build(r3, r5, monkeypatch):
         for rep, (mats, z_vals) in zip(reps, expect):
             assert rep.verified
             for g in model.presentation.gens:
-                assert to_dense(rep.rows[g], ctx.root) == mats[g], \
+                assert pp_to_dense(rep.rows[g], ctx.root) == mats[g], \
                     (st.stratum_id, g)
             assert rep.z_scalars == z_vals
             for j in range(ts.t, ts.p):
                 assert rep.z_scalars[j] == loc.z_ext[j]
-        shapes.add((has_derived(model, st), ts.t > 0, ts.p > ts.t,
-                    reps[0].kind.__name__))
-    # (derived Weyl x, t >= 1, extending z's, matrix kind)
-    pp = "PartialPermutations"
-    assert shapes == {(False, False, False, pp), (False, True, False, pp),
-                      (False, False, True, pp), (False, True, True, pp),
-                      (True, True, False, pp),
-                      (True, False, False, "RowDicts")}
+        shapes.add((has_derived(model, st), ts.t > 0, ts.p > ts.t))
+    # (derived Weyl x, t >= 1, extending z's)
+    assert shapes == {(False, False, False), (False, True, False),
+                      (False, False, True), (False, True, True),
+                      (True, True, False), (True, False, False)}
 
 
 def test_weyl_strata_build_and_verify(monkeypatch):
     """Every stratum of every quantum Weyl model with n <= 2, S entries in
     {-1, 0, 1} and exponents 1..3, at l = 2..5 (and l = 7 for n = 1), takes
-    a located character and builds verified irreducibles over it.  Where
-    the frame does not make w_(i-1)^-1 w_i diagonal, a derived x has two
-    entries in a row and the build runs on row dicts."""
+    a located character and builds verified irreducibles over it.  The
+    frame makes w_1 and every w_(i-1)^-1 w_i diagonal, so every matrix is a
+    scaled partial permutation; only a few strata at even l have a frame
+    monomial with no canonical root."""
     rng = random.Random(20101095)
     kinds = Counter()
     for S, exps in ([([[0]], [a]) for a in (1, 2, 3)]
@@ -303,10 +301,10 @@ def test_weyl_strata_build_and_verify(monkeypatch):
                 assert loc.stratum is st
                 reps = fiber.clock_shift_irreps(ctx, loc, chi)
                 assert reps and all(rep.verified for rep in reps)
-                kinds[reps[0].kind.__name__] += 1
-    assert kinds["PartialPermutations"] > 0 and kinds["RowDicts"] > 0
-    # the strata left unbuilt for want of a canonical root are few
-    assert kinds["missing"] * 10 < sum(kinds.values())
+                assert all(isinstance(M, tuple) and len(M) == 2
+                           for rep in reps for M in rep.rows.values())
+                kinds["built"] += 1
+    assert kinds == {"built": 310, "missing": 8}
 
 
 def test_census_examples(r3):
@@ -766,7 +764,7 @@ def _dense_relations_hold(model, rep, character, r):
     """Every defining relation and l-th power, checked with dense products
     on the representation's matrices."""
     P = model.presentation
-    gm = [to_dense(rep.rows[g], r) for g in P.gens]
+    gm = [pp_to_dense(rep.rows[g], r) for g in P.gens]
     for u in range(P.N):
         for v in range(u + 1, P.N):
             lhs = fiber.mat_mul_c(gm[u], gm[v], r)
@@ -774,7 +772,7 @@ def _dense_relations_hold(model, rep, character, r):
                                     r.eps_power(P.S[u][v]))
             rule = P.delta.get((u, v))
             if rule is not None:
-                rhs = mat_add_c(rhs, to_dense(
+                rhs = mat_add_c(rhs, pp_to_dense(
                     rep.sparse_of_element(model, rule, r, "rule"), r))
             if not mat_eq_c(lhs, rhs):
                 return False
@@ -979,52 +977,19 @@ def test_sparse_core_matches_dense_on_random_matrices():
                         (True, True)}
 
 
-def _row_dicts_match_dense(A, B, r):
-    """The row dict product, scale, sum and powers of A and B equal the
-    dense ones, and so does the l-th power check of RowDicts.  A scaled
-    permutation has the dense inverse; any other matrix has no sparse
-    inverse.  Returns whether A is a scaled permutation."""
-    n = len(A)
-    sA, sB = sp_from_dense(A), sp_from_dense(B)
-    assert sp_to_dense(sA, r) == A
-    assert fiber.sp_mul(sA, sB) == sp_from_dense(fiber.mat_mul_c(A, B, r))
-    assert fiber.sp_mul(fiber.sp_eye(n, r), sA) == sA
-    assert fiber.sp_add(sA, sB) == sp_from_dense(mat_add_c(A, B))
-    for c in (r.zero(), -r.one(), r.eps() * 3):
-        assert fiber.sp_scale(sA, c) == sp_from_dense(mat_scale_c(A, c))
-    for k in (2, r.l):
-        power = mat_pow_c(A, k, r)
-        assert fiber.sp_pow(sA, k, r) == sp_from_dense(power)
-        for value in (r.zero(), r.one(), power[0][0]):
-            assert fiber.RowDicts.power_is_scalar(sA, k, value, r) == \
-                mat_eq_c(power, mat_scale_c(mat_eye(n, r), value))
-    columns = [j for row in sA for j in row]
-    permutation = (all(len(row) == 1 for row in sA)
-                   and len(set(columns)) == n)
-    if permutation:
-        inverse = sp_from_dense(mat_inv_c(A, r))
-        assert fiber.sp_inv(sA) == inverse
-        assert fiber.sp_pow(sA, -1, r) == inverse
-    else:
-        with pytest.raises(ArithmeticError, match="A is not a scaled perm"):
-            fiber.sp_inv(sA, "A")
-        with pytest.raises(ArithmeticError, match="not a scaled permutation"):
-            fiber.sp_pow(sA, -1, r)
-    return permutation
-
-
 def test_row_dicts_match_dense_on_random_matrices():
-    # general square matrices with several entries a row, against each
-    # other and against scaled partial permutations
-    permutations = set()
+    # the row dict product of general square matrices with several entries
+    # a row, against each other and against scaled partial permutations
     for rng, r, A, _, m, n, _ in _systems():
         if m != n:
             continue
         B = [[_rand_scalar(rng, r) for _ in range(n)] for _ in range(n)]
         C = rng.choice(_partial_permutations(rng, r, n))
         for X, Y in ((A, B), (B, A), (C, A), (A, C)):
-            permutations.add(_row_dicts_match_dense(X, Y, r))
-    assert permutations == {True, False}
+            sX, sY = sp_from_dense(X), sp_from_dense(Y)
+            assert sp_to_dense(sX, r) == X
+            assert fiber.sp_mul(sX, sY) == \
+                sp_from_dense(fiber.mat_mul_c(X, Y, r))
 
 
 def test_power_check_reads_cycles(r3):
@@ -1092,7 +1057,7 @@ def test_verify_representation_rejects_broken_matrices(r3):
         check(W, {"y1": shift, "x1": shift}, chiw)
 
 
-def test_derived_sum_in_two_columns_falls_back_to_row_dicts(r3):
+def test_derived_sum_in_two_columns_is_a_failed_check(r3):
     # x2 derived as y1 + y2 on the killed-w Weyl n=2 stratum: y1 is
     # diagonal and y2 a shift, so the two terms meet each row in two columns
     W = models.build_weyl([[0, 1], [-1, 0]], [1, 1])
@@ -1105,23 +1070,20 @@ def test_derived_sum_in_two_columns_falls_back_to_row_dicts(r3):
          "w2": e - one}).check(W, r3)
     loc = strata.locate(chi, ctx)
     reps = fiber.clock_shift_irreps(ctx, loc, chi)
-    assert reps[0].kind is fiber.PartialPermutations
     Y1, Y2 = reps[0].rows["y1"], reps[0].rows["y2"]
-    with pytest.raises(fiber.NotPartialPermutation,
+    with pytest.raises(ArithmeticError,
                        match="x2 is not a scaled partial permutation"):
-        fiber._sum(fiber.PartialPermutations,
-                   [(one, [(Y1, 1)]), (one, [(Y2, 1)])], reps[0].dim, r3,
+        fiber._sum([(one, [(Y1, 1)]), (one, [(Y2, 1)])], reps[0].dim, r3,
                    "x2")
-    # the build falls back to row dicts, where the relations fail
+    # the build has no other matrix form to fall back to
     derived = [(label, terms) for label, terms in loc.stratum.derived
                if label != "x2"]
     derived.append(("x2", [(one, [("y1", 1)]), (one, [("y2", 1)])]))
     broken = dataclasses.replace(
         loc, stratum=dataclasses.replace(loc.stratum, derived=derived))
     with pytest.raises(ArithmeticError,
-                       match="fails in the representation") as failed:
+                       match="x2 is not a scaled partial permutation"):
         fiber.clock_shift_irreps(ctx, broken, chi)
-    assert not isinstance(failed.value, fiber.NotPartialPermutation)
 
 
 # ---------------------------------------------------------------------------

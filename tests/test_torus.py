@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from qorder import torus
+from qorder import models, strata, torus
+from qorder.exactnum import cyclotomic_build
 from qorder.torus import (
     InadmissibleBlock,
     center_generators_eps,
     torus_structure,
 )
-from qorder.zlattice import det_int, mat_vec, zeros
+from qorder.zlattice import det_int, hermite_rows, mat_vec, transpose, zeros
 
 
 def test_full_pair_block():
@@ -118,3 +119,62 @@ def test_non_unimodular_frame_raises(monkeypatch):
     monkeypatch.setattr(torus, "_compatible_z_basis", doubled)
     with pytest.raises(ArithmeticError, match="torus frame is not unimod"):
         torus_structure([[0]], [[0], [0]], 3)
+
+
+def _targets(st):
+    """The differences of the survivor exponent vectors of the terms of each
+    derived sum, read from the stratum."""
+    index = {item.label: a for a, item in enumerate(st.survivors)}
+    out = []
+    for _, terms in st.derived:
+        vecs = []
+        for _, factors in terms:
+            vec = [0] * len(st.survivors)
+            for label, e in factors:
+                vec[index[label]] += e
+            vecs.append(vec)
+        out += [[a - b for a, b in zip(vecs[0], v)] for v in vecs[1:]]
+    return out
+
+
+def test_rebased_frame_matches_the_skew_normal_form(full_rows):
+    """Every stratum of the quantum Weyl models with n <= 2, S entries in
+    {-1, 0, 1} and exponents 1..3 at l = 2..5, against the frame built from
+    the same pairing without targets: the rebase changes only the pair
+    rows, puts every target on the diagonal, and keeps the center lattices;
+    twisted strata have no target and keep their frame."""
+    rebased = 0
+    weyl = ([models.build_weyl([[0]], [a]) for a in (1, 2, 3)]
+            + [models.build_weyl([[0, s], [-s, 0]], [a, b])
+               for s in (-1, 0, 1) for a in (1, 2, 3) for b in (1, 2, 3)])
+    twisted = [models.build_twisted(S, n_poly) for S, n_poly in (
+        ([[0, 1], [-1, 0]], 2), ([[0, 2], [-2, 0]], 1),
+        ([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], 1),
+        ([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]], 3))]
+    for model in weyl + twisted:
+        for l in (2, 3, 4, 5):
+            if not model.admissibility(l):
+                continue
+            del full_rows[:]
+            ctx = strata.enumerate_strata(model, cyclotomic_build(l))
+            assert len(full_rows) == len(ctx.strata)
+            for st, full in zip(ctx.strata, full_rows):
+                ts = st.torus
+                base = torus_structure(st.skew, full, l)
+                targets = _targets(st)
+                assert model in weyl or not targets
+                assert (ts.k, ts.p, ts.t, ts.ds) == \
+                    (base.k, base.p, base.t, base.ds)
+                assert ts.z_rows() == base.z_rows()
+                assert ts.normal_pairs == base.basis[:2 * base.k]
+                for a in targets:
+                    coords = mat_vec(transpose(ts.inverse), a)
+                    assert all(x % l == 0 for x in coords[1:2 * ts.k:2]), \
+                        (st.stratum_id, l, a)
+                for mine, theirs in zip(center_generators_eps(ts, l),
+                                        center_generators_eps(base, l)):
+                    assert hermite_rows(mine) == hermite_rows(theirs)
+                if not targets:
+                    assert ts.basis == base.basis
+                rebased += ts.basis != base.basis
+    assert rebased > 0
