@@ -346,8 +346,9 @@ def ordered_product_data(skew, rows, coeffs):
 
 
 def root_exponent(stratum, r, u):
-    """The t with eps^t times the witness product the value of the survivor
-    monomial with exponent u; at even l an odd self-cocycle has none."""
+    """The t such that eps^t times the witness product of u is the value of
+    the survivor monomial with exponent u.  At even l a monomial whose
+    self-cocycle is odd has no canonical root, and MissingWitness says so."""
     c = survivor_cocycle(stratum.skew, u, u)
     if r.l % 2 == 1:
         return c * (r.l - 1) // 2
