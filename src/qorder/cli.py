@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -620,6 +621,12 @@ def main(argv=None):
         if args.jobs < 1:
             parser.error("argument --jobs: expected a positive count, got %d"
                          % args.jobs)
+        # a report with nowhere to go is refused before any work is done
+        if args.out and not os.path.isdir(
+                os.path.dirname(os.path.abspath(args.out))):
+            print("error: --out %s: no such directory" % args.out,
+                  file=sys.stderr)
+            return 1
         with open(args.spec) as fh:
             blob = fh.read()
     except OSError as exc:

@@ -1,10 +1,13 @@
 """Exact scalars: rationals, Laurent polynomials in q, and cyclotomic numbers.
 
-Everything here is exact; no floating point anywhere.  Laurent polynomials
-keep Fraction coefficients.  Specialization at a primitive l-th root of unity
-is done inside the quotient ring Q[q]/(Phi_l), so different primitive roots
-are selected by an exponent rather than by numerics.  Its elements are stored
-as integer numerators over one positive denominator, the representation of
+Everything here is exact; no floating point anywhere.  A Laurent polynomial
+coefficient is an int when it is integral and a Fraction otherwise, so the
+integer presentations of the models multiply in ints and never call into
+fractions.py; nothing reads the type, since Fraction(k) == k with equal hash
+and str.  Specialization at a primitive l-th root of unity is done inside
+the quotient ring Q[q]/(Phi_l), so different primitive roots are selected by
+an exponent rather than by numerics.  Its elements are stored as integer
+numerators over one positive denominator, the representation of
 FLINT's fmpq_poly: Phi_l is monic with integer coefficients, so reduction
 never leaves the integers, and an inverse is the product of the other Galois
 conjugates over the rational norm.  A cyclotomic number meets Fractions only
@@ -24,17 +27,21 @@ class NotDivisible(ArithmeticError):
 
 
 def _frac(x):
-    if isinstance(x, Fraction):
-        return x
+    """x as an int when it is integral, else as a Fraction."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError("expected int or Fraction, got %s" % type(x).__name__)
 
 
 class QLaurent:
     """Laurent polynomial in q over the rationals.
 
-    Coefficients are stored as a degree -> Fraction map with no zeros kept.
+    Coefficients are stored as a degree -> int or Fraction map with no zeros
+    kept.  Values entering through the constructor or the divisions are ints
+    when integral; sums and products of ints stay ints, while Fraction
+    arithmetic may leave an integral Fraction, which is equal to that int.
     Instances are treated as immutable; all operators return new values.
     """
 
@@ -101,7 +108,7 @@ class QLaurent:
             return NotImplemented
         out = dict(self.coeffs)
         for d, c in other.coeffs.items():
-            s = out.get(d, Fraction(0)) + c
+            s = out.get(d, 0) + c
             if s:
                 out[d] = s
             else:
@@ -135,7 +142,7 @@ class QLaurent:
         for d1, c1 in self.coeffs.items():
             for d2, c2 in other.coeffs.items():
                 d = d1 + d2
-                s = out.get(d, Fraction(0)) + c1 * c2
+                s = out.get(d, 0) + c1 * c2
                 if s:
                     out[d] = s
                 else:
@@ -150,7 +157,7 @@ class QLaurent:
         if n < 0:
             if len(self.coeffs) == 1:
                 ((d, c),) = self.coeffs.items()
-                return QLaurent({d * n: c ** n})
+                return QLaurent({d * n: Fraction(c) ** n})
             raise ValueError("negative powers only for monomials")
         out = QLaurent.one()
         base = self
@@ -646,7 +653,8 @@ def divide_by_cyclotomic(f, r):
     if any(rem):
         raise NotDivisible("Phi_%d does not divide the given polynomial" % r.l)
     out = QLaurent()
-    out.coeffs = {i + shift: Fraction(c, den) for i, c in enumerate(quo) if c}
+    out.coeffs = {i + shift: c // den if c % den == 0 else Fraction(c, den)
+                  for i, c in enumerate(quo) if c}
     return out
 
 

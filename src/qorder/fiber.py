@@ -775,12 +775,15 @@ def clock_shift_irreps(ctx, located, character):
     dim = l ** k
     # missing roots are reported in the order of the frame before its rebase
     z_rows = ts.z_rows()
-    for row in ts.normal_pairs + z_rows:
-        strata_mod.root_exponent(st, r, row)
+    frame = ts.normal_pairs + z_rows
+    roots = []
+    for row in frame:
+        roots.append(strata_mod.root_exponent(st, r, row))
         for item, e in zip(st.survivors, row):
             if e:
                 character.witness(item.label)
-    roots = [strata_mod.root_exponent(st, r, row) for row in ts.basis]
+    if frame != ts.basis:
+        roots = [strata_mod.root_exponent(st, r, row) for row in ts.basis]
     z_scalars = [r.eps_power(t) * strata_mod.witness_product(st, character,
                                                              r, row)
                  for t, row in zip(roots[2 * k:], z_rows)]

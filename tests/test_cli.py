@@ -89,6 +89,24 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert not (tmp_path / "no").exists()
 
 
+def test_missing_out_directory_is_refused_before_the_run(tmp_path, capsys,
+                                                         monkeypatch):
+    job = tmp_path / "plane.txt"
+    job.write_text(PLANE)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    for out in (tmp_path / "no" / "x", tmp_path / "plane.txt" / "x"):
+        capsys.readouterr()
+        assert cli.main(["verify", "--spec", str(job), "--out", str(out)]) == 1
+        printed, err = capsys.readouterr()
+        assert printed == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: --out %s" % out)
+    assert not (tmp_path / "no").exists()
+
+
 def test_validation_exit_code(tmp_path):
     code, _ = run_cli(tmp_path, "algebra.kind = twisted\nroot.l = 3\n"
                       "algebra.S = 0 1 / 1 0\n", "check")

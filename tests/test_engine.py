@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -90,6 +91,23 @@ def test_normal_form_defining_relations():
     xyx = normal_form([1, 0, 1], W)  # x y x = q yx^2 + x
     assert xyx == Element(2, {(1, 2): QLaurent.q_power(1),
                               (0, 1): QLaurent.one()})
+
+
+def test_monomial_inverse_at_generic_q():
+    # on the quantum torus, where every monomial is a unit
+    P = AlgebraPresentation(["x1", "x2"], 0, [[0, 1], [-1, 0]])
+    for coeff, inv, text in (
+            (QLaurent.q_power(3), QLaurent.q_power(-3), "q^-3"),
+            (QLaurent.q_power(3, 2), QLaurent.q_power(-3, Fraction(1, 2)),
+             "1/2*q^-3"),
+            (QLaurent.q_power(-1, Fraction(-2, 3)),
+             QLaurent.q_power(1, Fraction(-3, 2)), "-3/2*q")):
+        a = Element.monomial(2, (1, 2), coeff)
+        b = a.monomial_inverse()
+        assert b == Element.monomial(2, (-1, -2), inv)
+        assert repr(b) == "(%s)*x^[-1, -2]" % text
+        assert mul(P, a, b) == mul(P, b, a) == \
+            Element.one(2, QLaurent.q_power(2))
 
 
 def test_normal_form_scalars_and_powers():

@@ -165,6 +165,133 @@ def test_inverse_of_scaled_eps_powers(monkeypatch):
         assert x * inv == x.root.one()
 
 
+def test_negative_powers_of_laurent_monomials():
+    assert QLaurent.q_power(2) ** -1 == QLaurent.q_power(-2)
+    assert repr(QLaurent.q_power(2) ** -1) == "q^-2"
+    assert repr(QLaurent.q_power(2, 2) ** -1) == "1/2*q^-2"
+    assert QLaurent.q_power(2, 2) ** -1 == \
+        QLaurent.q_power(-2, Fraction(1, 2))
+    assert repr(QLaurent.q_power(-1, Fraction(-2, 3)) ** -2) == "9/4*q^2"
+    assert QLaurent.q_power(1, Fraction(1, 2)) ** -1 == QLaurent.q_power(-1, 2)
+    with pytest.raises(ValueError, match="monomials"):
+        QLaurent({0: 1, 1: 1}) ** -1
+
+
+def test_divide_by_cyclotomic_keeps_integral_coefficients_int(r3):
+    def types(f):
+        return {d: type(c) for d, c in f.items()}
+
+    # (q^3 - 1) / Phi_3 = q - 1
+    got = divide_by_cyclotomic(QLaurent({3: 1, 0: -1}), r3)
+    assert got == QLaurent({1: 1, 0: -1}) and types(got) == {0: int, 1: int}
+    # (q^3 - 1) (q^-1 + 1/2) / Phi_3 = 1 - 1/2 q^-1 - 1/2 + 1/2 q
+    got = divide_by_cyclotomic(QLaurent({3: 1, 0: -1})
+                               * QLaurent({-1: 1, 0: Fraction(1, 2)}), r3)
+    assert got == QLaurent({1: Fraction(1, 2), 0: Fraction(1, 2),
+                            -1: -1})
+    assert types(got) == {-1: int, 0: Fraction, 1: Fraction}
+    # a rational input whose quotient is integral comes out in ints
+    got = divide_by_cyclotomic(QLaurent({3: Fraction(4, 2), 0: -2}), r3)
+    assert got == QLaurent({1: 2, 0: -2}) and types(got) == {0: int, 1: int}
+    with pytest.raises(NotDivisible):
+        divide_by_cyclotomic(QLaurent({1: Fraction(1, 2), 0: -1}), r3)
+
+
+class FractionLaurent:
+    """Reference Laurent polynomial whose coefficients are all Fractions:
+    the representation QLaurent used before it kept integral coefficients
+    as ints.  Its hash and repr follow QLaurent's."""
+
+    def __init__(self, coeffs):
+        self.coeffs = {d: Fraction(c) for d, c in coeffs.items() if c}
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for d, c in other.coeffs.items():
+            out[d] = out.get(d, Fraction(0)) + c
+        return FractionLaurent(out)
+
+    def __neg__(self):
+        return FractionLaurent({d: -c for d, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for d1, c1 in self.coeffs.items():
+            for d2, c2 in other.coeffs.items():
+                out[d1 + d2] = out.get(d1 + d2, Fraction(0)) + c1 * c2
+        return FractionLaurent(out)
+
+    def __pow__(self, n):
+        if n < 0:
+            ((d, c),) = self.coeffs.items()
+            return FractionLaurent({d * n: c ** n})
+        out = FractionLaurent({0: 1})
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.coeffs.items())))
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for d, c in sorted(self.coeffs.items()):
+            if d == 0:
+                parts.append(str(c))
+            elif d == 1:
+                parts.append("%s*q" % c if c != 1 else "q")
+            else:
+                parts.append("%s*q^%d" % (c, d) if c != 1 else "q^%d" % d)
+        return " + ".join(parts)
+
+
+def _rand_coefficients(rng, rational, span=3, terms=4):
+    out = {}
+    for _ in range(rng.randint(0, terms)):
+        c = rng.randint(-6, 6)
+        if rational and rng.random() < 0.5:
+            c = Fraction(c, rng.choice((1, 2, 3, 4, 6)))
+        out[rng.randint(-span, span)] = c
+    return out
+
+
+def test_laurent_arithmetic_matches_fraction_reference():
+    """+ - * ** == hash and repr agree with the Fraction-only reference on
+    random Laurent polynomials, and integer inputs never build a Fraction."""
+    rng = random.Random(2021)
+
+    def agree(got, ref):
+        assert got.coeffs == ref.coeffs
+        assert hash(got) == hash(ref)
+        assert repr(got) == repr(ref)
+        return got
+
+    for rational in (False, True) * 150:
+        pairs = []
+        for _ in range(2):
+            coeffs = _rand_coefficients(rng, rational)
+            pairs.append((agree(QLaurent(coeffs), FractionLaurent(coeffs)),
+                          FractionLaurent(coeffs)))
+        (a, ra), (b, rb) = pairs
+        n = rng.randint(0, 3)
+        results = [agree(a + b, ra + rb), agree(a - b, ra - rb),
+                   agree(a * b, ra * rb), agree(a ** n, ra ** n),
+                   agree(-a, -ra)]
+        if not rational:
+            assert {type(c) for f in results for c in f.coeffs.values()} \
+                <= {int}
+        assert (a == b) == (ra.coeffs == rb.coeffs)
+        assert a + b - b == a and (a * b == b * a)
+        if len(a.coeffs) == 1:
+            agree(a ** -n, ra ** -n)
+            assert a ** -n * a ** n == QLaurent.one()
+
+
 def test_laurent_ring_axioms():
     rng = random.Random(23)
     for _ in range(100):

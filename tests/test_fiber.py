@@ -129,6 +129,48 @@ def test_clock_shift_commutative(r3):
     assert [p.dim for p in reps] == [1]
 
 
+def test_clock_shift_names_missing_roots_in_frame_order(r3, monkeypatch):
+    """A missing witness is named for the first row, in the frame before its
+    rebase, that needs it.  Each frame row's root exponent is computed once
+    when the rebase leaves the frame as it is, and the rebased rows once
+    more otherwise."""
+    twisted = models.build_twisted([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]], 3)
+    weyl = models.build_weyl([[0, 1], [-1, 0]], [1, 1])
+    # (model, stratum, {missing witnesses: label named}); the Weyl frame
+    # rows are y1, y2, y2 w1 and y1 y2^-1 w2^-1, and its rebase starts with
+    # y2^3 w2, so a rebased order would name w2 where w1 is named
+    cases = [(twisted, "T=000", {("x3",): "x3", ("x2", "x3"): "x2",
+                                 ("x1", "x3"): "x1"}),
+             (weyl, "T1=[];T2=[];T3=[]", {("w2",): "w2", ("w1", "w2"): "w1",
+                                          ("y2", "w2"): "y2"})]
+    real = strata.root_exponent
+    for model, stratum_id, missing in cases:
+        ctx = strata.enumerate_strata(model, r3)
+        (st,) = [s for s in ctx.strata if s.stratum_id == stratum_id]
+        ts = st.torus
+        chi = _stratum_character(
+            ctx, st, {s.label: r3.one() + r3.eps() for s in st.survivors},
+            monkeypatch)
+        loc = strata.locate(chi.check(model, r3), ctx)
+        assert loc.stratum is st
+        rows = []
+        with monkeypatch.context() as patch:
+            patch.setattr(strata, "root_exponent",
+                          lambda st, r, u: rows.append(list(u)) or
+                          real(st, r, u))
+            assert fiber.clock_shift_irreps(ctx, loc, chi)
+        frame = ts.normal_pairs + ts.z_rows()
+        assert rows == (frame if frame == ts.basis else frame + ts.basis)
+        assert (frame == ts.basis) == (model is twisted)
+        for labels, named in missing.items():
+            partial = strata.Character(
+                chi.values, {k: v for k, v in chi.witnesses.items()
+                             if k not in labels})
+            with pytest.raises(strata.MissingWitness,
+                               match="no l-th root supplied for %s$" % named):
+                fiber.clock_shift_irreps(ctx, loc, partial)
+
+
 def _stratum_character(ctx, st, witnesses, monkeypatch):
     """The character on stratum st whose survivors have the given l-th
     roots: killed generators take 0, survivors the l-th powers of their
