@@ -15,12 +15,12 @@ dim A/([A, A] + J), with [A, A] spanned by the commutators of the
 algebra's generators with its basis.  A table fiber is counted one degree
 of its grading at a time from those operators alone: homogeneity is
 checked on them (every left and right operator is a composition of them),
-the right operators follow from them, the degree-0 traces come from the
-full left operators of half-monomials, and the gram blocks are filled row
-by row from the traces.  That arithmetic runs first on the fiber's image
-in F_p, for a prime p that splits Phi_l, where full ranks certify the exact
-ones (the unit's component needs one less, by the trace), and over Q(eps)
-only where they do not.  The census never assumes the count it is asked to
+the right operators follow from them, the degree-0 traces come from one
+sparse row vector per basis element through the right operators, and the
+gram blocks are filled row by row from the traces.  That arithmetic runs
+first on the fiber's image in F_p, for a prime p that splits Phi_l, where
+full ranks certify the exact ones (the unit's component needs one less, by
+the trace), and over Q(eps) only where they do not.  The census never assumes the count it is asked to
 confirm.
 
 Clock/shift representations are built and verified as scaled partial
@@ -559,22 +559,26 @@ def _check_central_powers(P, r, unit_vectors):
 # ---------------------------------------------------------------------------
 # Sparse matrices over the cyclotomic field: one {column: nonzero} dict per
 # row, for the left operators of table fibers.  Zeros are never stored, so
-# two sparse matrices are equal exactly when their rows are.
+# two sparse matrices are equal exactly when their rows are.  The table
+# census multiplies row vectors only (sp_row_mul); the full product sp_mul
+# serves FDAlgebra.product.
 
-def sp_mul(A, B, norm=None):
-    """A B; norm, when given, maps each entry to its canonical form first
-    (x mod p, for the int images of a table census)."""
-    out = []
-    for row in A:
-        acc = {}
-        for k, a in row.items():
-            for j, b in B[k].items():
-                c = acc.get(j)
-                acc[j] = a * b if c is None else c + a * b
-        if norm is not None:
-            acc = dict(zip(acc, map(norm, acc.values())))
-        out.append({j: c for j, c in acc.items() if c})
-    return out
+def sp_row_mul(row, B, norm=None):
+    """The row vector row times B; norm, when given, maps each entry to its
+    canonical form first (x mod p, for the int images of a table census)."""
+    acc = {}
+    for k, a in row.items():
+        for j, b in B[k].items():
+            c = acc.get(j)
+            acc[j] = a * b if c is None else c + a * b
+    if norm is not None:
+        acc = dict(zip(acc, map(norm, acc.values())))
+    return {j: c for j, c in acc.items() if c}
+
+
+def sp_mul(A, B):
+    """A B."""
+    return [sp_row_mul(row, B) for row in A]
 
 
 # ---------------------------------------------------------------------------
@@ -1070,14 +1074,14 @@ class _TableScalars:
 
 def _scalars(A, shape, zero, one, norm, left, p=None):
     """One pass's scalars, with the right operators b -> b x_u built from
-    its left operators by b_a x_u = x_v (b_a' x_u)."""
+    its left operators by b_a x_u = x_v (b_a' x_u), one row at a time."""
     right = []
     for g in A.gens:
         rows = [None] * A.dim
         rows[A.unit_index] = {g: one}
         for i, step in enumerate(shape.steps):
             if step is not None:
-                rows[i] = sp_mul([rows[step[1]]], left[step[0]], norm)[0]
+                rows[i] = sp_row_mul(rows[step[1]], left[step[0]], norm)
         right.append(rows)
     return _TableScalars(zero, one, norm, left, right, p)
 
@@ -1157,42 +1161,33 @@ def _commutators(shape, scalars, d):
 
 def _traces(A, shape, scalars):
     """{k: tr(L_{b_k})} for the degree-0 basis elements k of a table fiber,
-    zeros left out.  x^a = x^p x^q for a = (p | q) split at position N // 2,
-    so tr(L_{x^a}) = sum_j sum_m (x^q b_j)_m (x^p b_m)_j needs the full left
-    operators of those half-monomials only, each one operator product from
-    its predecessor along steps."""
-    steps, index, norm = shape.steps, shape.index, scalars.norm
-    full = {A.unit_index: [{i: scalars.one} for i in range(A.dim)]}
-
-    def full_left(i):
-        """Rows b_m -> b_i b_m of the left operator of b_i."""
-        path = []
-        k = i
-        while k not in full:
-            path.append(k)
-            k = steps[k][1]
-        for k in reversed(path):
-            v, p = steps[k]
-            full[k] = sp_mul(full[p], scalars.left[v], norm)
-        return full[i]
-
-    traces = {}
-    for k in shape.comps[shape.degree_zero]:
-        a = A.basis_labels[k]
-        half = len(a) // 2
-        head = full_left(index[a[:half] + (0,) * (len(a) - half)])
-        tail = full_left(index[(0,) * half + a[half:]])
-        t = scalars.zero
-        for j, row in enumerate(tail):
+    zeros left out.  tr(L_b) = sum_j (b b_j)_j, and for b_j = x^c the map
+    b -> (b b_j)_j is the row vector e_j^T R_N^c_N ... R_1^c_1 of the
+    generators' right operators R_u: b -> b x_u.  So every basis element
+    costs |c| sparse row-vector steps on the transposed right operators,
+    and no operator product is formed.  Every product is homogeneous, so
+    b b_j has a b_j term only for b of degree 0."""
+    norm = scalars.norm
+    # transposed[u][m] = {i: (b_i x_u)_m}, so that a row vector w goes to
+    # w R_u by sp_row_mul(w, transposed[u])
+    transposed = []
+    for rows in scalars.right:
+        cols = [{} for _ in range(A.dim)]
+        for i, row in enumerate(rows):
             for m, c in row.items():
-                d = head[m].get(j)
-                if d is not None:
-                    t = t + c * d
-        if norm is not None:
-            t = norm(t)
-        if t:
-            traces[k] = t
-    return traces
+                cols[m][i] = c
+        transposed.append(cols)
+    traces = {}
+    for j, a in enumerate(A.basis_labels):
+        vec = {j: scalars.one}
+        for u in range(len(a) - 1, -1, -1):
+            for _ in range(a[u]):
+                vec = sp_row_mul(vec, transposed[u], norm)
+        for k, c in vec.items():
+            _accumulate(traces, k, c)
+    if norm is not None:
+        traces = dict(zip(traces, map(norm, traces.values())))
+    return {k: t for k, t in traces.items() if t}
 
 
 def _infer_blocks(count, dimq, constructed_dims):

@@ -1349,10 +1349,11 @@ def test_table_census_reads_no_product(r3, r5, monkeypatch):
     fibers = list(_table_fibers(r3, r5))
     expected = [fiber._census_table(A) for A in fibers]
 
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("the census read a product")
 
     monkeypatch.setattr(fiber.FDAlgebra, "product", refuse)
+    monkeypatch.setattr(fiber, "sp_mul", refuse)
     for A, want in zip(fibers, expected):
         assert not A.monomial
         if A.degrees is None:  # the hand-built M_2 + C
@@ -1362,6 +1363,97 @@ def test_table_census_reads_no_product(r3, r5, monkeypatch):
             continue
         res = fiber.census(A)
         assert (res.rad_dim, res.count, A.dim - res.rad_dim) == want
+
+
+def _traces_reference(A, shape, scalars):
+    """The traces from the full left operators of half-monomials, the
+    construction that the right-operator row vectors replaced: x^a = x^p x^q
+    for a = (p | q) split at position N // 2, so
+    tr(L_{x^a}) = sum_j sum_m (x^q b_j)_m (x^p b_m)_j, each full left
+    operator one operator product from its predecessor along steps."""
+    steps, index, norm = shape.steps, shape.index, scalars.norm
+    full = {A.unit_index: [{i: scalars.one} for i in range(A.dim)]}
+
+    def full_left(i):
+        path = []
+        k = i
+        while k not in full:
+            path.append(k)
+            k = steps[k][1]
+        for k in reversed(path):
+            v, p = steps[k]
+            rows = fiber.sp_mul(full[p], scalars.left[v])
+            if norm is not None:
+                rows = [{j: c for j, c in zip(row, map(norm, row.values()))
+                         if c} for row in rows]
+            full[k] = rows
+        return full[i]
+
+    traces = {}
+    for k in shape.comps[shape.degree_zero]:
+        a = A.basis_labels[k]
+        half = len(a) // 2
+        head = full_left(index[a[:half] + (0,) * (len(a) - half)])
+        tail = full_left(index[(0,) * half + a[half:]])
+        t = scalars.zero
+        for j, row in enumerate(tail):
+            for m, c in row.items():
+                d = head[m].get(j)
+                if d is not None:
+                    t = t + c * d
+        if norm is not None:
+            t = norm(t)
+        if t:
+            traces[k] = t
+    return traces
+
+
+def _golden_character(name):
+    spec = cli.parse_jobspec(
+        (pathlib.Path(__file__).parent / "golden" / name).read_text())
+    mc = cli.build_model(spec)
+    r = cyclotomic_build(spec.l, spec.primitive_index)
+    return mc, cli.character_from_spec(spec, mc, r), r
+
+
+def _small_trace_fibers(r3, r5):
+    """Every fiber of dimension at most 81 of _table_fibers and
+    _certificate_cases, the cyclic group algebras, and the golden character
+    whose x's are derived from w1 and w2."""
+    yield from _table_fibers(r3, r5)
+    for model, chi, r in _certificate_cases():
+        if r.l ** model.presentation.N <= 81:
+            yield fiber.fiber_algebra(model, chi, r)
+    for r in (r3, r5):
+        for graded in (True, False):
+            yield _cyclic_group_algebra(r, graded)
+    yield fiber.fiber_algebra(*_golden_character("weyl-n2-w-witness-l3.job"))
+
+
+def test_traces_match_the_half_monomial_reference(r3, r5):
+    # exact and mod p on the small fibers, mod p only at dim 625
+    dims = Counter()
+    radicals = 0
+    for A in _small_trace_fibers(r3, r5):
+        shape = fiber._TableShape(A)
+        for scalars in (fiber._exact_scalars(A, shape),
+                        fiber._residue_scalars(A, shape)):
+            got = fiber._traces(A, shape, scalars)
+            assert got == _traces_reference(A, shape, scalars)
+            assert set(got) <= set(shape.comps[shape.degree_zero])
+        dims[A.dim] += 1
+        radicals += fiber._census_table(A)[0] > 0
+    assert radicals
+    assert dims[81] >= 16 and min(dims) == 3
+    W = models.build_weyl(*WEYL_N2)
+    ones = {g: 1 for g in W.presentation.gens}
+    A = fiber.fiber_algebra(W, make_character(r5, ones, ones).check(W, r5),
+                            r5)
+    shape = fiber._TableShape(A)
+    images = fiber._residue_scalars(A, shape)
+    assert A.dim == 625
+    assert fiber._traces(A, shape, images) == \
+        _traces_reference(A, shape, images)
 
 
 def _monomial_degrees(P, l):
