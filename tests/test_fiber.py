@@ -1349,7 +1349,7 @@ def test_table_census_reads_no_product(r3, r5, monkeypatch):
     fibers = list(_table_fibers(r3, r5))
     expected = [fiber._census_table(A) for A in fibers]
 
-    def refuse(*args, **kwargs):
+    def refuse(*args):
         raise AssertionError("the census read a product")
 
     monkeypatch.setattr(fiber.FDAlgebra, "product", refuse)
@@ -1553,11 +1553,7 @@ def _certificate_cases():
             for chi in cli.default_characters(W, r):
                 yield W, chi, r
             yield W, _killed_w_character(W, r), r
-    golden = pathlib.Path(__file__).parent / "golden" / "custom-weyl-l3.job"
-    spec = cli.parse_jobspec(golden.read_text())
-    mc = cli.build_model(spec)
-    r3 = cyclotomic_build(3)
-    yield mc, cli.character_from_spec(spec, mc, r3), r3
+    yield _golden_character("custom-weyl-l3.job")
     mq, r3 = _quantum_matrices(3)
     for chi in cli.default_characters(mq, r3):
         yield mq, chi, r3
