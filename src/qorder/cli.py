@@ -605,7 +605,7 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(0, "command line", message)
 
 
-def main(argv=None):
+def _build_parser():
     parser = _Parser(
         prog="qorder",
         description="exact structure and representation counts for quantum "
@@ -616,6 +616,15 @@ def main(argv=None):
     parser.add_argument("--out", help="write the report here")
     parser.add_argument("--format", choices=["text", "data"], default="text")
     parser.add_argument("--jobs", type=int, default=1)
+    return parser
+
+
+# built once per process; each parse_args call starts from a fresh namespace
+_PARSER = _build_parser()
+
+
+def main(argv=None):
+    parser = _PARSER
     try:
         args = parser.parse_args(argv)
         if args.jobs < 1:

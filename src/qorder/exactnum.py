@@ -311,6 +311,9 @@ class CycloNum:
     def is_zero(self):
         return not any(self.num)
 
+    def is_one(self):
+        return self.den == 1 and self.num == self.root._one_num
+
     def __bool__(self):
         return any(self.num)
 

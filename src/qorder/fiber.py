@@ -109,8 +109,10 @@ def rref_c(vectors, limit=None):
         lead = next((j for j, x in enumerate(cur) if not x.is_zero()), None)
         if lead is None:
             continue
-        inv = cur[lead].inverse()
-        cur = [x * inv for x in cur]
+        # a row that already leads with 1 needs no scaling
+        if not cur[lead].is_one():
+            inv = cur[lead].inverse()
+            cur = [x * inv for x in cur]
         for t, row in enumerate(rows):
             f = row[lead]
             if not f.is_zero():

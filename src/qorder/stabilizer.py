@@ -7,13 +7,17 @@ central torus monomials (the toral part), the extending central monomials,
 and the killed-generator l-th powers (the nilpotent part).  One chart of the
 l-center serves every model and the linearized path: structure constants
 are the gradients at the character of Poisson brackets taken from the
-l-center bracket table by the Leibniz rule.  The predicted number of
-irreducibles is l^rank, checked against the census.
+l-center bracket table by the Leibniz rule.  When the stratum has no
+extending central monomial, the eps and l0 levels take the same generators,
+so one algebra and its checks serve both.  The split checks and the rank
+read only the nonzero brackets and their nonzero coordinates.  The
+predicted number of irreducibles is l^rank, checked against the census.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .exactnum import poly_divmod, poly_trim
 from . import engine
@@ -37,7 +41,9 @@ class FDLie:
     """Lie algebra over the cyclotomic field with a candidate t/n split.
 
     bracket[(i, j)] for i < j is the coefficient vector of [b_i, b_j]; the
-    antisymmetric completion is implicit.
+    antisymmetric completion is implicit, and a missing or all-zero vector
+    is a zero bracket.  The checks read only the nonzero brackets, which are
+    collected on first use: bracket is not to change after that.
     """
 
     labels: list
@@ -49,6 +55,19 @@ class FDLie:
     @property
     def dim(self):
         return len(self.labels)
+
+    @cached_property
+    def nonzero_brackets(self):
+        """{(i, j): [(k, c), ...]} over both orders of each stored pair with
+        a nonzero vector: c runs over the nonzero coordinates of
+        [b_i, b_j]."""
+        out = {}
+        for (i, j), vec in self.bracket.items():
+            terms = [(k, c) for k, c in enumerate(vec) if not c.is_zero()]
+            if terms:
+                out[(i, j)] = terms
+                out[(j, i)] = [(k, -c) for k, c in terms]
+        return out
 
     def bracket_of(self, i, j):
         r = self.root
@@ -62,41 +81,46 @@ class FDLie:
 
     def bracket_vectors(self, u, v):
         """Bracket of two coefficient vectors."""
-        r = self.root
-        out = [r.zero()] * self.dim
-        for i, ci in enumerate(u):
-            if ci.is_zero():
+        out = [self.root.zero()] * self.dim
+        for (i, j), terms in self.nonzero_brackets.items():
+            a, b = u[i], v[j]
+            if a.is_zero() or b.is_zero():
                 continue
-            for j, cj in enumerate(v):
-                if cj.is_zero():
-                    continue
-                vec = self.bracket_of(i, j)
-                for k in range(self.dim):
-                    if not vec[k].is_zero():
-                        out[k] = out[k] + ci * cj * vec[k]
+            c = a * b
+            for k, x in terms:
+                out[k] = out[k] + c * x
         return out
 
     def ad_matrix(self, i):
         """Matrix of ad(b_i) acting on the algebra, columns = basis images."""
-        cols = [self.bracket_of(i, j) for j in range(self.dim)]
-        return [[col[k] for col in cols] for k in range(self.dim)]
+        zero = self.root.zero()
+        M = [[zero] * self.dim for _ in range(self.dim)]
+        for j in range(self.dim):
+            for k, c in self.nonzero_brackets.get((i, j), ()):
+                M[k][j] = c
+        return M
 
     def verify_jacobi(self):
-        r = self.root
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    ei = [r.one() if t == i else r.zero() for t in range(n)]
-                    ej = [r.one() if t == j else r.zero() for t in range(n)]
-                    ek = [r.one() if t == k else r.zero() for t in range(n)]
-                    total = [r.zero()] * n
-                    for (a, b, c) in ((ei, ej, ek), (ej, ek, ei), (ek, ei, ej)):
-                        part = self.bracket_vectors(a, self.bracket_vectors(b, c))
-                        total = [x + y for x, y in zip(total, part)]
-                    if any(not x.is_zero() for x in total):
-                        return False
-        return True
+        """True when the cyclic sum of [b_a, [b_b, b_c]] vanishes for every
+        triple.  The sum is alternating, so a nonzero pair b < c and a third
+        index a add s [b_a, [b_b, b_c]] to the sum of the sorted triple, with
+        s = -1 when a lies between b and c; triples with no nonzero pair sum
+        to zero."""
+        nz = self.nonzero_brackets
+        sums = {}
+        for (b, c), inner in nz.items():
+            if b > c:
+                continue
+            for a in range(self.dim):
+                if a == b or a == c:
+                    continue
+                acc = sums.setdefault(tuple(sorted((a, b, c))), {})
+                for m, x in inner:
+                    for k, y in nz.get((a, m), ()):
+                        term = x * y
+                        fiber_mod._accumulate(
+                            acc, k, -term if b < a < c else term)
+        return not any(sums.values())
 
 
 @dataclass
@@ -111,27 +135,29 @@ def rank_and_checks(g):
     Checks: the toral candidate is abelian, the nilpotent candidate is a
     nilpotent ideal, every toral basis element acts diagonalizably, and the
     rank is dim t minus the dimension of the toral elements acting by zero.
+    Every check reads the nonzero brackets only, so an abelian algebra does
+    no elimination.
     """
     r = g.root
     n_dim = g.dim
     checks = {}
-    if set(g.t_idx) & set(g.n_idx) or len(g.t_idx) + len(g.n_idx) != n_dim:
+    t_set, n_set = set(g.t_idx), set(g.n_idx)
+    if t_set & n_set or len(g.t_idx) + len(g.n_idx) != n_dim:
         raise DecompositionInvalid("t/n candidates do not partition the basis")
     checks["jacobi"] = g.verify_jacobi()
     if not checks["jacobi"]:
         raise DecompositionInvalid("Jacobi identity fails")
+    nz = g.nonzero_brackets
     # (a) toral part abelian
-    checks["t_abelian"] = all(
-        all(c.is_zero() for c in g.bracket_of(i, j))
-        for i in g.t_idx for j in g.t_idx if i < j)
+    checks["t_abelian"] = not any(i in t_set and j in t_set for i, j in nz)
     # (b) n is an ideal with vanishing lower central series; t and n
     # partition the basis, so a bracket lies in n exactly when its t
     # coordinates vanish
+    checks["n_ideal"] = all(k not in t_set for (i, j), terms in nz.items()
+                            if j in n_set for k, _ in terms)
+
     def unit(i):
         return [r.one() if t == i else r.zero() for t in range(n_dim)]
-    checks["n_ideal"] = all(g.bracket_of(i, j)[t].is_zero()
-                            for i in range(n_dim) for j in g.n_idx
-                            for t in g.t_idx)
     series = [unit(i) for i in g.n_idx]
     nilpotent = False
     for _ in range(n_dim + 1):
@@ -152,8 +178,11 @@ def rank_and_checks(g):
     if not (checks["t_abelian"] and checks["n_ideal"] and
             checks["n_nilpotent"] and checks["ad_t_diagonalizable"]):
         raise DecompositionInvalid("t/n split checks failed: %r" % checks)
-    # joint weight kernel: toral combinations acting by zero
-    rows = [[M[a][b] for M in ads] for a in range(n_dim) for b in range(n_dim)]
+    # joint weight kernel: toral combinations acting by zero, one row per
+    # entry where some toral ad is nonzero
+    entries = sorted({(k, j) for i in g.t_idx for j in range(n_dim)
+                      for k, _ in nz.get((i, j), ())})
+    rows = [[M[k][j] for M in ads] for k, j in entries]
     ker = fiber_mod.kernel_c(rows, len(g.t_idx), r)
     checks["weight_kernel_dim"] = len(ker)
     rank = len(g.t_idx) - len(ker)
@@ -392,18 +421,12 @@ def _attach_split(g):
     The split is verified later by rank_and_checks, never assumed."""
     r = g.root
     dim = g.dim
-    vectors = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            vec = g.bracket_of(i, j)
-            if any(not c.is_zero() for c in vec):
-                vectors.append(vec)
+    nz = g.nonzero_brackets
+    vectors = [g.bracket[key] for key in sorted(g.bracket) if key in nz]
     units = [[r.one() if t == i else r.zero() for t in range(dim)]
              for i in range(dim)]
-    for i in range(dim):
-        if all(all(c.is_zero() for c in g.bracket_of(i, j))
-               for j in range(dim)):
-            vectors.append(units[i])
+    central = set(range(dim)) - {i for i, _ in nz}
+    vectors += [units[i] for i in sorted(central)]
     rows, piv = fiber_mod.rref_c(vectors)
     t_cols = [i for i in range(dim) if i not in set(piv)]
     basis = [units[c] for c in t_cols] + rows
@@ -523,11 +546,16 @@ def main_theorem_check(model, character, r, ctx=None):
                              predicted=predicted, oracle=oracle,
                              verdict=verdict, kappa=kappa,
                              checks=res.checks, notes=notes)
+    ts = loc.stratum.torus
     g_l0 = stabilizer_from_stratum(ctx, loc, character, level="l0")
     res_l0 = rank_and_checks(g_l0)
     try:
-        g_eps = stabilizer_from_stratum(ctx, loc, character, level="eps")
-        res_eps = rank_and_checks(g_eps)
+        if ts.t == ts.p:
+            # no extending z: both levels take the same generators
+            g_eps, res_eps = g_l0, res_l0
+        else:
+            g_eps = stabilizer_from_stratum(ctx, loc, character, level="eps")
+            res_eps = rank_and_checks(g_eps)
     except strata_mod.MissingWitness as exc:
         # extension values outside the cyclotomic field: fall back to the
         # l-center level and compare against the count summed over the
@@ -549,7 +577,6 @@ def main_theorem_check(model, character, r, ctx=None):
     except strata_mod.MissingWitness as exc:
         reps, dims = None, None
         notes.append(str(exc))
-    ts = loc.stratum.torus
     missing_ext = [j for j in range(ts.t, ts.p) if j not in loc.z_ext]
     multiplier = r.l ** len(missing_ext)
     oracle = _census_count(model, character, r, loc, dims, notes)

@@ -89,6 +89,39 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert not (tmp_path / "no").exists()
 
 
+def test_back_to_back_calls_parse_on_their_own(tmp_path, capsys):
+    """The parser is built once per process: each call still parses its
+    own command line from the defaults, and a usage error in between
+    leaves nothing behind.  Usage errors say what a freshly built parser
+    says."""
+    job = tmp_path / "plane.txt"
+    job.write_text(PLANE)
+    spec = ["--spec", str(job)]
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert cli.main(["stabilizer"] + spec + ["--format", "data", "--out",
+                                             str(report)]) == 0
+    assert capsys.readouterr() == ("", "")
+    data = report.read_text()
+    assert json.loads(data)["command"] == "stabilizer"
+    assert cli.main(["check"] + spec + ["--jobs", "0"]) == 1
+    assert capsys.readouterr() == ("", "parse error: line 0 (command line): "
+                                   "argument --jobs: expected a positive "
+                                   "count, got 0\n")
+    for argv in (["count"] + spec + ["--format", "json"],
+                 ["frobnicate"] + spec, ["count", "--out", str(report)]):
+        with pytest.raises(cli.ParseError) as fresh:
+            cli._build_parser().parse_args(argv)
+        assert cli.main(argv) == 1, argv
+        assert capsys.readouterr() == ("", "parse error: %s\n" % fresh.value)
+    assert cli.main(["count"] + spec) == 0
+    printed, err = capsys.readouterr()
+    assert printed == "count: predicted=3 (rank=1, covered=True)\n"
+    assert err == "" and report.read_text() == data
+    assert cli.main(["check"] + spec + ["--format", "data"]) == 0
+    assert json.loads(capsys.readouterr()[0])["command"] == "check"
+
+
 def test_missing_out_directory_is_refused_before_the_run(tmp_path, capsys,
                                                          monkeypatch):
     job = tmp_path / "plane.txt"

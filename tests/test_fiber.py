@@ -775,6 +775,67 @@ def test_core_span_membership():
         assert all(c.is_zero() for c in fiber.reduce_c(combo, ech, pivots))
 
 
+def _rref_c_reference(vectors, limit=None):
+    """rref_c as it was before it skipped the scaling of rows that already
+    lead with 1: every leading entry is inverted and its row scaled."""
+    rows = []
+    pivots = []
+    for vec in vectors:
+        if len(rows) == limit:
+            break
+        cur = fiber.reduce_c(vec, rows, pivots)
+        lead = next((j for j, x in enumerate(cur) if not x.is_zero()), None)
+        if lead is None:
+            continue
+        inv = cur[lead].inverse()
+        cur = [x * inv for x in cur]
+        for t, row in enumerate(rows):
+            f = row[lead]
+            if not f.is_zero():
+                rows[t] = fiber._sub_multiple(row, f, cur)
+        rows.append(cur)
+        pivots.append(lead)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return [rows[t] for t in order], [pivots[t] for t in order]
+
+
+def test_rref_matches_the_always_scaling_reference(monkeypatch):
+    """Random matrices whose rows lead with 1, -1, eps, 2, 1/3 or a random
+    scalar at a random column, with zero and repeated rows, at every limit:
+    rref_c gives the reference's rows and pivots and inverts fewer leading
+    entries."""
+    calls = Counter()
+    inverse = CycloNum.inverse
+
+    def counted(x):
+        calls[counting] += 1
+        return inverse(x)
+
+    monkeypatch.setattr(CycloNum, "inverse", counted)
+    rng = random.Random(20101024)
+    for l in (3, 5):
+        r = cyclotomic_build(l)
+        leads = [r.one(), r.one(), -r.one(), r.eps(), r.scalar(2),
+                 r.scalar(Fraction(1, 3))]
+        for _ in range(80):
+            m, n = rng.randint(1, 6), rng.randint(1, 5)
+            A = []
+            for _ in range(m):
+                if A and rng.random() < 0.15:
+                    A.append(list(rng.choice(A)))
+                    continue
+                start = rng.randint(0, n)
+                lead = rng.choice(leads + [_rand_scalar(rng, r)])
+                A.append([r.zero()] * start + [lead][:n - start] +
+                         [_rand_scalar(rng, r) for _ in range(n - start - 1)])
+            for limit in (None,) + tuple(range(n + 1)):
+                counting = "reference"
+                expected = _rref_c_reference(A, limit)
+                counting = "rref_c"
+                assert fiber.rref_c(A, limit) == expected, (A, limit)
+    assert 0 < calls["rref_c"] < calls["reference"]
+
+
 def test_mat_mul_matches_triple_loop():
     rng = random.Random(20101096)
     for l in (3, 5):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from pathlib import Path
 
@@ -126,15 +127,19 @@ def test_rank_and_checks_rejects_bad_split(r3):
 
 def test_jacobi_detection(r3):
     r = r3
-    # structure constants violating Jacobi are rejected
+    z, o = r.zero(), r.one()
+    # [a, b] = c, [b, c] = a, [c, a] = b is so(3), a Lie algebra
+    so3 = FDLie(labels=["a", "b", "c"], root=r,
+                bracket={(0, 1): [z, z, o], (1, 2): [o, z, z],
+                         (0, 2): [z, -o, z]}, t_idx=[0], n_idx=[1, 2])
+    assert so3.verify_jacobi()
+    # [a, b] = c, [a, c] = a: the cyclic sum on (a, b, c) is c
     g = FDLie(labels=["a", "b", "c"], root=r,
-              bracket={(0, 1): [r.zero(), r.zero(), r.one()],
-                       (1, 2): [r.one(), r.zero(), r.zero()],
-                       (0, 2): [r.zero(), -(r.one()), r.zero()]},
+              bracket={(0, 1): [z, z, o], (0, 2): [o, z, z]},
               t_idx=[0], n_idx=[1, 2])
-    if not g.verify_jacobi():
-        with pytest.raises(DecompositionInvalid):
-            rank_and_checks(g)
+    assert not g.verify_jacobi()
+    with pytest.raises(DecompositionInvalid, match="Jacobi identity fails"):
+        rank_and_checks(g)
 
 
 def test_linearized_weyl_edge(r3):
@@ -427,6 +432,40 @@ def test_diagonalizable_matches_reference_on_jordan_blocks():
                 assert _squarefree_minpoly_reference(A, r) == expected
 
 
+def _theorem_runs(step):
+    """(model, root, strata context, characters) of the quantum Weyl
+    algebras n=1 and n=2 at l = 3, of every step-th admissible model of the
+    acceptance sweep, and of the `verify` characters of every golden job
+    whose tower has strata."""
+    r3 = cyclotomic_build(3)
+    jobs = [(models.build_weyl([[0]], [1]), r3),
+            (models.build_weyl([[0, 1], [-1, 0]], [1, 1]), r3)]
+    for S, ls, np_cap in _sweep_plan():
+        for l in ls:
+            for n_poly in range((len(S) if np_cap is None else np_cap) + 1):
+                model = models.build_twisted(S, n_poly)
+                if model.admissibility(l):
+                    jobs.append((model, cyclotomic_build(l)))
+    runs = [(model, r, strata.enumerate_strata(model, r),
+             cli.default_characters(model, r))
+            for model, r in jobs[:2] + jobs[2::step]]
+    goldens = 0
+    for job in sorted((Path(__file__).parent / "golden").glob("*.job")):
+        spec = cli.parse_jobspec(job.read_text())
+        r = cyclotomic_build(spec.l, spec.primitive_index)
+        model = cli.build_model(spec)
+        if not model.admissibility(r.l):
+            continue
+        try:
+            ctx = strata.enumerate_strata(model, r)
+        except ValueError:  # a tower with lower-order terms has no strata
+            continue
+        runs.append((model, r, ctx, cli._verify_characters(model, r, spec)))
+        goldens += 1
+    assert goldens >= 10
+    return runs
+
+
 def test_diagonalizable_matches_reference_on_built_ad_matrices(monkeypatch):
     """Every toral ad matrix that main_theorem_check builds on every fifth
     admissible model of the acceptance sweep, on the quantum Weyl algebras
@@ -447,30 +486,7 @@ def test_diagonalizable_matches_reference_on_built_ad_matrices(monkeypatch):
 
     monkeypatch.setattr(stabilizer, "_diagonalizable", record)
     monkeypatch.setattr(fiber, "fiber_algebra", too_large)
-    r3 = cyclotomic_build(3)
-    jobs = [(models.build_weyl([[0]], [1]), r3),
-            (models.build_weyl([[0, 1], [-1, 0]], [1, 1]), r3)]
-    for S, ls, np_cap in _sweep_plan():
-        for l in ls:
-            for n_poly in range((len(S) if np_cap is None else np_cap) + 1):
-                model = models.build_twisted(S, n_poly)
-                if model.admissibility(l):
-                    jobs.append((model, cyclotomic_build(l)))
-    runs = [(model, r, strata.enumerate_strata(model, r),
-             cli.default_characters(model, r))
-            for model, r in jobs[:2] + jobs[2::5]]
-    for job in sorted((Path(__file__).parent / "golden").glob("*.job")):
-        spec = cli.parse_jobspec(job.read_text())
-        r = cyclotomic_build(spec.l, spec.primitive_index)
-        model = cli.build_model(spec)
-        if not model.admissibility(r.l):
-            continue
-        try:
-            ctx = strata.enumerate_strata(model, r)
-        except ValueError:  # a tower with lower-order terms has no strata
-            continue
-        runs.append((model, r, ctx, cli._verify_characters(model, r, spec)))
-    assert len(runs) - len(jobs[:2] + jobs[2::5]) >= 10
+    runs = _theorem_runs(5)
     for model, r, ctx, characters in runs:
         for chi in characters:
             main_theorem_check(model, chi, r, ctx)
@@ -502,3 +518,330 @@ def test_diagonal_shortcut_matches_charpoly():
                 assert _diagonalizable(A, r) and _diagonalizable_charpoly(A, r)
     assert conjugated > 20
 
+
+
+# ---------------------------------------------------------------------------
+# One stabilizer per level only where the levels differ.
+
+def _count_builds(monkeypatch):
+    levels = []
+    original = stabilizer.stabilizer_from_stratum
+
+    def counted(ctx, located, character, level="eps"):
+        levels.append(level)
+        return original(ctx, located, character, level)
+
+    monkeypatch.setattr(stabilizer, "stabilizer_from_stratum", counted)
+    return levels
+
+
+def test_extending_z_builds_both_levels(r3, monkeypatch):
+    # x1 is killed and the torus of x2, x3 has p = 2, t = 1: z2 extends, so
+    # the eps level takes z2 itself where the l0 level takes z2^l
+    m = models.build_twisted([[0, -2, -2], [2, 0, 0], [2, 0, 0]], 1)
+    ctx = strata.enumerate_strata(m, r3)
+    chi = make_character(r3, {"x1": 0, "x2": 1, "x3": 1},
+                         {"x2": 1, "x3": 1}).check(m, r3)
+    loc = strata.locate(chi, ctx)
+    assert (loc.stratum.torus.t, loc.stratum.torus.p) == (1, 2)
+    g_l0 = stabilizer_from_stratum(ctx, loc, chi, "l0")
+    g_eps = stabilizer_from_stratum(ctx, loc, chi, "eps")
+    assert g_l0.labels == ["z1^l", "z2^l", "a:x1"]
+    assert g_eps.labels == ["z1^l", "z2", "a:x1"]
+    assert g_l0 != g_eps and g_l0.bracket and g_eps.bracket
+    assert psi_check(g_l0, g_eps, r3)
+    assert rank_and_checks(g_l0).rank == rank_and_checks(g_eps).rank == 1
+    levels = _count_builds(monkeypatch)
+    rep = main_theorem_check(m, chi, r3, ctx)
+    assert levels == ["l0", "eps"]
+    assert rep.verdict == "PASS" and (rep.rank_chi, rep.rank_chi0) == (1, 1)
+    assert rep.checks["psi_toral"] and rep.checks["rank_equal"]
+
+
+def test_levels_without_extending_z_share_one_build(r3, monkeypatch):
+    m, ctx = plane(r3)
+    chi = make_character(r3, {"x1": 0, "x2": 1}, {"x2": 1}).check(m, r3)
+    loc = strata.locate(chi, ctx)
+    assert loc.stratum.torus.t == loc.stratum.torus.p == 1
+    # both builds, made apart: the same algebra at either level
+    g_l0 = stabilizer_from_stratum(ctx, loc, chi, "l0")
+    g_eps = stabilizer_from_stratum(ctx, loc, chi, "eps")
+    assert g_l0 == g_eps and g_l0.bracket
+    res_l0, res_eps = rank_and_checks(g_l0), rank_and_checks(g_eps)
+    levels = _count_builds(monkeypatch)
+    rep = main_theorem_check(m, chi, r3, ctx)
+    assert levels == ["l0"]
+    forced = dataclasses.replace(rep, rank_chi=res_eps.rank, checks={
+        **rep.checks, "eps": res_eps.checks, "l0": res_l0.checks,
+        "psi_toral": psi_check(g_l0, g_eps, r3),
+        "rank_equal": res_eps.rank == res_l0.rank})
+    assert rep == forced
+    assert rep.verdict == "PASS" and rep.checks["psi_toral"]
+
+
+# ---------------------------------------------------------------------------
+# The sparse checks against the dense ones they replaced.
+
+def _unit(r, n, i):
+    return [r.one() if t == i else r.zero() for t in range(n)]
+
+
+def _dense_bracket_vectors(g, u, v):
+    r = g.root
+    out = [r.zero()] * g.dim
+    for i, ci in enumerate(u):
+        if ci.is_zero():
+            continue
+        for j, cj in enumerate(v):
+            if cj.is_zero():
+                continue
+            vec = g.bracket_of(i, j)
+            for k in range(g.dim):
+                if not vec[k].is_zero():
+                    out[k] = out[k] + ci * cj * vec[k]
+    return out
+
+
+def _dense_ad_matrix(g, i):
+    cols = [g.bracket_of(i, j) for j in range(g.dim)]
+    return [[col[k] for col in cols] for k in range(g.dim)]
+
+
+def _dense_verify_jacobi(g):
+    r = g.root
+    n = g.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                ei, ej, ek = _unit(r, n, i), _unit(r, n, j), _unit(r, n, k)
+                total = [r.zero()] * n
+                for (a, b, c) in ((ei, ej, ek), (ej, ek, ei), (ek, ei, ej)):
+                    part = _dense_bracket_vectors(
+                        g, a, _dense_bracket_vectors(g, b, c))
+                    total = [x + y for x, y in zip(total, part)]
+                if any(not x.is_zero() for x in total):
+                    return False
+    return True
+
+
+def _rank_and_checks_dense(g):
+    """rank_and_checks as it was before it read only the nonzero brackets:
+    every pair, every coordinate and every ad entry."""
+    r = g.root
+    n_dim = g.dim
+    checks = {}
+    if set(g.t_idx) & set(g.n_idx) or len(g.t_idx) + len(g.n_idx) != n_dim:
+        raise DecompositionInvalid("t/n candidates do not partition the basis")
+    checks["jacobi"] = _dense_verify_jacobi(g)
+    if not checks["jacobi"]:
+        raise DecompositionInvalid("Jacobi identity fails")
+    checks["t_abelian"] = all(
+        all(c.is_zero() for c in g.bracket_of(i, j))
+        for i in g.t_idx for j in g.t_idx if i < j)
+    checks["n_ideal"] = all(g.bracket_of(i, j)[t].is_zero()
+                            for i in range(n_dim) for j in g.n_idx
+                            for t in g.t_idx)
+    series = [_unit(r, n_dim, i) for i in g.n_idx]
+    nilpotent = False
+    for _ in range(n_dim + 1):
+        if not series:
+            nilpotent = True
+            break
+        nxt = []
+        for i in g.n_idx:
+            for v in series:
+                w = _dense_bracket_vectors(g, _unit(r, n_dim, i), v)
+                if any(not c.is_zero() for c in w):
+                    nxt.append(w)
+        series, _ = fiber.rref_c(nxt)
+    checks["n_nilpotent"] = nilpotent
+    ads = [_dense_ad_matrix(g, i) for i in g.t_idx]
+    checks["ad_t_diagonalizable"] = all(_diagonalizable(M, r) for M in ads)
+    if not (checks["t_abelian"] and checks["n_ideal"] and
+            checks["n_nilpotent"] and checks["ad_t_diagonalizable"]):
+        raise DecompositionInvalid("t/n split checks failed: %r" % checks)
+    rows = [[M[a][b] for M in ads] for a in range(n_dim) for b in range(n_dim)]
+    ker = fiber.kernel_c(rows, len(g.t_idx), r)
+    checks["weight_kernel_dim"] = len(ker)
+    return stabilizer.StabilizerResult(rank=len(g.t_idx) - len(ker),
+                                       checks=checks)
+
+
+def _outcome(check, g):
+    try:
+        res = check(g)
+    except DecompositionInvalid as exc:
+        return "raised", str(exc)
+    return res.rank, res.checks
+
+
+def _assert_matches_dense(g):
+    """rank_and_checks and the FDLie methods agree with the dense
+    reference on g; returns the outcome."""
+    r = g.root
+    got = _outcome(rank_and_checks, g)
+    assert got == _outcome(_rank_and_checks_dense, g), (g.labels, g.bracket)
+    assert g.verify_jacobi() == _dense_verify_jacobi(g)
+    units = [_unit(r, g.dim, i) for i in range(g.dim)]
+    for i in range(g.dim):
+        assert g.ad_matrix(i) == _dense_ad_matrix(g, i)
+        for j in range(g.dim):
+            assert g.bracket_vectors(units[i], units[j]) == g.bracket_of(i, j)
+    return got
+
+
+def test_sparse_checks_match_dense_on_built_stabilizers(monkeypatch):
+    """Every l0, eps and linearized stabilizer of every admissible model of
+    the acceptance sweep, of the Weyl algebras n=1, n=2 at l = 3 and of the
+    `verify` characters of the golden jobs."""
+    built = {"l0": 0, "eps": 0, "linearized": 0}
+    brackets = 0
+    for model, r, ctx, characters in _theorem_runs(1):
+        names, exprs = ctx.bracket_table()[:2]
+        for chi in characters:
+            algebras = []
+            loc = strata.locate(chi, ctx)
+            if isinstance(loc, strata.Located):
+                for level in ("l0", "eps"):
+                    try:
+                        algebras.append(
+                            (level, stabilizer_from_stratum(ctx, loc, chi,
+                                                            level)))
+                    except (strata.MissingWitness, HypothesisFailed):
+                        pass
+            try:
+                algebras.append(("linearized", linearized_stabilizer(
+                    names, exprs, ctx.frame_values(chi), r)))
+            except DecompositionInvalid:
+                pass
+            for kind, g in algebras:
+                _assert_matches_dense(g)
+                built[kind] += 1
+                brackets += bool(g.nonzero_brackets)
+    assert min(built.values()) > 1000
+    assert brackets > 500
+
+
+def test_sparse_checks_match_dense_on_hand_built_algebras(r3):
+    r = r3
+    z, o = r.zero(), r.one()
+    cases = [
+        # sl2 with n = span(x, y): [x, y] = h leaves n
+        FDLie(labels=["h", "x", "y"], root=r,
+              bracket={(0, 1): [z, o * 2, z], (0, 2): [z, z, -o * 2],
+                       (1, 2): [o, z, z]}, t_idx=[0], n_idx=[1, 2]),
+        # sl2 with h toral alone: not nilpotent, not an ideal
+        FDLie(labels=["h", "x", "y"], root=r,
+              bracket={(0, 1): [z, o * 2, z], (0, 2): [z, z, -o * 2],
+                       (1, 2): [o, z, z]}, t_idx=[0, 1], n_idx=[2]),
+        # [e, x] = x + y, [e, y] = y: ad e is not diagonalizable
+        FDLie(labels=["e", "x", "y"], root=r,
+              bracket={(0, 1): [z, o, o], (0, 2): [z, z, o]},
+              t_idx=[0], n_idx=[1, 2]),
+        # structure constants violating Jacobi, and so(3), which does not
+        FDLie(labels=["a", "b", "c"], root=r,
+              bracket={(0, 1): [z, z, o], (0, 2): [o, z, z]},
+              t_idx=[0], n_idx=[1, 2]),
+        FDLie(labels=["a", "b", "c"], root=r,
+              bracket={(0, 1): [z, z, o], (1, 2): [o, z, z],
+                       (0, 2): [z, -o, z]}, t_idx=[0], n_idx=[1, 2]),
+        # [e, x] = x, with and without a toral candidate
+        FDLie(labels=["e", "x"], root=r, bracket={(0, 1): [z, o]},
+              t_idx=[0], n_idx=[1]),
+        FDLie(labels=["e", "x"], root=r, bracket={(0, 1): [z, o]},
+              t_idx=[], n_idx=[0, 1]),
+        # abelian, with stored zero vectors and with none
+        FDLie(labels=["a", "b", "c"], root=r,
+              bracket={(0, 1): [z, z, z], (1, 2): [z, z, z]},
+              t_idx=[0, 1, 2], n_idx=[]),
+        FDLie(labels=["a", "b", "c"], root=r, bracket={}, t_idx=[0],
+              n_idx=[1, 2]),
+        # t and n overlap
+        FDLie(labels=["a", "b"], root=r, bracket={}, t_idx=[0, 1],
+              n_idx=[1]),
+    ]
+    outcomes = [_assert_matches_dense(g) for g in cases]
+    assert outcomes[0] == ("raised", "t/n split checks failed: %r" % {
+        "jacobi": True, "t_abelian": True, "n_ideal": False,
+        "n_nilpotent": False, "ad_t_diagonalizable": True})
+    assert outcomes[3] == ("raised", "Jacobi identity fails")
+    assert outcomes[5][0] == 1 and outcomes[7][0] == 0
+
+
+def _random_lie(rng, r):
+    """Structure constants of a template Lie algebra in a random basis, or
+    random constants that mostly break Jacobi.  The basis change keeps the
+    template's t and n spans apart when keep_split is drawn, and zero
+    brackets are stored as zero vectors now and then."""
+    z, o = r.zero(), r.one()
+
+    def scalar():
+        if rng.random() < 0.4:
+            return z
+        return r.eps_power(rng.randrange(r.l)) * rng.randint(-2, 2)
+
+    kind = rng.randrange(6)
+    if kind == 0:  # t of dim 1-2 acting diagonally on an abelian n
+        nt, nn = rng.randint(1, 2), rng.randint(1, 3)
+        dim = nt + nn
+        weights = [[scalar() for _ in range(nn)] for _ in range(nt)]
+        base = {}
+        for a in range(nt):
+            for b in range(nn):
+                vec = [z] * dim
+                vec[nt + b] = weights[a][b]
+                base[(a, nt + b)] = vec
+        t_idx = list(range(nt))
+    elif kind == 1:  # Heisenberg [x, y] = c
+        dim, base, t_idx = 3, {(0, 1): [z, z, o]}, []
+    elif kind == 2:  # sl2
+        dim, t_idx = 3, [0]
+        base = {(0, 1): [z, o * 2, z], (0, 2): [z, z, -o * 2],
+                (1, 2): [o, z, z]}
+    elif kind == 3:  # [e, x] = x + y, [e, y] = y
+        dim, t_idx = 3, [0]
+        base = {(0, 1): [z, o, o], (0, 2): [z, z, o]}
+    elif kind == 4:  # abelian
+        dim = rng.randint(0, 4)
+        base, t_idx = {}, rng.sample(range(dim), rng.randint(0, dim))
+    else:  # random constants
+        dim = rng.randint(2, 4)
+        base = {(i, j): [scalar() for _ in range(dim)]
+                for i in range(dim) for j in range(i + 1, dim)
+                if rng.random() < 0.6}
+        t_idx = rng.sample(range(dim), rng.randint(0, dim))
+    n_idx = [i for i in range(dim) if i not in t_idx]
+    template = FDLie(labels=["b%d" % i for i in range(dim)], root=r,
+                     bracket=base, t_idx=t_idx, n_idx=n_idx)
+    # new basis P: unit diagonal, random entries inside each block (or
+    # everywhere), so P is invertible
+    keep_split = rng.random() < 0.7
+    P = [[o if i == j else
+          (scalar() if i < j and (not keep_split or
+                                  (i in t_idx) == (j in t_idx)) else z)
+          for j in range(dim)] for i in range(dim)]
+    cols = [[P[k][i] for k in range(dim)] for i in range(dim)]
+    bracket = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            w = _dense_bracket_vectors(template, cols[i], cols[j])
+            vec = fiber.solve_c(P, w, dim, r)
+            if any(not c.is_zero() for c in vec) or rng.random() < 0.3:
+                bracket[(i, j)] = vec
+    if rng.random() < 0.15 and dim:
+        t_idx = rng.sample(range(dim), rng.randint(0, dim))
+        n_idx = [i for i in range(dim) if i not in t_idx]
+    return FDLie(labels=["v%d" % i for i in range(dim)], root=r,
+                 bracket=bracket, t_idx=t_idx, n_idx=n_idx)
+
+
+def test_sparse_checks_match_dense_on_random_structure_constants():
+    rng = random.Random(20101023)
+    outcomes = []
+    for l in (3, 5):
+        r = cyclotomic_build(l)
+        for _ in range(150):
+            outcomes.append(_assert_matches_dense(_random_lie(rng, r)))
+    messages = {o[1].split(":")[0] for o in outcomes if o[0] == "raised"}
+    assert messages == {"Jacobi identity fails", "t/n split checks failed"}
+    assert {o[0] for o in outcomes if o[0] != "raised"} == {0, 1, 2}
