@@ -18,10 +18,11 @@ checked on them (every left and right operator is a composition of them),
 the right operators follow from them, the degree-0 traces come from one
 sparse row vector per basis element through the right operators, and the
 gram blocks are filled row by row from the traces.  That arithmetic runs
-first on the fiber's image in F_p, for a prime p that splits Phi_l, where
-full ranks certify the exact ones (the unit's component needs one less, by
-the trace), and over Q(eps) only where they do not.  The census never assumes the count it is asked to
-confirm.
+first on the fiber's image in F_p, for a prime p that splits Phi_l, with
+the recurrence itself run on the images of its inputs, where full ranks
+certify the exact ones (the unit's component needs one less, by the
+trace), and over Q(eps) only where they do not.  The census never assumes
+the count it is asked to confirm.
 
 Clock/shift representations are built and verified as scaled partial
 permutations (per row, one column and one nonzero value, or nothing), so a
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import chain, product as iproduct
 
 from .exactnum import CycloNum, NotPIntegral, residue_map
@@ -124,22 +126,35 @@ def rref_c(vectors, limit=None):
 
 
 def rank_mod_p(vectors, p, limit=None):
-    """Rank over F_p of integer vectors, read like rref_c: with limit, stops
-    once the span has that many rows.  Each kept row has a leading 1 and
-    zeros in the leading columns of the rows kept before it."""
-    rows = []
-    for vec in vectors:
-        if len(rows) == limit:
+    """Rank over F_p of integer vectors.  With limit, no vector is read
+    once the span has that many rows.  Each kept row is keyed by its
+    leading column and holds a leading 1 there, not stored: it is the
+    sparse {column: value} dict of its entries right of that.  A vector is
+    reduced by the row of its leading column until no kept row leads there,
+    so every column left of that stays cleared, with one % p per entry
+    touched."""
+    rows = {}
+    vectors = iter(vectors)
+    while len(rows) != limit:
+        vec = next(vectors, None)
+        if vec is None:
             break
-        cur = [x % p for x in vec]
-        for lead, row in rows:
-            f = cur[lead]
-            if f:
-                cur = [(a - f * b) % p for a, b in zip(cur, row)]
-        lead = next((j for j, x in enumerate(cur) if x), None)
-        if lead is not None:
-            inv = pow(cur[lead], -1, p)
-            rows.append((lead, [x * inv % p for x in cur]))
+        cur = {j: y for j, x in enumerate(vec) if x and (y := x % p)}
+        while cur:
+            lead = min(cur)
+            row = rows.get(lead)
+            if row is None:
+                inv = pow(cur.pop(lead), -1, p)
+                rows[lead] = {j: x * inv % p for j, x in cur.items()}
+                break
+            f = cur.pop(lead)
+            for j, b in row.items():
+                # f * b is nonzero mod p, so a missing entry never clears
+                x = (cur.get(j, 0) - f * b) % p
+                if x:
+                    cur[j] = x
+                else:
+                    del cur[j]
     return len(rows)
 
 
@@ -192,16 +207,23 @@ class FDAlgebra:
     vectors a with b_a = x^a in PBW order, gens[u] is the index of e_u and
     the unit is the zero vector.  Every other a has a' = a - e_v in the
     basis before it, v its first nonzero position, and b_a = x_v b_a'.
-    left[u] is the left operator of generator u as sparse rows: left[u][j]
-    is x_u b_j, a dict index -> scalar (fiber_algebra builds them by a
-    recurrence on b_a = x_v b_a').  Every product is a composition of these
-    operators (product(i, j) composes them, for tests).
+    operators(image=None, norm=None) is the one source of the generators'
+    left operators, as sparse rows: operators(...)[u][j] is x_u b_j, a dict
+    index -> scalar.  With no arguments it gives them over Q(eps).  With
+    image, the reduction of exactnum.residue_map, and norm, x -> x mod p,
+    it gives their images in F_p as ints, zeros left out, and raises
+    NotPIntegral when it cannot.  fiber_algebra's hook runs the recurrence
+    of _table_left on the images of its inputs, so the census mod p builds
+    no exact operator.  left is the exact operators, built on first read.
+    Every product is a composition of these operators (product(i, j)
+    composes them, for tests).
     degrees labels the basis elements of a table fiber by their degree in a
     (Z/l)^K grading: degrees[i] is a tuple of K residues mod l, and every
     product b_i b_j must lie in degree degrees[i] + degrees[j] (the census
-    checks this on the left operators, of which every product is a
-    composition, and raises engine.ValidationFailed otherwise).  None means
-    the trivial grading, with every element in degree 0.
+    checks this on the left operators of each of its passes, of which every
+    product is a composition, and raises engine.ValidationFailed
+    otherwise).  None means the trivial grading, with every element in
+    degree 0.
     """
 
     dim: int
@@ -213,8 +235,12 @@ class FDAlgebra:
     mono_mult: object = None
     mono_power: list = None
     gen_rows: object = None
-    left: list = None
+    operators: object = None
     degrees: list = None
+
+    @cached_property
+    def left(self):
+        return self.operators()
 
     def product(self, i, j):
         if self.monomial:
@@ -300,14 +326,17 @@ def fiber_algebra(model, character, r, located=None):
     ambient-central monomials beyond the l-center (extending z's), the fiber
     is further divided by their character values, which requires witnesses.
 
-    Models with lower-order terms keep the generators' left operators on
-    the basis and no product table, graded by presentation_weights.  The
-    operators come from the recurrence of _table_left on the defining
-    relations, with no engine product.  They need every generator's l-th
-    power central at eps (engine.ValidationFailed otherwise; 2 N^2 engine
-    products), which makes the reduction by chi a homomorphism, and a
-    located stratum with extending z's raises Unsupported, since the table
-    build has no extension quotient.
+    Models with lower-order terms keep no product table, only a hook that
+    builds the generators' left operators on the basis, graded by
+    presentation_weights.  The hook runs the recurrence of _table_left on
+    the defining relations, with no engine product: over Q(eps) for the
+    exact operators, read lazily as FDAlgebra.left, or over F_p on the
+    images of its inputs for the census mod p.  The operators need every
+    generator's l-th power central at eps (engine.ValidationFailed
+    otherwise; 2 N^2 engine products, checked here), which makes the
+    reduction by chi a homomorphism, and a located stratum with extending
+    z's raises Unsupported, since the table build has no extension
+    quotient.
     """
     P = model.presentation
     N = P.N
@@ -332,17 +361,18 @@ def fiber_algebra(model, character, r, located=None):
     # Reducing exponents is a homomorphism exactly when the l-th powers are
     # central.
     _check_central_powers(P, r, unit_vectors)
-    left = _table_left(P, r, chi_list, basis, index)
     weights = presentation_weights(P, l)
     degrees = [tuple(sum(w * e for w, e in zip(wt, a)) % l for wt in weights)
                for a in basis]
     return FDAlgebra(dim=len(basis), root=r, basis_labels=basis,
                      monomial=False, unit_index=index[(0,) * N],
-                     gens=[index[e] for e in unit_vectors], left=left,
+                     gens=[index[e] for e in unit_vectors],
+                     operators=partial(_table_left, P, r, chi_list, basis,
+                                       index),
                      degrees=degrees)
 
 
-def _table_left(P, r, chi_list, basis, index):
+def _table_left(P, r, chi_list, basis, index, image=None, norm=None):
     """The generators' left operators on the PBW basis of a table fiber,
     left[u][j] = x_u b_j, by a memoized recurrence.  Write b_a = x_v b_a',
     v the first nonzero position of a (the unit has none):
@@ -352,21 +382,47 @@ def _table_left(P, r, chi_list, basis, index):
     - otherwise x_u b_a = q^S[u][v] (x_v (x_u b_a') - delta_(v, u) b_a'),
       from the relation x_v x_u = q^S[v][u] x_u x_v + delta_(v, u).
 
+    The recurrence only adds and multiplies its inputs: the character
+    values, the coefficients of each delta at eps (its monomials reduced by
+    chi) and the powers eps^S[u][v].  With image and norm (FDAlgebra's
+    operators hook) it runs on their images in F_p, and its rows are the
+    entrywise images of the exact ones; image raises NotPIntegral on an
+    input that is not p-integral.
+
     A row reached again while it is being built means the rewriting does
     not terminate, as the engine's depth guard does."""
     N, l = P.N, r.l
-    delta = engine._rewriter(P, r).delta
-    one = r.one()
+    image = image or (lambda c: c)
+    one = image(r.one())
+    chi = [image(c) for c in chi_list]
+    # -delta_(v, u) at eps, each monomial reduced into the basis range with
+    # its chi factor folded into the coefficient
+    lower = {}
+    for key, terms in engine._rewriter(P, r).delta.items():
+        lower[key] = []
+        for m, c in terms.items():
+            red = _reduce_exponent(m, l, chi_list)
+            if red is not None:
+                m, scal = red
+                lower[key].append(
+                    (m, image(-c if scal is None else -(c * scal))))
+    qs = [[image(r.eps_power(s)) for s in row] for row in P.S]
     first = [next((t for t, e in enumerate(a) if e), N) for a in basis]
     rows = [[None] * len(basis) for _ in range(N)]
     building = object()
 
     def apply(u, vec):
-        """x_u times a sparse vector."""
+        """x_u times a sparse vector, its entries unreduced and its zeros
+        kept: row reduces and drops them once per row."""
         out = {}
+        built = rows[u]
         for k, c in vec.items():
-            for m, d in row(u, k).items():
-                _accumulate(out, m, c * d)
+            got = built[k]
+            if got is None or got is building:
+                got = row(u, k)
+            for m, d in got.items():
+                t = out.get(m)
+                out[m] = c * d if t is None else t + c * d
         return out
 
     def row(u, j):
@@ -381,27 +437,24 @@ def _table_left(P, r, chi_list, basis, index):
         if u <= v:
             if a[u] + 1 < l:
                 got = {index[a[:u] + (a[u] + 1,) + a[u + 1:]]: one}
-            elif chi_list[u].is_zero():
+            elif not chi[u]:
                 got = {}
             else:
-                got = {index[a[:u] + (0,) + a[u + 1:]]: chi_list[u]}
+                got = {index[a[:u] + (0,) + a[u + 1:]]: chi[u]}
         else:
             rows[u][j] = building
             p = index[a[:v] + (a[v] - 1,) + a[v + 1:]]
             got = apply(v, row(u, p))
-            for m, c in delta.get((v, u), {}).items():
-                red = _reduce_exponent(m, l, chi_list)
-                if red is None:
-                    continue
-                m, scal = red
-                vec = {p: -c if scal is None else -(c * scal)}
+            for m, c in lower.get((v, u), ()):
+                vec = {p: c}
                 for w in range(N - 1, -1, -1):
                     for _ in range(m[w]):
                         vec = apply(w, vec)
                 for k, d in vec.items():
-                    _accumulate(got, k, d)
-            s = r.eps_power(P.S[u][v])
-            got = {k: c * s for k, c in got.items()}
+                    t = got.get(k)
+                    got[k] = d if t is None else t + d
+            s = qs[u][v]
+            got = _normed({k: c * s for k, c in got.items()}, norm)
         rows[u][j] = got
         return got
 
@@ -573,9 +626,15 @@ def sp_row_mul(row, B, norm=None):
         for j, b in B[k].items():
             c = acc.get(j)
             acc[j] = a * b if c is None else c + a * b
-    if norm is not None:
-        acc = dict(zip(acc, map(norm, acc.values())))
-    return {j: c for j, c in acc.items() if c}
+    return _normed(acc, norm)
+
+
+def _normed(vec, norm):
+    """A sparse vector with norm applied to its entries, when given, and
+    its zeros left out."""
+    if norm is None:
+        return {j: c for j, c in vec.items() if c}
+    return {j: x for j, c in vec.items() if (x := norm(c))}
 
 
 def sp_mul(A, B):
@@ -937,19 +996,20 @@ def _census_table(A):
 
     It runs first on a certificate, the image of the fiber in F_p under
     q -> w, with (p, w) = exactnum.residue_prime(l).  That map is a ring
-    homomorphism on the p-integral elements of Q(eps), so the traces, gram
-    blocks and commutators computed from the reduced operators are the
-    images of the exact ones, and a reduced matrix never has a larger rank
-    than the exact one: a full rank mod p is a full rank over Q(eps).  When
+    homomorphism on the p-integral elements of Q(eps), so the operators
+    that the recurrence builds from the images of its inputs, and the
+    traces, gram blocks and commutators computed from them, are the images
+    of the exact ones, and a reduced matrix never has a larger rank than
+    the exact one: a full rank mod p is a full rank over Q(eps).  When
     every gram block has full rank mod p, J = 0 exactly; a component whose
     commutators have full rank mod p (size - 1 for the unit's, which the
     trace bounds) is then closed, and each other component is eliminated
     over Q(eps) on its exact commutators.  The exact census of _census_exact
-    runs instead when an operator entry has a denominator divisible by p,
-    or when some gram block is rank-deficient mod p, as it is on every
-    fiber with a radical.  The grading, the steps and the homogeneity check
-    of the left operators are exact and built once for both; each pass
-    builds its right operators from its own left ones."""
+    runs instead when a character value or delta coefficient has p in its
+    denominator, or when some gram block is rank-deficient mod p, as it is
+    on every fiber with a radical.  The grading and the steps are read from
+    the labels and built once for both passes; each pass checks
+    homogeneity on the left operators it builds (see _TableShape)."""
     shape = _TableShape(A)
     counted = _census_certified(A, shape)
     return counted if counted is not None else _census_exact(A, shape)
@@ -957,7 +1017,9 @@ def _census_table(A):
 
 def _census_certified(A, shape):
     """(0, count, dim A) when the gram blocks have full rank mod p, else
-    None.  tau vanishes on [A, A] and tau(1) = dim A != 0, so the
+    None.  The block of -d is the transpose of the block of d, by
+    tau(xy) = tau(yx), so each pair {d, -d} is ranked once, on a block
+    that must be square.  tau vanishes on [A, A] and tau(1) = dim A != 0, so the
     commutators of the unit's component span at most its size - 1, and a
     rank of size - 1 mod p closes it as a full rank closes the others.
     Only the components left open are eliminated over Q(eps), on exact
@@ -967,8 +1029,12 @@ def _census_certified(A, shape):
     except NotPIntegral:
         return None
     p = images.p
-    for comp, block in zip(shape.comps, _gram_blocks(A, shape, images)):
-        if rank_mod_p(block, p) < len(comp):
+    for d, (comp, block) in enumerate(zip(shape.comps,
+                                          _gram_blocks(A, shape, images))):
+        minus = shape.minus[d]
+        if minus is not None and minus < d:
+            continue
+        if rank_mod_p(block, p) < max(len(comp), len(block)):
             return None
     exact = None
     rank = 0
@@ -1001,19 +1067,26 @@ def _census_exact(A, shape):
 
 
 class _TableShape:
-    """The exact frame of a table census, read from the generators' left
-    operators only and built once per fiber.
+    """The frame of a table census, read from the degree labels and the
+    basis only and built once per fiber.
 
     comps[d] lists the basis elements of degree d (pos[i] is the place of i
-    in its component), partners[d] those of degree -d, and sources[d] the
-    pairs (u, b) whose commutator [x_u, b] lies in degree d.  steps[i] is
-    (v, p) with b_i = x_v b_p and p earlier in the basis (None for the
-    unit).  L_b shifts degree by deg b, so only degree-0 elements have a
-    nonzero trace, the trace form pairs degree d only with -d, and J is the
-    direct sum over d of the kernels of the gram blocks.  All of this rests
-    on every product being homogeneous, which is checked on the generators'
-    left operators here: every left operator L_b is a composition of them
-    along steps, and so is every right operator, by b_a x_u = x_v (b_a' x_u).
+    in its component), minus[d] is the code of degree -d (None when no
+    basis element has it), partners[d] lists the basis elements of degree
+    -d, and sources[d] the pairs (u, b) whose commutator [x_u, b] lies in
+    degree d.  steps[i] is (v, p) with b_i = x_v b_p and p earlier in the
+    basis (None for the unit).  L_b shifts degree by deg b, so only
+    degree-0 elements have a nonzero trace, the trace form pairs degree d
+    only with -d, and J is the direct sum over d of the kernels of the gram
+    blocks.  All of this rests on every product being homogeneous, which
+    check() verifies on the generators' left operators: every left
+    operator L_b is a composition of them along steps, and so is every
+    right operator, by b_a x_u = x_v (b_a' x_u).  Each pass checks the
+    operators it builds, and that suffices.  The certificate reasons only
+    about the fiber's image in F_p, whose operators it checks; its full
+    ranks mod p stay full ranks over Q(eps), and they bound J and [A, A]
+    by tau alone, with no grading.  Exact elimination only ever reads exact
+    operators, and those are checked when they are built.
     With the trivial grading there is one component, the whole algebra.
     """
 
@@ -1025,8 +1098,10 @@ class _TableShape:
         names = sorted(set(labels))
         code = {d: t for t, d in enumerate(names)}
         deg = [code[d] for d in labels]
-        plus = [[code.get(tuple((x + y) % l for x, y in zip(d, e)))
-                 for e in names] for d in names]
+        # plus[d][e] codes degree d + e, for the degrees d of generators
+        plus = {deg[g]: [code.get(tuple((x + y) % l
+                                        for x, y in zip(names[deg[g]], e)))
+                         for e in names] for g in A.gens}
         minus = [code.get(tuple(-x % l for x in d)) for d in names]
         comps = [[] for _ in names]
         for i, d in enumerate(deg):
@@ -1035,13 +1110,15 @@ class _TableShape:
         for comp in comps:
             for t, i in enumerate(comp):
                 pos[i] = t
-        self.deg, self.comps, self.pos = deg, comps, pos
+        self.deg, self.comps, self.pos, self.minus = deg, comps, pos, minus
+        self.plus, self.gens = plus, A.gens
         self.partners = [comps[m] if m is not None else [] for m in minus]
         self.degree_zero = code[tuple(0 for _ in names[0])]
-        self.sources = [[(u, b) for u, g in enumerate(A.gens)
-                         for e, other in enumerate(comps)
-                         if plus[deg[g]][e] == d for b in other]
-                        for d in range(len(names))]
+        self.sources = sources = [[] for _ in names]
+        for u, g in enumerate(A.gens):
+            for d, other in zip(plus[deg[g]], comps):
+                if d is not None:
+                    sources[d].extend((u, b) for b in other)
 
         self.index = index = {a: i for i, a in enumerate(basis)}
         self.steps = steps = [None] * n
@@ -1049,13 +1126,20 @@ class _TableShape:
             if i != A.unit_index:
                 v = next(t for t, e in enumerate(a) if e)
                 steps[i] = (v, index[a[:v] + (a[v] - 1,) + a[v + 1:]])
-        for left, g in zip(A.left, A.gens):
-            for j in range(n):
-                d = plus[deg[g]][deg[j]]
-                if any(deg[m] != d for m in left[j]):
-                    raise engine.ValidationFailed(
-                        "the product of basis elements %d and %d is not "
-                        "homogeneous" % (g, j))
+
+    def check(self, left):
+        """engine.ValidationFailed unless every x_u b_j of the operators
+        left lies in degree deg x_u + deg b_j."""
+        deg, plus = self.deg, self.plus
+        for rows, g in zip(left, self.gens):
+            row_plus = plus[deg[g]]
+            for j, row in enumerate(rows):
+                d = row_plus[deg[j]]
+                for m in row:
+                    if deg[m] != d:
+                        raise engine.ValidationFailed(
+                            "the product of basis elements %d and %d is not "
+                            "homogeneous" % (g, j))
 
 
 @dataclass
@@ -1075,8 +1159,10 @@ class _TableScalars:
 
 
 def _scalars(A, shape, zero, one, norm, left, p=None):
-    """One pass's scalars, with the right operators b -> b x_u built from
-    its left operators by b_a x_u = x_v (b_a' x_u), one row at a time."""
+    """One pass's scalars, with its left operators checked homogeneous and
+    the right operators b -> b x_u built from them by
+    b_a x_u = x_v (b_a' x_u), one row at a time."""
+    shape.check(left)
     right = []
     for g in A.gens:
         rows = [None] * A.dim
@@ -1094,27 +1180,12 @@ def _exact_scalars(A, shape):
 
 
 def _residue_scalars(A, shape):
-    """The images in F_p of the operators; NotPIntegral when an entry is not
-    p-integral."""
+    """The pass in F_p, on the operators that A's hook builds there;
+    NotPIntegral when one of their inputs is not p-integral."""
     p, image = residue_map(A.root)
-    seen = {}
-
-    def reduced(op):
-        out = []
-        for row in op:
-            red = {}
-            for k, c in row.items():
-                v = seen.get(c)
-                if v is None:
-                    v = seen[c] = image(c)
-                if v:
-                    red[k] = v
-            out.append(red)
-        return out
-
     # p.__rmod__(x) is x % p, without a Python frame per entry
-    return _scalars(A, shape, 0, 1, p.__rmod__,
-                    [reduced(L) for L in A.left], p)
+    norm = p.__rmod__
+    return _scalars(A, shape, 0, 1, norm, A.operators(image, norm), p)
 
 
 def _gram_blocks(A, shape, scalars):

@@ -462,7 +462,19 @@ def _nonsplit_algebra(r):
         [{F: e}, {}, {}, {}, {F: e}],
     ]
     return fiber.FDAlgebra(dim=5, root=r, basis_labels=basis, monomial=False,
-                           unit_index=0, gens=[1, 2, 4], left=left)
+                           unit_index=0, gens=[1, 2, 4],
+                           operators=_explicit_operators(left))
+
+
+def _explicit_operators(left):
+    """The operators hook of an algebra given by its exact left operators:
+    over F_p it reduces them entry by entry, zeros left out."""
+    def operators(image=None, norm=None):
+        if image is None:
+            return left
+        return [[{k: v for k, v in zip(row, map(image, row.values())) if v}
+                 for row in rows] for rows in left]
+    return operators
 
 
 def test_census_nonsplit_raised(r3):
@@ -1761,6 +1773,160 @@ def test_left_operators_match_the_engine(monkeypatch):
     assert dims == {4: 5, 9: 7, 16: 5, 25: 5, 27: 1, 81: 33, 625: 18}
 
 
+# the character of CI's "Weyl x's derived from w1 and w2" job at l = 5
+WEYL_W_WITNESS_L5 = """
+algebra.kind = weyl
+algebra.S = 0 1 / -1 0
+algebra.exponents = 1 1
+root.l = 5
+character.x1 = 124/25, 248/25, 217/25, 31/25
+character.x2 = -11/8, -11/4, -77/32, -11/32
+character.y1 = 1, 0, 0, 0
+character.y2 = 32, 0, 0, 0
+character.witness.w1 = 2, 0, 0, 0
+character.witness.w2 = -3, 0, 0, 0
+character.witness.y1 = 1, 0, 0, 0
+character.witness.y2 = 2, 0, 0, 0
+"""
+
+
+def _residue_fibers(r3, r5):
+    """Every fiber of _table_fibers and _certificate_cases, and the CI's
+    l = 5 Weyl character."""
+    yield from _table_fibers(r3, r5)
+    yield from _certificate_fibers()
+    spec = cli.parse_jobspec(WEYL_W_WITNESS_L5)
+    model = cli.build_model(spec)
+    yield fiber.fiber_algebra(model, cli.character_from_spec(spec, model, r5),
+                              r5)
+
+
+def test_residue_operators_are_the_images_of_the_exact_ones(r3, r5):
+    # the recurrence over F_p against the entrywise reduction of its exact
+    # rows; both refuse a character value with p in its denominator
+    dims = Counter()
+    for A in _residue_fibers(r3, r5):
+        p, image = residue_map(A.root)
+        got = A.operators(image, p.__rmod__)
+        assert got == _explicit_operators(A.left)(image, p.__rmod__)
+        assert all(0 < x < p for rows in got for row in rows
+                   for x in row.values())
+        dims[A.dim] += 1
+    assert dims == {4: 5, 5: 1, 9: 12, 16: 5, 25: 9, 81: 36, 625: 18}
+    r = cyclotomic_build(3)
+    p, image = residue_map(r)
+    W = models.build_weyl([[0]], [1])
+    chi = make_character(r, {"y1": Fraction(1, p), "x1": 1}).check(W, r)
+    A = fiber.fiber_algebra(W, chi, r)
+    for hook in (A.operators, _explicit_operators(A.left)):
+        with pytest.raises(exactnum.NotPIntegral):
+            hook(image, p.__rmod__)
+
+
+# The sparse rank kernel mod p against the dense one it replaced.
+
+def _rank_mod_p_reference(vectors, p, limit=None):
+    """Rank over F_p of integer vectors, dense: every kept row is rebuilt
+    with % p on every entry, and reduces each later vector in the order it
+    was kept."""
+    rows = []
+    for vec in vectors:
+        if len(rows) == limit:
+            break
+        cur = [x % p for x in vec]
+        for lead, row in rows:
+            f = cur[lead]
+            if f:
+                cur = [(a - f * b) % p for a, b in zip(cur, row)]
+        lead = next((j for j, x in enumerate(cur) if x), None)
+        if lead is not None:
+            inv = pow(cur[lead], -1, p)
+            rows.append((lead, [x * inv % p for x in cur]))
+    return len(rows)
+
+
+def _random_int_rows(rng, p, m, n, density):
+    """m integer rows of width n: entries negative, at least p or multiples
+    of p, a share density of them nonzero, with zero rows and rows repeated
+    up to a multiple."""
+    pick = (lambda: rng.randrange(-3 * p, 3 * p), lambda: rng.randrange(-2, 3),
+            lambda: p * rng.randrange(-2, 3))
+    rows = []
+    for _ in range(m):
+        t = rng.random()
+        if rows and t < 0.15:
+            k = rng.randrange(-2, 3)
+            rows.append([k * x for x in rng.choice(rows)])
+        elif t < 0.25:
+            rows.append([0] * n)
+        else:
+            rows.append([rng.choice(pick)() if rng.random() < density else 0
+                         for _ in range(n)])
+    return rows
+
+
+def _reads_before_limit(rows, p, limit):
+    """The number of rows a rank read with limit takes from a stream: up to
+    the first prefix whose rank reaches limit, or all of them."""
+    return next((t for t in range(len(rows) + 1)
+                 if _rank_mod_p_reference(rows[:t], p) == limit), len(rows))
+
+
+def test_rank_mod_p_matches_the_dense_reference():
+    rng = random.Random(24)
+    big = exactnum.residue_prime(5)[0]
+    for _ in range(300):
+        p = rng.choice((2, 3, 7, big))
+        n = rng.randrange(1, 11)
+        rows = _random_int_rows(rng, p, rng.randrange(0, 14), n,
+                                rng.choice((0.2, 0.6, 1.0)))
+        assert fiber.rank_mod_p(rows, p) == _rank_mod_p_reference(rows, p)
+        for limit in range(n + 1):
+            reads = []
+
+            def stream():
+                for t, row in enumerate(rows):
+                    reads.append(t)
+                    yield row
+
+            got = fiber.rank_mod_p(stream(), p, limit)
+            assert got == _rank_mod_p_reference(rows, p, limit)
+            # a lazy stream is not read past the row that reaches limit
+            assert len(reads) == _reads_before_limit(rows, p, limit)
+
+
+def test_rank_mod_p_on_the_census_blocks(r3, r5):
+    # every gram block and commutator stream of the fibers of
+    # _residue_fibers, mod p; the block of -d is the transpose of the block
+    # of d, so their ranks agree, mod p and (to dim 81) over Q(eps)
+    pairs = 0
+    for A in _residue_fibers(r3, r5):
+        shape = fiber._TableShape(A)
+        passes = [fiber._residue_scalars(A, shape)]
+        if A.dim <= 81:
+            passes.append(fiber._exact_scalars(A, shape))
+        for scalars in passes:
+            blocks = fiber._gram_blocks(A, shape, scalars)
+            if scalars.p is None:
+                ranks = [len(fiber.rref_c(block)[1]) for block in blocks]
+            else:
+                ranks = [fiber.rank_mod_p(block, scalars.p)
+                         for block in blocks]
+                assert ranks == [_rank_mod_p_reference(block, scalars.p)
+                                 for block in blocks]
+                for d, comp in enumerate(shape.comps):
+                    comms = list(fiber._commutators(shape, scalars, d))
+                    for limit in (None, len(comp) - 1, len(comp)):
+                        assert fiber.rank_mod_p(comms, scalars.p, limit) == \
+                            _rank_mod_p_reference(comms, scalars.p, limit)
+            for d, m in enumerate(shape.minus):
+                if m is not None:
+                    assert blocks[m] == [list(col) for col in zip(*blocks[d])]
+                    assert ranks[m] == ranks[d]
+                    pairs += m != d
+    assert pairs
+
+
 def test_left_operator_recurrence_stops_on_a_loop(r3):
     # delta_(a, b) = a^2 b^2 does not live on the later generator, which a
     # presentation refuses; set past that check, it sends the recurrence
@@ -1775,20 +1941,57 @@ def test_left_operator_recurrence_stops_on_a_loop(r3):
 
 def test_weyl_table_characters_count_without_exact_elimination(
         r3, monkeypatch):
-    # the covered and uncovered characters of the `weyl-table` benchmark:
-    # every non-unit component is full mod p and the unit's has rank
-    # size - 1, so nothing is eliminated over Q(eps) and no exact right
-    # operator is built
+    # the covered and uncovered characters of the `weyl-table` benchmark,
+    # and every fiber of _certificate_cases that the certificate does not
+    # defer (those with no radical): where every non-unit component is full
+    # mod p and the unit's has rank size - 1, nothing is eliminated over
+    # Q(eps) and no exact operator, left or right, is built.  The fibers
+    # that need an exact elimination have more than one block.
     fibers = list(_weyl_n2_table_fibers(r3))[:2]
     expected = [fiber.census(A) for A in fibers]
+    refusing = [True]
+    rref_c, exact_scalars = fiber.rref_c, fiber._exact_scalars
+    table_left = fiber._table_left
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("exact work in a certified census")
+    class Refused(AssertionError):
+        pass
 
-    monkeypatch.setattr(fiber, "rref_c", refuse)
-    monkeypatch.setattr(fiber, "_exact_scalars", refuse)
+    def refuse(real):
+        def call(*args, **kwargs):
+            if refusing[0]:
+                raise Refused("exact work in a certified census")
+            return real(*args, **kwargs)
+        return call
+
+    def build(P, r, chi, basis, index, image=None, norm=None):
+        if image is None and refusing[0]:
+            raise Refused("exact operators built in a certified census")
+        return table_left(P, r, chi, basis, index, image, norm)
+
+    monkeypatch.setattr(fiber, "rref_c", refuse(rref_c))
+    monkeypatch.setattr(fiber, "_exact_scalars", refuse(exact_scalars))
+    monkeypatch.setattr(fiber, "_table_left", build)
+    fibers = list(_weyl_n2_table_fibers(r3))[:2]
     assert [fiber.census(A) for A in fibers] == expected
     assert [(res.rad_dim, res.count) for res in expected] == [(0, 1), (0, 1)]
+    outcomes = Counter()
+    for A in _certificate_fibers():
+        shape = fiber._TableShape(A)
+        try:
+            counted = fiber._census_certified(A, shape)
+        except Refused:
+            refusing[0] = False
+            counted = fiber._census_certified(A, shape)
+            refusing[0] = True
+            assert counted[0] == 0 and counted[1] > 1
+            outcomes["eliminated"] += 1
+            continue
+        if counted is None:
+            outcomes["deferred"] += 1
+        else:
+            assert counted == (0, 1, A.dim)
+            outcomes["certified"] += 1
+    assert outcomes == {"certified": 49, "eliminated": 3, "deferred": 19}
 
 
 def _cyclic_group_algebra(r, graded):
@@ -1799,7 +2002,8 @@ def _cyclic_group_algebra(r, graded):
     return fiber.FDAlgebra(
         dim=l, root=r, basis_labels=[(k,) for k in range(l)],
         monomial=False, unit_index=0, gens=[1],
-        left=[[{(k + 1) % l: one} for k in range(l)]],
+        operators=_explicit_operators([[{(k + 1) % l: one}
+                                        for k in range(l)]]),
         degrees=[(k,) for k in range(l)] if graded else None)
 
 
@@ -1827,18 +2031,24 @@ def test_trace_bound_closes_the_unit_component(monkeypatch):
 
 def test_census_rejects_a_product_in_the_wrong_degree(r3):
     # one entry of one left-operator row moved to a basis element of another
-    # degree, every label intact
+    # degree, every label intact, in the operators that each pass builds
     W, chi = next(_weyl_n1_characters(r3))
     A = fiber.fiber_algebra(W, chi, r3)
     fiber.census(A)
-    left = [list(L) for L in A.left]
-    j, row = next((j, row) for j, row in enumerate(left[1]) if row)
-    k, c = next(iter(row.items()))
+    j, row = next((j, row) for j, row in enumerate(A.left[1]) if row)
+    k = next(iter(row))
     m = next(m for m in range(A.dim) if A.degrees[m] != A.degrees[k])
-    moved = dict(row)
-    del moved[k]
-    moved[m] = c
-    left[1][j] = moved
-    broken = dataclasses.replace(A, left=left)
-    with pytest.raises(engine.ValidationFailed, match="homogeneous"):
-        fiber.census(broken)
+
+    def tampered(image=None, norm=None):
+        left = A.operators(image, norm)
+        moved = dict(left[1][j])
+        moved[m] = moved.pop(k)
+        left[1][j] = moved
+        return left
+
+    broken = dataclasses.replace(A, operators=tampered)
+    shape = fiber._TableShape(broken)
+    for census_pass in (fiber._census_certified, fiber._census_exact,
+                        lambda B, _: fiber.census(B)):
+        with pytest.raises(engine.ValidationFailed, match="homogeneous"):
+            census_pass(broken, shape)
