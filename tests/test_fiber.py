@@ -444,6 +444,37 @@ def test_extension_quotient_matches_representation_count(r3):
     assert res0.count == 9
 
 
+def test_extension_values_must_satisfy_their_relations(r3, r5):
+    """Every extension value of a located tridiagonal N = 3 fiber times 2
+    breaks a relation among the z's and the l-th powers; times eps it is
+    another root, which builds a fiber of the same dimension and count."""
+    S = [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]
+    seen = set()
+    for r in (r3, r5):
+        for n_poly in range(4):
+            m = models.build_twisted(S, n_poly)
+            ctx = strata.enumerate_strata(m, r)
+            for chi in cli.default_characters(m, r):
+                loc = strata.locate(chi, ctx)
+                if not loc.z_ext:
+                    continue
+                A = fiber.fiber_algebra(m, chi, r, loc)
+                want = (A.dim, fiber.census(A).count)
+
+                def scaled(f):
+                    return dataclasses.replace(
+                        loc, z_ext={j: v * f for j, v in loc.z_ext.items()})
+
+                with pytest.raises(ArithmeticError,
+                                   match="inconsistent extension relations"):
+                    fiber.fiber_algebra(m, chi, r, scaled(r.scalar(2)))
+                B = fiber.fiber_algebra(m, chi, r, scaled(r.eps()))
+                assert (B.dim, fiber.census(B).count) == want
+                seen.add((r.l, want))
+    # the all-ones character and the one with x2 killed, at both orders
+    assert seen == {(3, (9, 1)), (3, (9, 3)), (5, (25, 1)), (5, (25, 5))}
+
+
 def _nonsplit_algebra(r):
     """A matrix-units block plus a lone idempotent, M_2 + C, with no
     degrees: semisimple of dimension 5 with a 2-dimensional center.  It is
