@@ -435,7 +435,7 @@ class CycloNum:
         root = self.root
         if not any(num[1:]):
             return root.one()._scale(self.den, num[0])
-        # +-eps^k / d, the union-find's usual weight: d * +-eps^(-k)
+        # +-eps^k / d, a usual clock/shift entry: d * +-eps^(-k)
         hit = root._power_index.get(num)
         if hit is not None:
             k, sign = hit

@@ -104,8 +104,10 @@ def rref_c(vectors, limit=None):
     has that many rows (the full space, when limit is the width)."""
     rows = []
     pivots = []
-    for vec in vectors:
-        if len(rows) == limit:
+    vectors = iter(vectors)
+    while len(rows) != limit:
+        vec = next(vectors, None)
+        if vec is None:
             break
         cur = reduce_c(vec, rows, pivots)
         lead = next((j for j, x in enumerate(cur) if not x.is_zero()), None)
@@ -193,16 +195,15 @@ class FDAlgebra:
     gens lists the basis indices of the generators' images; they generate
     the algebra, so the commutators [g, b] of generators g with basis
     elements b span [A, A].
-    monomial=True: products of basis elements are scalar multiples of basis
-    elements, provided by mono_mult (index pair -> (index, scalar) or None).
-    mono_mult(i, j) is (k, eps^c * s), with c = c(i, j) the survivor_cocycle
-    exponent of the two labels and s (the l-th-power scalar and the
-    union-find weight) nonzero and dependent only on the sum of the labels,
-    so [b_i, b_j] != 0 exactly when c(i, j) and c(j, i) differ mod l.  The
-    census reads integer rows instead: mono_power[b] is the index of b^l
-    (the unit) or None when b^l = 0, and gen_rows(k), for g = gens[k], is
-    the row of indices of g b (None when it vanishes) and the row of
-    (c(g, b) - c(b, g)) mod l, over every basis element b.
+    monomial=True: the product b_i b_j is eps^c(i, j) s b_k or 0, with
+    c(i, j) the survivor_cocycle exponent of the two labels and s != 0 a
+    scalar that depends only on the sum of the labels (the l-th powers and
+    extension values it passes), so [b_i, b_j] != 0 exactly when c(i, j)
+    and c(j, i) differ mod l.  No scalar is stored; the census reads
+    integer rows: mono_power[b] is the index of b^l (the unit) or None when
+    b^l = 0, and gen_rows(k), for g = gens[k], is the row of indices of g b
+    (None when it vanishes) and the row of (c(g, b) - c(b, g)) mod l, over
+    every basis element b.
     monomial=False: no product is stored.  basis_labels are exponent
     vectors a with b_a = x^a in PBW order, gens[u] is the index of e_u and
     the unit is the zero vector.  Every other a has a' = a - e_v in the
@@ -215,8 +216,7 @@ class FDAlgebra:
     NotPIntegral when it cannot.  fiber_algebra's hook runs the recurrence
     of _table_left on the images of its inputs, so the census mod p builds
     no exact operator.  left is the exact operators, built on first read.
-    Every product is a composition of these operators (product(i, j)
-    composes them, for tests).
+    Every product is a composition of these operators.
     degrees labels the basis elements of a table fiber by their degree in a
     (Z/l)^K grading: degrees[i] is a tuple of K residues mod l, and every
     product b_i b_j must lie in degree degrees[i] + degrees[j] (the census
@@ -232,7 +232,6 @@ class FDAlgebra:
     monomial: bool
     unit_index: int
     gens: list
-    mono_mult: object = None
     mono_power: list = None
     gen_rows: object = None
     operators: object = None
@@ -241,59 +240,6 @@ class FDAlgebra:
     @cached_property
     def left(self):
         return self.operators()
-
-    def product(self, i, j):
-        if self.monomial:
-            hit = self.mono_mult(i, j)
-            return {} if hit is None else {hit[0]: hit[1]}
-        # b_i b_j = x_v1 (x_v2 (... b_j)): the last generator acts first
-        vec = {j: self.root.one()}
-        for u, e in reversed(list(enumerate(self.basis_labels[i]))):
-            for _ in range(e):
-                vec = sp_mul([vec], self.left[u])[0]
-        return vec
-
-
-class _WeightedUF:
-    """Union-find with multiplicative weights: element = weight * rep."""
-
-    def __init__(self, r):
-        self.parent = {}
-        self.weight = {}
-        self.root_field = r
-
-    def find(self, v):
-        if v not in self.parent:
-            return v, self.root_field.one()
-        path = []
-        cur = v
-        w = self.root_field.one()
-        while cur in self.parent:
-            path.append((cur, self.weight[cur]))
-            w = w * self.weight[cur]
-            cur = self.parent[cur]
-        # path compression with weight accumulation
-        acc = self.root_field.one()
-        for node, _ in reversed(path):
-            acc = self.weight[node] * acc
-            self.parent[node] = cur
-            self.weight[node] = acc
-        return cur, w
-
-    def union(self, a, b, c):
-        """Impose element_a = c * element_b; returns False on conflict."""
-        ra, wa = self.find(a)
-        rb, wb = self.find(b)
-        if ra == rb:
-            return wa == c * wb
-        # keep the lexicographically smaller representative
-        if rb < ra:
-            self.parent[ra] = rb
-            self.weight[ra] = c * wb / wa
-        else:
-            self.parent[rb] = ra
-            self.weight[rb] = wa / (c * wb)
-        return True
 
 
 def _reduce_exponent(vec, l, chi_list):
@@ -467,30 +413,17 @@ def _table_left(P, r, chi_list, basis, index, image=None, norm=None):
 def _monomial_fiber(P, r, chi_list, basis, unit_vectors, located):
     """The monomial branch of fiber_algebra.  A basis vector a sits at
     position sum a_i l^(N-1-i) of basis; its rows are built by exponent
-    arithmetic on those positions, one coordinate at a time."""
+    arithmetic on those positions, one coordinate at a time.
+
+    Each extending z with a value identifies b_a with a multiple of
+    b_(a + u), u its row, so two vectors stand for one basis element
+    exactly when they differ by an element of the lattice spanned by the z
+    rows and l Z^N.  Each class is represented by its least vector, which
+    the Hermite form of that lattice reduces every vector to."""
     N = P.N
     l = r.l
     S = P.S
-    uf = _WeightedUF(r)
-    if located is not None:
-        st = located.stratum
-        for j in range(st.torus.t, st.torus.p):
-            if j not in located.z_ext:
-                continue  # reported as an unresolved extension value
-            zval = located.z_ext[j]
-            u = strata_mod.embed_vector(st, N, st.torus.z_rows()[j])
-            for w in basis:
-                raw = tuple(u[i] + w[i] for i in range(N))
-                red = _reduce_exponent(raw, l, chi_list)
-                if red is None:
-                    raise ArithmeticError("central monomial truncated")
-                vec2, scal = red
-                lam = r.eps_power(strata_mod.survivor_cocycle(S, u, w))
-                if scal is not None:
-                    lam = lam * scal
-                if not uf.union(vec2, w, zval / lam):
-                    raise ArithmeticError(
-                        "inconsistent extension relations in the fiber")
+    steps = _extension_steps(P, r, chi_list, located)
 
     def position(v):
         p = 0
@@ -498,12 +431,22 @@ def _monomial_fiber(P, r, chi_list, basis, unit_vectors, located):
             p = p * l + x
         return p
 
+    def least(a):
+        """The position of the least vector of the class of a: column by
+        column, a Hermite row subtracts all it can, and l Z^N brings the
+        entries after it back into [0, l)."""
+        for i, h in steps:
+            q = a[i] // h[i]
+            if q:
+                a = [(x - q * y) % l for x, y in zip(a, h)]
+        return position(a)
+
     # The representatives' positions and, per position, the index of its
-    # representative; with no union the basis represents itself.
+    # representative; with no extension the basis represents itself.
     reps = rep_of = None
     labels = basis
-    if uf.parent:
-        rep_pos = [position(uf.find(v)[0]) for v in basis]
+    if steps:
+        rep_pos = [least(v) for v in basis]
         reps = sorted(set(rep_pos))
         rank = {p: i for i, p in enumerate(reps)}
         rep_of = [rank[p] for p in rep_pos]
@@ -536,24 +479,52 @@ def _monomial_fiber(P, r, chi_list, basis, unit_vectors, located):
             comm = [comm[p] for p in reps]
         return indices(1, u), [c % l for c in comm]
 
-    def mono_mult(i, j):
-        a, b = labels[i], labels[j]
-        raw = tuple(x + y for x, y in zip(a, b))
-        red = _reduce_exponent(raw, l, chi_list)
-        if red is None:
-            return None
-        vec2, scal = red
-        lam = r.eps_power(strata_mod.survivor_cocycle(S, a, b))
-        if scal is not None:
-            lam = lam * scal
-        rep, w = uf.find(vec2)
-        return index_at(position(rep)), lam * w
-
     gens = [index_at(position(e)) for e in unit_vectors]
     return FDAlgebra(dim=len(labels), root=r, basis_labels=labels,
                      monomial=True, unit_index=index_at(0), gens=gens,
-                     mono_mult=mono_mult, mono_power=indices(l, (0,) * N),
-                     gen_rows=gen_rows)
+                     mono_power=indices(l, (0,) * N), gen_rows=gen_rows)
+
+
+def _extension_steps(P, r, chi_list, located):
+    """The Hermite rows (i, h), pivot h[i] < l, of the lattice spanned by
+    the embedded rows of the extending z's with values and by l Z^N; a row
+    with pivot l moves no vector with entries in [0, l).  The values are
+    checked first: no z row may meet a vanishing coordinate, and for every
+    integer relation n among the z rows and the l e_i with chi_i != 0, the
+    ordered product of their monomials to the powers n, which is
+    eps^gamma mono(0), must take the value prod val^n = eps^gamma.  The
+    monomials are central, so a basis of the relations suffices; a failed
+    relation would give some basis element two different multiples."""
+    if located is None or not located.z_ext:
+        return []
+    N, l = P.N, r.l
+    st = located.stratum
+    rows, values = [], []
+    for j, zval in located.z_ext.items():
+        u = strata_mod.embed_vector(st, N, st.torus.z_rows()[j])
+        if any(e and chi_list[i].is_zero() for i, e in enumerate(u)):
+            raise ArithmeticError("central monomial truncated")
+        rows.append(u)
+        values.append(zval)
+    powers = [[l * (t == i) for t in range(N)] for i in range(N)]
+    lattice = rows + powers
+    for i, c in enumerate(chi_list):
+        if not c.is_zero():
+            rows.append(powers[i])
+            values.append(c)
+    for n in zlattice.kernel_int(zlattice.transpose(rows)):
+        gamma, acc = strata_mod.ordered_product_data(P.S, rows, n)
+        if any(acc):
+            raise ArithmeticError("extension relation %s does not close" % n)
+        val = r.one()
+        for v, e in zip(values, n):
+            if e:
+                val = val * v ** e
+        if val != r.eps_power(gamma):
+            raise ArithmeticError(
+                "inconsistent extension relations in the fiber")
+    return [(i, h) for i, h in enumerate(zlattice.hermite_rows(lattice))
+            if h[i] < l]
 
 
 def _digit_fold(cols, radix):
@@ -615,8 +586,7 @@ def _check_central_powers(P, r, unit_vectors):
 # Sparse matrices over the cyclotomic field: one {column: nonzero} dict per
 # row, for the left operators of table fibers.  Zeros are never stored, so
 # two sparse matrices are equal exactly when their rows are.  The table
-# census multiplies row vectors only (sp_row_mul); the full product sp_mul
-# serves FDAlgebra.product.
+# census multiplies row vectors only.
 
 def sp_row_mul(row, B, norm=None):
     """The row vector row times B; norm, when given, maps each entry to its
@@ -636,10 +606,6 @@ def _normed(vec, norm):
         return {j: c for j, c in vec.items() if c}
     return {j: x for j, c in vec.items() if (x := norm(c))}
 
-
-def sp_mul(A, B):
-    """A B."""
-    return [sp_row_mul(row, B) for row in A]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pathlib
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import product as iproduct
 from types import SimpleNamespace
 
@@ -20,6 +21,127 @@ from test_cli import CUSTOM_WEYL
 def plane_ctx(r):
     m = models.build_twisted([[0, 1], [-1, 0]], 2)
     return m, strata.enumerate_strata(m, r)
+
+
+# ---------------------------------------------------------------------------
+# Products of basis elements, which fibers do not store: the weighted
+# union-find that divided monomial fibers by their extension values before
+# the Hermite form, and compositions of a table fiber's left operators.
+
+class _WeightedUF:
+    """Union-find with multiplicative weights: element = weight * rep."""
+
+    def __init__(self, r):
+        self.parent = {}
+        self.weight = {}
+        self.root_field = r
+
+    def find(self, v):
+        if v not in self.parent:
+            return v, self.root_field.one()
+        path = []
+        cur = v
+        w = self.root_field.one()
+        while cur in self.parent:
+            path.append((cur, self.weight[cur]))
+            w = w * self.weight[cur]
+            cur = self.parent[cur]
+        # path compression with weight accumulation
+        acc = self.root_field.one()
+        for node, _ in reversed(path):
+            acc = self.weight[node] * acc
+            self.parent[node] = cur
+            self.weight[node] = acc
+        return cur, w
+
+    def union(self, a, b, c):
+        """Impose element_a = c * element_b; returns False on conflict."""
+        ra, wa = self.find(a)
+        rb, wb = self.find(b)
+        if ra == rb:
+            return wa == c * wb
+        # keep the lexicographically smaller representative
+        if rb < ra:
+            self.parent[ra] = rb
+            self.weight[ra] = c * wb / wa
+        else:
+            self.parent[rb] = ra
+            self.weight[rb] = wa / (c * wb)
+        return True
+
+
+def _union_find_quotient(model, character, r, located=None):
+    """(labels, mono_mult) of the monomial fiber: every basis monomial b_w
+    is unioned with b_(u + w), u the embedded row of an extending z with a
+    value, at the weight that the value gives it, and a cycle whose weights
+    disagree raises.  labels are the least vectors of the classes, in basis
+    order, and mono_mult(i, j) is (k, c) with b_i b_j = c b_k, or None when
+    the product vanishes."""
+    P = model.presentation
+    N, l, S = P.N, r.l, P.S
+    chi = [character.value(g) for g in P.gens]
+    basis = list(iproduct(range(l), repeat=N))
+    uf = _WeightedUF(r)
+
+    def reduced(a, b):
+        """(c, d) with mono(a) mono(b) = d mono(c), c in the basis range,
+        or None when a vanishing l-th power truncates it."""
+        red = fiber._reduce_exponent(tuple(x + y for x, y in zip(a, b)), l,
+                                     chi)
+        if red is None:
+            return None
+        lam = r.eps_power(strata.survivor_cocycle(S, a, b))
+        return red[0], lam if red[1] is None else lam * red[1]
+
+    if located is not None:
+        st = located.stratum
+        for j, zval in located.z_ext.items():
+            u = strata.embed_vector(st, N, st.torus.z_rows()[j])
+            for w in basis:
+                red = reduced(u, w)
+                if red is None:
+                    raise ArithmeticError("central monomial truncated")
+                if not uf.union(red[0], w, zval / red[1]):
+                    raise ArithmeticError(
+                        "inconsistent extension relations in the fiber")
+    labels = sorted({uf.find(w)[0] for w in basis})
+    index = {a: i for i, a in enumerate(labels)}
+
+    def mono_mult(i, j):
+        red = reduced(labels[i], labels[j])
+        if red is None:
+            return None
+        rep, w = uf.find(red[0])
+        return index[rep], red[1] * w
+
+    return labels, mono_mult
+
+
+def _with_mono_mult(model, character, r, located=None):
+    """A monomial fiber and the union-find's mono_mult, once the fiber's
+    basis labels are checked to be the union-find's."""
+    A = fiber.fiber_algebra(model, character, r, located)
+    labels, mono_mult = _union_find_quotient(model, character, r, located)
+    assert A.basis_labels == labels
+    return A, mono_mult
+
+
+def _monomial_product(mono_mult):
+    """b_i b_j as a sparse vector, from mono_mult."""
+    def product(i, j):
+        hit = mono_mult(i, j)
+        return {} if hit is None else {hit[0]: hit[1]}
+    return product
+
+
+def _table_product(A, i, j):
+    """b_i b_j = x_v1 (x_v2 (... b_j)) on a table fiber's left operators:
+    the last generator acts first."""
+    vec = {j: A.root.one()}
+    for u, e in reversed(list(enumerate(A.basis_labels[i]))):
+        for _ in range(e):
+            vec = fiber.sp_row_mul(vec, A.left[u])
+    return vec
 
 
 def test_fiber_dims(r3):
@@ -56,16 +178,17 @@ def test_fiber_associativity_spot(r3):
     m, ctx = plane_ctx(r3)
     chi = make_character(r3, {"x1": 0, "x2": 1}, {"x2": 1}).check(m, r3)
     loc = strata.locate(chi, ctx)
-    A = fiber.fiber_algebra(m, chi, r3, loc)
+    A, mono_mult = _with_mono_mult(m, chi, r3, loc)
+    product = _monomial_product(mono_mult)
     for _ in range(200):
         i, j, k = (rng.randrange(A.dim) for _ in range(3))
         left = {}
-        for t, c in A.product(i, j).items():
-            for s, d in A.product(t, k).items():
+        for t, c in product(i, j).items():
+            for s, d in product(t, k).items():
                 left[s] = left.get(s, r3.zero()) + c * d
         right = {}
-        for t, c in A.product(j, k).items():
-            for s, d in A.product(i, t).items():
+        for t, c in product(j, k).items():
+            for s, d in product(i, t).items():
                 right[s] = right.get(s, r3.zero()) + c * d
         assert {k2: v for k2, v in left.items() if not v.is_zero()} == \
             {k2: v for k2, v in right.items() if not v.is_zero()}
@@ -517,12 +640,12 @@ def test_census_nonsplit_raised(r3):
         fiber.census(A)
 
 
-def _center_dim_of_quotient(A):
+def _center_dim_of_quotient(A, product):
     """(dim J, dim Z(A/J)) straight from the definitions: J is the kernel of
     the trace form, and Z(A/J) is {x : [x, b_j] in J for all j} / J, found
     by one kernel of the stacked system over every basis element b_j."""
     n, r = A.dim, A.root
-    prod = {(i, j): A.product(i, j) for i in range(n) for j in range(n)}
+    prod = {(i, j): product(i, j) for i in range(n) for j in range(n)}
 
     # tr(L_i L_j): the coefficient of b_k in b_i b_j b_k, summed over k
     gram = [[r.zero()] * n for _ in range(n)]
@@ -567,17 +690,20 @@ def _custom_weyl_character(r3):
 
 
 def _small_fibers(r3, r5):
-    for r in (r3, r5):
-        for W, chi in _weyl_n1_characters(r):
-            yield fiber.fiber_algebra(W, chi, r)
-    yield fiber.fiber_algebra(*_custom_weyl_character(r3), r3)
+    """(fiber, product of two basis elements) pairs."""
+    tables = [fiber.fiber_algebra(W, chi, r) for r in (r3, r5)
+              for W, chi in _weyl_n1_characters(r)]
+    tables.append(fiber.fiber_algebra(*_custom_weyl_character(r3), r3))
+    for A in tables:
+        yield A, partial(_table_product, A)
     m = models.build_twisted([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]], 3)
     ctx = strata.enumerate_strata(m, r3)
     for bits in iproduct((0, 1), repeat=3):
         vals = dict(zip(m.presentation.gens, bits))
         chi = make_character(r3, vals, {g: 1 for g, v in vals.items() if v})
         loc = strata.locate(chi.check(m, r3), ctx)
-        yield fiber.fiber_algebra(m, chi, r3, loc)
+        A, mono_mult = _with_mono_mult(m, chi, r3, loc)
+        yield A, _monomial_product(mono_mult)
 
 
 def test_census_count_is_center_dimension(r3, r5):
@@ -585,9 +711,9 @@ def test_census_count_is_center_dimension(r3, r5):
     # center dimension of A/J computed from every basis commutator, and the
     # trace form from the trace functional equals tr(L_i L_j) from the table
     seen = set()
-    for A in _small_fibers(r3, r5):
+    for A, product in _small_fibers(r3, r5):
         res = fiber.census(A)
-        assert (res.rad_dim, res.count) == _center_dim_of_quotient(A)
+        assert (res.rad_dim, res.count) == _center_dim_of_quotient(A, product)
         seen.add((A.monomial, A.dim))
     # table fibers at l = 3 and 5, full monomial fibers and extension
     # quotients all occur
@@ -630,7 +756,7 @@ def test_table_from_left_operators_matches_pairwise_products(r3, r5):
         A = fiber.fiber_algebra(model, chi, r)
         n = A.dim
         table = _pairwise_table(model, chi, r)
-        products = {(i, j): A.product(i, j)
+        products = {(i, j): _table_product(A, i, j)
                     for i, j in iproduct(range(n), repeat=2)}
         assert {k: v for k, v in products.items() if v} == table
         # the gram blocks and commutator spans of the census, built inline
@@ -871,11 +997,23 @@ def test_rref_matches_the_always_scaling_reference(monkeypatch):
                 lead = rng.choice(leads + [_rand_scalar(rng, r)])
                 A.append([r.zero()] * start + [lead][:n - start] +
                          [_rand_scalar(rng, r) for _ in range(n - start - 1)])
+            counting = "prefixes"
+            ranks = [len(_rref_c_reference(A[:t])[1]) for t in range(m + 1)]
             for limit in (None,) + tuple(range(n + 1)):
                 counting = "reference"
                 expected = _rref_c_reference(A, limit)
                 counting = "rref_c"
-                assert fiber.rref_c(A, limit) == expected, (A, limit)
+                reads = []
+
+                def stream():
+                    for t, row in enumerate(A):
+                        reads.append(t)
+                        yield row
+
+                assert fiber.rref_c(stream(), limit) == expected, (A, limit)
+                # a lazy stream is not read past the row that reaches limit
+                assert len(reads) == next(
+                    (t for t, k in enumerate(ranks) if k == limit), m)
     assert 0 < calls["rref_c"] < calls["reference"]
 
 
@@ -1134,7 +1272,7 @@ def test_row_dicts_match_dense_on_random_matrices():
         for X, Y in ((A, B), (B, A), (C, A), (A, C)):
             sX, sY = sp_from_dense(X), sp_from_dense(Y)
             assert sp_to_dense(sX, r) == X
-            assert fiber.sp_mul(sX, sY) == \
+            assert [fiber.sp_row_mul(row, sY) for row in sX] == \
                 sp_from_dense(fiber.mat_mul_c(X, Y, r))
 
 
@@ -1235,14 +1373,14 @@ def test_derived_sum_in_two_columns_is_a_failed_check(r3):
 # ---------------------------------------------------------------------------
 # The integer monomial census against the cyclotomic comparison it replaced.
 
-def _census_monomial_reference(A):
+def _census_monomial_reference(A, mono_mult):
     """(rad_dim, count, dim A/J) with [g, b] != 0 decided by comparing the
     two CycloNum products of mono_mult."""
     live = []
     for b in range(A.dim):
         power = b
         for _ in range(A.root.l - 1):
-            step = A.mono_mult(power, b)
+            step = mono_mult(power, b)
             if step is None:
                 break
             power = step[0]
@@ -1254,9 +1392,9 @@ def _census_monomial_reference(A):
         if g not in live:
             continue
         for b in live:
-            gb = A.mono_mult(g, b)
+            gb = mono_mult(g, b)
             if gb is not None:
-                bg = A.mono_mult(b, g)
+                bg = mono_mult(b, g)
                 assert bg[0] == gb[0]
                 if gb[1] != bg[1]:
                     hit.add(gb[0])
@@ -1264,9 +1402,10 @@ def _census_monomial_reference(A):
 
 
 def _located_fibers(m, r, characters):
+    """(fiber, mono_mult) of each character on its located stratum."""
     ctx = strata.enumerate_strata(m, r)
     for chi in characters:
-        yield fiber.fiber_algebra(m, chi, r, strata.locate(chi, ctx))
+        yield _with_mono_mult(m, chi, r, strata.locate(chi, ctx))
 
 
 def _default_fibers(S, n_poly, r):
@@ -1301,32 +1440,41 @@ def _reference_fibers(r3, r5):
 
 def test_monomial_census_matches_cyclotomic_reference(r3, r5):
     seen = set()
-    for A in _reference_fibers(r3, r5):
+    for A, mono_mult in _reference_fibers(r3, r5):
         assert A.monomial
-        assert fiber._census_monomial(A) == _census_monomial_reference(A)
+        assert fiber._census_monomial(A) == _census_monomial_reference(
+            A, mono_mult)
         seen.add((A.root.l, A.dim))
     # full fibers, extension quotients at l = 3 and 5, and dim 625
     assert {(3, 9), (3, 27), (3, 1), (5, 25), (5, 125), (5, 625)} <= seen
 
 
 def test_monomial_rows_match_mono_mult(r3, r5):
-    # the integer rows the census reads, entry by entry against the
-    # CycloNum products; the tridiagonal N = 3 fibers at l = 7 include an
-    # extension quotient with a vanishing coordinate
+    """The Hermite quotient against the union-find: the same basis labels,
+    and the integer rows the census reads, entry by entry against the
+    CycloNum products of the union-find's mono_mult, whose weights give
+    each nonzero product's commutator exponent.  The tridiagonal N = 3
+    fibers at l = 7 include an extension quotient with a vanishing
+    coordinate, and the all-ones character of the tridiagonal N = 5 at
+    l = 7 divides 16,807 monomials into 2,401 classes."""
     r7 = cyclotomic_build(7)
     fibers = _reference_fibers(r3, r5)
     fibers.extend(_default_fibers([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], 3,
                                   r7))
-    assert (7, 49) in {(A.root.l, A.dim) for A in fibers}
+    S5 = [[int(j == i + 1) - int(j == i - 1) for j in range(5)]
+          for i in range(5)]
+    m5 = models.build_twisted(S5, 1)
+    ones = {g: 1 for g in m5.gens}
+    fibers.extend(_located_fibers(
+        m5, r7, [make_character(r7, ones, ones).check(m5, r7)]))
+    dims = {(A.root.l, A.dim) for A, _ in fibers}
+    assert {(3, 9), (3, 1), (5, 25), (5, 125), (7, 49), (7, 2401)} <= dims
 
-    def refuse(i, j):
-        raise AssertionError("mono_mult called by the census")
-
-    for A in fibers:
+    for A, mono_mult in fibers:
         for b in range(A.dim):
             power = b
             for _ in range(A.root.l - 1):
-                step = A.mono_mult(power, b)
+                step = mono_mult(power, b)
                 power = None if step is None else step[0]
                 if power is None:
                     break
@@ -1335,19 +1483,17 @@ def test_monomial_rows_match_mono_mult(r3, r5):
             product, comm = A.gen_rows(k)
             assert len(product) == len(comm) == A.dim
             for b in range(A.dim):
-                gb, bg = A.mono_mult(g, b), A.mono_mult(b, g)
+                gb, bg = mono_mult(g, b), mono_mult(b, g)
                 assert (product[b] is None) == (gb is None)
                 if gb is not None:
                     assert product[b] == gb[0] == bg[0]
-                    assert (comm[b] != 0) == (gb[1] != bg[1])
-        blind = dataclasses.replace(A, mono_mult=refuse)
-        assert fiber._census_monomial(blind) == fiber._census_monomial(A)
+                    assert gb[1] == bg[1] * A.root.eps_power(comm[b])
 
 
 def test_monomial_census_does_no_cyclotomic_arithmetic(r3, r5, monkeypatch):
-    fibers = list(_default_fibers([[0, 1], [-1, 0]], 2, r3))
-    fibers.extend(_default_fibers([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]], 3,
-                                  r5))
+    fibers = [A for A, _ in _default_fibers([[0, 1], [-1, 0]], 2, r3)]
+    fibers.extend(A for A, _ in _default_fibers(
+        [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]], 3, r5))
     expected = [fiber.census(A) for A in fibers]
 
     def refuse(*args):
@@ -1370,7 +1516,7 @@ def _census_table_reference(A):
     for k in range(n):
         t = r.zero()
         for j in range(n):
-            c = A.product(k, j).get(j)
+            c = _table_product(A, k, j).get(j)
             if c is not None:
                 t = t + c
         traces.append(t)
@@ -1378,7 +1524,7 @@ def _census_table_reference(A):
     for i in range(n):
         for j in range(i, n):
             tr = r.zero()
-            for k, c in A.product(i, j).items():
+            for k, c in _table_product(A, i, j).items():
                 if not traces[k].is_zero():
                     tr = tr + c * traces[k]
             gram[i][j] = tr
@@ -1387,9 +1533,9 @@ def _census_table_reference(A):
 
     def commutator(g, b):
         vec = [r.zero()] * n
-        for k, c in A.product(g, b).items():
+        for k, c in _table_product(A, g, b).items():
             vec[k] = vec[k] + c
-        for k, c in A.product(b, g).items():
+        for k, c in _table_product(A, b, g).items():
             vec[k] = vec[k] - c
         return vec
 
@@ -1456,8 +1602,9 @@ def test_table_census_reads_no_product(r3, r5, monkeypatch):
     def refuse(*args):
         raise AssertionError("the census read a product")
 
-    monkeypatch.setattr(fiber.FDAlgebra, "product", refuse)
-    monkeypatch.setattr(fiber, "sp_mul", refuse)
+    # a fiber stores no product, and the census builds its operators by the
+    # recurrence on the basis, with no engine product
+    monkeypatch.setattr(engine._Rewriter, "mul_terms", refuse)
     for A, want in zip(fibers, expected):
         assert not A.monomial
         if A.degrees is None:  # the hand-built M_2 + C
@@ -1486,7 +1633,8 @@ def _traces_reference(A, shape, scalars):
             k = steps[k][1]
         for k in reversed(path):
             v, p = steps[k]
-            rows = fiber.sp_mul(full[p], scalars.left[v])
+            rows = [fiber.sp_row_mul(row, scalars.left[v])
+                    for row in full[p]]
             if norm is not None:
                 rows = [{j: c for j, c in zip(row, map(norm, row.values()))
                          if c} for row in rows]
