@@ -467,11 +467,13 @@ class CycloNum:
             return self.inverse() ** (-n)
         out = self.root.one()
         base = self
+        # square only while bits remain: x ** 1 is one product by 1
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def galois(self, m):

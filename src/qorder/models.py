@@ -3,7 +3,8 @@
 Twisted polynomial/Laurent algebras from a skew exponent matrix, the rank-one
 Borel enveloping algebra as a named twisted preset, and the quantum Weyl
 algebra with its exponent-matrix calculus and w-chain; and the one l-center
-bracket table of either family, over the l-th powers of its generators.
+bracket table of either family, over the l-th powers of its generators: in
+closed form for twisted models, derived with the engine for Weyl models.
 """
 
 from __future__ import annotations
@@ -280,6 +281,18 @@ def f_elements_and_z0_brackets(model, r):
 
 def twisted_z0_table(model, r):
     """l-center table of a twisted model over its generators, in their
-    order, with an empty chain; every bracket is kappa * S_ij times the
-    product."""
-    return _frame_table(model.presentation, r, range(model.N), {})
+    order, with an empty chain, in closed form: the bracket of x_i^l and
+    x_j^l is kappa * S_ij times their product, kappa = l^2 / eps (None when
+    S is zero).  _frame_table derives the same table with the engine."""
+    N = model.N
+    names = list(model.gens)
+    kappa = r.scalar(r.l * r.l) * r.eps_power(-1)
+    exprs = {}
+    for i in range(N):
+        for j in range(i + 1, N):
+            s = model.S[i][j]
+            key = tuple(int(t in (i, j)) for t in range(N))
+            exprs[(names[i], names[j])] = {key: kappa * s} if s else {}
+    if not any(exprs.values()):
+        kappa = None
+    return names, exprs, kappa, {}

@@ -346,7 +346,16 @@ def _stabilizer_lie(chart, gens):
                  n_idx=[i for i, g in enumerate(gens) if g[2] != "t"])
 
 
-def stabilizer_from_stratum(ctx, located, character, level="eps"):
+def _table_chart(ctx, character):
+    """The chart of the context's l-center bracket table at the character,
+    with the table's chain columns."""
+    names, exprs, _, chain = ctx.bracket_table()
+    return _Chart(names, exprs, ctx.frame_values(character), ctx.root,
+                  list(chain.values()))
+
+
+def stabilizer_from_stratum(ctx, located, character, level="eps",
+                            chart=None):
     """Stabilizer Lie algebra over a located stratum.
 
     The toral generators are the l-th powers z_j^l of the non-extending
@@ -355,7 +364,7 @@ def stabilizer_from_stratum(ctx, located, character, level="eps"):
     extending z_j unpowered, as opaque ambient-central directions; level
     'l0' takes their l-th powers too.  The killed generators' l-th powers
     are chart coordinates.  Requires the character not to vanish on the
-    survivors.
+    survivors.  chart, when given, is _table_chart(ctx, character).
     """
     st = located.stratum
     r = ctx.root
@@ -365,9 +374,9 @@ def stabilizer_from_stratum(ctx, located, character, level="eps"):
             if val.is_zero():
                 raise HypothesisFailed(
                     "character vanishes on survivor %s" % item.label)
-    names, exprs, _, chain = ctx.bracket_table()
-    chart = _Chart(names, exprs, ctx.frame_values(character), r,
-                   list(chain.values()))
+    names, _, _, chain = ctx.bracket_table()
+    if chart is None:
+        chart = _table_chart(ctx, character)
     coords = names + list(chain)
     surv = [coords.index(item.label) for item in st.survivors]
     ts = st.torus
@@ -391,15 +400,17 @@ def stabilizer_from_stratum(ctx, located, character, level="eps"):
     return _stabilizer_lie(chart, gens)
 
 
-def linearized_stabilizer(names, exprs, values, r):
+def linearized_stabilizer(names, exprs, values, r, chart=None):
     """Stabilizer of a character of the l-center from its bracket table.
 
     The degree-one part of the stabilizer is the kernel of the evaluated
     Poisson tensor, whose vectors are linear chart functions; the induced
     bracket is the linearization of the table.  Returns an FDLie on a kernel
-    basis with a t/n candidate split.
+    basis with a t/n candidate split.  chart, when given, is the chart of
+    the same table at values, with no chain columns.
     """
-    chart = _Chart(names, exprs, values, r)
+    if chart is None:
+        chart = _Chart(names, exprs, values, r)
     m = len(names)
     tensor = [[r.zero()] * m for _ in range(m)]
     for (i, j), expr in chart.table.items():
@@ -547,14 +558,15 @@ def main_theorem_check(model, character, r, ctx=None):
                              verdict=verdict, kappa=kappa,
                              checks=res.checks, notes=notes)
     ts = loc.stratum.torus
-    g_l0 = stabilizer_from_stratum(ctx, loc, character, level="l0")
+    chart = _table_chart(ctx, character)
+    g_l0 = stabilizer_from_stratum(ctx, loc, character, "l0", chart)
     res_l0 = rank_and_checks(g_l0)
     try:
         if ts.t == ts.p:
             # no extending z: both levels take the same generators
             g_eps, res_eps = g_l0, res_l0
         else:
-            g_eps = stabilizer_from_stratum(ctx, loc, character, level="eps")
+            g_eps = stabilizer_from_stratum(ctx, loc, character, "eps", chart)
             res_eps = rank_and_checks(g_eps)
     except strata_mod.MissingWitness as exc:
         # extension values outside the cyclotomic field: fall back to the
@@ -591,11 +603,13 @@ def main_theorem_check(model, character, r, ctx=None):
     if missing_ext:
         notes.append("census taken over %d unresolved extension values"
                      % len(missing_ext))
-    # linearized comparison when the character level allows it
+    # linearized comparison when the character level allows it; a table
+    # with no chain has the linearized chart already
     try:
-        names, exprs = ctx.bracket_table()[:2]
+        names, exprs, _, chain = ctx.bracket_table()
         g_lin = linearized_stabilizer(names, exprs,
-                                      ctx.frame_values(character), r)
+                                      ctx.frame_values(character), r,
+                                      None if chain else chart)
         res_lin = rank_and_checks(g_lin)
         checks["linearized_rank"] = res_lin.rank
         if res_lin.rank != rank:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qorder import exactnum
 from qorder.exactnum import (
     CycloNum,
     QLaurent,
@@ -461,6 +462,39 @@ def test_unit_power_products_match_the_convolution():
                             assert got.den > 0
                             assert math.gcd(got.den, *got.num) == 1
                             assert got.root is a.root
+
+
+def test_powers_match_the_repeated_product(monkeypatch):
+    """x ** n equals the product of n factors x (of -n factors 1/x when n is
+    negative) for every l in 2..7 and n in -3..12; x ** 1 multiplies by 1
+    only, so a general x convolves nothing."""
+    rng = random.Random(2026)
+    for l in range(2, 8):
+        r = cyclotomic_build(l)
+        xs = [rand_cyclo(rng, r) for _ in range(4)] + [r.eps_power(1) / 3]
+        xs = [x for x in xs if x]
+        assert any(x.num not in r._power_index for x in xs)
+        for x in xs:
+            for n in range(-3, 13):
+                want = r.one()
+                for _ in range(abs(n)):
+                    want = want * (x if n >= 0 else x.inverse())
+                assert x ** n == want, (l, x, n)
+    calls = []
+    real = exactnum._convolve
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exactnum, "_convolve", counted)
+    for l in range(2, 8):
+        r = cyclotomic_build(l)
+        x = CycloNum(r, [Fraction(3, 2)] + [Fraction(-5, 3)] * (r.deg - 1))
+        assert x.num not in r._power_index
+        calls.clear()
+        assert x ** 1 == x and not calls
+        assert x ** 2 == x * x and calls
 
 
 def test_canonical_form():

@@ -1,10 +1,13 @@
+import math
+import random
+
 import pytest
 
 from qorder.exactnum import QLaurent, cyclotomic_build
 from qorder import engine, models, strata
 from qorder.engine import Element
 from qorder.zlattice import NotSkew, is_skew
-from test_acceptance import weyl_table_shapes
+from test_acceptance import all_skew, sample_skew, weyl_table_shapes
 
 
 def test_build_twisted_presets():
@@ -185,18 +188,67 @@ def test_bracket_table_shapes_n2(r3):
                 assert got == kappa * r3.scalar(mats.uexp[i - 1][j - 1])
 
 
+def _engine_table(model, r):
+    """The twisted table derived with engine Poisson brackets."""
+    return models._frame_table(model.presentation, r, range(model.N), {})
+
+
 def test_twisted_z0_table(r3, r5):
+    # the paper's constant l^2 / eps, from the engine table
     m = models.build_twisted([[0, 1], [-1, 0]], 2)
     for r in (r3, r5):
-        names, exprs, kappa, chain = models.twisted_z0_table(m, r)
+        names, exprs, kappa, chain = _engine_table(m, r)
         assert names == ["x1", "x2"] and chain == {}
         e = r.eps()
         assert kappa == r.scalar(r.l * r.l) * e.inverse()
         assert exprs[("x1", "x2")] == {(1, 1): kappa}
     m0 = models.build_twisted([[0, 0], [0, 0]], 2)
-    names, exprs, kappa, _ = models.twisted_z0_table(m0, r3)
+    names, exprs, kappa, _ = _engine_table(m0, r3)
     assert kappa is None
     assert all(not e for e in exprs.values())
+
+
+def _assert_same_table(model, r):
+    got = models.twisted_z0_table(model, r)
+    want = _engine_table(model, r)
+    case = (model.S, model.n_poly, r)
+    assert got[0] == want[0], case
+    assert list(got[1]) == list(want[1]), case
+    for pair, expr in want[1].items():
+        assert list(got[1][pair].items()) == list(expr.items()), (case, pair)
+    assert got[2] == want[2], case
+    assert got[3] == want[3] == {}, case
+
+
+def test_twisted_table_matches_engine():
+    """The closed-form twisted table against the engine table: names, pair
+    order, every coefficient and kappa.  Every sweep shape (N=2 at l = 3
+    and 5, N=3 at l = 3, S entries in -2..2, every n_poly, every primitive
+    index), N=4 at l = 5 and 7, the Borel preset, and l = 2, 4, 6, 9 with S
+    entries in -4..4."""
+    rng = random.Random(2026)
+    cases = []
+    for N, ls in ((2, (3, 5)), (3, (3,))):
+        for S in all_skew(N):
+            cases += [(S, n_poly, l, j) for l in ls
+                      for j in range(1, l) if math.gcd(j, l) == 1
+                      for n_poly in range(N + 1)]
+    for l in (5, 7):
+        cases += [(S, rng.randint(0, 4), l, rng.randrange(1, l))
+                  for S in sample_skew(rng, 4, 6)]
+    for l in (2, 4, 6, 9):
+        units = [j for j in range(1, l) if math.gcd(j, l) == 1]
+        cases += [(S, rng.randint(0, N), l, rng.choice(units))
+                  for N in (2, 3, 4) for S in sample_skew(rng, N, 4, span=4)]
+    for S, n_poly, l, j in cases:
+        _assert_same_table(models.build_twisted(S, n_poly),
+                           cyclotomic_build(l, j))
+    for l in (2, 3, 4, 5, 7):
+        for j in range(1, l):
+            if math.gcd(j, l) == 1:
+                _assert_same_table(models.build_borel_sl2(),
+                                   cyclotomic_build(l, j))
+    assert len(cases) > 1000
 
 
 def test_pair_exponent_table(r5, full_rows):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 from pathlib import Path
 
@@ -527,9 +528,9 @@ def _count_builds(monkeypatch):
     levels = []
     original = stabilizer.stabilizer_from_stratum
 
-    def counted(ctx, located, character, level="eps"):
+    def counted(ctx, located, character, level="eps", chart=None):
         levels.append(level)
-        return original(ctx, located, character, level)
+        return original(ctx, located, character, level, chart)
 
     monkeypatch.setattr(stabilizer, "stabilizer_from_stratum", counted)
     return levels
@@ -577,6 +578,42 @@ def test_levels_without_extending_z_share_one_build(r3, monkeypatch):
         "rank_equal": res_eps.rank == res_l0.rank})
     assert rep == forced
     assert rep.verdict == "PASS" and rep.checks["psi_toral"]
+
+
+def test_twisted_verify_builds_one_chart_per_character(tmp_path, monkeypatch):
+    # a twisted table has no chain, so both stabilizer levels and the
+    # linearized cross-check of a character read one chart; x1 is the
+    # killed generator of test_extending_z_builds_both_levels, so some
+    # characters build both levels
+    charts = []
+    real_init = stabilizer._Chart.__init__
+
+    def counted_init(self, *args, **kwargs):
+        charts.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(stabilizer._Chart, "__init__", counted_init)
+    levels = _count_builds(monkeypatch)
+    linearized = []
+    real_lin = stabilizer.linearized_stabilizer
+
+    def counted_lin(*args, **kwargs):
+        linearized.append(args)
+        return real_lin(*args, **kwargs)
+
+    monkeypatch.setattr(stabilizer, "linearized_stabilizer", counted_lin)
+    job = tmp_path / "job.txt"
+    job.write_text("algebra.kind = twisted\n"
+                   "algebra.S = 0 -2 -2 / 2 0 0 / 2 0 0\n"
+                   "algebra.n_poly = 3\nroot.l = 3\n")
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--spec", str(job), "--format", "data",
+                     "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    assert len(results) == 8
+    assert all(res["result.verdict"] == "PASS" for res in results)
+    assert "eps" in levels and len(linearized) == len(results)
+    assert len(charts) == len(results)
 
 
 # ---------------------------------------------------------------------------
