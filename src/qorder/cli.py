@@ -484,7 +484,7 @@ def cmd_stabilizer(model, r, spec):
         g = stab_mod.stabilizer_from_stratum(ctx, loc, character, "eps")
         path = "stratum"
     else:
-        names, exprs = ctx.bracket_table()[:2]
+        names, exprs = ctx.table[:2]
         g = stab_mod.linearized_stabilizer(
             names, exprs, ctx.frame_values(character), r)
         path = "linearized"
@@ -545,6 +545,8 @@ def cmd_verify(model, r, spec, jobs=1):
         return doc, ["verify: inadmissible root order"], 2
     ctx = strata_mod.enumerate_strata(model, r)
     characters = _verify_characters(model, r, spec)
+    # no more workers than characters: each rebuilds the model and strata
+    jobs = min(jobs, len(characters))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                  initargs=(spec,)) as pool:

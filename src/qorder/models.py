@@ -3,8 +3,8 @@
 Twisted polynomial/Laurent algebras from a skew exponent matrix, the rank-one
 Borel enveloping algebra as a named twisted preset, and the quantum Weyl
 algebra with its exponent-matrix calculus and w-chain; and the one l-center
-bracket table of either family, over the l-th powers of its generators: in
-closed form for twisted models, derived with the engine for Weyl models.
+bracket table of every family, over the l-th powers of its generators, in
+closed form from the presentation's skew matrix and the Weyl pair exponents.
 """
 
 from __future__ import annotations
@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 
 from .exactnum import QLaurent
 from . import engine
-from .engine import (
-    AlgebraPresentation,
-    Element,
-    ExpressionFailed,
-    FrameFactor,
-)
+from .engine import AlgebraPresentation, Element
 from . import zlattice
 
 
@@ -224,75 +219,63 @@ def _verify_weyl_relations(model):
                     "x_%d w_%d commutation fails" % (i, j))
 
 
-def _frame_table(P, r, order, chain):
-    """The l-center bracket table over the l-th powers of the generators at
-    positions order, each frame coordinate named by its generator.
+def _z0_table(P, r, order, pair_exps=()):
+    """The l-center bracket table over the l-th powers X of the generators
+    at positions order, each frame coordinate named by its generator, in
+    closed form (Brown and Goodearl, Lectures on Algebraic Quantum Groups,
+    Part III).
 
-    Returns (names, exprs, kappa, chain_exprs): exprs maps name pairs to
-    frame polynomials, kappa is the product coefficient of the first pair
-    with S != 0 divided by S (None when there is none), and chain_exprs maps
-    each label of chain to the frame expression of its element's l-th power
-    at eps.  A pair whose product coefficient is not kappa * S raises.
+    Returns (names, exprs, kappa, chain).  With kappa = l^2 / eps, exprs
+    maps the name pair of frame positions p < q to the frame polynomial
+    kappa * P.S[order[p]][order[q]] * X_p X_q ({} when that entry is 0);
+    kappa is None when every pair is {}.  pair_exps lists the exponents s_i
+    of quantum Weyl pairs, whose x_i is frame position i - 1 and y_i
+    position n + i - 1.  chain then maps w_k, k = 1..n, to
+    w_k^l = 1 + sum_(m <= k) gamma_m X_m Y_m, gamma_m =
+    eps^(s_m l(l-1)/2) (eps^s_m - 1)^l, and the pair (x_i, y_i) adds
+    kappa * s_i / gamma_i * w_(i-1)^l, w_0^l = 1.
     """
+    N = len(order)
+    n = len(pair_exps)
     names = [P.gens[i] for i in order]
-    frame = [FrameFactor(P.gens[i], Element.gen(P.N, i, r.l),
-                         invertible=P.is_invertible(i)) for i in order]
+    kappa = r.scalar(r.l * r.l) * r.eps_power(-1)
+
+    def key(*pos):
+        return tuple(int(t in pos) for t in range(N))
+
+    gammas = [r.eps_power(s * (r.l * (r.l - 1) // 2))
+              * (r.eps_power(s) - r.one()) ** r.l for s in pair_exps]
+    # w_0^l, ..., w_n^l, each with its highest pair first
+    powers = [{key(): r.one()}]
+    for m, gamma in enumerate(gammas):
+        powers.append({key(m, n + m): gamma, **powers[-1]})
     exprs = {}
-    for p, fp in enumerate(frame):
-        for fq in frame[p + 1:]:
-            br = engine.poisson_bracket(P, r, fp.lift, fq.lift)
-            exprs[(fp.name, fq.name)] = (
-                engine.express_in_frame(P, r, br, frame) if br else {})
-    kappa = None
-    for p, i in enumerate(order):
-        for q in range(p + 1, len(order)):
-            expr = exprs[(names[p], names[q])]
-            s = P.S[i][order[q]]
-            if s and expr:
-                key = tuple(int(t in (p, q)) for t in range(len(order)))
-                derived = expr.get(key, r.zero()) / r.scalar(s)
-                if kappa is None:
-                    kappa = derived
-                elif kappa != derived:
-                    raise ArithmeticError("bracket constant is not global")
-    chain_exprs = {}
-    for label, elem in chain.items():
-        power = engine.specialize(engine.power(P, elem, r.l), r)
-        try:
-            chain_exprs[label] = engine.express_in_frame(P, r, power, frame)
-        except ExpressionFailed as exc:
-            raise ExpressionFailed(
-                "%s^l does not lie in the l-center frame" % label,
-                exc.residual)
-    return names, exprs, kappa, chain_exprs
+    for p in range(N):
+        for q in range(p + 1, N):
+            s = P.S[order[p]][order[q]]
+            expr = {key(p, q): kappa * s} if s else {}
+            if q == p + n:
+                c = kappa * s / gammas[p]
+                expr.update((m, c * v) for m, v in powers[p].items())
+            exprs[(names[p], names[q])] = expr
+    if not any(exprs.values()):
+        kappa = None
+    return names, exprs, kappa, {"w%d" % k: powers[k]
+                                 for k in range(1, n + 1)}
 
 
 def f_elements_and_z0_brackets(model, r):
     """l-center table of a quantum Weyl model over x_1..x_n, y_1..y_n, with
-    the chain f_k = w_k^l, k = 1..n, as frame expressions."""
+    the chain f_k = w_k^l, k = 1..n, as frame expressions (_z0_table)."""
     if not model.admissibility(r.l):
         raise ValueError("root order %d is not admissible here" % r.l)
     pairs = range(1, model.n + 1)
-    return _frame_table(model.presentation, r,
-                        [model.xpos(i) for i in pairs] +
-                        [model.ypos(i) for i in pairs],
-                        {"w%d" % k: model.w[k] for k in pairs})
+    return _z0_table(model.presentation, r,
+                     [model.xpos(i) for i in pairs] +
+                     [model.ypos(i) for i in pairs], model.exps)
 
 
 def twisted_z0_table(model, r):
     """l-center table of a twisted model over its generators, in their
-    order, with an empty chain, in closed form: the bracket of x_i^l and
-    x_j^l is kappa * S_ij times their product, kappa = l^2 / eps (None when
-    S is zero).  _frame_table derives the same table with the engine."""
-    N = model.N
-    names = list(model.gens)
-    kappa = r.scalar(r.l * r.l) * r.eps_power(-1)
-    exprs = {}
-    for i in range(N):
-        for j in range(i + 1, N):
-            s = model.S[i][j]
-            key = tuple(int(t in (i, j)) for t in range(N))
-            exprs[(names[i], names[j])] = {key: kappa * s} if s else {}
-    if not any(exprs.values()):
-        kappa = None
-    return names, exprs, kappa, {}
+    order, with an empty chain (_z0_table)."""
+    return _z0_table(model.presentation, r, range(model.N))

@@ -349,7 +349,7 @@ def _stabilizer_lie(chart, gens):
 def _table_chart(ctx, character):
     """The chart of the context's l-center bracket table at the character,
     with the table's chain columns."""
-    names, exprs, _, chain = ctx.bracket_table()
+    names, exprs, _, chain = ctx.table
     return _Chart(names, exprs, ctx.frame_values(character), ctx.root,
                   list(chain.values()))
 
@@ -374,7 +374,7 @@ def stabilizer_from_stratum(ctx, located, character, level="eps",
             if val.is_zero():
                 raise HypothesisFailed(
                     "character vanishes on survivor %s" % item.label)
-    names, _, _, chain = ctx.bracket_table()
+    names, _, _, chain = ctx.table
     if chart is None:
         chart = _table_chart(ctx, character)
     coords = names + list(chain)
@@ -407,15 +407,17 @@ def linearized_stabilizer(names, exprs, values, r, chart=None):
     Poisson tensor, whose vectors are linear chart functions; the induced
     bracket is the linearization of the table.  Returns an FDLie on a kernel
     basis with a t/n candidate split.  chart, when given, is the chart of
-    the same table at values, with no chain columns.
+    the same table at values; the tensor reads only its frame pairs, so a
+    chart with chain columns serves too.
     """
     if chart is None:
         chart = _Chart(names, exprs, values, r)
     m = len(names)
     tensor = [[r.zero()] * m for _ in range(m)]
     for (i, j), expr in chart.table.items():
-        c = engine.evaluate_expression(expr, values, r)
-        tensor[i][j], tensor[j][i] = c, -c
+        if j < m:
+            c = engine.evaluate_expression(expr, values, r)
+            tensor[i][j], tensor[j][i] = c, -c
     gens = []
     for a, vec in enumerate(fiber_mod.kernel_c(tensor, m, r)):
         fn = {}
@@ -535,14 +537,10 @@ def main_theorem_check(model, character, r, ctx=None):
     if ctx is None:
         ctx = strata_mod.enumerate_strata(model, r)
     character.check(model, r)
-    try:
-        kappa = ctx.bracket_table()[2]
-    except ArithmeticError:
-        kappa = None
+    names, exprs, kappa, _ = ctx.table
     loc = strata_mod.locate(character, ctx)
     notes = []
     if isinstance(loc, strata_mod.Uncovered):
-        names, exprs = ctx.bracket_table()[:2]
         g = linearized_stabilizer(names, exprs, ctx.frame_values(character), r)
         res = rank_and_checks(g)
         predicted = r.l ** res.rank
@@ -603,13 +601,11 @@ def main_theorem_check(model, character, r, ctx=None):
     if missing_ext:
         notes.append("census taken over %d unresolved extension values"
                      % len(missing_ext))
-    # linearized comparison when the character level allows it; a table
-    # with no chain has the linearized chart already
+    # linearized comparison when the character level allows it, on the
+    # same chart
     try:
-        names, exprs, _, chain = ctx.bracket_table()
         g_lin = linearized_stabilizer(names, exprs,
-                                      ctx.frame_values(character), r,
-                                      None if chain else chart)
+                                      ctx.frame_values(character), r, chart)
         res_lin = rank_and_checks(g_lin)
         checks["linearized_rank"] = res_lin.rank
         if res_lin.rank != rank:

@@ -107,41 +107,26 @@ class Stratum:
 
 @dataclass
 class StrataContext:
-    """Enumerated strata and the per-(model, root) l-center bracket table,
-    built on first use by build_table."""
+    """Enumerated strata and the per-(model, root) l-center bracket table."""
 
     model: object
     root: object
     strata: list
-    build_table: object  # () -> (names, exprs, kappa, chain), see models
-    # bracket_table()'s result, or the exception its build raised
-    _table: object = field(default=None, init=False, repr=False)
-
-    def bracket_table(self):
-        """(names, exprs, kappa, chain) of the l-center bracket table: the
-        frame coordinates are the l-th powers of the generators in names, and
-        chain maps further labels to the frame expressions of their l-th
-        powers.  A build that raised raises the same exception at every
-        call."""
-        if self._table is None:
-            try:
-                self._table = self.build_table()
-            except (ArithmeticError, ValueError) as exc:
-                self._table = exc
-        if isinstance(self._table, Exception):
-            raise self._table
-        return self._table
+    # (names, exprs, kappa, chain), see models._z0_table: the frame
+    # coordinates are the l-th powers of the generators in names, and chain
+    # maps further labels to the frame expressions of their l-th powers
+    table: tuple
 
     def frame_values(self, character):
         """Character values on the frame coordinates of the bracket table."""
-        return [character.value(g) for g in self.bracket_table()[0]]
+        return [character.value(g) for g in self.table[0]]
 
     def lcenter_value(self, label, character):
         """Value at the character of the l-th power behind a condition label:
         a generator's value, or its chain expression evaluated."""
         if label in character.values:
             return character.value(label)
-        return engine.evaluate_expression(self.bracket_table()[3][label],
+        return engine.evaluate_expression(self.table[3][label],
                                           self.frame_values(character),
                                           self.root)
 
@@ -158,13 +143,16 @@ class Uncovered:
 
 
 def enumerate_strata(model, r):
+    """The strata of the model at the root, with its l-center table."""
     if isinstance(model, models_mod.WeylModel):
-        return _enumerate_weyl(model, r)
+        table = models_mod.f_elements_and_z0_brackets(model, r)
+        return StrataContext(model, r, _enumerate_weyl(model, r), table)
     if model.presentation.delta:
         raise ValueError("stratification covers twisted and quantum Weyl "
                          "models; custom towers with lower-order terms have "
                          "no generic stratum family")
-    return _enumerate_twisted(model, r)
+    table = models_mod.twisted_z0_table(model, r)
+    return StrataContext(model, r, _enumerate_twisted(model, r), table)
 
 
 def _enumerate_twisted(model, r):
@@ -180,9 +168,7 @@ def _enumerate_twisted(model, r):
                 [P.gens[i] for i in T],
                 [SurvivorItem(P.gens[i], Element.gen(N, i), i)
                  for i in range(N) if i not in T]))
-    return StrataContext(model=model, root=r, strata=strata,
-                         build_table=lambda: models_mod.twisted_z0_table(
-                             model, r))
+    return strata
 
 
 def weyl_admissible_triples(n):
@@ -211,7 +197,6 @@ def _enumerate_weyl(model, r):
     w-recursion: x_i = (q_i - 1)^-1 y_i^-1 (w_i - w_(i-1)), w_0 = 1."""
     P = model.presentation
     n = model.n
-    table = models_mod.f_elements_and_z0_brackets(model, r)
 
     def gen(name, pos):
         return SurvivorItem(name, Element.gen(P.N, pos), pos)
@@ -239,8 +224,7 @@ def _enumerate_weyl(model, r):
         sid = "T1=%s;T2=%s;T3=%s" % (_fmt(T1), _fmt(T2), _fmt(T3))
         strata.append(_stratum(P, r, (T1, T2, T3), sid, killed, survivors,
                                derived))
-    return StrataContext(model=model, root=r, strata=strata,
-                         build_table=lambda: table)
+    return strata
 
 
 def _fmt(s):

@@ -1,7 +1,8 @@
 import pytest
 
 from qorder.exactnum import cyclotomic_build
-from qorder import fiber, strata, torus
+from qorder import engine, fiber, strata, torus
+from qorder.engine import Element, ExpressionFailed, FrameFactor
 
 
 @pytest.fixture
@@ -53,6 +54,64 @@ def has_derived(model, stratum):
     of the stratum, and so acts through the survivors."""
     named = set(stratum.killed_labels) | {s.label for s in stratum.survivors}
     return any(g not in named for g in model.presentation.gens)
+
+
+# The l-center bracket table derived with generic-q engine Poisson brackets,
+# the reference that the closed form of models._z0_table is compared with.
+
+def frame_table(P, r, order, chain):
+    """The l-center bracket table over the l-th powers of the generators at
+    positions order, each frame coordinate named by its generator.
+
+    Returns (names, exprs, kappa, chain_exprs): exprs maps name pairs to
+    frame polynomials, kappa is the product coefficient of the first pair
+    with S != 0 divided by S (None when there is none), and chain_exprs maps
+    each label of chain to the frame expression of its element's l-th power
+    at eps.  A pair whose product coefficient is not kappa * S raises.
+    """
+    names = [P.gens[i] for i in order]
+    frame = [FrameFactor(P.gens[i], Element.gen(P.N, i, r.l),
+                         invertible=P.is_invertible(i)) for i in order]
+    exprs = {}
+    for p, fp in enumerate(frame):
+        for fq in frame[p + 1:]:
+            br = engine.poisson_bracket(P, r, fp.lift, fq.lift)
+            exprs[(fp.name, fq.name)] = (
+                engine.express_in_frame(P, r, br, frame) if br else {})
+    kappa = None
+    for p, i in enumerate(order):
+        for q in range(p + 1, len(order)):
+            expr = exprs[(names[p], names[q])]
+            s = P.S[i][order[q]]
+            if s and expr:
+                key = tuple(int(t in (p, q)) for t in range(len(order)))
+                derived = expr.get(key, r.zero()) / r.scalar(s)
+                if kappa is None:
+                    kappa = derived
+                elif kappa != derived:
+                    raise ArithmeticError("bracket constant is not global")
+    chain_exprs = {}
+    for label, elem in chain.items():
+        power = engine.specialize(engine.power(P, elem, r.l), r)
+        try:
+            chain_exprs[label] = engine.express_in_frame(P, r, power, frame)
+        except ExpressionFailed as exc:
+            raise ExpressionFailed(
+                "%s^l does not lie in the l-center frame" % label,
+                exc.residual)
+    return names, exprs, kappa, chain_exprs
+
+
+def weyl_frame_table(model, r):
+    """frame_table of a quantum Weyl model in the order of
+    models.f_elements_and_z0_brackets, with its admissibility check."""
+    if not model.admissibility(r.l):
+        raise ValueError("root order %d is not admissible here" % r.l)
+    pairs = range(1, model.n + 1)
+    return frame_table(model.presentation, r,
+                       [model.xpos(i) for i in pairs] +
+                       [model.ypos(i) for i in pairs],
+                       {"w%d" % k: model.w[k] for k in pairs})
 
 
 # Dense matrices over the cyclotomic field, the references that the row

@@ -21,8 +21,8 @@ from qorder.zlattice import (
     smith_normal_form,
     zeros,
 )
-from conftest import (make_character, mat_add_c, mat_eq_c, mat_eye,
-                      mat_scale_c)
+from conftest import (frame_table, make_character, mat_add_c, mat_eq_c,
+                      mat_eye, mat_scale_c, weyl_frame_table)
 
 
 def all_skew(n, span=2):
@@ -133,7 +133,7 @@ def run_sweep():
 def _check_kappa(model, r, stats):
     # the engine table, so the constant is derived, not read from the
     # closed form of models.twisted_z0_table
-    names, exprs, kappa, chain = models._frame_table(
+    names, exprs, kappa, chain = frame_table(
         model.presentation, r, range(model.N), {})
     assert chain == {}
     N = model.N
@@ -238,8 +238,10 @@ def test_criterion_4_poisson_constant():
           + "; ".join(lines))
 
 
-def weyl_table_shapes(model, r):
-    """The l-center shapes of a quantum Weyl model, read from its table.
+def weyl_table_shapes(model, r, build=weyl_frame_table):
+    """The l-center shapes of a quantum Weyl model, read from the table that
+    build gives: by default the engine table, so the shapes are derived, not
+    read from the closed form of models.f_elements_and_z0_brackets.
 
     Returns (notes, gammas, consts, kappa).  With f_0 = 1 and f_k the chain
     expression of w_k^l, every f_i must be 1 + sum_(k <= i) gamma_k x_k y_k
@@ -247,7 +249,7 @@ def weyl_table_shapes(model, r):
     and the bracket of x_i, y_i must leave past that a nonzero multiple
     consts[i-1] of f_(i-1); notes names each shape that fails.
     """
-    names, exprs, kappa, chain = models.f_elements_and_z0_brackets(model, r)
+    names, exprs, kappa, chain = build(model, r)
     P, n, N = model.presentation, model.n, len(names)
 
     def key(*pos):

@@ -23,6 +23,14 @@ algebra.exponents = 1
 root.l = 3
 """
 
+# a Laurent line: no polynomial generator, so one {0, 1} character
+LAURENT_LINE = """
+algebra.kind = twisted
+algebra.S = 0
+algebra.n_poly = 0
+root.l = 3
+"""
+
 # the quantum Weyl pair written out as an explicit Ore tower
 CUSTOM_WEYL = """
 algebra.kind = custom
@@ -312,6 +320,42 @@ def test_report_determinism(tmp_path):
         assert cli.main(["verify", "--spec", str(job), "--format", "data",
                          "--jobs", "2", "--out", str(out)]) == 0
         assert out.read_bytes() == outs[0]
+
+
+def test_verify_starts_no_more_workers_than_characters(tmp_path,
+                                                      monkeypatch):
+    # an in-process stand-in for the pool: it records its size and runs the
+    # worker set-up and the characters here, so no process starts
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(cli, "_worker", None)
+    job = tmp_path / "job.txt"
+    reports = []
+    for job_text, jobs in ((WEYL, "64"), (WEYL, "1"), (LAURENT_LINE, "8")):
+        job.write_text(job_text)
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "--spec", str(job), "--format", "data",
+                         "--jobs", jobs, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    # four characters take four workers; one character runs in-process
+    assert sizes == [4]
+    assert reports[0] == reports[1]
+    assert json.loads(reports[2])["summary"]["result.characters"] == 1
 
 
 def test_data_format_keys(tmp_path):

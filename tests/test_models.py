@@ -7,6 +7,7 @@ from qorder.exactnum import QLaurent, cyclotomic_build
 from qorder import engine, models, strata
 from qorder.engine import Element
 from qorder.zlattice import NotSkew, is_skew
+from conftest import frame_table, weyl_frame_table
 from test_acceptance import all_skew, sample_skew, weyl_table_shapes
 
 
@@ -129,19 +130,17 @@ def test_f_elements_n1_l2():
     # the x_2^l y_2^l term, past the bound k <= 1
     ((([[0, 1], [-1, 0]], [1, 1])), (0, 1, 0, 1)),
 ])
-def test_table_shapes_flag_a_stray_f1_term(r3, monkeypatch, build, stray):
+def test_table_shapes_flag_a_stray_f1_term(r3, build, stray):
     W = models.build_weyl(*build)
-    real = models.f_elements_and_z0_brackets
 
     def with_stray(model, r):
-        names, exprs, kappa, chain = real(model, r)
+        names, exprs, kappa, chain = weyl_frame_table(model, r)
         chain = dict(chain, w1=dict(chain["w1"]))
         chain["w1"][stray] = r.one()
         return names, exprs, kappa, chain
 
     assert weyl_table_shapes(W, r3)[0] == []
-    monkeypatch.setattr(models, "f_elements_and_z0_brackets", with_stray)
-    notes = weyl_table_shapes(W, r3)[0]
+    notes = weyl_table_shapes(W, r3, with_stray)[0]
     assert "f_1 has terms outside 1 + sum gamma_k x_k y_k" in notes
 
 
@@ -190,7 +189,7 @@ def test_bracket_table_shapes_n2(r3):
 
 def _engine_table(model, r):
     """The twisted table derived with engine Poisson brackets."""
-    return models._frame_table(model.presentation, r, range(model.N), {})
+    return frame_table(model.presentation, r, range(model.N), {})
 
 
 def test_twisted_z0_table(r3, r5):
@@ -208,16 +207,21 @@ def test_twisted_z0_table(r3, r5):
     assert all(not e for e in exprs.values())
 
 
-def _assert_same_table(model, r):
-    got = models.twisted_z0_table(model, r)
-    want = _engine_table(model, r)
-    case = (model.S, model.n_poly, r)
+def _assert_same_table(got, want, case):
+    """Names, pair and chain order, every coefficient in order, kappa."""
     assert got[0] == want[0], case
-    assert list(got[1]) == list(want[1]), case
-    for pair, expr in want[1].items():
-        assert list(got[1][pair].items()) == list(expr.items()), (case, pair)
     assert got[2] == want[2], case
-    assert got[3] == want[3] == {}, case
+    for g, w in ((got[1], want[1]), (got[3], want[3])):
+        assert list(g) == list(w), case
+        for label, expr in w.items():
+            assert list(g[label].items()) == list(expr.items()), (case, label)
+
+
+def _assert_same_twisted_table(model, r):
+    got = models.twisted_z0_table(model, r)
+    _assert_same_table(got, _engine_table(model, r),
+                       (model.S, model.n_poly, r))
+    assert got[3] == {}
 
 
 def test_twisted_table_matches_engine():
@@ -241,14 +245,53 @@ def test_twisted_table_matches_engine():
         cases += [(S, rng.randint(0, N), l, rng.choice(units))
                   for N in (2, 3, 4) for S in sample_skew(rng, N, 4, span=4)]
     for S, n_poly, l, j in cases:
-        _assert_same_table(models.build_twisted(S, n_poly),
+        _assert_same_twisted_table(models.build_twisted(S, n_poly),
                            cyclotomic_build(l, j))
     for l in (2, 3, 4, 5, 7):
         for j in range(1, l):
             if math.gcd(j, l) == 1:
-                _assert_same_table(models.build_borel_sl2(),
+                _assert_same_twisted_table(models.build_borel_sl2(),
                                    cyclotomic_build(l, j))
     assert len(cases) > 1000
+
+
+def _table_or_error(build, model, r):
+    try:
+        return build(model, r)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_weyl_table_matches_engine():
+    """The closed-form Weyl table against the engine table: names, pair
+    order, every coefficient, kappa and the chain w_k^l, k = 1..n; and the
+    same ValueError from both at an inadmissible root.  n = 1 at l = 2..5
+    and 7 with every primitive index, n = 2 at l = 2..5 with two, n = 3 at
+    l = 2, 3 and 5."""
+    cases = [([[0]], [s], l, j) for s in (1, -1, 2, 3)
+             for l in (2, 3, 4, 5, 7) for j in range(1, l)
+             if math.gcd(j, l) == 1]
+    for a in (-1, 0, 2):
+        for exps in ([1, 1], [1, -2], [2, 3], [-1, 2]):
+            cases += [([[0, a], [-a, 0]], exps, l, j) for l in (2, 3, 4, 5)
+                      for j in (1, l - 1)]
+    for S in ([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]],
+              [[0, -2, 0], [2, 0, 1], [0, -1, 0]]):
+        for exps in ([1, 1, 1], [1, -1, 2]):
+            cases += [(S, exps, l, j) for l, j in ((2, 1), (3, 1), (3, 2),
+                                                    (5, 3))]
+    outcomes = {True: 0, False: 0}
+    for S, exps, l, j in cases:
+        W, r = models.build_weyl(S, exps), cyclotomic_build(l, j)
+        got = _table_or_error(models.f_elements_and_z0_brackets, W, r)
+        want = _table_or_error(weyl_frame_table, W, r)
+        case = (S, exps, l, j)
+        if isinstance(want, str):
+            assert got == want == "root order %d is not admissible here" % l
+        else:
+            _assert_same_table(got, want, case)
+        outcomes[isinstance(want, str)] += 1
+    assert outcomes[True] > 50 and outcomes[False] > 100
 
 
 def test_pair_exponent_table(r5, full_rows):

@@ -580,11 +580,9 @@ def test_levels_without_extending_z_share_one_build(r3, monkeypatch):
     assert rep.verdict == "PASS" and rep.checks["psi_toral"]
 
 
-def test_twisted_verify_builds_one_chart_per_character(tmp_path, monkeypatch):
-    # a twisted table has no chain, so both stabilizer levels and the
-    # linearized cross-check of a character read one chart; x1 is the
-    # killed generator of test_extending_z_builds_both_levels, so some
-    # characters build both levels
+def _verify_counting_charts(tmp_path, monkeypatch, job_text):
+    """The data report of `verify` on the job, the charts it built and its
+    linearized stabilizer builds, and the levels _count_builds records."""
     charts = []
     real_init = stabilizer._Chart.__init__
 
@@ -603,17 +601,41 @@ def test_twisted_verify_builds_one_chart_per_character(tmp_path, monkeypatch):
 
     monkeypatch.setattr(stabilizer, "linearized_stabilizer", counted_lin)
     job = tmp_path / "job.txt"
-    job.write_text("algebra.kind = twisted\n"
-                   "algebra.S = 0 -2 -2 / 2 0 0 / 2 0 0\n"
-                   "algebra.n_poly = 3\nroot.l = 3\n")
+    job.write_text(job_text)
     out = tmp_path / "report.json"
     assert cli.main(["verify", "--spec", str(job), "--format", "data",
                      "--out", str(out)]) == 0
-    results = json.loads(out.read_text())["results"]
+    return json.loads(out.read_text())["results"], charts, linearized, levels
+
+
+def test_twisted_verify_builds_one_chart_per_character(tmp_path, monkeypatch):
+    # both stabilizer levels and the linearized cross-check of a character
+    # read one chart; x1 is the killed generator of
+    # test_extending_z_builds_both_levels, so some characters build both
+    # levels
+    results, charts, linearized, levels = _verify_counting_charts(
+        tmp_path, monkeypatch,
+        "algebra.kind = twisted\nalgebra.S = 0 -2 -2 / 2 0 0 / 2 0 0\n"
+        "algebra.n_poly = 3\nroot.l = 3\n")
     assert len(results) == 8
     assert all(res["result.verdict"] == "PASS" for res in results)
     assert "eps" in levels and len(linearized) == len(results)
     assert len(charts) == len(results)
+
+
+def test_weyl_verify_builds_one_chart_per_character(tmp_path, monkeypatch):
+    # a covered Weyl character's chart carries the chain columns w_k^l, and
+    # its linearized cross-check reads the same chart; an uncovered one
+    # builds only the linearized chart
+    results, charts, linearized, _ = _verify_counting_charts(
+        tmp_path, monkeypatch,
+        "algebra.kind = weyl\nalgebra.S = 0 1 / -1 0\n"
+        "algebra.exponents = 1 1\nroot.l = 3\n")
+    assert len(results) == 16
+    assert sum(res["result.covered"] for res in results) == 4
+    assert all(res["result.verdict"].startswith("PASS") for res in results)
+    assert len(linearized) == len(charts) == len(results)
+    assert sum(len(args) == 5 for args in charts) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +756,7 @@ def test_sparse_checks_match_dense_on_built_stabilizers(monkeypatch):
     built = {"l0": 0, "eps": 0, "linearized": 0}
     brackets = 0
     for model, r, ctx, characters in _theorem_runs(1):
-        names, exprs = ctx.bracket_table()[:2]
+        names, exprs = ctx.table[:2]
         for chi in characters:
             algebras = []
             loc = strata.locate(chi, ctx)

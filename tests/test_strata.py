@@ -4,7 +4,7 @@ from itertools import combinations, product as iproduct
 import pytest
 
 from qorder.exactnum import cyclotomic_build
-from qorder import engine, models, strata
+from qorder import cli, engine, models, strata
 from qorder.engine import Element
 from qorder.exactnum import QLaurent
 from qorder.zlattice import identity, mat_mul, solve_int, transpose
@@ -171,33 +171,32 @@ def test_monomial_value_consistency(r3):
         assert val ** 3 == monomial_l_value(st, ctx, chi, u)
 
 
-def test_bracket_table_built_once_per_context(r3, monkeypatch):
+def test_table_built_once_per_enumeration(r3, tmp_path, capsys,
+                                          monkeypatch):
+    # every family builds its l-center table with its strata, once
     calls = []
-    real = models.twisted_z0_table
+    real = models._z0_table
 
-    def counted(model, r):
-        calls.append(model)
-        return real(model, r)
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
 
-    monkeypatch.setattr(models, "twisted_z0_table", counted)
-    m = models.build_twisted([[0, 1], [-1, 0]], 2)
-    ctx = strata.enumerate_strata(m, r3)
+    monkeypatch.setattr(models, "_z0_table", counted)
+    for model in (models.build_twisted([[0, 1], [-1, 0]], 2),
+                  models.build_borel_sl2(),
+                  models.build_weyl([[0, 1], [-1, 0]], [1, 1])):
+        calls.clear()
+        ctx = strata.enumerate_strata(model, r3)
+        assert len(calls) == 1
+        assert ctx.table[0] == [model.gens[i] for i in calls[0]]
+    # the table's admissibility check still fails an inadmissible Weyl root
+    job = tmp_path / "job.txt"
+    job.write_text("algebra.kind = weyl\nalgebra.S = 0\n"
+                   "algebra.exponents = 3\nroot.l = 3\n")
+    calls.clear()
+    assert cli.main(["strata", "--spec", str(job)]) == 2
+    assert "root order 3 is not admissible here" in capsys.readouterr().err
     assert calls == []
-    assert ctx.bracket_table() is ctx.bracket_table()
-    assert len(calls) == 1
-
-    def failing(model, r):
-        calls.append(model)
-        raise ArithmeticError("twisted bracket constant is not global")
-
-    monkeypatch.setattr(models, "twisted_z0_table", failing)
-    ctx2 = strata.enumerate_strata(m, r3)
-    with pytest.raises(ArithmeticError) as first:
-        ctx2.bracket_table()
-    with pytest.raises(ArithmeticError) as again:
-        ctx2.bracket_table()
-    assert again.value is first.value
-    assert len(calls) == 2
 
 
 def test_frame_inverse_matches_the_integer_solve():
