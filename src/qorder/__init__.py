@@ -23,12 +23,10 @@ from .zlattice import (
 from .engine import (
     AlgebraPresentation,
     Element,
-    NotCentral,
     ValidationFailed,
     commutator,
     is_central_at_root,
     normal_form,
-    poisson_bracket,
     validate,
 )
 from .models import (
@@ -54,9 +52,8 @@ __all__ = [
     "cyclotomic_build", "divide_by_cyclotomic",
     "SkewForm", "is_admissible", "kernel_int", "skew_normal_form",
     "smith_normal_form",
-    "AlgebraPresentation", "Element", "NotCentral",
-    "ValidationFailed", "commutator", "is_central_at_root", "normal_form",
-    "poisson_bracket", "validate",
+    "AlgebraPresentation", "Element", "ValidationFailed", "commutator",
+    "is_central_at_root", "normal_form", "validate",
     "build_borel_sl2", "build_twisted", "build_weyl", "build_weyl_matrices",
     "f_elements_and_z0_brackets",
     "TorusStructure", "center_generators_eps", "torus_structure",

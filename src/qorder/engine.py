@@ -29,10 +29,6 @@ class ValidationFailed(ValueError):
     """A presentation violated one of the quantum solvable axioms."""
 
 
-class NotCentral(ArithmeticError):
-    """Poisson bracket input was not central at the chosen root."""
-
-
 class ExpressionFailed(ArithmeticError):
     """A central element could not be written in the given frame."""
 
@@ -199,7 +195,10 @@ class _Rewriter:
     """Normal-form multiplication over a fixed presentation and scalar ring.
 
     qpow(k) is the scalar q^k of the ring and delta maps (u, v) to the terms
-    of the lower-order part of x_u x_v, with coefficients in that ring."""
+    of the lower-order part of x_u x_v, with coefficients in that ring.
+    Each completed x_u x^b is kept for the life of the rewriter, which lives
+    on its presentation; the kept terms dicts are shared, so every caller
+    only reads them and mul_terms builds a fresh dict."""
 
     def __init__(self, pres, qpow, delta):
         self.N = pres.N
@@ -212,6 +211,7 @@ class _Rewriter:
             for u in range(pres.N)
         }
         self._depth = 0
+        self._products = {}
 
     def _add(self, out, vec, coeff):
         s = out.get(vec)
@@ -265,7 +265,13 @@ class _Rewriter:
         return cur
 
     def gen_times_mono(self, u, b):
-        """Terms of x_u * x^b."""
+        """Terms of x_u * x^b, shared: the caller must not mutate them."""
+        out = self._products.get((u, b))
+        if out is None:
+            out = self._products[(u, b)] = self._gen_times_mono(u, b)
+        return out
+
+    def _gen_times_mono(self, u, b):
         self._depth += 1
         if self._depth > _MAX_REWRITE_DEPTH:
             raise ValidationFailed("rewriting did not terminate; "
@@ -348,24 +354,10 @@ def mul(P, a, b):
     return out
 
 
-def power(P, a, k):
-    out = Element.one(P.N)
-    for _ in range(k):
-        out = mul(P, out, a)
-    return out
-
-
 def mul_at_root(P, r, a, b):
     """Product of two specialized elements at eps."""
     out = Element(P.N)
     out.terms = _rewriter(P, r).mul_terms(a.terms, b.terms)
-    return out
-
-
-def power_at_root(P, r, a, k):
-    out = Element.one(P.N, r.one())
-    for _ in range(k):
-        out = mul_at_root(P, r, out, a)
     return out
 
 
@@ -548,104 +540,6 @@ def is_central_at_root(u, P, r):
             except NotDivisible:
                 return False
     return True
-
-
-def poisson_lift(P, r, u, v):
-    """Exact quotient (u v - v u) / Phi_l in the unspecialized algebra."""
-    c = commutator(P, u, v)
-    out = Element(P.N)
-    for vec, coeff in c.terms.items():
-        try:
-            out.terms[vec] = divide_by_cyclotomic(coeff, r)
-        except NotDivisible:
-            raise NotCentral(
-                "commutator coefficient at %s is not divisible by Phi_%d"
-                % (list(vec), r.l))
-    out.terms = {k: c for k, c in out.terms.items() if c}
-    return out
-
-
-def poisson_bracket(P, r, u, v):
-    """Poisson bracket on the center induced by the quantum adjoint action.
-
-    Computed as the exact quotient of the commutator by Phi_l, evaluated at
-    eps and corrected by Phi_l'(eps), which equals division by (q - eps)
-    followed by specialization.
-    """
-    lift = poisson_lift(P, r, u, v)
-    return specialize(lift, r).scale(r.phi_prime_eps())
-
-
-class FrameFactor:
-    """A named central element used as a coordinate in expressions."""
-
-    __slots__ = ("name", "lift", "invertible", "_lead")
-
-    def __init__(self, name, lift, invertible=False):
-        if lift.is_zero():
-            raise ValueError("frame factor %s is zero" % name)
-        if invertible and len(lift.terms) != 1:
-            raise ValueError("invertible frame factor %s must be a monomial"
-                             % name)
-        self.name = name
-        self.lift = lift
-        self.invertible = invertible
-        self._lead = lift.lead()
-
-    def __repr__(self):
-        return "FrameFactor(%s)" % self.name
-
-
-def express_in_frame(P, r, target, frame, max_steps=4096):
-    """Write a specialized central element as a polynomial in frame factors.
-
-    Returns a mapping from integer exponent vectors over the frame to
-    cyclotomic coefficients.  Exponents may be negative only on invertible
-    factors.  Leading exponents of the frame must be linearly independent;
-    matching proceeds from the lexicographically largest monomial down.
-    """
-    cols = [list(f._lead) for f in frame]
-    A = [[cols[j][i] for j in range(len(frame))] for i in range(P.N)]
-    _, D, _ = zlattice.smith_normal_form(A)
-    rank = sum(1 for i in range(min(P.N, len(frame))) if D[i][i])
-    if rank != len(frame):
-        raise ValueError("frame leading exponents are not independent")
-    residual = target
-    out = {}
-    cache = {}
-    for _ in range(max_steps):
-        if residual.is_zero():
-            return {m: c for m, c in out.items() if c}
-        alpha = residual.lead()
-        m = zlattice.solve_int(A, list(alpha))
-        if m is None:
-            raise ExpressionFailed(
-                "monomial %s is not a frame product" % (list(alpha),), residual)
-        m = tuple(m)
-        for mi, f in zip(m, frame):
-            if mi < 0 and not f.invertible:
-                raise ExpressionFailed(
-                    "monomial %s needs a negative power of %s"
-                    % (list(alpha), f.name), residual)
-        prod = cache.get(m)
-        if prod is None:
-            prod = Element.one(P.N, r.one())
-            for mi, f in zip(m, frame):
-                if mi == 0:
-                    continue
-                base = f.lift if mi > 0 else f.lift.monomial_inverse()
-                spec = specialize(base, r)
-                prod = mul_at_root(P, r, prod,
-                                   power_at_root(P, r, spec, abs(mi)))
-            cache[m] = prod
-        lead_c = prod.terms.get(alpha)
-        if not lead_c:
-            raise ExpressionFailed(
-                "frame product misses its own leading monomial", residual)
-        c = residual.terms[alpha] / lead_c
-        out[m] = out.get(m, r.zero()) + c
-        residual = residual - prod.scale(c)
-    raise ExpressionFailed("expression did not terminate", residual)
 
 
 def evaluate_expression(expr, values, root):

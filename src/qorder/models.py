@@ -121,6 +121,7 @@ class WeylModel:
     n: int
     matrices: WeylMatrices
     w: list  # w_0 = 1, w_1, ..., w_n as Elements
+    chain_skew: dict  # weyl_chain_skew(exps), checked with the engine
 
     @property
     def N(self):
@@ -180,13 +181,33 @@ def build_weyl(S, exps):
     engine.validate(pres)
     model = WeylModel(kind="weyl", presentation=pres, S=[list(r) for r in S],
                       exps=list(exps), n=n, matrices=mats,
-                      w=[w_vec(k) for k in range(n + 1)])
+                      w=[w_vec(k) for k in range(n + 1)],
+                      chain_skew=weyl_chain_skew(exps))
     _verify_weyl_relations(model)
     return model
 
 
+def weyl_chain_skew(exps):
+    """The q-exponents of the w-chain, w_j = 1 + sum_(m <= j) (q^s_m - 1)
+    y_m x_m: x_i w_j = q^s_i w_j x_i and y_i w_j = q^-s_i w_j y_i when
+    i <= j, and both commute otherwise; the w_j commute with each other.
+    Keyed (a, b) by labels for a = x_i, y_i against b = w_j, and for
+    a = w_j against b = w_k, j < k; the reversed pair has exponent -c."""
+    n = len(exps)
+    out = {}
+    for j in range(1, n + 1):
+        for i, s in enumerate(exps, 1):
+            c = s if i <= j else 0
+            out[("x%d" % i, "w%d" % j)] = c
+            out[("y%d" % i, "w%d" % j)] = -c
+        for k in range(j + 1, n + 1):
+            out[("w%d" % j, "w%d" % k)] = 0
+    return out
+
+
 def _verify_weyl_relations(model):
-    """Check the defining relation and the commutation table of the w-chain."""
+    """Check the defining relation, and each exponent of the chain table
+    with the engine."""
     P = model.presentation
     n = model.n
     for i in range(1, n + 1):
@@ -202,21 +223,12 @@ def _verify_weyl_relations(model):
         comm = engine.commutator(P, x, y)
         if comm != wi:
             raise engine.ValidationFailed("[x_%d, y_%d] != w_%d" % (i, i, i))
-    for i in range(1, n + 1):
-        for j in range(n + 1):
-            wj = model.w[j]
-            y = Element.gen(P.N, model.ypos(i))
-            x = Element.gen(P.N, model.xpos(i))
-            sy = -model.exps[i - 1] if i <= j else 0
-            sx = model.exps[i - 1] if i <= j else 0
-            if engine.mul(P, y, wj) != \
-                    engine.mul(P, wj, y).scale(QLaurent.q_power(sy)):
-                raise engine.ValidationFailed(
-                    "y_%d w_%d commutation fails" % (i, j))
-            if engine.mul(P, x, wj) != \
-                    engine.mul(P, wj, x).scale(QLaurent.q_power(sx)):
-                raise engine.ValidationFailed(
-                    "x_%d w_%d commutation fails" % (i, j))
+    elems = {g: Element.gen(P.N, pos) for pos, g in enumerate(P.gens)}
+    elems.update(("w%d" % j, model.w[j]) for j in range(1, n + 1))
+    for (a, b), c in model.chain_skew.items():
+        if engine.mul(P, elems[a], elems[b]) != \
+                engine.mul(P, elems[b], elems[a]).scale(QLaurent.q_power(c)):
+            raise engine.ValidationFailed("%s %s commutation fails" % (a, b))
 
 
 def _z0_table(P, r, order, pair_exps=()):

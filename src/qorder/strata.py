@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .exactnum import QLaurent
 from . import engine
 from .engine import Element
 from . import models as models_mod
@@ -223,7 +222,7 @@ def _enumerate_weyl(model, r):
             derived.append(("x%d" % i, terms))
         sid = "T1=%s;T2=%s;T3=%s" % (_fmt(T1), _fmt(T2), _fmt(T3))
         strata.append(_stratum(P, r, (T1, T2, T3), sid, killed, survivors,
-                               derived))
+                               derived, model.chain_skew))
     return strata
 
 
@@ -232,7 +231,7 @@ def _fmt(s):
 
 
 def _stratum(P, r, pattern, stratum_id, killed_labels, survivors,
-             derived=()):
+             derived=(), chain_skew=None):
     """The stratum over survivors: their skew q-exponents, each generator's
     row of q-exponents against them, and the torus.
 
@@ -240,32 +239,29 @@ def _stratum(P, r, pattern, stratum_id, killed_labels, survivors,
     outside the survivors reads P.S against a generator survivor too: that
     is the exponent of their leading terms, exact modulo the killed ideal
     for a killed generator and the pairing of the leading survivor monomial
-    for a derived one.  Every other pair is measured once with the engine,
-    and the measurement raises when the pair does not q-commute.
+    for a derived one.  Every other pair reads chain_skew, the table of
+    (label, label) -> c with a b = q^c b a that models.weyl_chain_skew
+    writes and the model build checks with the engine; a pair in neither
+    does not q-commute, and raises.
     """
-    def measured(a, b):
-        ab = engine.mul(P, a.lift, b.lift)
-        ba = engine.mul(P, b.lift, a.lift)
-        lead = ba.lead()
-        if lead in ab.terms:
-            c = ab.terms[lead].max_degree() - ba.terms[lead].max_degree()
-            if ab == ba.scale(QLaurent.q_power(c)):
-                return c
-        raise engine.ValidationFailed("%s and %s do not q-commute"
-                                      % (a.label, b.label))
+    chain_skew = chain_skew or {}
+
+    def exponent(a, i, b, j):
+        if i is not None and j is not None and (i, j) not in P.delta \
+                and (j, i) not in P.delta:
+            return P.S[i][j]
+        if (a, b) in chain_skew:
+            return chain_skew[(a, b)]
+        if (b, a) in chain_skew:
+            return -chain_skew[(b, a)]
+        raise engine.ValidationFailed("%s and %s do not q-commute" % (a, b))
 
     m = len(survivors)
     skew = [[0] * m for _ in range(m)]
     for a, sa in enumerate(survivors):
-        i = sa.gen_index
         for b in range(a + 1, m):
             sb = survivors[b]
-            j = sb.gen_index
-            if i is None or j is None or (i, j) in P.delta \
-                    or (j, i) in P.delta:
-                c = measured(sa, sb)
-            else:
-                c = P.S[i][j]
+            c = exponent(sa.label, sa.gen_index, sb.label, sb.gen_index)
             skew[a][b], skew[b][a] = c, -c
     position = {s.gen_index: a for a, s in enumerate(survivors)}
     full = []
@@ -273,14 +269,9 @@ def _stratum(P, r, pattern, stratum_id, killed_labels, survivors,
         if g in position:
             full.append(skew[position[g]])
             continue
-        row = []
-        for s in survivors:
-            if s.gen_index is None:
-                gen = SurvivorItem(P.gens[g], Element.gen(P.N, g), g)
-                row.append(measured(gen, s))
-            else:
-                row.append(P.S[g][s.gen_index])
-        full.append(row)
+        full.append([P.S[g][s.gen_index] if s.gen_index is not None
+                     else exponent(P.gens[g], g, s.label, None)
+                     for s in survivors])
     index = {s.label: a for a, s in enumerate(survivors)}
     targets = []
     for _, terms in derived:

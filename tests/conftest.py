@@ -1,8 +1,9 @@
 import pytest
 
-from qorder.exactnum import cyclotomic_build
-from qorder import engine, fiber, strata, torus
-from qorder.engine import Element, ExpressionFailed, FrameFactor
+from qorder.exactnum import (NotDivisible, cyclotomic_build,
+                             divide_by_cyclotomic)
+from qorder import engine, fiber, strata, torus, zlattice
+from qorder.engine import Element, ExpressionFailed
 
 
 @pytest.fixture
@@ -59,6 +60,122 @@ def has_derived(model, stratum):
 # The l-center bracket table derived with generic-q engine Poisson brackets,
 # the reference that the closed form of models._z0_table is compared with.
 
+class NotCentral(ArithmeticError):
+    """Poisson bracket input was not central at the chosen root."""
+
+
+def power(P, a, k):
+    out = Element.one(P.N)
+    for _ in range(k):
+        out = engine.mul(P, out, a)
+    return out
+
+
+def power_at_root(P, r, a, k):
+    out = Element.one(P.N, r.one())
+    for _ in range(k):
+        out = engine.mul_at_root(P, r, out, a)
+    return out
+
+
+def poisson_lift(P, r, u, v):
+    """Exact quotient (u v - v u) / Phi_l in the unspecialized algebra."""
+    c = engine.commutator(P, u, v)
+    out = Element(P.N)
+    for vec, coeff in c.terms.items():
+        try:
+            out.terms[vec] = divide_by_cyclotomic(coeff, r)
+        except NotDivisible:
+            raise NotCentral(
+                "commutator coefficient at %s is not divisible by Phi_%d"
+                % (list(vec), r.l))
+    out.terms = {k: c for k, c in out.terms.items() if c}
+    return out
+
+
+def poisson_bracket(P, r, u, v):
+    """Poisson bracket on the center induced by the quantum adjoint action.
+
+    Computed as the exact quotient of the commutator by Phi_l, evaluated at
+    eps and corrected by Phi_l'(eps), which equals division by (q - eps)
+    followed by specialization.
+    """
+    lift = poisson_lift(P, r, u, v)
+    return engine.specialize(lift, r).scale(r.phi_prime_eps())
+
+
+class FrameFactor:
+    """A named central element used as a coordinate in expressions."""
+
+    __slots__ = ("name", "lift", "invertible", "_lead")
+
+    def __init__(self, name, lift, invertible=False):
+        if lift.is_zero():
+            raise ValueError("frame factor %s is zero" % name)
+        if invertible and len(lift.terms) != 1:
+            raise ValueError("invertible frame factor %s must be a monomial"
+                             % name)
+        self.name = name
+        self.lift = lift
+        self.invertible = invertible
+        self._lead = lift.lead()
+
+    def __repr__(self):
+        return "FrameFactor(%s)" % self.name
+
+
+def express_in_frame(P, r, target, frame, max_steps=4096):
+    """Write a specialized central element as a polynomial in frame factors.
+
+    Returns a mapping from integer exponent vectors over the frame to
+    cyclotomic coefficients.  Exponents may be negative only on invertible
+    factors.  Leading exponents of the frame must be linearly independent;
+    matching proceeds from the lexicographically largest monomial down.
+    """
+    cols = [list(f._lead) for f in frame]
+    A = [[cols[j][i] for j in range(len(frame))] for i in range(P.N)]
+    _, D, _ = zlattice.smith_normal_form(A)
+    rank = sum(1 for i in range(min(P.N, len(frame))) if D[i][i])
+    if rank != len(frame):
+        raise ValueError("frame leading exponents are not independent")
+    residual = target
+    out = {}
+    cache = {}
+    for _ in range(max_steps):
+        if residual.is_zero():
+            return {m: c for m, c in out.items() if c}
+        alpha = residual.lead()
+        m = zlattice.solve_int(A, list(alpha))
+        if m is None:
+            raise ExpressionFailed(
+                "monomial %s is not a frame product" % (list(alpha),), residual)
+        m = tuple(m)
+        for mi, f in zip(m, frame):
+            if mi < 0 and not f.invertible:
+                raise ExpressionFailed(
+                    "monomial %s needs a negative power of %s"
+                    % (list(alpha), f.name), residual)
+        prod = cache.get(m)
+        if prod is None:
+            prod = Element.one(P.N, r.one())
+            for mi, f in zip(m, frame):
+                if mi == 0:
+                    continue
+                base = f.lift if mi > 0 else f.lift.monomial_inverse()
+                spec = engine.specialize(base, r)
+                prod = engine.mul_at_root(P, r, prod,
+                                          power_at_root(P, r, spec, abs(mi)))
+            cache[m] = prod
+        lead_c = prod.terms.get(alpha)
+        if not lead_c:
+            raise ExpressionFailed(
+                "frame product misses its own leading monomial", residual)
+        c = residual.terms[alpha] / lead_c
+        out[m] = out.get(m, r.zero()) + c
+        residual = residual - prod.scale(c)
+    raise ExpressionFailed("expression did not terminate", residual)
+
+
 def frame_table(P, r, order, chain):
     """The l-center bracket table over the l-th powers of the generators at
     positions order, each frame coordinate named by its generator.
@@ -75,9 +192,9 @@ def frame_table(P, r, order, chain):
     exprs = {}
     for p, fp in enumerate(frame):
         for fq in frame[p + 1:]:
-            br = engine.poisson_bracket(P, r, fp.lift, fq.lift)
+            br = poisson_bracket(P, r, fp.lift, fq.lift)
             exprs[(fp.name, fq.name)] = (
-                engine.express_in_frame(P, r, br, frame) if br else {})
+                express_in_frame(P, r, br, frame) if br else {})
     kappa = None
     for p, i in enumerate(order):
         for q in range(p + 1, len(order)):
@@ -92,9 +209,9 @@ def frame_table(P, r, order, chain):
                     raise ArithmeticError("bracket constant is not global")
     chain_exprs = {}
     for label, elem in chain.items():
-        power = engine.specialize(engine.power(P, elem, r.l), r)
+        lth = engine.specialize(power(P, elem, r.l), r)
         try:
-            chain_exprs[label] = engine.express_in_frame(P, r, power, frame)
+            chain_exprs[label] = express_in_frame(P, r, lth, frame)
         except ExpressionFailed as exc:
             raise ExpressionFailed(
                 "%s^l does not lie in the l-center frame" % label,

@@ -22,7 +22,7 @@ from qorder.zlattice import (
     zeros,
 )
 from conftest import (frame_table, make_character, mat_add_c, mat_eq_c,
-                      mat_eye, mat_scale_c, weyl_frame_table)
+                      mat_eye, mat_scale_c, power, weyl_frame_table)
 
 
 def all_skew(n, span=2):
@@ -294,7 +294,7 @@ def test_criterion_5_weyl_structure(r3):
         for i in range(1, model.n + 1):
             for gen in (Element.gen(P.N, model.xpos(i), 3),
                         Element.gen(P.N, model.ypos(i), 3),
-                        engine.power(P, model.w[i], 3)):
+                        power(P, model.w[i], 3)):
                 assert engine.is_central_at_root(gen, P, r3)
         notes, gammas, consts, kappa = weyl_table_shapes(model, r3)
         assert notes == []

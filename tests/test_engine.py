@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
@@ -8,18 +9,27 @@ from qorder import engine
 from qorder.engine import (
     AlgebraPresentation,
     Element,
-    NotCentral,
     ValidationFailed,
     commutator,
     is_central_at_root,
     mul,
     normal_form,
-    poisson_bracket,
-    poisson_lift,
-    power,
     specialize,
     validate,
 )
+from conftest import NotCentral, poisson_bracket, poisson_lift, power
+from test_fiber import QUANTUM_MATRICES
+
+# the positive part of quantum sl_3, e3 = e1 e2 - q^-1 e2 e1
+QUANTUM_SL3_PLUS = """
+algebra.kind = custom
+algebra.gens = e1 e3 e2
+algebra.n_poly = 3
+algebra.S = 0 1 -1 / -1 0 1 / 1 -1 0
+algebra.exponents = 2 0 0
+algebra.delta.e1.e2 = e3
+root.l = 3
+"""
 
 
 def quantum_plane():
@@ -245,6 +255,58 @@ def test_poisson_antisymmetry_leibniz_jacobi(r3):
         total = total + poisson_lift(W, r3, x, poisson_lift(W, r3, y, z))
     for coeff in total.terms.values():
         divide_by_cyclotomic(coeff, r3)  # raises NotDivisible otherwise
+
+
+def _word_product(P, r, word):
+    """The normal form of a generator word, at generic q (r None) or at the
+    root r, multiplied from the left."""
+    gens = [Element.gen(P.N, i) for i in word]
+    if r is None:
+        out = Element.one(P.N)
+        for g in gens:
+            out = mul(P, out, g)
+        return out
+    out = Element.one(P.N, r.one())
+    for g in gens:
+        out = engine.mul_at_root(P, r, out, specialize(g, r))
+    return out
+
+
+def test_kept_products_match_a_fresh_presentation(r3):
+    # the rewriter keeps x_u x^b for its presentation: after the build's
+    # validation and every other word, each generator word of length <= 3
+    # has the normal form that a presentation with no kept product gives
+    from qorder import cli, models
+    towers = [models.build_weyl([[0, 1], [-1, 0]], [1, 1]).presentation]
+    towers += [cli.build_model(cli.parse_jobspec(text)).presentation
+               for text in (QUANTUM_MATRICES, QUANTUM_SL3_PLUS)]
+    for P in towers:
+        words = [w for k in (1, 2, 3) for w in iproduct(range(P.N), repeat=k)]
+        for r in (None, r3):
+            served = [_word_product(P, r, w) for w in reversed(words)][::-1]
+            key = None if r is None else (r.l, r.primitive_index)
+            assert P._rewriters[key]._products
+            for w, got in zip(words, served):
+                fresh = AlgebraPresentation(P.gens, P.n_poly, P.S, P.exps,
+                                            P.delta)
+                assert got == _word_product(fresh, r, w) == \
+                    _word_product(P, r, w)
+
+
+def test_mutating_a_product_leaves_the_next_unchanged(r3):
+    # the kept products are shared with no caller: every product is a
+    # fresh terms dict
+    P = weyl_n1()
+    for r in (None, r3):
+        first = _word_product(P, r, (1, 1, 0))
+        expect = Element(2, dict(first.terms))
+        assert len(expect.terms) == 2
+        first.terms.clear()
+        assert _word_product(P, r, (1, 1, 0)) == expect
+        again = _word_product(P, r, (1, 0))
+        for vec in list(again.terms):
+            again.terms[vec] = again.terms[vec] * 5
+        assert _word_product(P, r, (1, 1, 0)) == expect
 
 
 def test_filtration_property():

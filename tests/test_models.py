@@ -295,7 +295,7 @@ def test_weyl_table_matches_engine():
 
 
 def test_pair_exponent_table(r5, full_rows):
-    # measured on the stratum where every y and w survives, so both x's
+    # read on the stratum where every y and w survives, so both x's
     # are derived: x_i w_j = q^(s_i) w_j x_i for i <= j, commute for i > j
     W = models.build_weyl([[0, 1], [-1, 0]], [1, 2])
     st = strata.enumerate_strata(W, r5).strata[0]
@@ -309,3 +309,21 @@ def test_pair_exponent_table(r5, full_rows):
     assert st.skew[pos["y1"]][pos["w1"]] == full["y1"][pos["w1"]] == -1
     assert st.skew[pos["w1"]][pos["y1"]] == 1
     assert st.skew[pos["w1"]][pos["w2"]] == 0
+
+
+def test_tampered_chain_table_fails_the_build(monkeypatch):
+    # the build checks every exponent of the chain table with the engine:
+    # any one entry off by one fails it, w-w pairs included
+    real = models.weyl_chain_skew
+    keys = list(real([1, 2]))
+    assert ("w1", "w2") in keys and len(keys) == 9
+    for key in keys:
+        def tampered(exps):
+            table = real(exps)
+            table[key] += 1
+            return table
+
+        monkeypatch.setattr(models, "weyl_chain_skew", tampered)
+        with pytest.raises(engine.ValidationFailed,
+                           match="%s %s commutation fails" % key):
+            models.build_weyl([[0, 1], [-1, 0]], [1, 2])

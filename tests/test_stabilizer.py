@@ -254,12 +254,9 @@ def _engine_stabilizer_twisted(model, ctx, loc, chi, r, level):
     from qorder.engine import (
         AlgebraPresentation,
         Element,
-        FrameFactor,
         expression_linear_part,
-        express_in_frame,
-        poisson_bracket,
-        power,
     )
+    from conftest import FrameFactor, express_in_frame, poisson_bracket, power
     st = loc.stratum
     killed = [i for i, g in enumerate(model.gens)
               if g in set(st.killed_labels)]

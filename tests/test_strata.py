@@ -243,46 +243,92 @@ def _engine_exponent(P, a, b):
 
 def test_survivors_q_commute_exactly(full_rows):
     # every survivor pair and every generator-survivor pair of Weyl and
-    # twisted strata: the exponent the stratum tail reads or measures is the
-    # one the engine finds by search; a pair that does not q-commute is a
-    # generator outside the survivors with a delta rule, which reads P.S
-    models_ = [models.build_weyl([[0]], [1]),
-               models.build_weyl([[0, 1], [-1, 0]], [1, 1]),
-               models.build_weyl([[0, 0], [0, 0]], [1, 2]),
-               models.build_twisted([[0, 1, 2], [-1, 0, 1], [-2, -1, 0]], 2)]
+    # twisted strata: the exponent the stratum reads from P.S or from the
+    # model's chain table is the one the engine finds by search, and the
+    # Weyl strata meet every entry of that table, w-w pairs included; a pair
+    # that does not q-commute is a generator outside the survivors with a
+    # delta rule, which reads P.S
+    jobs = [(models.build_weyl([[0]], [1]), (3, 5)),
+            (models.build_weyl([[0, 1], [-1, 0]], [1, 1]), (3, 5)),
+            (models.build_weyl([[0, 0], [0, 0]], [1, 2]), (3, 5)),
+            (models.build_weyl([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]],
+                               [1, 1, 1]), (3, 5)),
+            (models.build_weyl([[0, -1], [1, 0]], [2, -1]), (3, 5, 7)),
+            (models.build_weyl([[0, 1], [-1, 0]], [3, 1]), (3, 5, 7)),
+            (models.build_twisted([[0, 1, 2], [-1, 0, 1], [-2, -1, 0]], 2),
+             (3, 5))]
     delta_pairs = 0
-    for model, l in iproduct(models_, (3, 5)):
-        if not model.admissibility(l):
-            continue
+    for model, ls in jobs:
         P = model.presentation
-        del full_rows[:]
-        ctx = strata.enumerate_strata(model, cyclotomic_build(l))
-        assert len(full_rows) == len(ctx.strata)
-        for st, full in zip(ctx.strata, full_rows):
-            for a, sa in enumerate(st.survivors):
-                for b, sb in enumerate(st.survivors):
-                    assert st.skew[a][b] == \
-                        _engine_exponent(P, sa.lift, sb.lift)
-            for g, row in enumerate(full):
-                gen = Element.gen(P.N, g)
-                for s, c in zip(st.survivors, row):
-                    found = _engine_exponent(P, gen, s.lift)
-                    if found is None:
-                        assert (g, s.gen_index) in P.delta or \
-                            (s.gen_index, g) in P.delta
-                        assert c == P.S[g][s.gen_index]
-                        delta_pairs += 1
-                    else:
-                        assert c == found
+        met = set()
+        for l in ls:
+            if not model.admissibility(l):
+                continue
+            del full_rows[:]
+            ctx = strata.enumerate_strata(model, cyclotomic_build(l))
+            assert len(full_rows) == len(ctx.strata)
+            for st, full in zip(ctx.strata, full_rows):
+                for a, sa in enumerate(st.survivors):
+                    for b, sb in enumerate(st.survivors):
+                        assert st.skew[a][b] == \
+                            _engine_exponent(P, sa.lift, sb.lift)
+                        met.add((sa.label, sb.label))
+                for g, row in enumerate(full):
+                    gen = Element.gen(P.N, g)
+                    for s, c in zip(st.survivors, row):
+                        found = _engine_exponent(P, gen, s.lift)
+                        met.add((P.gens[g], s.label))
+                        if found is None:
+                            assert (g, s.gen_index) in P.delta or \
+                                (s.gen_index, g) in P.delta
+                            assert c == P.S[g][s.gen_index]
+                            delta_pairs += 1
+                        else:
+                            assert c == found
+        assert met and set(getattr(model, "chain_skew", ())) <= met
     assert delta_pairs
 
 
 def test_survivors_with_a_delta_rule_raise(r3):
     # x1 and y1 of the Weyl pair do not q-commute: a stratum keeping both
-    # is refused by the measurement
+    # is refused, since neither P.S nor the chain table covers the pair
     W = models.build_weyl([[0]], [1])
     P = W.presentation
     survivors = [strata.SurvivorItem(g, Element.gen(P.N, i), i)
                  for i, g in enumerate(P.gens)]
     with pytest.raises(engine.ValidationFailed, match="do not q-commute"):
-        strata._stratum(P, r3, None, "x1,y1", [], survivors)
+        strata._stratum(P, r3, None, "x1,y1", [], survivors,
+                        chain_skew=W.chain_skew)
+
+
+def test_chain_table_reads_either_order(r5):
+    # the table keys a generator before a w and w_j before w_k, j < k; a
+    # stratum whose survivors come in the other order reads -c
+    W = models.build_weyl([[0, 1], [-1, 0]], [1, 2])
+    st = strata.enumerate_strata(W, r5).strata[0]
+    assert [s.label for s in st.survivors] == ["y1", "y2", "w1", "w2"]
+    flipped = strata._stratum(W.presentation, r5, None, "flipped", [],
+                              st.survivors[::-1], chain_skew=W.chain_skew)
+    assert flipped.skew == [row[::-1] for row in st.skew[::-1]]
+
+
+def test_weyl_strata_make_no_engine_product(r3, monkeypatch):
+    # the Weyl strata read every exponent that the model build checked with
+    # the engine: enumerating them multiplies nothing
+    W = models.build_weyl([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]], [1, 1, 1])
+    calls = []
+    real_mul, real_terms = engine.mul, engine._Rewriter.mul_terms
+
+    def mul(*args):
+        calls.append("mul")
+        return real_mul(*args)
+
+    def mul_terms(self, *args):
+        calls.append("mul_terms")
+        return real_terms(self, *args)
+
+    monkeypatch.setattr(engine, "mul", mul)
+    monkeypatch.setattr(engine._Rewriter, "mul_terms", mul_terms)
+    ctx = strata.enumerate_strata(W, r3)
+    assert len(ctx.strata) == len(strata.weyl_admissible_triples(3)) == 20
+    assert calls == []
