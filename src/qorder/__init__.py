@@ -11,7 +11,6 @@ from .exactnum import (
     RootData,
     NotDivisible,
     cyclotomic_build,
-    divide_by_cyclotomic,
 )
 from .zlattice import (
     SkewForm,
@@ -25,7 +24,6 @@ from .engine import (
     Element,
     ValidationFailed,
     commutator,
-    is_central_at_root,
     normal_form,
     validate,
 )
@@ -49,11 +47,11 @@ from .stabilizer import (
 
 __all__ = [
     "QLaurent", "CycloNum", "RootData", "NotDivisible",
-    "cyclotomic_build", "divide_by_cyclotomic",
+    "cyclotomic_build",
     "SkewForm", "is_admissible", "kernel_int", "skew_normal_form",
     "smith_normal_form",
     "AlgebraPresentation", "Element", "ValidationFailed", "commutator",
-    "is_central_at_root", "normal_form", "validate",
+    "normal_form", "validate",
     "build_borel_sl2", "build_twisted", "build_weyl", "build_weyl_matrices",
     "f_elements_and_z0_brackets",
     "TorusStructure", "center_generators_eps", "torus_structure",

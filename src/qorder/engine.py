@@ -15,11 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import (
-    QLaurent,
-    NotDivisible,
-    divide_by_cyclotomic,
-)
+from .exactnum import QLaurent
 from . import zlattice
 
 _MAX_REWRITE_DEPTH = 10000
@@ -82,12 +78,6 @@ class Element:
     def support(self):
         return sorted(self.terms)
 
-    def lead(self):
-        """Lexicographically largest exponent vector in the support."""
-        if not self.terms:
-            raise ValueError("zero element has no leading monomial")
-        return max(self.terms)
-
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
@@ -123,13 +113,6 @@ class Element:
         if c:
             out.terms = {v: w * c for v, w in self.terms.items()}
         return out
-
-    def monomial_inverse(self):
-        """Inverse of a single-monomial element with monomial coefficient."""
-        if len(self.terms) != 1:
-            raise ValueError("only monomials are invertible")
-        ((vec, c),) = self.terms.items()
-        return Element.monomial(self.N, tuple(-e for e in vec), c ** (-1))
 
     def __repr__(self):
         if not self.terms:
@@ -528,18 +511,6 @@ def validate(P, bound=16):
                 "generator %s has no delta rule but nonzero skew exponent"
                 % P.gens[u])
     return ValidationReport(steps, triples)
-
-
-def is_central_at_root(u, P, r):
-    """True when u commutes with every generator modulo Phi_l."""
-    for g in range(P.N):
-        c = commutator(P, u, Element.gen(P.N, g))
-        for coeff in c.terms.values():
-            try:
-                divide_by_cyclotomic(coeff, r)
-            except NotDivisible:
-                return False
-    return True
 
 
 def evaluate_expression(expr, values, root):

@@ -23,7 +23,8 @@ from math import gcd, lcm
 
 
 class NotDivisible(ArithmeticError):
-    """Exact division by the cyclotomic polynomial left a remainder."""
+    """An exact polynomial division left a remainder or a nonintegral
+    quotient."""
 
 
 def _frac(x):
@@ -547,8 +548,7 @@ class RootData:
 
     __slots__ = ("l", "phi", "primitive_index", "deg", "_pow", "_high",
                  "_tail", "_powers", "_units", "_power_index", "_zero",
-                 "_one", "_zero_num", "_one_num", "_minus_one_num",
-                 "_phi_prime")
+                 "_one", "_zero_num", "_one_num", "_minus_one_num")
 
     def __init__(self, l, primitive_index=1):
         if l < 2:
@@ -587,7 +587,6 @@ class RootData:
         self._zero_num = self._zero.num
         self._one_num = self._one.num
         self._minus_one_num = (-1,) + (0,) * (deg - 1)
-        self._phi_prime = None
 
     def zero(self):
         return self._zero
@@ -623,13 +622,6 @@ class RootData:
                     out[i] += a * v
         return _canonical(self, tuple(out), den)
 
-    def phi_prime_eps(self):
-        """Phi_l'(eps), the correction factor for division by (q - eps)."""
-        if self._phi_prime is None:
-            df = QLaurent({k - 1: k * c for k, c in enumerate(self.phi) if k})
-            self._phi_prime = self.eval(df)
-        return self._phi_prime
-
     def __repr__(self):
         return "RootData(l=%d, j=%d)" % (self.l, self.primitive_index)
 
@@ -637,30 +629,6 @@ class RootData:
 def cyclotomic_build(l, primitive_index=1):
     """Build Phi_l by exact division of q^l - 1 by the lower cyclotomics."""
     return RootData(l, primitive_index)
-
-
-def divide_by_cyclotomic(f, r):
-    """Exact quotient f / Phi_l in Q[q, q^-1].
-
-    Raises NotDivisible when Phi_l does not divide f; callers use that as the
-    signal that an element was not central at eps.
-    """
-    if f.is_zero():
-        return QLaurent.zero()
-    # Phi_l is monic with integer coefficients: divide the integer
-    # numerators of f over their common denominator.
-    shift = f.min_degree()
-    den = lcm(*[c.denominator for c in f.coeffs.values()])
-    num = [0] * (f.max_degree() - shift + 1)
-    for d, c in f.coeffs.items():
-        num[d - shift] = c.numerator * (den // c.denominator)
-    quo, rem = _poly_divmod_int(num, r.phi)
-    if any(rem):
-        raise NotDivisible("Phi_%d does not divide the given polynomial" % r.l)
-    out = QLaurent()
-    out.coeffs = {i + shift: c // den if c % den == 0 else Fraction(c, den)
-                  for i, c in enumerate(quo) if c}
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,13 @@ of its grading at a time from those operators alone: homogeneity is
 checked on them (every left and right operator is a composition of them),
 the right operators follow from them, the degree-0 traces come from one
 sparse row vector per basis element through the right operators, and the
-gram blocks are filled row by row from the traces.  That arithmetic runs
-first on the fiber's image in F_p, for a prime p that splits Phi_l, with
-the recurrence itself run on the images of its inputs, where full ranks
-certify the exact ones (the unit's component needs one less, by the
-trace), and over Q(eps) only where they do not.  The census never assumes
-the count it is asked to confirm.
+gram blocks are filled row by row from the traces.  Each step (a gram
+pair, then a degree's commutators) runs first on the fiber's image in
+F_p, for a prime p that splits Phi_l, with the recurrence itself run on
+the images of its inputs; a rank mod p that reaches its bound certifies
+the exact one (the unit's component needs one less, by the trace), and
+only the steps that fall short are done over Q(eps).  The census never
+assumes the count it is asked to confirm.
 
 Clock/shift representations are built and verified as scaled partial
 permutations (per row, one column and one nonzero value, or nothing), so a
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import chain, product as iproduct
 
 from .exactnum import CycloNum, NotPIntegral, residue_map
@@ -911,16 +912,15 @@ def census(A, constructed_dims=None):
     The count is dim A/([A, A] + J), which equals the dimension of the
     center of the semisimple quotient A/J; [A, A] is spanned by the
     commutators [g, b] of the generators g with the basis elements b, since
-    [xy, c] = [x, yc] + [y, cx].  A table fiber is first counted on its
-    image mod a prime p that splits Phi_l (q -> w, a ring homomorphism on
-    the p-integral elements of Q(eps)): a reduced matrix never has a larger
-    rank than the exact one, so full ranks mod p are full ranks over
-    Q(eps), and only what they leave open is eliminated exactly; a fiber
-    with a radical, a gram block that loses rank mod p or an entry that is
-    not p-integral is counted by the exact census (_census_table).  Block
-    dimensions are certified against constructed representations when
-    given, or inferred in the commutative/uniform cases; anything else
-    raises NonSplit rather than guessing.
+    [xy, c] = [x, yc] + [y, cx].  A table fiber is counted one step at a
+    time, each first on its image mod a prime p that splits Phi_l (q -> w,
+    a ring homomorphism on the p-integral elements of Q(eps)): a reduced
+    matrix never has a larger rank than the exact one, so a rank mod p that
+    reaches its bound is exact, and only the gram pairs and degrees that
+    fall short, or whose entries are not p-integral, are done over Q(eps)
+    (_census_table).  Block dimensions are certified against constructed
+    representations when given, or inferred in the commutative/uniform
+    cases; anything else raises NonSplit rather than guessing.
     """
     cap = MONOMIAL_DIM_LIMIT if A.monomial else FIBER_DIM_LIMIT
     if A.dim > cap:
@@ -960,75 +960,71 @@ def _census_table(A):
     """The census of a table fiber, one degree of its grading at a time:
     (rad_dim, count, dim A/J).
 
-    It runs first on a certificate, the image of the fiber in F_p under
-    q -> w, with (p, w) = exactnum.residue_prime(l).  That map is a ring
-    homomorphism on the p-integral elements of Q(eps), so the operators
-    that the recurrence builds from the images of its inputs, and the
-    traces, gram blocks and commutators computed from them, are the images
-    of the exact ones, and a reduced matrix never has a larger rank than
-    the exact one: a full rank mod p is a full rank over Q(eps).  When
-    every gram block has full rank mod p, J = 0 exactly; a component whose
-    commutators have full rank mod p (size - 1 for the unit's, which the
-    trace bounds) is then closed, and each other component is eliminated
-    over Q(eps) on its exact commutators.  The exact census of _census_exact
-    runs instead when a character value or delta coefficient has p in its
-    denominator, or when some gram block is rank-deficient mod p, as it is
-    on every fiber with a radical.  The grading and the steps are read from
-    the labels and built once for both passes; each pass checks
-    homogeneity on the left operators it builds (see _TableShape)."""
+    Every step runs first on the fiber's image in F_p under q -> w, with
+    (p, w) = exactnum.residue_prime(l), and over Q(eps) only where its rank
+    mod p falls short.  q -> w is a ring homomorphism on the p-integral
+    elements of Q(eps), so the pass mod p computes the images of the exact
+    operators, traces, gram blocks and commutators, and a reduced matrix
+    never has a larger rank than the exact one.
+
+    - Gram pairs: the block of -d is the transpose of the block of d, by
+      tau(xy) = tau(yx).  A square block of full rank mod p gives
+      J_d = J_-d = 0; any other pair takes the kernels of its exact blocks.
+    - Commutators: tau vanishes on J and on [A, A], and tau(1) = dim A
+      != 0, so [A, A] + J spans at most size - [d is the unit's degree] of
+      degree d.  A degree whose J_d mod p and commutators mod p reach that
+      bound is closed; any other is eliminated over Q(eps), on J_d and its
+      exact commutators.
+
+    The exact operators and gram blocks are built when a step first needs
+    them.  An input with p in its denominator makes every step exact, and
+    a J_d that is not p-integral makes its degree's step exact.  Each pass
+    checks homogeneity on the left operators it builds (see _TableShape)."""
     shape = _TableShape(A)
-    counted = _census_certified(A, shape)
-    return counted if counted is not None else _census_exact(A, shape)
-
-
-def _census_certified(A, shape):
-    """(0, count, dim A) when the gram blocks have full rank mod p, else
-    None.  The block of -d is the transpose of the block of d, by
-    tau(xy) = tau(yx), so each pair {d, -d} is ranked once, on a block
-    that must be square.  tau vanishes on [A, A] and tau(1) = dim A != 0, so the
-    commutators of the unit's component span at most its size - 1, and a
-    rank of size - 1 mod p closes it as a full rank closes the others.
-    Only the components left open are eliminated over Q(eps), on exact
-    operators built when the first of them is reached."""
+    r = A.root
+    p, image = residue_map(r)
     try:
         images = _residue_scalars(A, shape)
     except NotPIntegral:
-        return None
-    p = images.p
-    for d, (comp, block) in enumerate(zip(shape.comps,
-                                          _gram_blocks(A, shape, images))):
+        images = None
+    else:
+        blocks = _gram_blocks(A, shape, images)
+
+    @cache
+    def exact():
+        return _exact_scalars(A, shape)
+
+    @cache
+    def exact_blocks():
+        return _gram_blocks(A, shape, exact())
+
+    rad = [[] for _ in shape.comps]
+    for d, comp in enumerate(shape.comps):
         minus = shape.minus[d]
         if minus is not None and minus < d:
             continue
-        if rank_mod_p(block, p) < max(len(comp), len(block)):
-            return None
-    exact = None
+        if (images is None or rank_mod_p(blocks[d], p)
+                < max(len(comp), len(blocks[d]))):
+            for e in [d] if minus in (None, d) else [d, minus]:
+                rad[e] = kernel_c(exact_blocks()[e], len(shape.comps[e]), r)
     rank = 0
-    for d, comp in enumerate(shape.comps):
+    for d, (comp, known) in enumerate(zip(shape.comps, rad)):
         bound = len(comp) - (d == shape.degree_zero)
-        got = rank_mod_p(_commutators(shape, images, d), p, limit=bound)
+        got = 0
+        if images is not None:
+            try:
+                reduced = [[image(x) for x in vec] for vec in known]
+            except NotPIntegral:
+                pass
+            else:
+                got = rank_mod_p(
+                    chain(reduced, _commutators(shape, images, d)), p,
+                    limit=bound)
         if got < bound:
-            if exact is None:
-                exact = _exact_scalars(A, shape)
-            got = len(rref_c(_commutators(shape, exact, d), limit=bound)[1])
+            got = len(rref_c(chain(known, _commutators(shape, exact(), d)),
+                             limit=bound)[1])
         rank += got
-    return 0, A.dim - rank, A.dim
-
-
-def _census_exact(A, shape):
-    """The census over Q(eps): per component, the kernel of its gram block
-    is its part of J, and the span of that kernel and its commutators is
-    its part of [A, A] + J."""
-    r = A.root
-    exact = _exact_scalars(A, shape)
-    rad_dim = 0
-    rank = 0
-    for d, (comp, block) in enumerate(zip(shape.comps,
-                                          _gram_blocks(A, shape, exact))):
-        rad = kernel_c(block, len(comp), r)
-        rad_dim += len(rad)
-        rank += len(rref_c(chain(rad, _commutators(shape, exact, d)),
-                           limit=len(comp))[1])
+    rad_dim = sum(map(len, rad))
     return rad_dim, A.dim - rank, A.dim - rad_dim
 
 

@@ -1,9 +1,12 @@
+from fractions import Fraction
+from math import lcm
+
 import pytest
 
-from qorder.exactnum import (NotDivisible, cyclotomic_build,
-                             divide_by_cyclotomic)
+from qorder.exactnum import (NotDivisible, QLaurent, _poly_divmod_int,
+                             cyclotomic_build)
 from qorder import engine, fiber, strata, torus, zlattice
-from qorder.engine import Element, ExpressionFailed
+from qorder.engine import Element, ExpressionFailed, commutator
 
 
 @pytest.fixture
@@ -64,6 +67,62 @@ class NotCentral(ArithmeticError):
     """Poisson bracket input was not central at the chosen root."""
 
 
+def divide_by_cyclotomic(f, r):
+    """Exact quotient f / Phi_l in Q[q, q^-1].
+
+    Raises NotDivisible when Phi_l does not divide f; callers use that as the
+    signal that an element was not central at eps.
+    """
+    if f.is_zero():
+        return QLaurent.zero()
+    # Phi_l is monic with integer coefficients: divide the integer
+    # numerators of f over their common denominator.
+    shift = f.min_degree()
+    den = lcm(*[c.denominator for c in f.coeffs.values()])
+    num = [0] * (f.max_degree() - shift + 1)
+    for d, c in f.coeffs.items():
+        num[d - shift] = c.numerator * (den // c.denominator)
+    quo, rem = _poly_divmod_int(num, r.phi)
+    if any(rem):
+        raise NotDivisible("Phi_%d does not divide the given polynomial" % r.l)
+    out = QLaurent()
+    out.coeffs = {i + shift: c // den if c % den == 0 else Fraction(c, den)
+                  for i, c in enumerate(quo) if c}
+    return out
+
+
+def phi_prime_eps(r):
+    """Phi_l'(eps), the correction factor for division by (q - eps)."""
+    return r.eval(QLaurent({k - 1: k * c for k, c in enumerate(r.phi) if k}))
+
+
+def is_central_at_root(u, P, r):
+    """True when u commutes with every generator modulo Phi_l."""
+    for g in range(P.N):
+        c = commutator(P, u, Element.gen(P.N, g))
+        for coeff in c.terms.values():
+            try:
+                divide_by_cyclotomic(coeff, r)
+            except NotDivisible:
+                return False
+    return True
+
+
+def lead(elem):
+    """Lexicographically largest exponent vector in the support."""
+    if not elem.terms:
+        raise ValueError("zero element has no leading monomial")
+    return max(elem.terms)
+
+
+def monomial_inverse(elem):
+    """Inverse of a single-monomial element with monomial coefficient."""
+    if len(elem.terms) != 1:
+        raise ValueError("only monomials are invertible")
+    ((vec, c),) = elem.terms.items()
+    return Element.monomial(elem.N, tuple(-e for e in vec), c ** (-1))
+
+
 def power(P, a, k):
     out = Element.one(P.N)
     for _ in range(k):
@@ -101,7 +160,7 @@ def poisson_bracket(P, r, u, v):
     followed by specialization.
     """
     lift = poisson_lift(P, r, u, v)
-    return engine.specialize(lift, r).scale(r.phi_prime_eps())
+    return engine.specialize(lift, r).scale(phi_prime_eps(r))
 
 
 class FrameFactor:
@@ -118,7 +177,7 @@ class FrameFactor:
         self.name = name
         self.lift = lift
         self.invertible = invertible
-        self._lead = lift.lead()
+        self._lead = lead(lift)
 
     def __repr__(self):
         return "FrameFactor(%s)" % self.name
@@ -144,7 +203,7 @@ def express_in_frame(P, r, target, frame, max_steps=4096):
     for _ in range(max_steps):
         if residual.is_zero():
             return {m: c for m, c in out.items() if c}
-        alpha = residual.lead()
+        alpha = lead(residual)
         m = zlattice.solve_int(A, list(alpha))
         if m is None:
             raise ExpressionFailed(
@@ -161,7 +220,7 @@ def express_in_frame(P, r, target, frame, max_steps=4096):
             for mi, f in zip(m, frame):
                 if mi == 0:
                     continue
-                base = f.lift if mi > 0 else f.lift.monomial_inverse()
+                base = f.lift if mi > 0 else monomial_inverse(f.lift)
                 spec = engine.specialize(base, r)
                 prod = engine.mul_at_root(P, r, prod,
                                           power_at_root(P, r, spec, abs(mi)))

@@ -21,8 +21,9 @@ from qorder.zlattice import (
     smith_normal_form,
     zeros,
 )
-from conftest import (frame_table, make_character, mat_add_c, mat_eq_c,
-                      mat_eye, mat_scale_c, power, weyl_frame_table)
+from conftest import (frame_table, is_central_at_root, make_character,
+                      mat_add_c, mat_eq_c, mat_eye, mat_scale_c, power,
+                      weyl_frame_table)
 
 
 def all_skew(n, span=2):
@@ -177,14 +178,14 @@ def _check_center_lemma(model, st, r, stats):
         emb = [0] * N
         for s, e in enumerate(vec):
             emb[n_killed + s] = e
-        assert engine.is_central_at_root(
+        assert is_central_at_root(
             Element.monomial(N, tuple(emb)), P, r), (model.S, st.stratum_id, vec)
         stats.center_checks += 1
     for vec in l_c:
         emb = [0] * N
         for s, e in enumerate(vec):
             emb[n_killed + s] = e
-        assert engine.is_central_at_root(
+        assert is_central_at_root(
             Element.monomial(N, tuple(emb)), P, r)
         stats.center_checks += 1
     for i in range(st.torus.t):
@@ -193,7 +194,7 @@ def _check_center_lemma(model, st, r, stats):
             emb = [0] * N
             for s, e in enumerate(row):
                 emb[n_killed + s] = j * e
-            assert not engine.is_central_at_root(
+            assert not is_central_at_root(
                 Element.monomial(N, tuple(emb)), P, r), \
                 (model.S, st.stratum_id, i, j)
             stats.subpower_checks += 1
@@ -295,7 +296,7 @@ def test_criterion_5_weyl_structure(r3):
             for gen in (Element.gen(P.N, model.xpos(i), 3),
                         Element.gen(P.N, model.ypos(i), 3),
                         power(P, model.w[i], 3)):
-                assert engine.is_central_at_root(gen, P, r3)
+                assert is_central_at_root(gen, P, r3)
         notes, gammas, consts, kappa = weyl_table_shapes(model, r3)
         assert notes == []
         assert len(consts) == model.n

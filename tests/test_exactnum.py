@@ -13,12 +13,12 @@ from qorder.exactnum import (
     _canonical,
     _convolve,
     cyclotomic_build,
-    divide_by_cyclotomic,
     poly_divmod,
     poly_trim,
     residue_map,
     residue_prime,
 )
+from conftest import divide_by_cyclotomic
 
 
 def poly_long_division(num, den):

@@ -4,7 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from types import SimpleNamespace
 
 import pytest
@@ -1816,33 +1816,57 @@ def _certificate_fibers():
         yield fiber.fiber_algebra(model, chi, r)
 
 
-def _census_both_ways(A):
-    """The certified census (None where it defers) and the exact census of
-    a table fiber, on one shape."""
-    shape = fiber._TableShape(A)
-    return fiber._census_certified(A, shape), fiber._census_exact(A, shape)
+def _census_exact(A, shape):
+    """The census over Q(eps), the whole-fiber reference of the census mod
+    p: per component, the kernel of its gram block is its part of J, and
+    the span of that kernel and its commutators is its part of
+    [A, A] + J."""
+    r = A.root
+    exact = fiber._exact_scalars(A, shape)
+    blocks = fiber._gram_blocks(A, shape, exact)
+    rad_dim = 0
+    rank = 0
+    for d, (comp, block) in enumerate(zip(shape.comps, blocks)):
+        rad = fiber.kernel_c(block, len(comp), r)
+        rad_dim += len(rad)
+        span = chain(rad, fiber._commutators(shape, exact, d))
+        rank += len(fiber.rref_c(span, limit=len(comp))[1])
+    return rad_dim, A.dim - rank, A.dim - rad_dim
+
+
+def _exact_calls(monkeypatch):
+    """A Counter, by name, of the calls of fiber._gram_blocks and
+    fiber._commutators over Q(eps) (scalars.p is None) made while it is
+    installed."""
+    calls = Counter()
+    for name, at in (("_gram_blocks", 2), ("_commutators", 1)):
+        def spy(*args, real=getattr(fiber, name), name=name, at=at):
+            if args[at].p is None:
+                calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(fiber, name, spy)
+    return calls
 
 
 def test_certified_census_matches_exact_census():
-    deferred = []
+    radicals = Counter()
     for A in _certificate_fibers():
-        certified, exact = _census_both_ways(A)
-        assert certified in (None, exact)
+        exact = _census_exact(A, fiber._TableShape(A))
         assert fiber._census_table(A) == exact
-        deferred.append((certified is None, exact[0] > 0))
-    # both branches are taken, and the fibers with a radical, and only
-    # those, defer to the exact census
-    assert {d for d, _ in deferred} == {True, False}
-    assert all(d == radical for d, radical in deferred)
+        radicals[exact[0] > 0] += 1
+    # fibers with a radical and fibers without
+    assert radicals == {True: 19, False: 52}
 
 
 def test_unlucky_prime_keeps_the_census_exact(monkeypatch):
     # small primes that split Phi_l, with w of order l: 2^3 = 1 mod 7 and
     # 3^5 = 1 mod 11.  The Weyl pair is a full matrix algebra at every
     # character below, but mod 7 its y = 2, x = 3 fiber (and mod 11 its
-    # all-ones fiber) has a radical.
+    # all-ones fiber) has a radical, so a gram pair falls short mod p and
+    # takes the kernels of its exact blocks.
     small = {3: (7, 2), 5: (11, 3)}
     monkeypatch.setattr(exactnum, "residue_prime", small.__getitem__)
+    calls = _exact_calls(monkeypatch)
     W = models.build_weyl([[0]], [1])
     for l, values in ((3, (0, 1, 2, 3)), (5, (0, 1, 2))):
         r = cyclotomic_build(l)
@@ -1850,13 +1874,11 @@ def test_unlucky_prime_keeps_the_census_exact(monkeypatch):
         for y, x in iproduct(values, repeat=2):
             chi = make_character(r, {"y1": y, "x1": x}).check(W, r)
             A = fiber.fiber_algebra(W, chi, r)
-            certified, exact = _census_both_ways(A)
+            exact = _census_exact(A, fiber._TableShape(A))
             assert exact == (0, 1, l * l)
+            calls.clear()
             assert fiber._census_table(A) == exact
-            if certified is None:
-                fallbacks += 1
-            else:
-                assert certified == exact
+            fallbacks += calls["_gram_blocks"] > 0
         assert fallbacks
 
 
@@ -1868,12 +1890,68 @@ def test_denominator_divisible_by_p_takes_the_exact_path(monkeypatch):
     A = fiber.fiber_algebra(W, chi, r)
     assert any(c.den % p == 0 for L in A.left for row in L
                for c in row.values())
-    certified, exact = _census_both_ways(A)
-    assert certified is None
+    exact = _census_exact(A, fiber._TableShape(A))
+    calls = _exact_calls(monkeypatch)
+    # every step is exact: the gram blocks and the 3 components
     assert fiber._census_table(A) == exact == (0, 1, 9)
-    # the same values with p out of the way are certified
+    assert calls == {"_gram_blocks": 1, "_commutators": 3}
+    # the same values with p out of the way are counted mod p alone
     monkeypatch.setattr(exactnum, "residue_prime", lambda l: (7, 2))
-    assert _census_both_ways(A)[0] == exact
+    calls.clear()
+    assert fiber._census_table(A) == exact
+    assert not calls
+
+
+def test_radical_fibers_eliminate_only_their_short_degrees(monkeypatch):
+    # the killed-w Weyl n=2 and the all-ones O_eps(M_2) fibers at l = 5:
+    # the ranks mod p close all but 4 of their 25 and 125 degrees, and only
+    # those 4 are eliminated over Q(eps)
+    r5 = cyclotomic_build(5)
+    W = models.build_weyl(*WEYL_N2)
+    mq, _ = _quantum_matrices(5)
+    ones = {g: 1 for g in mq.presentation.gens}
+    cases = [
+        (fiber.fiber_algebra(W, _killed_w_character(W, r5), r5), 25),
+        (fiber.fiber_algebra(mq, make_character(r5, ones, ones)
+                             .check(mq, r5), r5), 125)]
+    calls = _exact_calls(monkeypatch)
+    counted = []
+    for A, degrees in cases:
+        calls.clear()
+        counted.append(fiber._census_table(A))
+        assert len(set(A.degrees)) == degrees
+        assert calls == {"_gram_blocks": 1, "_commutators": 4}
+    assert counted == [(500, 5, 125)] * 2
+
+
+def test_radical_that_is_not_p_integral_is_eliminated_exactly(monkeypatch):
+    # all-ones O_eps(M_2) at l = 3: every kernel vector of the exact gram
+    # blocks divided by p spans the same J but has no image mod p, so each
+    # degree with a radical is eliminated over Q(eps), and the count stays
+    # the same
+    mq, r3 = _quantum_matrices(3)
+    ones = {g: 1 for g in mq.presentation.gens}
+    A = fiber.fiber_algebra(mq, make_character(r3, ones, ones).check(mq, r3),
+                            r3)
+    calls = _exact_calls(monkeypatch)
+    want = fiber._census_table(A)
+    short = calls["_commutators"]
+    p = exactnum.residue_prime(3)[0]
+    scale = r3.scalar(Fraction(1, p))
+    kernel_c = fiber.kernel_c
+    radicals = []
+
+    def divided(*args):
+        rad = [[x * scale for x in vec] for vec in kernel_c(*args)]
+        radicals.append(len(rad))
+        return rad
+
+    monkeypatch.setattr(fiber, "kernel_c", divided)
+    calls.clear()
+    assert fiber._census_table(A) == want == (54, 3, 27)
+    # 2 of the 27 degrees are short mod p, and all 27 have a radical
+    assert short == 2
+    assert calls["_commutators"] == sum(map(bool, radicals)) == 27
 
 
 # ---------------------------------------------------------------------------
@@ -2121,11 +2199,13 @@ def test_left_operator_recurrence_stops_on_a_loop(r3):
 def test_weyl_table_characters_count_without_exact_elimination(
         r3, monkeypatch):
     # the covered and uncovered characters of the `weyl-table` benchmark,
-    # and every fiber of _certificate_cases that the certificate does not
-    # defer (those with no radical): where every non-unit component is full
-    # mod p and the unit's has rank size - 1, nothing is eliminated over
-    # Q(eps) and no exact operator, left or right, is built.  The fibers
-    # that need an exact elimination have more than one block.
+    # and every fiber of _certificate_cases with no radical: where every
+    # gram pair and every non-unit component is full mod p and the unit's
+    # has rank size - 1, nothing is eliminated over Q(eps) and no exact
+    # operator, left or right, is built.  The fibers with no radical that
+    # need an exact elimination have more than one block, and the fibers
+    # with a radical eliminate over Q(eps) only in the degrees that fall
+    # short mod p.
     fibers = list(_weyl_n2_table_fibers(r3))[:2]
     expected = [fiber.census(A) for A in fibers]
     refusing = [True]
@@ -2153,24 +2233,26 @@ def test_weyl_table_characters_count_without_exact_elimination(
     fibers = list(_weyl_n2_table_fibers(r3))[:2]
     assert [fiber.census(A) for A in fibers] == expected
     assert [(res.rad_dim, res.count) for res in expected] == [(0, 1), (0, 1)]
+    calls = _exact_calls(monkeypatch)
     outcomes = Counter()
     for A in _certificate_fibers():
-        shape = fiber._TableShape(A)
         try:
-            counted = fiber._census_certified(A, shape)
+            counted = fiber._census_table(A)
         except Refused:
             refusing[0] = False
-            counted = fiber._census_certified(A, shape)
+            calls.clear()
+            counted = fiber._census_table(A)
             refusing[0] = True
-            assert counted[0] == 0 and counted[1] > 1
-            outcomes["eliminated"] += 1
+            if counted[0]:
+                assert calls["_commutators"] < len(set(A.degrees))
+                outcomes["radical"] += 1
+            else:
+                assert counted[1] > 1
+                outcomes["eliminated"] += 1
             continue
-        if counted is None:
-            outcomes["deferred"] += 1
-        else:
-            assert counted == (0, 1, A.dim)
-            outcomes["certified"] += 1
-    assert outcomes == {"certified": 49, "eliminated": 3, "deferred": 19}
+        assert counted == (0, 1, A.dim)
+        outcomes["certified"] += 1
+    assert outcomes == {"certified": 49, "eliminated": 3, "radical": 19}
 
 
 def _cyclic_group_algebra(r, graded):
@@ -2227,7 +2309,7 @@ def test_census_rejects_a_product_in_the_wrong_degree(r3):
 
     broken = dataclasses.replace(A, operators=tampered)
     shape = fiber._TableShape(broken)
-    for census_pass in (fiber._census_certified, fiber._census_exact,
+    for census_pass in (lambda B, _: fiber._census_table(B), _census_exact,
                         lambda B, _: fiber.census(B)):
         with pytest.raises(engine.ValidationFailed, match="homogeneous"):
             census_pass(broken, shape)
