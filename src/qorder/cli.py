@@ -443,14 +443,14 @@ def cmd_oracle(model, r, spec):
         raise ParseError(0, "character", "oracle needs a character block")
     notes = []
     located = None
-    ctx = None
     try:
+        # the strata serve only the constructed block dimensions
         ctx = strata_mod.enumerate_strata(model, r)
         loc = strata_mod.locate(character, ctx)
         located = loc if isinstance(loc, strata_mod.Located) else None
     except ValueError as exc:
         notes.append(str(exc))
-    A = fiber_mod.fiber_algebra(model, character, r, located)
+    A = fiber_mod.fiber_algebra(model, character, r)
     dims = None
     if located is not None:
         try:

@@ -6,24 +6,26 @@ central ideal the character cuts out.  Twisted models give monomial fibers
 (products of basis monomials are scalar multiples of basis monomials), which
 keeps the census combinatorial: it reads integer rows of products and
 cocycle differences, built by exponent arithmetic on basis positions, and
-does no cyclotomic arithmetic.  Models with lower-order terms give table
-fibers: no product table is stored, only the left operators of the
-generators on the PBW basis, built by a recurrence on that basis from the
-defining relations and graded by the presentation's own (Z/l)-weights.
-The census computes the radical J of the trace form and counts
-dim A/([A, A] + J), with [A, A] spanned by the commutators of the
-algebra's generators with its basis.  A table fiber is counted one degree
-of its grading at a time from those operators alone: homogeneity is
-checked on them (every left and right operator is a composition of them),
-the right operators follow from them, the degree-0 traces come from one
-sparse row vector per basis element through the right operators, and the
-gram blocks are filled row by row from the traces.  Each step (a gram
-pair, then a degree's commutators) runs first on the fiber's image in
-F_p, for a prime p that splits Phi_l, with the recurrence itself run on
-the images of its inputs; a rank mod p that reaches its bound certifies
-the exact one (the unit's component needs one less, by the trace), and
-only the steps that fall short are done over Q(eps).  The census never
-assumes the count it is asked to confirm.
+does no cyclotomic arithmetic.  A monomial fiber is divided by the exactly
+central monomials on its live coordinates, read from S and valued from the
+witnesses, so the census reads none of the strata it checks.  Models with
+lower-order terms give table fibers: no product table is stored, only the
+left operators of the generators on the PBW basis, built by a recurrence on
+that basis from the defining relations and graded by the presentation's own
+(Z/l)-weights.  The census computes the radical J of the trace form and
+counts dim A/([A, A] + J), with [A, A] spanned by the commutators of the
+algebra's generators with its basis.  A table fiber is counted one degree of
+its grading at a time from those operators alone: homogeneity is checked on
+them (every left and right operator is a composition of them), the right
+operators follow from them, the degree-0 traces come from one sparse row
+vector per basis element through the right operators, and the gram blocks
+are filled row by row from the traces.  Each step (a gram pair, then a
+degree's commutators) runs first on the fiber's image in F_p, for a prime p
+that splits Phi_l, with the recurrence itself run on the images of its
+inputs; a rank mod p that reaches its bound certifies the exact one (the
+unit's component needs one less, by the trace), and only the steps that fall
+short are done over Q(eps).  The census never assumes the count it is asked
+to confirm.
 
 Clock/shift representations are built and verified as scaled partial
 permutations (per row, one column and one nonzero value, or nothing), so a
@@ -56,10 +58,6 @@ class TooLarge(ValueError):
 
 class NonSplit(ArithmeticError):
     """Block structure could not be certified over the cyclotomic field."""
-
-
-class Unsupported(ValueError):
-    """The fiber needs a quotient the census cannot build."""
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +263,14 @@ def _reduce_exponent(vec, l, chi_list):
     return tuple(out), scal
 
 
-def fiber_algebra(model, character, r, located=None):
+def fiber_algebra(model, character, r):
     """Quotient of the specialized algebra by the character's central ideal.
 
     The basis is the reduced monomials with exponents in [0, l); generator
-    l-th powers act as the character values.  When the located stratum has
-    ambient-central monomials beyond the l-center (extending z's), the fiber
-    is further divided by their character values, which requires witnesses.
+    l-th powers act as the character values.  A monomial fiber is further
+    divided by the central monomials on its live coordinates, read from S
+    and valued from the witnesses, when all of them have values
+    (_extension_steps); no strata are read.
 
     Models with lower-order terms keep no product table, only a hook that
     builds the generators' left operators on the basis, graded by
@@ -281,9 +280,8 @@ def fiber_algebra(model, character, r, located=None):
     images of its inputs for the census mod p.  The operators need every
     generator's l-th power central at eps (engine.ValidationFailed
     otherwise; 2 N^2 engine products, checked here), which makes the
-    reduction by chi a homomorphism, and a located stratum with extending
-    z's raises Unsupported, since the table build has no extension
-    quotient.
+    reduction by chi a homomorphism.  A table fiber is never divided
+    further.
     """
     P = model.presentation
     N = P.N
@@ -298,12 +296,9 @@ def fiber_algebra(model, character, r, located=None):
     unit_vectors = [tuple(int(i == g) for i in range(N)) for g in range(N)]
 
     if monomial:
-        return _monomial_fiber(P, r, chi_list, basis, unit_vectors, located)
+        return _monomial_fiber(P, r, character, chi_list, basis,
+                               unit_vectors)
 
-    ts = located.stratum.torus if located is not None else None
-    if ts is not None and ts.t < ts.p:
-        raise Unsupported("extension quotient on a table fiber is not "
-                          "supported")
     index = {v: i for i, v in enumerate(basis)}
     # Reducing exponents is a homomorphism exactly when the l-th powers are
     # central.
@@ -411,20 +406,20 @@ def _table_left(P, r, chi_list, basis, index, image=None, norm=None):
     return rows
 
 
-def _monomial_fiber(P, r, chi_list, basis, unit_vectors, located):
+def _monomial_fiber(P, r, character, chi_list, basis, unit_vectors):
     """The monomial branch of fiber_algebra.  A basis vector a sits at
     position sum a_i l^(N-1-i) of basis; its rows are built by exponent
     arithmetic on those positions, one coordinate at a time.
 
-    Each extending z with a value identifies b_a with a multiple of
-    b_(a + u), u its row, so two vectors stand for one basis element
-    exactly when they differ by an element of the lattice spanned by the z
-    rows and l Z^N.  Each class is represented by its least vector, which
-    the Hermite form of that lattice reduces every vector to."""
+    Each central monomial x^u it divides by identifies b_a with a multiple
+    of b_(a + u), so two vectors stand for one basis element exactly when
+    they differ by an element of the lattice of those u and l Z^N.  Each
+    class is represented by its least vector, which the Hermite form of
+    that lattice reduces every vector to."""
     N = P.N
     l = r.l
     S = P.S
-    steps = _extension_steps(P, r, chi_list, located)
+    steps = _extension_steps(P, r, character, chi_list)
 
     def position(v):
         p = 0
@@ -486,46 +481,48 @@ def _monomial_fiber(P, r, chi_list, basis, unit_vectors, located):
                      mono_power=indices(l, (0,) * N), gen_rows=gen_rows)
 
 
-def _extension_steps(P, r, chi_list, located):
-    """The Hermite rows (i, h), pivot h[i] < l, of the lattice spanned by
-    the embedded rows of the extending z's with values and by l Z^N; a row
-    with pivot l moves no vector with entries in [0, l).  The values are
-    checked first: no z row may meet a vanishing coordinate, and for every
-    integer relation n among the z rows and the l e_i with chi_i != 0, the
+def _extension_steps(P, r, character, chi_list):
+    """The Hermite rows (i, h), pivot h[i] < l, of the lattice of the
+    central monomials on the live coordinates J = {i : chi_i != 0} and
+    l Z^N; a row with pivot l moves no vector with entries in [0, l).  The
+    central monomials are the integer kernel of S[:, J]: the x^u on J that
+    commute with every generator for every q.  Each row takes its value
+    from the witnesses (strata.monomial_value); when one has none in
+    Q(eps), a missing witness or an odd self-cocycle at even l, the fiber
+    is divided by nothing.  The values are checked first: for every
+    integer relation n among the rows and the l e_i with i in J, the
     ordered product of their monomials to the powers n, which is
     eps^gamma mono(0), must take the value prod val^n = eps^gamma.  The
     monomials are central, so a basis of the relations suffices; a failed
     relation would give some basis element two different multiples."""
-    if located is None or not located.z_ext:
-        return []
     N, l = P.N, r.l
-    st = located.stratum
-    rows, values = [], []
-    for j, zval in located.z_ext.items():
-        u = strata_mod.embed_vector(st, N, st.torus.z_rows()[j])
-        if any(e and chi_list[i].is_zero() for i, e in enumerate(u)):
-            raise ArithmeticError("central monomial truncated")
-        rows.append(u)
-        values.append(zval)
+    live = [i for i, c in enumerate(chi_list) if not c.is_zero()]
+    kernel = zlattice.kernel_int([[row[i] for i in live] for row in P.S])
+    if not kernel:
+        return []
     powers = [[l * (t == i) for t in range(N)] for i in range(N)]
-    lattice = rows + powers
-    for i, c in enumerate(chi_list):
-        if not c.is_zero():
-            rows.append(powers[i])
-            values.append(c)
+    lattice = powers[:]
+    for v in kernel:
+        u = dict(zip(live, v))
+        lattice.append([u.get(i, 0) for i in range(N)])
+    steps = [(i, h) for i, h in enumerate(zlattice.hermite_rows(lattice))
+             if h[i] < l]
+    rows = [h for _, h in steps] + [powers[i] for i in live]
+    try:
+        values = [strata_mod.monomial_value(P.S, P.gens, character, r, h)
+                  for _, h in steps] + [chi_list[i] for i in live]
+    except strata_mod.MissingWitness:
+        return []
     for n in zlattice.kernel_int(zlattice.transpose(rows)):
         gamma, acc = strata_mod.ordered_product_data(P.S, rows, n)
         if any(acc):
             raise ArithmeticError("extension relation %s does not close" % n)
-        val = r.one()
-        for v, e in zip(values, n):
-            if e:
-                val = val * v ** e
+        val = math.prod((v ** e for v, e in zip(values, n) if e),
+                        start=r.one())
         if val != r.eps_power(gamma):
             raise ArithmeticError(
                 "inconsistent extension relations in the fiber")
-    return [(i, h) for i, h in enumerate(zlattice.hermite_rows(lattice))
-            if h[i] < l]
+    return steps
 
 
 def _digit_fold(cols, radix):
@@ -808,16 +805,18 @@ def clock_shift_irreps(ctx, located, character):
     # missing roots are reported in the order of the frame before its rebase
     z_rows = ts.z_rows()
     frame = ts.normal_pairs + z_rows
+    labels = [item.label for item in st.survivors]
     roots = []
     for row in frame:
-        roots.append(strata_mod.root_exponent(st, r, row))
-        for item, e in zip(st.survivors, row):
+        roots.append(strata_mod.root_exponent(st.skew, r, row))
+        for label, e in zip(labels, row):
             if e:
-                character.witness(item.label)
+                character.witness(label)
     if frame != ts.basis:
-        roots = [strata_mod.root_exponent(st, r, row) for row in ts.basis]
-    z_scalars = [r.eps_power(t) * strata_mod.witness_product(st, character,
-                                                             r, row)
+        roots = [strata_mod.root_exponent(st.skew, r, row)
+                 for row in ts.basis]
+    z_scalars = [r.eps_power(t)
+                 * strata_mod.witness_product(labels, character, r, row)
                  for t, row in zip(roots[2 * k:], z_rows)]
     frame_mats = []
     for i in range(k):
@@ -835,7 +834,7 @@ def clock_shift_irreps(ctx, located, character):
                 for t in range(ts.m)]
         c = (r.eps_power(sum(a * b for a, b in zip(coeffs, roots[:2 * k]))
                          - gamma)
-             * strata_mod.witness_product(st, character, r, rest))
+             * strata_mod.witness_product(labels, character, r, rest))
         for z, e in zip(z_scalars, zc):
             c = c * z ** e
         M = _sum([(c, [(F, e % l) for F, e in zip(frame_mats, coeffs)])],

@@ -507,15 +507,14 @@ def psi_check(g_l0, g_eps, r):
     return True
 
 
-def _census_count(model, character, r, located, dims, notes):
+def _census_count(model, character, r, dims, notes):
     """The census count of the character's fiber, or None with a note when
-    the fiber is over the size cap, needs an extension quotient the table
-    build lacks, or its blocks are not split."""
+    the fiber is over the size cap or its blocks are not split.  The fiber
+    is built from the model and the character alone."""
     try:
-        A = fiber_mod.fiber_algebra(model, character, r, located)
+        A = fiber_mod.fiber_algebra(model, character, r)
         return fiber_mod.census(A, dims).count
-    except (fiber_mod.TooLarge, fiber_mod.Unsupported,
-            fiber_mod.NonSplit) as exc:
+    except (fiber_mod.TooLarge, fiber_mod.NonSplit) as exc:
         notes.append("census: %s" % exc)
         return None
 
@@ -544,7 +543,7 @@ def main_theorem_check(model, character, r, ctx=None):
         g = linearized_stabilizer(names, exprs, ctx.frame_values(character), r)
         res = rank_and_checks(g)
         predicted = r.l ** res.rank
-        oracle = _census_count(model, character, r, None, None, notes)
+        oracle = _census_count(model, character, r, None, notes)
         if oracle is None:
             verdict = "UNCHECKED"
         else:
@@ -587,20 +586,21 @@ def main_theorem_check(model, character, r, ctx=None):
     except strata_mod.MissingWitness as exc:
         reps, dims = None, None
         notes.append(str(exc))
-    missing_ext = [j for j in range(ts.t, ts.p) if j not in loc.z_ext]
-    multiplier = r.l ** len(missing_ext)
-    oracle = _census_count(model, character, r, loc, dims, notes)
+    # the fiber is divided by every extending z or, when one has no value,
+    # by none: the census is then taken over all p - t extension values
+    missing_ext = ts.p - ts.t if len(loc.z_ext) < ts.p - ts.t else 0
+    oracle = _census_count(model, character, r, dims, notes)
     if dims is not None and oracle is not None and len(dims) != oracle:
         notes.append("constructed %d representations, census %d"
                      % (len(dims), oracle))
-    ok = (oracle in (None, multiplier * predicted)
+    ok = (oracle in (None, r.l ** missing_ext * predicted)
           and predicted == r.l ** ts.t
           and checks.get("rank_equal", True)
           and checks.get("psi_toral", True))
     flagged = bool(missing_ext) or res_eps is None
     if missing_ext:
         notes.append("census taken over %d unresolved extension values"
-                     % len(missing_ext))
+                     % missing_ext)
     # linearized comparison when the character level allows it, on the
     # same chart
     try:

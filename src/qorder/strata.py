@@ -320,11 +320,11 @@ def ordered_product_data(skew, rows, coeffs):
     return gamma, acc
 
 
-def root_exponent(stratum, r, u):
+def root_exponent(skew, r, u):
     """The t such that eps^t times the witness product of u is the value of
-    the survivor monomial with exponent u.  At even l a monomial whose
-    self-cocycle is odd has no canonical root, and MissingWitness says so."""
-    c = survivor_cocycle(stratum.skew, u, u)
+    the monomial x^u under skew.  At even l a monomial whose self-cocycle
+    is odd has no canonical root, and MissingWitness says so."""
+    c = survivor_cocycle(skew, u, u)
     if r.l % 2 == 1:
         return c * (r.l - 1) // 2
     half = c * r.l * (r.l - 1) // 2
@@ -334,20 +334,20 @@ def root_exponent(stratum, r, u):
     return half // r.l
 
 
-def witness_product(stratum, character, r, u):
-    """The product of the survivors' witnesses to the powers in u."""
+def witness_product(labels, character, r, u):
+    """The product of the witnesses of labels to the powers in u."""
     val = r.one()
-    for s_item, e in zip(stratum.survivors, u):
+    for label, e in zip(labels, u):
         if e:
-            val = val * character.witness(s_item.label) ** e
+            val = val * character.witness(label) ** e
     return val
 
 
-def monomial_value(stratum, character, r, u):
-    """Witness-based value of the survivor monomial with exponent u.  Its
+def monomial_value(skew, labels, character, r, u):
+    """Witness-based value of the monomial x^u in labels under skew.  Its
     l-th power is the value of the monomial's l-th power in the l-center."""
-    return (r.eps_power(root_exponent(stratum, r, u))
-            * witness_product(stratum, character, r, u))
+    return (r.eps_power(root_exponent(skew, r, u))
+            * witness_product(labels, character, r, u))
 
 
 def locate(character, ctx):
@@ -383,10 +383,11 @@ def locate(character, ctx):
     st = hits[0]
     z_ext = {}
     ts = st.torus
+    labels = [item.label for item in st.survivors]
     for j in range(ts.t, ts.p):
-        row = ts.z_rows()[j]
         try:
-            z_ext[j] = monomial_value(st, character, ctx.root, row)
+            z_ext[j] = monomial_value(st.skew, labels, character, ctx.root,
+                                      ts.z_rows()[j])
         except MissingWitness:
             pass
     return Located(stratum=st, z_ext=z_ext)

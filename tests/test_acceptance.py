@@ -388,17 +388,13 @@ def test_criterion_8_determinism_and_galois(tmp_path):
                 if not model.admissibility(l):
                     counts = None
                     break
-                ctx = strata.enumerate_strata(model, r)
                 per = []
                 for bits in iproduct((0, 1), repeat=n_poly):
                     vals = {g: b for g, b in
                             zip(model.presentation.gens, bits)}
                     wits = {g: 1 for g, v in vals.items() if v}
                     chi = make_character(r, vals, wits).check(model, r)
-                    loc = strata.locate(chi, ctx)
-                    located = loc if isinstance(loc, strata.Located) else None
-                    res = fiber.census(fiber.fiber_algebra(model, chi, r,
-                                                           located))
+                    res = fiber.census(fiber.fiber_algebra(model, chi, r))
                     per.append(res.count)
                 counts.append(per)
             if counts is not None:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qorder import cli, fiber
+from qorder import cli, fiber, strata
 
 PLANE = """
 # quantum plane at a cube root of unity
@@ -262,34 +262,86 @@ def test_verify_marks_nonsplit_census_unchecked(tmp_path, monkeypatch):
         assert "census: blocks not certified" in rec["result.notes"]
 
 
-def test_verify_marks_extending_table_fibers_unchecked(tmp_path,
-                                                     monkeypatch):
-    # a located stratum with an extending z needs a quotient the table
-    # build lacks: the covered characters are refused, the uncovered ones
-    # (no located stratum) are still counted
-    build = fiber.fiber_algebra
+def _ones_job(S, gens, l, witnessed=None):
+    """A twisted job with every generator polynomial and valued 1, and
+    witness 1 on the generators in witnessed (all of them by default)."""
+    lines = ["algebra.kind = twisted", "algebra.S = %s" % S,
+             "algebra.n_poly = %d" % len(gens), "root.l = %d" % l]
+    lines += ["character.%s = 1" % g for g in gens]
+    lines += ["character.witness.%s = 1" % g
+              for g in (gens if witnessed is None else witnessed)]
+    return "\n".join(lines) + "\n"
 
-    def with_extending_z(model, character, r, located=None):
-        if located is not None:
-            st = located.stratum
-            torus = dataclasses.replace(st.torus, p=st.torus.t + 1)
-            located = dataclasses.replace(
-                located, stratum=dataclasses.replace(st, torus=torus))
-        return build(model, character, r, located)
 
-    monkeypatch.setattr(fiber, "fiber_algebra", with_extending_z)
-    code, text = run_cli(tmp_path, WEYL, "verify", "--format", "data")
+def test_oracle_divides_by_central_monomials_without_strata(tmp_path):
+    # l = 3 divides the pairing of x1 and x2, so the model has no strata
+    # at this root; x3 is still central, and the fiber is divided by it,
+    # from S and the witnesses: dim 9 and count 9, where dividing by
+    # nothing gave dim 27 and count 27
+    job = _ones_job("0 3 0 / -3 0 0 / 0 0 0", ["x1", "x2", "x3"], 3)
+    code, text = run_cli(tmp_path, job, "oracle")
     assert code == 0
-    recs = json.loads(text)["results"]
-    assert {rec["result.covered"] for rec in recs} == {True, False}
-    for rec in recs:
-        if rec["result.covered"]:
-            assert rec["result.verdict"] == "UNCHECKED"
-            assert rec["result.oracle"] is None
-            assert ("census: extension quotient on a table fiber is not "
-                    "supported") in rec["result.notes"]
-        else:
-            assert rec["result.verdict"] == "PASS-with-flag"
+    assert text.splitlines()[0] == (
+        "oracle: dim=9 rad=0 count=9 blocks=[%s] (inferred-commutative)"
+        % ", ".join(["1"] * 9))
+
+
+def test_partial_witnesses_leave_every_extension_to_the_census(tmp_path):
+    # both generators of the commutative plane are extending z's, and x2
+    # has no witness: the fiber is divided by neither (dim 9, count 9),
+    # and the census is taken over both extension values.  Dividing by x1
+    # alone gave dim 3, count 3 and one unresolved value.
+    job = _ones_job("0 0 / 0 0", ["x1", "x2"], 3, ["x1"])
+    code, text = run_cli(tmp_path, job, "oracle")
+    assert code == 0
+    assert text.splitlines()[0] == ("oracle: dim=9 rad=0 count=9 blocks=[%s] "
+                                    "(inferred-commutative)"
+                                    % ", ".join(["1"] * 9))
+    code, text = run_cli(tmp_path, job, "count", "--format", "data")
+    assert code == 0
+    (rec,) = json.loads(text)["results"]
+    assert (rec["result.verdict"], rec["result.oracle"],
+            rec["result.predicted"]) == ("PASS-with-flag", 9, 1)
+    assert ("census taken over 2 unresolved extension values"
+            in rec["result.notes"])
+
+
+def test_census_ignores_tampered_z_rows(tmp_path, monkeypatch):
+    """The oracle's dim, rad and count stay the same when every extending
+    z row of the located stratum is replaced by a wrong one: the fiber
+    finds its own center.  The construction, which does read the rows, is
+    skipped in both runs."""
+    def unbuilt(*args):
+        raise strata.MissingWitness("construction skipped")
+
+    real = strata.locate
+    tampered = []
+
+    def locate_wrong(character, ctx):
+        loc = real(character, ctx)
+        ts = loc.stratum.torus
+        wrong = [int(i == 0) for i in range(ts.m)]
+        basis = ts.basis[:2 * ts.k + ts.t] + [wrong] * (ts.p - ts.t)
+        assert basis != ts.basis
+        tampered.append(ts.p - ts.t)
+        stratum = dataclasses.replace(
+            loc.stratum, torus=dataclasses.replace(ts, basis=basis))
+        return dataclasses.replace(loc, stratum=stratum)
+
+    monkeypatch.setattr(fiber, "clock_shift_irreps", unbuilt)
+    cases = [("0 1 0 / -1 0 1 / 0 -1 0", ["x1", "x2", "x3"], 3, (9, 0, 1)),
+             ("0 1 0 / -1 0 1 / 0 -1 0", ["x1", "x2", "x3"], 5, (25, 0, 1)),
+             ("0 0 / 0 0", ["x1", "x2"], 3, (1, 0, 1))]
+    for S, gens, l, want in cases:
+        job = _ones_job(S, gens, l)
+        for patch in (real, locate_wrong):
+            monkeypatch.setattr(strata, "locate", patch)
+            code, text = run_cli(tmp_path, job, "oracle", "--format", "data")
+            assert code == 0
+            (rec,) = json.loads(text)["results"]
+            assert (rec["result.fiber_dim"], rec["result.rad_dim"],
+                    rec["result.oracle"]) == want
+    assert tampered == [1, 1, 2]
 
 
 def test_noncentral_lth_power_is_a_validation_error(tmp_path, capsys):

@@ -5,7 +5,6 @@ from collections import Counter
 from fractions import Fraction
 from functools import partial
 from itertools import chain, product as iproduct
-from types import SimpleNamespace
 
 import pytest
 
@@ -119,8 +118,9 @@ def _union_find_quotient(model, character, r, located=None):
 
 def _with_mono_mult(model, character, r, located=None):
     """A monomial fiber and the union-find's mono_mult, once the fiber's
-    basis labels are checked to be the union-find's."""
-    A = fiber.fiber_algebra(model, character, r, located)
+    basis labels are checked to be the union-find's, which divides by the
+    located stratum's extending z's."""
+    A = fiber.fiber_algebra(model, character, r)
     labels, mono_mult = _union_find_quotient(model, character, r, located)
     assert A.basis_labels == labels
     return A, mono_mult
@@ -155,9 +155,11 @@ def test_fiber_dims(r3):
     Aw = fiber.fiber_algebra(W, chiw, r3)
     assert Aw.dim == 9 and not Aw.monomial
     mc = models.build_twisted([[0]], 1)
+    # x1 is central: with its witness the fiber is divided by it
     chic = make_character(r3, {"x1": 1}, {"x1": 1}).check(mc, r3)
-    Ac = fiber.fiber_algebra(mc, chic, r3)
-    assert Ac.dim == 3
+    assert fiber.fiber_algebra(mc, chic, r3).dim == 1
+    bare = make_character(r3, {"x1": 1}).check(mc, r3)
+    assert fiber.fiber_algebra(mc, bare, r3).dim == 3
 
 
 def test_fiber_too_large():
@@ -325,7 +327,9 @@ def _per_choice_irreps(ctx, loc, chi):
     r, st = ctx.root, loc.stratum
     ts, l = st.torus, r.l
     k, dim = ts.k, l ** ts.k
-    scalars = [strata.monomial_value(st, chi, r, row) for row in ts.basis]
+    labels = [s.label for s in st.survivors]
+    scalars = [strata.monomial_value(st.skew, labels, chi, r, row)
+               for row in ts.basis]
     frame = []
     for i in range(k):
         frame.append(pp_to_dense(fiber._clock(l, ts.ds[i], r, i, k), r))
@@ -473,15 +477,13 @@ def test_weyl_strata_build_and_verify(monkeypatch):
 
 
 def test_census_examples(r3):
-    m, ctx = plane_ctx(r3)
+    m = models.build_twisted([[0, 1], [-1, 0]], 2)
     chi = make_character(r3, {"x1": 1, "x2": 1},
                          {"x1": 1, "x2": 1}).check(m, r3)
-    loc = strata.locate(chi, ctx)
-    res = fiber.census(fiber.fiber_algebra(m, chi, r3, loc))
+    res = fiber.census(fiber.fiber_algebra(m, chi, r3))
     assert (res.rad_dim, res.count) == (0, 1)
     chi2 = make_character(r3, {"x1": 0, "x2": 1}, {"x2": 1}).check(m, r3)
-    loc2 = strata.locate(chi2, ctx)
-    res2 = fiber.census(fiber.fiber_algebra(m, chi2, r3, loc2))
+    res2 = fiber.census(fiber.fiber_algebra(m, chi2, r3))
     assert (res2.rad_dim, res2.count) == (6, 3)
     assert res2.blocks == [1, 1, 1]
 
@@ -528,7 +530,7 @@ def test_census_agreement_sweep(r3):
             chi = make_character(r3, vals, wits).check(m, r3)
             loc = strata.locate(chi, ctx)
             reps = fiber.clock_shift_irreps(ctx, loc, chi)
-            A = fiber.fiber_algebra(m, chi, r3, loc)
+            A = fiber.fiber_algebra(m, chi, r3)
             res = fiber.census(A, [p.dim for p in reps])
             assert res.blocks_method == "construction"
             assert len(reps) == res.count == 3 ** loc.stratum.torus.t
@@ -542,10 +544,8 @@ def test_census_galois_invariance():
     for j in (1, 2):
         r = cyclotomic_build(3, j)
         m = models.build_twisted([[0, 1], [-1, 0]], 2)
-        ctx = strata.enumerate_strata(m, r)
         chi = make_character(r, {"x1": 0, "x2": 1}, {"x2": 1}).check(m, r)
-        loc = strata.locate(chi, ctx)
-        res = fiber.census(fiber.fiber_algebra(m, chi, r, loc))
+        res = fiber.census(fiber.fiber_algebra(m, chi, r))
         assert (res.rad_dim, res.count) == (6, 3)
 
 
@@ -553,49 +553,127 @@ def test_extension_quotient_matches_representation_count(r3):
     # commutative direction: the quotient by the extending central monomial
     # reduces the fiber to the single character's share
     m = models.build_twisted([[0, 0], [0, 0]], 2)
-    ctx = strata.enumerate_strata(m, r3)
     chi = make_character(r3, {"x1": 1, "x2": 1},
                          {"x1": 1, "x2": 1}).check(m, r3)
-    loc = strata.locate(chi, ctx)
-    A = fiber.fiber_algebra(m, chi, r3, loc)
+    A = fiber.fiber_algebra(m, chi, r3)
     assert A.dim == 1
     res = fiber.census(A)
     assert res.count == 1
-    # without the located stratum the l-center fiber counts all extensions
-    A0 = fiber.fiber_algebra(m, chi, r3)
-    res0 = fiber.census(A0)
-    assert res0.count == 9
+    # without witnesses the central monomials have no values, and the
+    # l-center fiber counts all extensions
+    bare = make_character(r3, {"x1": 1, "x2": 1}).check(m, r3)
+    res0 = fiber.census(fiber.fiber_algebra(m, bare, r3))
+    assert (res0.dim, res0.count) == (9, 9)
 
 
-def test_extension_values_must_satisfy_their_relations(r3, r5):
-    """Every extension value of a located tridiagonal N = 3 fiber times 2
-    breaks a relation among the z's and the l-th powers; times eps it is
-    another root, which builds a fiber of the same dimension and count."""
+def test_extension_values_must_satisfy_their_relations(r3, r5, monkeypatch):
+    """Every extension value of a divided tridiagonal N = 3 fiber times 2,
+    through the value helper the fiber reads, breaks a relation among the
+    central monomials and the l-th powers; times eps it is another root,
+    which builds a fiber of the same dimension and count."""
     S = [[0, 1, 0], [-1, 0, 1], [0, -1, 0]]
+    real = strata.monomial_value
     seen = set()
     for r in (r3, r5):
         for n_poly in range(4):
             m = models.build_twisted(S, n_poly)
-            ctx = strata.enumerate_strata(m, r)
             for chi in cli.default_characters(m, r):
-                loc = strata.locate(chi, ctx)
-                if not loc.z_ext:
+                A = fiber.fiber_algebra(m, chi, r)
+                if A.dim == r.l ** 3:
                     continue
-                A = fiber.fiber_algebra(m, chi, r, loc)
                 want = (A.dim, fiber.census(A).count)
-
-                def scaled(f):
-                    return dataclasses.replace(
-                        loc, z_ext={j: v * f for j, v in loc.z_ext.items()})
-
-                with pytest.raises(ArithmeticError,
-                                   match="inconsistent extension relations"):
-                    fiber.fiber_algebra(m, chi, r, scaled(r.scalar(2)))
-                B = fiber.fiber_algebra(m, chi, r, scaled(r.eps()))
+                with monkeypatch.context() as patch:
+                    patch.setattr(strata, "monomial_value",
+                                  lambda *args: real(*args) * r.scalar(2))
+                    with pytest.raises(
+                            ArithmeticError,
+                            match="inconsistent extension relations"):
+                        fiber.fiber_algebra(m, chi, r)
+                    patch.setattr(strata, "monomial_value",
+                                  lambda *args: real(*args) * r.eps())
+                    B = fiber.fiber_algebra(m, chi, r)
                 assert (B.dim, fiber.census(B).count) == want
                 seen.add((r.l, want))
     # the all-ones character and the one with x2 killed, at both orders
     assert seen == {(3, (9, 1)), (3, (9, 3)), (5, (25, 1)), (5, (25, 5))}
+
+
+def _torus_steps(P, r, loc):
+    """The Hermite steps of the lattice spanned by the embedded rows of the
+    located stratum's extending z's that have values, and by l Z^N: the
+    quotient the monomial fiber once took from the strata."""
+    N, l = P.N, r.l
+    st = loc.stratum
+    rows = [strata.embed_vector(st, N, st.torus.z_rows()[j])
+            for j in loc.z_ext]
+    if not rows:
+        return []
+    powers = [[l * (t == i) for t in range(N)] for i in range(N)]
+    return [(i, h) for i, h in enumerate(zlattice.hermite_rows(rows + powers))
+            if h[i] < l]
+
+
+def _skew(N, entries):
+    pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
+    S = [[0] * N for _ in range(N)]
+    for (i, j), v in zip(pairs, entries):
+        S[i][j], S[j][i] = v, -v
+    return S
+
+
+def _differential_models():
+    """(model, root) pairs: the report corpus's small twisted models (N = 2
+    and 3 with S entries in {-1, 0, 1} at n_poly N and N - 1, S = 0 2 / -2
+    0, and borel-sl2) at l = 2 to 5, the tridiagonal N = 5 tower at l = 7,
+    and random N = 4 and 5 models with S entries in -2..2 and n_poly 2 at
+    l = 3, 5 and 7."""
+    small = [models.build_twisted([[0, 2], [-2, 0]], 2),
+             models.build_borel_sl2()]
+    for N in (2, 3):
+        for entries in iproduct((-1, 0, 1), repeat=N * (N - 1) // 2):
+            S = _skew(N, entries)
+            small += [models.build_twisted(S, n) for n in (N, N - 1)]
+    for l in (2, 3, 4, 5):
+        r = cyclotomic_build(l)
+        yield from ((m, r) for m in small)
+    yield (models.build_twisted(_skew(5, [1, 0, 0, 0, 1, 0, 0, 1, 0, 1]), 1),
+           cyclotomic_build(7))
+    rng = random.Random(30)
+    for N in (4, 5):
+        for _ in range(30):
+            S = _skew(N, [rng.randint(-2, 2)
+                          for _ in range(N * (N - 1) // 2)])
+            for l in (3, 5, 7):
+                yield models.build_twisted(S, 2), cyclotomic_build(l)
+
+
+def test_fiber_center_matches_the_torus_rows():
+    """On every located character of the differential models, with witness
+    1 on its nonzero values and with no witnesses, the Hermite steps that
+    the monomial fiber finds from S and the witnesses are those of the
+    located stratum's extending z's with values."""
+    kinds = Counter()
+    for m, r in _differential_models():
+        if not m.admissibility(r.l):
+            continue
+        ctx = strata.enumerate_strata(m, r)
+        P = m.presentation
+        for chi in cli.default_characters(m, r):
+            for chi in (chi, strata.Character(chi.values)):
+                loc = strata.locate(chi, ctx)
+                chi_list = [chi.value(g) for g in P.gens]
+                steps = fiber._extension_steps(P, r, chi, chi_list)
+                assert steps == _torus_steps(P, r, loc), (P.S, r.l, chi)
+                ts = loc.stratum.torus
+                kinds[(ts.t < ts.p, len(loc.z_ext) == ts.p - ts.t,
+                       bool(steps), bool(chi.witnesses))] += 1
+    # (extending z's, all of them valued, divided, witnesses): the fibers
+    # with witnesses whose z's go unvalued are at even l
+    assert kinds == {(False, True, False, False): 1506,
+                     (False, True, False, True): 1262,
+                     (True, True, True, True): 566,
+                     (True, False, False, True): 32,
+                     (True, False, False, False): 598}
 
 
 def _nonsplit_algebra(r):
@@ -807,14 +885,6 @@ def test_table_from_left_operators_matches_pairwise_products(r3, r5):
                     for vec in fiber._commutators(shape, images, d)] == [
                 [image(x) for x in vec]
                 for vec in fiber._commutators(shape, exact, d)]
-
-
-def test_table_fiber_refuses_extending_z(r3):
-    W, chi = next(_weyl_n1_characters(r3))
-    torus = SimpleNamespace(t=0, p=1)
-    located = SimpleNamespace(stratum=SimpleNamespace(torus=torus), z_ext={})
-    with pytest.raises(fiber.Unsupported, match="extension quotient"):
-        fiber.fiber_algebra(W, chi, r3, located)
 
 
 def test_representation_element_evaluation(r3):
@@ -1562,8 +1632,7 @@ def _weyl_n2_table_fibers(r3):
     chi = strata.Character({"x1": u ** 3, "x2": one, "y1": one, "y2": one},
                            {"x1": u, "x2": one, "y1": one, "y2": one,
                             "w2": e - one}).check(W, r3)
-    ctx = strata.enumerate_strata(W, r3)
-    yield fiber.fiber_algebra(W, chi, r3, strata.locate(chi, ctx))
+    yield fiber.fiber_algebra(W, chi, r3)
 
 
 def _component_sizes(degrees):

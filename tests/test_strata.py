@@ -167,7 +167,8 @@ def test_monomial_value_consistency(r3):
     chi = make_character(r3, {"x1": 1, "x2": 1},
                          {"x1": 1, "x2": 1}).check(m, r3)
     for u in ([1, 0], [0, 1], [1, 1], [2, 1]):
-        val = strata.monomial_value(st, chi, r3, u)
+        val = strata.monomial_value(
+            st.skew, [s.label for s in st.survivors], chi, r3, u)
         assert val ** 3 == monomial_l_value(st, ctx, chi, u)
 
 
@@ -332,3 +333,32 @@ def test_weyl_strata_make_no_engine_product(r3, monkeypatch):
     ctx = strata.enumerate_strata(W, r3)
     assert len(ctx.strata) == len(strata.weyl_admissible_triples(3)) == 20
     assert calls == []
+
+
+def test_weyl_strata_have_no_extending_z():
+    """No stratum of a quantum Weyl model has an extending z (t = p), so a
+    table fiber is never divided by one.  Checked on every model with
+    n <= 2, S entries in -2..2 and exponents in {-1, 1, 2, 3}, and on a
+    seeded sample of 150 such models with n = 3, at every admissible
+    l in {2, 3, 4, 5, 7}."""
+    rng = random.Random(30)
+    shapes = []
+    for n in (1, 2, 3):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        grid = list(iproduct(iproduct(range(-2, 3), repeat=len(pairs)),
+                             iproduct((-1, 1, 2, 3), repeat=n)))
+        shapes += grid if n < 3 else rng.sample(grid, 150)
+    seen = 0
+    for entries, exps in shapes:
+        n = len(exps)
+        S = [[0] * n for _ in range(n)]
+        for (i, j), v in zip(combinations(range(n), 2), entries):
+            S[i][j], S[j][i] = v, -v
+        W = models.build_weyl(S, list(exps))
+        for l in (2, 3, 4, 5, 7):
+            if not W.admissibility(l):
+                continue
+            for st in strata.enumerate_strata(W, cyclotomic_build(l)).strata:
+                assert st.torus.t == st.torus.p, (S, exps, l, st.stratum_id)
+                seen += 1
+    assert seen == 6126

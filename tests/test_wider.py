@@ -70,7 +70,7 @@ def test_weyl_n2_killed_w_stratum_full_pipeline(r3):
     reps = fiber.clock_shift_irreps(ctx, loc, chi)
     assert [p.dim for p in reps] == [3, 3, 3]
     assert all(p.verified for p in reps)
-    A = fiber.fiber_algebra(W, chi, r, loc)
+    A = fiber.fiber_algebra(W, chi, r)
     res = fiber.census(A, [p.dim for p in reps])
     assert (res.rad_dim, res.count) == (54, 3)
     assert res.blocks_method == "construction"
