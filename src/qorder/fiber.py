@@ -19,13 +19,18 @@ its grading at a time from those operators alone: homogeneity is checked on
 them (every left and right operator is a composition of them), the right
 operators follow from them, the degree-0 traces come from one sparse row
 vector per basis element through the right operators, and the gram blocks
-are filled row by row from the traces.  Each step (a gram pair, then a
-degree's commutators) runs first on the fiber's image in F_p, for a prime p
-that splits Phi_l, with the recurrence itself run on the images of its
-inputs; a rank mod p that reaches its bound certifies the exact one (the
-unit's component needs one less, by the trace), and only the steps that fall
-short are done over Q(eps).  The census never assumes the count it is asked
-to confirm.
+are filled row by row from the traces.  The generators with chi(x_u) != 0
+are units, and right multiplication by a unit commutes with every L_b, so
+the trace on a component and the dimension of its part of J are constant on
+each coset of the subgroup H of the grading that the units' degrees
+generate: the traces walk one component per coset, weighted by its size,
+and one gram pair is ranked per pair of cosets {C, -C}.  Each step (a pair
+of cosets, then a degree's commutators) runs first on the fiber's image in
+F_p, for a prime p that splits Phi_l, with the recurrence itself run on the
+images of its inputs; a rank mod p that reaches its bound certifies the
+exact one (the unit's component needs one less, by the trace), and only the
+steps that fall short are done over Q(eps).  The census never assumes the
+count it is asked to confirm.
 
 Clock/shift representations are built and verified as scaled partial
 permutations (per row, one column and one nonzero value, or nothing), so a
@@ -43,7 +48,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from itertools import chain, product as iproduct
 
-from .exactnum import CycloNum, NotPIntegral, residue_map
+from .exactnum import CycloNum, NotPIntegral, residue_map, residue_prime
 from . import engine
 from . import strata as strata_mod
 from . import zlattice
@@ -486,7 +491,9 @@ def _extension_steps(P, r, character, chi_list):
     central monomials on the live coordinates J = {i : chi_i != 0} and
     l Z^N; a row with pivot l moves no vector with entries in [0, l).  The
     central monomials are the integer kernel of S[:, J]: the x^u on J that
-    commute with every generator for every q.  Each row takes its value
+    commute with every generator for every q.  A full column rank of
+    S[:, J] mod p proves that kernel empty, so the Smith form is taken
+    only where the rank mod p falls short.  Each row takes its value
     from the witnesses (strata.monomial_value); when one has none in
     Q(eps), a missing witness or an odd self-cocycle at even l, the fiber
     is divided by nothing.  The values are checked first: for every
@@ -497,7 +504,10 @@ def _extension_steps(P, r, character, chi_list):
     relation would give some basis element two different multiples."""
     N, l = P.N, r.l
     live = [i for i, c in enumerate(chi_list) if not c.is_zero()]
-    kernel = zlattice.kernel_int([[row[i] for i in live] for row in P.S])
+    s_live = [[row[i] for i in live] for row in P.S]
+    if rank_mod_p(s_live, residue_prime(l)[0]) == len(live):
+        return []
+    kernel = zlattice.kernel_int(s_live)
     if not kernel:
         return []
     powers = [[l * (t == i) for t in range(N)] for i in range(N)]
@@ -917,9 +927,13 @@ def census(A, constructed_dims=None):
     matrix never has a larger rank than the exact one, so a rank mod p that
     reaches its bound is exact, and only the gram pairs and degrees that
     fall short, or whose entries are not p-integral, are done over Q(eps)
-    (_census_table).  Block dimensions are certified against constructed
-    representations when given, or inferred in the commutative/uniform
-    cases; anything else raises NonSplit rather than guessing.
+    (_census_table).  The traces and gram ranks are taken once per coset of
+    the subgroup of the grading that the degrees of the unit generators
+    generate, since right multiplication by a unit commutes with every left
+    operator (_TableShape.cosets).  Block dimensions are certified against
+    constructed representations when given, or inferred in the
+    commutative/uniform cases; anything else raises NonSplit rather than
+    guessing.
     """
     cap = MONOMIAL_DIM_LIMIT if A.monomial else FIBER_DIM_LIMIT
     if A.dim > cap:
@@ -967,18 +981,23 @@ def _census_table(A):
     never has a larger rank than the exact one.
 
     - Gram pairs: the block of -d is the transpose of the block of d, by
-      tau(xy) = tau(yx).  A square block of full rank mod p gives
-      J_d = J_-d = 0; any other pair takes the kernels of its exact blocks.
+      tau(xy) = tau(yx), and J_(d + deg x_u) = J_d x_u for a unit x_u.  So
+      one block is ranked per pair of cosets {C, -C} of the pass's units
+      (_TableShape.cosets), the block of C's first component.  A square
+      block of full rank mod p gives J = 0 on C and on -C; any other pair
+      of cosets takes the kernels of the exact blocks of all its
+      components.
     - Commutators: tau vanishes on J and on [A, A], and tau(1) = dim A
       != 0, so [A, A] + J spans at most size - [d is the unit's degree] of
       degree d.  A degree whose J_d mod p and commutators mod p reach that
       bound is closed; any other is eliminated over Q(eps), on J_d and its
       exact commutators.
 
-    The exact operators and gram blocks are built when a step first needs
-    them.  An input with p in its denominator makes every step exact, and
-    a J_d that is not p-integral makes its degree's step exact.  Each pass
-    checks homogeneity on the left operators it builds (see _TableShape)."""
+    The exact operators are built when a step first needs them, and the
+    gram blocks of each pass only for the degrees that it reads.  An input
+    with p in its denominator makes every step exact, and a J_d that is not
+    p-integral makes its degree's step exact.  Each pass checks homogeneity
+    on the left operators it builds (see _TableShape)."""
     shape = _TableShape(A)
     r = A.root
     p, image = residue_map(r)
@@ -986,26 +1005,33 @@ def _census_table(A):
         images = _residue_scalars(A, shape)
     except NotPIntegral:
         images = None
-    else:
-        blocks = _gram_blocks(A, shape, images)
 
     @cache
     def exact():
         return _exact_scalars(A, shape)
 
-    @cache
-    def exact_blocks():
-        return _gram_blocks(A, shape, exact())
-
+    # pairs[d] lists the degrees of the pair of cosets {C, -C} whose first
+    # component is d
+    pairs = {}
+    paired = set()
+    for coset in (exact() if images is None else images).cosets:
+        if coset[0] not in paired:
+            pair = set(coset)
+            pair.update(m for m in map(shape.minus.__getitem__, coset)
+                        if m is not None)
+            paired |= pair
+            pairs[coset[0]] = sorted(pair)
+    short = list(pairs)
+    if images is not None:
+        blocks = _gram_blocks(A, shape, images, short)
+        short = [d for d in short if rank_mod_p(blocks[d], p)
+                 < max(len(shape.comps[d]), len(blocks[d]))]
+    degrees = [e for d in short for e in pairs[d]]
     rad = [[] for _ in shape.comps]
-    for d, comp in enumerate(shape.comps):
-        minus = shape.minus[d]
-        if minus is not None and minus < d:
-            continue
-        if (images is None or rank_mod_p(blocks[d], p)
-                < max(len(comp), len(blocks[d]))):
-            for e in [d] if minus in (None, d) else [d, minus]:
-                rad[e] = kernel_c(exact_blocks()[e], len(shape.comps[e]), r)
+    if degrees:
+        blocks = _gram_blocks(A, shape, exact(), degrees)
+        for e in degrees:
+            rad[e] = kernel_c(blocks[e], len(shape.comps[e]), r)
     rank = 0
     for d, (comp, known) in enumerate(zip(shape.comps, rad)):
         bound = len(comp) - (d == shape.degree_zero)
@@ -1049,6 +1075,10 @@ class _TableShape:
     by tau alone, with no grading.  Exact elimination only ever reads exact
     operators, and those are checked when they are built.
     With the trivial grading there is one component, the whole algebra.
+    A unit x_u shifts every component by deg x_u, so the components fall
+    into the cosets of the subgroup H that the units' degrees generate
+    (cosets); the traces and the gram ranks are taken once per coset, and
+    each pass finds its units in the operators it builds.
     """
 
     def __init__(self, A):
@@ -1087,6 +1117,40 @@ class _TableShape:
             if i != A.unit_index:
                 v = next(t for t, e in enumerate(a) if e)
                 steps[i] = (v, index[a[:v] + (a[v] - 1,) + a[v + 1:]])
+        self.unit = A.unit_index
+        # tops[u] is the index of x_u^(l-1), when the basis has it
+        self.tops = [index.get(tuple((l - 1) * e for e in basis[g]))
+                     for g in A.gens]
+
+    def cosets(self, left):
+        """The cosets of H in the grading, as lists of degree codes, each
+        led by its least code.  H is generated by the degrees of the
+        generators x_u that the operators left make units: x_u x_u^(l-1)
+        is a nonzero multiple of 1, so x_u^(l-1) is a scalar times the
+        inverse of x_u.  Right multiplication by a unit maps A_d onto
+        A_(d + deg x_u) and commutes with every L_b, so each coset has
+        components of one size, tr(L_b | A_d) is constant on it, and
+        J_(d + deg x_u) = J_d x_u.  A multiple that is nonzero mod p is
+        nonzero over Q(eps), so the units of the pass mod p are units of
+        the exact fiber too, and its cosets serve the exact identities."""
+        shifts = [self.plus[self.deg[g]]
+                  for rows, g, top in zip(left, self.gens, self.tops)
+                  if top is not None and rows[top].keys() == {self.unit}]
+        seen = [False] * len(self.comps)
+        out = []
+        for d in range(len(seen)):
+            if seen[d]:
+                continue
+            seen[d] = True
+            coset = [d]
+            for e in coset:
+                for shift in shifts:
+                    f = shift[e]
+                    if not seen[f]:
+                        seen[f] = True
+                        coset.append(f)
+            out.append(coset)
+        return out
 
     def check(self, left):
         """engine.ValidationFailed unless every x_u b_j of the operators
@@ -1116,6 +1180,7 @@ class _TableScalars:
     norm: object
     left: list
     right: list
+    cosets: list
     p: int = None
 
 
@@ -1132,7 +1197,7 @@ def _scalars(A, shape, zero, one, norm, left, p=None):
             if step is not None:
                 rows[i] = sp_row_mul(rows[step[1]], left[step[0]], norm)
         right.append(rows)
-    return _TableScalars(zero, one, norm, left, right, p)
+    return _TableScalars(zero, one, norm, left, right, shape.cosets(left), p)
 
 
 def _exact_scalars(A, shape):
@@ -1149,13 +1214,22 @@ def _residue_scalars(A, shape):
     return _scalars(A, shape, 0, 1, norm, A.operators(image, norm), p)
 
 
-def _gram_blocks(A, shape, scalars):
-    """Per degree d, the gram block [tau(b_s b_t)] with s in partners[d]
-    and t in comps[d], tau(b) = tr(L_b).  The degree-0 traces come from
-    _traces, and the gram rows follow from them by tau(xy) = tau(yx):
-    tau(b_a b_j) = tau(b_a' b_j x_v)."""
+def _gram_blocks(A, shape, scalars, degrees):
+    """{d: the gram block [tau(b_s b_t)] with s in partners[d] and t in
+    comps[d]} for the degree codes d in degrees, tau(b) = tr(L_b).  The
+    degree-0 traces come from _traces, and the gram rows follow from them
+    by tau(xy) = tau(yx): tau(b_a b_j) = tau(b_a' b_j x_v).  A row is built
+    only for the partners of those degrees and their predecessors along
+    steps, which come earlier in the basis."""
     zero, norm = scalars.zero, scalars.norm
     deg, pos = shape.deg, shape.pos
+    needed = [False] * A.dim
+    for d in degrees:
+        for i in shape.partners[d]:
+            needed[i] = True
+    for i in range(A.dim - 1, -1, -1):
+        if needed[i] and shape.steps[i] is not None:
+            needed[shape.steps[i][1]] = True
     traces = _traces(A, shape, scalars)
     # gram[i] lists tau(b_i b_j) for j of degree -deg i, in the order of
     # that component
@@ -1163,7 +1237,7 @@ def _gram_blocks(A, shape, scalars):
     gram[A.unit_index] = [traces.get(j, zero)
                           for j in shape.comps[shape.degree_zero]]
     for i, step in enumerate(shape.steps):
-        if step is None:
+        if step is None or not needed[i]:
             continue
         v, p = step
         prev = gram[p]
@@ -1175,7 +1249,7 @@ def _gram_blocks(A, shape, scalars):
                 t = t + c * prev[pos[m]]
             row.append(t if norm is None else norm(t))
         gram[i] = row
-    return [[gram[i] for i in partners] for partners in shape.partners]
+    return {d: [gram[i] for i in shape.partners[d]] for d in degrees}
 
 
 def _commutators(shape, scalars, d):
@@ -1195,12 +1269,12 @@ def _commutators(shape, scalars, d):
 
 def _traces(A, shape, scalars):
     """{k: tr(L_{b_k})} for the degree-0 basis elements k of a table fiber,
-    zeros left out.  tr(L_b) = sum_j (b b_j)_j, and for b_j = x^c the map
-    b -> (b b_j)_j is the row vector e_j^T R_N^c_N ... R_1^c_1 of the
-    generators' right operators R_u: b -> b x_u.  So every basis element
-    costs |c| sparse row-vector steps on the transposed right operators,
-    and no operator product is formed.  Every product is homogeneous, so
-    b b_j has a b_j term only for b of degree 0."""
+    zeros left out.  tr(L_b) = sum_j (b b_j)_j, and every product is
+    homogeneous, so b b_j has a b_j term only for b of degree 0.  Such an
+    L_b keeps each component A_d, and its trace there is constant on the
+    coset d + H of the pass's units (_TableShape.cosets), so only the
+    basis elements of the first component of each coset C are walked:
+    tau(b) = sum_C |C| sum_(j in A_rep(C)) (b b_j)_j."""
     norm = scalars.norm
     # transposed[u][m] = {i: (b_i x_u)_m}, so that a row vector w goes to
     # w R_u by sp_row_mul(w, transposed[u])
@@ -1212,16 +1286,30 @@ def _traces(A, shape, scalars):
                 cols[m][i] = c
         transposed.append(cols)
     traces = {}
-    for j, a in enumerate(A.basis_labels):
-        vec = {j: scalars.one}
-        for u in range(len(a) - 1, -1, -1):
-            for _ in range(a[u]):
-                vec = sp_row_mul(vec, transposed[u], norm)
-        for k, c in vec.items():
-            _accumulate(traces, k, c)
+    for coset in scalars.cosets:
+        part = {}
+        for j in shape.comps[coset[0]]:
+            for k, c in _diagonal_entries(A, transposed, scalars, j).items():
+                _accumulate(part, k, c)
+        for k, c in part.items():
+            _accumulate(traces, k, c * len(coset))
     if norm is not None:
         traces = dict(zip(traces, map(norm, traces.values())))
     return {k: t for k, t in traces.items() if t}
+
+
+def _diagonal_entries(A, transposed, scalars, j):
+    """{k: (b_k b_j)_j}, zeros left out.  For b_j = x^c the map
+    b -> (b b_j)_j is the row vector e_j^T R_N^c_N ... R_1^c_1 of the
+    generators' right operators R_u: b -> b x_u, so it costs |c| sparse
+    row-vector steps on the transposed right operators, and no operator
+    product is formed."""
+    a = A.basis_labels[j]
+    vec = {j: scalars.one}
+    for u in range(len(a) - 1, -1, -1):
+        for _ in range(a[u]):
+            vec = sp_row_mul(vec, transposed[u], scalars.norm)
+    return vec
 
 
 def _infer_blocks(count, dimq, constructed_dims):

@@ -621,6 +621,35 @@ def _skew(N, entries):
     return S
 
 
+def test_extension_rank_mod_p_matches_the_integer_kernel(monkeypatch):
+    """On the characters of test_fiber_center_matches_the_torus_rows, with
+    witness 1 on their nonzero values and with none: S[:, J] has full
+    column rank mod p exactly when its integer kernel is empty, and
+    _extension_steps finds the same steps with the rank test as with the
+    kernel alone."""
+    cases = []
+    full = Counter()
+    for m, r in _differential_models():
+        if not m.admissibility(r.l):
+            continue
+        P = m.presentation
+        p = exactnum.residue_prime(r.l)[0]
+        for chi in cli.default_characters(m, r):
+            for chi in (chi, strata.Character(chi.values)):
+                chi_list = [chi.value(g) for g in P.gens]
+                live = [i for i, c in enumerate(chi_list) if c]
+                s_live = [[row[i] for i in live] for row in P.S]
+                empty = not zlattice.kernel_int(s_live)
+                assert (fiber.rank_mod_p(s_live, p) == len(live)) == empty
+                full[empty] += 1
+                cases.append((P, r, chi, chi_list,
+                              fiber._extension_steps(P, r, chi, chi_list)))
+    assert full == {True: 2768, False: 1196}
+    monkeypatch.setattr(fiber, "rank_mod_p", lambda *args: -1)
+    for P, r, chi, chi_list, steps in cases:
+        assert fiber._extension_steps(P, r, chi, chi_list) == steps
+
+
 def _differential_models():
     """(model, root) pairs: the report corpus's small twisted models (N = 2
     and 3 with S entries in {-1, 0, 1} at n_poly N and N - 1, S = 0 2 / -2
@@ -862,11 +891,12 @@ def test_table_from_left_operators_matches_pairwise_products(r3, r5):
                 commutators.append(vec)
         shape = fiber._TableShape(A)
         exact = fiber._exact_scalars(A, shape)
-        blocks = fiber._gram_blocks(A, shape, exact)
+        every = range(len(shape.comps))
+        blocks = fiber._gram_blocks(A, shape, exact, every)
         covered = 0
-        for d, (comp, partners, block) in enumerate(
-                zip(shape.comps, shape.partners, blocks)):
-            assert block == [[tau(i, j) for j in comp] for i in partners]
+        for d, (comp, partners) in enumerate(zip(shape.comps,
+                                                 shape.partners)):
+            assert blocks[d] == [[tau(i, j) for j in comp] for i in partners]
             mine = [[vec.get(k, r.zero()) for k in comp]
                     for vec in commutators if set(vec) <= set(comp)]
             covered += len(mine)
@@ -878,8 +908,9 @@ def test_table_from_left_operators_matches_pairwise_products(r3, r5):
         # commutators
         p, image = residue_map(r)
         images = fiber._residue_scalars(A, shape)
-        assert fiber._gram_blocks(A, shape, images) == [
-            [[image(x) for x in row] for row in block] for block in blocks]
+        assert fiber._gram_blocks(A, shape, images, every) == {
+            d: [[image(x) for x in row] for row in block]
+            for d, block in blocks.items()}
         for d in range(len(shape.comps)):
             assert [[x % p for x in vec]
                     for vec in fiber._commutators(shape, images, d)] == [
@@ -1752,19 +1783,22 @@ def _small_trace_fibers(r3, r5):
 
 
 def test_traces_match_the_half_monomial_reference(r3, r5):
-    # exact and mod p on the small fibers, mod p only at dim 625
+    # exact and mod p on the small fibers, mod p only at dim 625; the
+    # traces walk one component per coset of the units, and the reference
+    # walks every basis element
     dims = Counter()
-    radicals = 0
+    kinds = Counter()
     for A in _small_trace_fibers(r3, r5):
         shape = fiber._TableShape(A)
-        for scalars in (fiber._exact_scalars(A, shape),
-                        fiber._residue_scalars(A, shape)):
+        images = fiber._residue_scalars(A, shape)
+        for scalars in (fiber._exact_scalars(A, shape), images):
             got = fiber._traces(A, shape, scalars)
             assert got == _traces_reference(A, shape, scalars)
             assert set(got) <= set(shape.comps[shape.degree_zero])
         dims[A.dim] += 1
-        radicals += fiber._census_table(A)[0] > 0
-    assert radicals
+        kinds[(len(images.cosets) > 1, fiber._census_table(A)[0] > 0)] += 1
+    # (several cosets, radical): every combination is seen
+    assert set(kinds) == set(iproduct((False, True), repeat=2))
     assert dims[81] >= 16 and min(dims) == 3
     W = models.build_weyl(*WEYL_N2)
     ones = {g: 1 for g in W.presentation.gens}
@@ -1775,6 +1809,21 @@ def test_traces_match_the_half_monomial_reference(r3, r5):
     assert A.dim == 625
     assert fiber._traces(A, shape, images) == \
         _traces_reference(A, shape, images)
+
+
+def test_gram_blocks_of_some_degrees_match_every_block(r3, r5):
+    # the rows built for one degree's block, its partners and their
+    # predecessors, give the block that the build of every row gives
+    built = Counter()
+    for A in _small_trace_fibers(r3, r5):
+        shape = fiber._TableShape(A)
+        images = fiber._residue_scalars(A, shape)
+        every = range(len(shape.comps))
+        full = fiber._gram_blocks(A, shape, images, every)
+        for d in every:
+            assert fiber._gram_blocks(A, shape, images, [d]) == {d: full[d]}
+        built[len(shape.comps) > 1] += 1
+    assert built[True] and built[False]
 
 
 def _monomial_degrees(P, l):
@@ -1892,11 +1941,11 @@ def _census_exact(A, shape):
     [A, A] + J."""
     r = A.root
     exact = fiber._exact_scalars(A, shape)
-    blocks = fiber._gram_blocks(A, shape, exact)
+    blocks = fiber._gram_blocks(A, shape, exact, range(len(shape.comps)))
     rad_dim = 0
     rank = 0
-    for d, (comp, block) in enumerate(zip(shape.comps, blocks)):
-        rad = fiber.kernel_c(block, len(comp), r)
+    for d, comp in enumerate(shape.comps):
+        rad = fiber.kernel_c(blocks[d], len(comp), r)
         rad_dim += len(rad)
         span = chain(rad, fiber._commutators(shape, exact, d))
         rank += len(fiber.rref_c(span, limit=len(comp))[1])
@@ -1918,13 +1967,65 @@ def _exact_calls(monkeypatch):
 
 
 def test_certified_census_matches_exact_census():
-    radicals = Counter()
+    kinds = Counter()
     for A in _certificate_fibers():
-        exact = _census_exact(A, fiber._TableShape(A))
+        shape = fiber._TableShape(A)
+        exact = _census_exact(A, shape)
         assert fiber._census_table(A) == exact
-        radicals[exact[0] > 0] += 1
-    # fibers with a radical and fibers without
-    assert radicals == {True: 19, False: 52}
+        kinds[(len(shape.cosets(A.left)) > 1, exact[0] > 0)] += 1
+    # (several cosets, radical): fibers with a radical and fibers without,
+    # each with one coset of the units and with several
+    assert kinds == {(False, False): 33, (True, False): 19,
+                     (False, True): 9, (True, True): 10}
+
+
+def test_quantum_matrix_cosets_follow_the_units():
+    # each generator with value 1 is a unit; the grading of O_eps(M_2) has
+    # 27 components at l = 3, and H is all of it once the units' degrees
+    # span it
+    mq, r3 = _quantum_matrices(3)
+    got = Counter()
+    for chi in cli.default_characters(mq, r3):
+        A = fiber.fiber_algebra(mq, chi, r3)
+        shape = fiber._TableShape(A)
+        cosets = shape.cosets(A.left)
+        units = sum(not chi.value(g).is_zero() for g in mq.presentation.gens)
+        got[(units, len(cosets))] += 1
+        assert len(shape.comps) == 27
+        # each coset's components have one size
+        assert all(len({len(shape.comps[d]) for d in coset}) == 1
+                   for coset in cosets)
+    assert got == {(0, 27): 1, (1, 9): 4, (2, 3): 6, (3, 1): 4, (4, 1): 1}
+
+
+def test_census_mod_p_walks_and_ranks_one_component_per_coset(
+        r3, monkeypatch):
+    # the all-ones Weyl n=2, l=3 fiber is one coset of its 9 components:
+    # the pass mod p walks the 9 basis elements of one component for its
+    # traces, and ranks one of its 5 gram pairs {d, -d}
+    A = next(_weyl_n2_table_fibers(r3))
+    shape = fiber._TableShape(A)
+    pairs = {frozenset((d, m)) for d, m in enumerate(shape.minus)}
+    assert (A.dim, len(shape.comps), len(pairs)) == (81, 9, 5)
+    walked = Counter()
+    gram_ranks = []
+    diagonal, rank_mod_p = fiber._diagonal_entries, fiber.rank_mod_p
+
+    def walk(A, transposed, scalars, j):
+        walked[scalars.p is not None, j] += 1
+        return diagonal(A, transposed, scalars, j)
+
+    def rank(vectors, p, limit=None):
+        if limit is None:  # the commutator streams read up to a bound
+            gram_ranks.append(len(vectors))
+        return rank_mod_p(vectors, p, limit)
+
+    monkeypatch.setattr(fiber, "_diagonal_entries", walk)
+    monkeypatch.setattr(fiber, "rank_mod_p", rank)
+    assert fiber._census_table(A) == (0, 1, 81)
+    assert sorted(j for _, j in walked) == shape.comps[shape.degree_zero]
+    assert set(walked.values()) == {1} and all(p for p, _ in walked)
+    assert gram_ranks == [9]
 
 
 def test_unlucky_prime_keeps_the_census_exact(monkeypatch):
@@ -2232,7 +2333,9 @@ def test_rank_mod_p_on_the_census_blocks(r3, r5):
         if A.dim <= 81:
             passes.append(fiber._exact_scalars(A, shape))
         for scalars in passes:
-            blocks = fiber._gram_blocks(A, shape, scalars)
+            every = range(len(shape.comps))
+            blocks = list(fiber._gram_blocks(A, shape, scalars,
+                                             every).values())
             if scalars.p is None:
                 ranks = [len(fiber.rref_c(block)[1]) for block in blocks]
             else:
