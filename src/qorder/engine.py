@@ -19,6 +19,19 @@ from .exactnum import QLaurent
 from . import zlattice
 
 _MAX_REWRITE_DEPTH = 10000
+# Applications of a delta to one generator before validate calls it not
+# locally nilpotent.
+_MAX_NILPOTENCY_STEPS = 16
+
+
+def add_term(terms, key, coeff):
+    """terms[key] += coeff on a sparse dict, dropping zeros."""
+    s = terms.get(key)
+    s = coeff if s is None else s + coeff
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
 
 
 class ValidationFailed(ValueError):
@@ -93,12 +106,7 @@ class Element:
             return NotImplemented
         out = dict(self.terms)
         for v, c in other.terms.items():
-            s = out.get(v)
-            s = c if s is None else s + c
-            if s:
-                out[v] = s
-            else:
-                out.pop(v, None)
+            add_term(out, v, c)
         r = Element(self.N)
         r.terms = out
         return r
@@ -196,20 +204,12 @@ class _Rewriter:
         self._depth = 0
         self._products = {}
 
-    def _add(self, out, vec, coeff):
-        s = out.get(vec)
-        s = coeff if s is None else s + coeff
-        if s:
-            out[vec] = s
-        else:
-            out.pop(vec, None)
-
     def mul_terms(self, terms1, terms2):
         out = {}
         for vec, c in terms1.items():
             part = self.mono_times(vec, terms2)
             for v2, c2 in part.items():
-                self._add(out, v2, c * c2)
+                add_term(out, v2, c * c2)
         return out
 
     def mono_times(self, a, terms):
@@ -234,14 +234,14 @@ class _Rewriter:
                 scal = k * sum(Su[w] * vec[w] for w in range(u) if vec[w])
                 nv = list(vec)
                 nv[u] += k
-                self._add(out, tuple(nv), c * self.qpow(scal))
+                add_term(out, tuple(nv), c * self.qpow(scal))
             return out
         cur = terms
         for _ in range(k):
             out = {}
             for vec, c in cur.items():
                 for v2, c2 in self.gen_times_mono(u, vec).items():
-                    self._add(out, v2, c * c2)
+                    add_term(out, v2, c * c2)
             cur = out
             if not cur:
                 break
@@ -284,7 +284,7 @@ class _Rewriter:
                 nv = list(vec)
                 for t, e in prefix:
                     nv[t] += e
-                self._add(out, tuple(nv), c * factor)
+                add_term(out, tuple(nv), c * factor)
             return out
         finally:
             self._depth -= 1
@@ -303,13 +303,13 @@ class _Rewriter:
         for vec, c in t1.items():
             nv = list(vec)
             nv[w] += 1
-            self._add(out, tuple(nv), c * step)
+            add_term(out, tuple(nv), c * step)
         dterms = self.delta.get((w, u))
         if dterms:
             tail = {tuple(lower): self.qpow(0)}
             prod = self.mul_terms(dterms, tail)
             for vec, c in prod.items():
-                self._add(out, vec, -(c * step))
+                add_term(out, vec, -(c * step))
         return out
 
 
@@ -392,58 +392,12 @@ def tau_apply(P, u, a):
 
 
 def delta_apply(P, u, a):
-    """Extend delta_u to elements of the later subalgebra (twisted Leibniz)."""
-    out = Element.zero(P.N)
-    for vec, c in a.terms.items():
-        if any(vec[w] for w in range(u + 1)):
-            raise ValueError("delta_%d applies to generators above %d only" % (u, u))
-        part = _delta_mono(P, u, vec)
-        out = out + part.scale(c)
-    return out
-
-
-def _delta_mono(P, u, vec):
-    v = next((i for i, e in enumerate(vec) if e), None)
-    if v is None:
-        return Element.zero(P.N)
-    rest = list(vec)
-    k = rest[v]
-    rest[v] = 0
-    rest = tuple(rest)
-    drule = P.delta.get((u, v))
-    if drule is None:
-        # delta_u kills x_v (and its inverse); twist past the whole power.
-        inner = _delta_mono(P, u, rest)
-        if inner.is_zero():
-            return inner
-        lead = Element.monomial(P.N, _evec(P.N, v, k),
-                                QLaurent.q_power(k * P.S[u][v]))
-        return mul(P, lead, inner)
-    # Positive power of a generator with a genuine delta rule.
-    out = Element.zero(P.N)
-    # delta(x_v^k rest) = sum_j tau(x_v)^j delta(x_v) x_v^(k-1-j) rest
-    #                   + tau(x_v^k) delta(rest)
-    for j in range(k):
-        lead = Element.monomial(P.N, _evec(P.N, v, j),
-                                QLaurent.q_power(j * P.S[u][v]))
-        tail = Element.monomial(P.N, _addvec(_evec(P.N, v, k - 1 - j), rest))
-        out = out + mul(P, mul(P, lead, drule), tail)
-    inner = _delta_mono(P, u, rest)
-    if inner:
-        lead = Element.monomial(P.N, _evec(P.N, v, k),
-                                QLaurent.q_power(k * P.S[u][v]))
-        out = out + mul(P, lead, inner)
-    return out
-
-
-def _evec(N, i, k=1):
-    v = [0] * N
-    v[i] = k
-    return tuple(v)
-
-
-def _addvec(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    """delta_u on an element of the subalgebra on positions above u, read
+    off the Ore relation: delta_u(a) = x_u a - tau_u(a) x_u."""
+    if any(vec[w] for vec in a.terms for w in range(u + 1)):
+        raise ValueError("delta_%d applies to generators above %d only" % (u, u))
+    x = Element.gen(P.N, u)
+    return mul(P, x, a) - mul(P, tau_apply(P, u, a), x)
 
 
 class ValidationReport:
@@ -458,13 +412,14 @@ class ValidationReport:
                 % (self.nilpotency_steps, self.triples_checked))
 
 
-def validate(P, bound=16):
+def validate(P):
     """Audit the quantum solvable axioms by direct rewriting.
 
-    Checks, in order: local nilpotency of every delta, the q-skew identity,
-    associativity probes on all generator triples, and the agreement of the
-    exponent system with the delta flags.  Raises ValidationFailed with the
-    first violation found.
+    Checks, in order: local nilpotency of every delta (delta_apply, at most
+    _MAX_NILPOTENCY_STEPS times on each later generator), the q-skew
+    identity, associativity probes on all generator triples, and the
+    agreement of the exponent system with the delta flags.  Raises
+    ValidationFailed with the first violation found.
     """
     steps = {}
     for u in range(P.N):
@@ -477,7 +432,7 @@ def validate(P, bound=16):
             while not cur.is_zero():
                 cur = delta_apply(P, u, cur)
                 count += 1
-                if count > bound:
+                if count > _MAX_NILPOTENCY_STEPS:
                     raise ValidationFailed(
                         "delta_%d is not locally nilpotent on %s"
                         % (u, P.gens[v]))

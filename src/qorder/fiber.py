@@ -565,16 +565,6 @@ def presentation_weights(P, l):
     return [[w % l for w in wt] for wt in zlattice.kernel_int(rows)]
 
 
-def _accumulate(entry, k, val):
-    """entry[k] += val on a sparse vector, dropping zeros."""
-    cur = entry.get(k)
-    cur = val if cur is None else cur + val
-    if cur:
-        entry[k] = cur
-    else:
-        entry.pop(k, None)
-
-
 def _check_central_powers(P, r, unit_vectors):
     """The table fiber treats x_u^l as the scalar chi(x_u); that is the
     quotient by a central ideal only when each x_u^l commutes with every
@@ -1290,9 +1280,9 @@ def _traces(A, shape, scalars):
         part = {}
         for j in shape.comps[coset[0]]:
             for k, c in _diagonal_entries(A, transposed, scalars, j).items():
-                _accumulate(part, k, c)
+                engine.add_term(part, k, c)
         for k, c in part.items():
-            _accumulate(traces, k, c * len(coset))
+            engine.add_term(traces, k, c * len(coset))
     if norm is not None:
         traces = dict(zip(traces, map(norm, traces.values())))
     return {k: t for k, t in traces.items() if t}

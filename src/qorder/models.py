@@ -143,7 +143,9 @@ class WeylModel:
 
 
 def build_weyl(S, exps):
-    """Quantum Weyl algebra: x_i y_i = q^s_i y_i x_i + w_{i-1}."""
+    """Quantum Weyl algebra: x_i y_i = q^s_i y_i x_i + w_{i-1}.
+
+    The tower's skew matrix is build_weyl_matrices' sstar in tower order."""
     n = len(S)
     mats = build_weyl_matrices(S, exps)
     N = 2 * n
@@ -151,13 +153,9 @@ def build_weyl(S, exps):
             ["x%d" % i for i in range(1, n + 1)]
     ypos = lambda i: n - i
     xpos = lambda i: n + i - 1
-    Smat = [[0] * N for _ in range(N)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            Smat[ypos(i)][ypos(j)] = S[i - 1][j - 1]
-            Smat[xpos(i)][xpos(j)] = mats.texp[i - 1][j - 1]
-            Smat[ypos(i)][xpos(j)] = -mats.uexp[j - 1][i - 1]
-            Smat[xpos(i)][ypos(j)] = mats.uexp[i - 1][j - 1]
+    # sstar is on y_1..y_n, x_1..x_n; the tower reverses the y's.
+    order = list(range(n - 1, -1, -1)) + list(range(n, N))
+    Smat = [[mats.sstar[i][j] for j in order] for i in order]
     expsys = [0] * N
     for i in range(1, n + 1):
         expsys[ypos(i)] = exps[i - 1]

@@ -118,8 +118,8 @@ class FDLie:
                 for m, x in inner:
                     for k, y in nz.get((a, m), ()):
                         term = x * y
-                        fiber_mod._accumulate(
-                            acc, k, -term if b < a < c else term)
+                        engine.add_term(acc, k,
+                                        -term if b < a < c else term)
         return not any(sums.values())
 
 
@@ -285,7 +285,7 @@ class _Chart:
                         rest[s1] -= 1
                         rest[s2] -= 1
                         for m, cb in base.items():
-                            fiber_mod._accumulate(
+                            engine.add_term(
                                 out, tuple(a + b for a, b in zip(rest, m)),
                                 c * cb)
         return out

@@ -186,19 +186,8 @@ def _unimodular_inverse(V, name="matrix"):
 
 
 def _check_structure(S_JJ, full_rows, ts):
-    B = zlattice.mat_mul(zlattice.mat_mul(ts.basis, S_JJ),
-                         zlattice.transpose(ts.basis))
-    m = ts.m
-    for i in range(m):
-        for j in range(m):
-            expect = 0
-            if i // 2 == j // 2 and i // 2 < ts.k:
-                if j == i + 1:
-                    expect = ts.ds[i // 2]
-                elif j == i - 1:
-                    expect = -ts.ds[i // 2]
-            if B[i][j] != expect:
-                raise ArithmeticError("torus frame does not normalize the pairing")
+    if not zlattice.is_skew_block_form(ts.basis, S_JJ, ts.ds):
+        raise ArithmeticError("torus frame does not normalize the pairing")
     for idx, row in enumerate(ts.z_rows()):
         image = zlattice.mat_vec(full_rows, row) if full_rows else []
         extending = all(x == 0 for x in image)

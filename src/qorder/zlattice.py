@@ -302,20 +302,23 @@ def skew_normal_form(S):
     return form
 
 
-def _check_skew_form(S, form):
-    n = len(S)
-    B = mat_mul(mat_mul(form.U, S), transpose(form.U))
-    for i in range(n):
-        for j in range(n):
+def is_skew_block_form(U, S, ds):
+    """Whether U * S * U^T is block-diagonal with blocks [[0, d_i],
+    [-d_i, 0]], d_i in ds, followed by a zero block."""
+    B = mat_mul(mat_mul(U, S), transpose(U))
+    for i, row in enumerate(B):
+        for j, x in enumerate(row):
             expect = 0
-            blk = i // 2
-            if i // 2 == j // 2 and blk < form.k:
-                if j == i + 1:
-                    expect = form.ds[blk]
-                elif j == i - 1:
-                    expect = -form.ds[blk]
-            if B[i][j] != expect:
-                raise ArithmeticError("skew normal form verification failed")
+            if i // 2 == j // 2 < len(ds) and i != j:
+                expect = ds[i // 2] if j == i + 1 else -ds[i // 2]
+            if x != expect:
+                return False
+    return True
+
+
+def _check_skew_form(S, form):
+    if not is_skew_block_form(form.U, S, form.ds):
+        raise ArithmeticError("skew normal form verification failed")
     for a, b in zip(form.ds, form.ds[1:]):
         if b % a != 0:
             raise ArithmeticError("skew invariants violate divisibility")

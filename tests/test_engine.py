@@ -90,6 +90,60 @@ def test_validate_rejects_broken_q_skew():
         validate(P)
 
 
+def test_validate_rejects_a_failed_associativity_probe():
+    # delta_x(y) = z^2 passes the q-skew identity, but y z = z y while
+    # delta_x(y z) = z^3 and delta_x(z y) = q z^3: no Ore extension
+    P = AlgebraPresentation(["x", "y", "z"], 3,
+                            [[0, 1, 1], [-1, 0, 0], [-1, 0, 0]],
+                            exps=[1, 0, 0],
+                            delta={(0, 1): Element.gen(3, 2, 2)})
+    with pytest.raises(ValidationFailed,
+                       match=r"associativity probe fails on \(x, y, z\)$"):
+        validate(P)
+
+
+def _ore_towers():
+    """Quantum Weyl n=2 and n=3, O_eps(M_2) and U_eps^+(sl_3)."""
+    from qorder import cli, models
+    return {
+        "weyl-n2": models.build_weyl([[0, 1], [-1, 0]], [1, 1]).presentation,
+        "weyl-n3": models.build_weyl([[0, 1, 1], [-1, 0, 1], [-1, -1, 0]],
+                                     [1, 1, 1]).presentation,
+        **{name: cli.build_model(cli.parse_jobspec(text)).presentation
+           for name, text in (("quantum-matrices", QUANTUM_MATRICES),
+                              ("quantum-sl3-plus", QUANTUM_SL3_PLUS))},
+    }
+
+
+def test_validate_nilpotency_steps_on_the_ore_towers():
+    reports = {name: validate(P) for name, P in _ore_towers().items()}
+    assert {name: (rep.nilpotency_steps, rep.triples_checked)
+            for name, rep in reports.items()} == {
+        "weyl-n2": ({(0, 1): 1, (0, 2): 1, (0, 3): 2, (1, 2): 2, (1, 3): 1},
+                    4),
+        "weyl-n3": ({(0, 1): 1, (0, 2): 1, (0, 3): 1, (0, 4): 1, (0, 5): 2,
+                     (1, 2): 1, (1, 3): 1, (1, 4): 2, (1, 5): 1, (2, 3): 2,
+                     (2, 4): 1, (2, 5): 1}, 20),
+        "quantum-matrices": ({(0, 1): 1, (0, 2): 1, (0, 3): 2}, 4),
+        "quantum-sl3-plus": ({(0, 1): 1, (0, 2): 2}, 1),
+    }
+
+
+def test_delta_is_a_twisted_derivation_on_the_ore_towers():
+    # delta_u(a b) = delta_u(a) b + tau_u(a) delta_u(b) for monomials a, b
+    # on positions above u, however delta_apply computes delta
+    for P in _ore_towers().values():
+        for u in range(P.N):
+            monos = [Element.gen(P.N, v, k)
+                     for v in range(u + 1, P.N) for k in (1, 2)]
+            for a, b in iproduct(monos, repeat=2):
+                lhs = engine.delta_apply(P, u, mul(P, a, b))
+                rhs = mul(P, engine.delta_apply(P, u, a), b) + \
+                    mul(P, engine.tau_apply(P, u, a),
+                        engine.delta_apply(P, u, b))
+                assert lhs == rhs
+
+
 def test_normal_form_defining_relations():
     P = quantum_plane()
     w = normal_form([1, 0], P)  # x2 * x1

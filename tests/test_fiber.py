@@ -2148,8 +2148,8 @@ def _engine_left(model, character, r):
             for vec, c in prod.terms.items():
                 red = fiber._reduce_exponent(vec, r.l, chi)
                 if red is not None:
-                    fiber._accumulate(entry, index[red[0]],
-                                      c if red[1] is None else c * red[1])
+                    engine.add_term(entry, index[red[0]],
+                                    c if red[1] is None else c * red[1])
             rows.append(entry)
         left.append(rows)
     return left
